@@ -317,6 +317,10 @@ def _fail(e: Exception) -> int:
     return 1
 
 
+# a non-finite residual means the run broke down, which is an error
+EXIT_CODES = {SolveStatus.CONVERGED: 0, SolveStatus.NON_FINITE: 1, SolveStatus.MAX_ITER: 2}
+
+
 def cmd_validate(path: str) -> int:
     """Parse, validate, and summarize a problem file."""
     try:
@@ -358,9 +362,11 @@ def cmd_solve(
     trace_every: int = 1,
     trace_timing: bool = False,
     solution_out: Optional[str] = None,
-    threads: int = 1,
 ) -> int:
-    """Solve an equilibrium problem file; exit 0/1/2 on converged/error/budget."""
+    """Solve an equilibrium problem file; exit 0/1/2 on converged/error/budget.
+
+    A residual that turns NaN or infinite counts as an error.
+    """
     try:
         bundle = load_problem_file(path)
         if bundle.problem is None:
@@ -387,7 +393,6 @@ def cmd_solve(
                 max_iter=max_iter,
                 trace_every=trace_every,
                 record_timing=trace_timing,
-                threads=threads,
             )
             if method == "block":
                 sol = solve(problem, config)
@@ -404,7 +409,7 @@ def cmd_solve(
     print(f"status: {sol.status.value}")
     print(f"iterations: {sol.iterations}")
     print(f"residual: {sol.residual!r}")
-    return 0 if sol.status is SolveStatus.CONVERGED else 2
+    return EXIT_CODES[sol.status]
 
 
 def cmd_solve_cvar(
@@ -425,9 +430,8 @@ def cmd_solve_cvar(
     trace_every: int = 1,
     trace_timing: bool = False,
     solution_out: Optional[str] = None,
-    threads: int = 1,
 ) -> int:
-    """Solve a risk problem file; exit 0/1/2 on converged/error/budget."""
+    """Solve a risk problem file; exit codes as for :func:`cmd_solve`."""
     try:
         bundle = load_problem_file(path)
         if bundle.cvar is None:
@@ -448,7 +452,6 @@ def cmd_solve_cvar(
             max_iter=max_iter,
             trace_every=trace_every,
             record_timing=trace_timing,
-            threads=threads,
         )
         csol = solve_cvar(cp, config)
         if trace_out:
@@ -462,7 +465,7 @@ def cmd_solve_cvar(
     print(f"residual: {csol.inner.residual!r}")
     print(f"threshold: {csol.y_bar!r}")
     print(f"objective: {csol.objective!r}")
-    return 0 if csol.inner.status is SolveStatus.CONVERGED else 2
+    return EXIT_CODES[csol.inner.status]
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +487,6 @@ def _add_solver_flags(p: argparse.ArgumentParser, with_method: bool):
     p.add_argument("--trace-every", type=int, default=1)
     p.add_argument("--trace-timing", action="store_true")
     p.add_argument("--solution-out", default=None)
-    p.add_argument("--threads", type=int, default=1)
     if with_method:
         p.add_argument("--method", choices=["block", "ph", "reduced"], default="block")
 
@@ -529,7 +531,6 @@ def main(argv=None) -> int:
             trace_every=args.trace_every,
             trace_timing=args.trace_timing,
             solution_out=args.solution_out,
-            threads=args.threads,
         )
     return cmd_solve_cvar(
         args.file,
@@ -548,5 +549,4 @@ def main(argv=None) -> int:
         trace_every=args.trace_every,
         trace_timing=args.trace_timing,
         solution_out=args.solution_out,
-        threads=args.threads,
     )

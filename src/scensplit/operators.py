@@ -6,10 +6,15 @@ two bisection-based proximity operators used by the risk-averse pipeline:
 the prox of ``gamma * max{f(.), 0}`` and the prox of the augmented
 threshold-plus-excess cost built from a base cost ``f`` and a tail level
 ``alpha``.
+
+The per-scenario math is written once, as stacked kernels over groups of
+scenarios that share a catalog type (see :class:`Stack`); ``resolvent``,
+``apply_operator``, ``project_constraint`` and ``project_subspace`` are the
+same kernels on a group of one row.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -27,11 +32,20 @@ from .errors import (
 UNBOUNDED = float(np.finfo(np.float64).max)
 
 
-def _vec(x) -> np.ndarray:
+def _vec(x, finite: bool = True) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
         raise ValidationError(f"expected a 1-d array, got shape {arr.shape}")
+    if finite and not np.isfinite(arr).all():
+        raise ValidationError(f"expected finite entries, got {arr[~np.isfinite(arr)][0]}")
     return arr
+
+
+def _scalar(x) -> float:
+    value = float(x)
+    if not np.isfinite(value):
+        raise ValidationError(f"expected a finite number, got {value}")
+    return value
 
 
 def _setfield(obj, name, value):
@@ -51,7 +65,7 @@ class Affine:
 
     def __post_init__(self):
         _setfield(self, "c", _vec(self.c))
-        _setfield(self, "r", float(self.r))
+        _setfield(self, "r", _scalar(self.r))
 
     @property
     def dim(self) -> int:
@@ -69,10 +83,10 @@ class SeparableQuadratic:
     def __post_init__(self):
         _setfield(self, "q", _vec(self.q))
         _setfield(self, "c", _vec(self.c))
-        _setfield(self, "r", float(self.r))
+        _setfield(self, "r", _scalar(self.r))
         if self.q.size != self.c.size:
             raise DimensionMismatch("q and c must have equal length")
-        if np.any(self.q < 0):
+        if (self.q < 0).any():
             raise ValidationError("quadratic weights must be nonnegative")
 
     @property
@@ -124,7 +138,7 @@ class DiagonalAffine:
         _setfield(self, "b", _vec(self.b))
         if self.a.size != self.b.size:
             raise DimensionMismatch("a and b must have equal length")
-        if np.any(self.a < 0):
+        if (self.a < 0).any():
             raise ValidationError("diagonal coefficients must be nonnegative")
 
     @property
@@ -144,7 +158,7 @@ class GradSeparableQuadratic:
         _setfield(self, "c", _vec(self.c))
         if self.q.size != self.c.size:
             raise DimensionMismatch("q and c must have equal length")
-        if np.any(self.q < 0):
+        if (self.q < 0).any():
             raise ValidationError("quadratic weights must be nonnegative")
 
     @property
@@ -176,33 +190,6 @@ class CvarAugmented:
 OperatorSpec = Union[DiagonalAffine, GradSeparableQuadratic, CvarAugmented]
 
 
-def apply_operator(op: OperatorSpec, x) -> np.ndarray:
-    """Forward evaluation, defined for the single-valued catalog entries."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(op, DiagonalAffine):
-        return op.a * x + op.b
-    if isinstance(op, GradSeparableQuadratic):
-        return op.q * (x - op.c)
-    raise TypeError(f"{type(op).__name__} has no single-valued forward map")
-
-
-def resolvent(op: OperatorSpec, gamma: float, z) -> np.ndarray:
-    """Solve p + gamma*A(p) = z for the catalog operator A."""
-    if gamma <= 0:
-        raise NonPositiveGamma(f"resolvent parameter {gamma} must be positive")
-    z = np.asarray(z, dtype=float)
-    if z.size != op.dim:
-        raise DimensionMismatch(f"operator expects dim {op.dim}, got {z.size}")
-    if isinstance(op, DiagonalAffine):
-        return (z - gamma * op.b) / (1.0 + gamma * op.a)
-    if isinstance(op, GradSeparableQuadratic):
-        return (z + gamma * op.q * op.c) / (1.0 + gamma * op.q)
-    if isinstance(op, CvarAugmented):
-        head, rest = prox_cvar_augmented(op.f, op.alpha, gamma, float(z[0]), z[1:])
-        return np.concatenate(([head], rest))
-    raise TypeError(f"unknown operator spec {type(op).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # constraint sets
 # ---------------------------------------------------------------------------
@@ -224,15 +211,15 @@ class Box:
     hi: np.ndarray
 
     def __post_init__(self):
-        lo = _vec(self.lo).copy()
-        hi = _vec(self.hi).copy()
+        # -inf / +inf sides map to the sentinels; NaN and the other
+        # infinities fail the finiteness check
+        lo = np.maximum(_vec(self.lo, finite=False), -UNBOUNDED)
+        hi = np.minimum(_vec(self.hi, finite=False), UNBOUNDED)
         if lo.size != hi.size:
             raise DimensionMismatch("lo and hi must have equal length")
-        lo[np.isneginf(lo)] = -UNBOUNDED
-        hi[np.isposinf(hi)] = UNBOUNDED
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise ValidationError("box bounds must be finite or +-inf")
-        if np.any(lo > hi):
+        if (lo > hi).any():
             raise ValidationError("box needs lo <= hi componentwise")
         _setfield(self, "lo", _frozen(lo))
         _setfield(self, "hi", _frozen(hi))
@@ -269,8 +256,8 @@ class Halfspace:
 
     def __post_init__(self):
         _setfield(self, "normal", _vec(self.normal))
-        _setfield(self, "offset", float(self.offset))
-        if not np.any(self.normal != 0):
+        _setfield(self, "offset", _scalar(self.offset))
+        if not (self.normal != 0).any():
             raise ValidationError("halfspace normal must be nonzero")
 
     @property
@@ -287,8 +274,8 @@ class Hyperplane:
 
     def __post_init__(self):
         _setfield(self, "normal", _vec(self.normal))
-        _setfield(self, "offset", float(self.offset))
-        if not np.any(self.normal != 0):
+        _setfield(self, "offset", _scalar(self.offset))
+        if not (self.normal != 0).any():
             raise ValidationError("hyperplane normal must be nonzero")
 
     @property
@@ -313,43 +300,6 @@ class RealCross:
 
 
 ConstraintSpec = Union[WholeSpace, Box, Ball, Halfspace, Hyperplane, RealCross]
-
-
-def _check_dim(spec, z: np.ndarray):
-    if spec.dim is not None and z.size != spec.dim:
-        raise DimensionMismatch(f"{type(spec).__name__} expects dim {spec.dim}, got {z.size}")
-
-
-def project_constraint(cs: ConstraintSpec, z) -> np.ndarray:
-    """Euclidean projection onto the constraint set."""
-    z = np.asarray(z, dtype=float)
-    _check_dim(cs, z)
-    if isinstance(cs, WholeSpace):
-        return z.copy()
-    if isinstance(cs, Box):
-        return np.clip(z, cs.lo, cs.hi)
-    if isinstance(cs, Ball):
-        shift = z - cs.center
-        dist = float(np.linalg.norm(shift))
-        if dist <= cs.radius:
-            return z.copy()
-        return cs.center + (cs.radius / dist) * shift
-    if isinstance(cs, Halfspace):
-        slack = float(cs.normal @ z) - cs.offset
-        if slack <= 0:
-            return z.copy()
-        return z - (slack / float(cs.normal @ cs.normal)) * cs.normal
-    if isinstance(cs, Hyperplane):
-        slack = float(cs.normal @ z) - cs.offset
-        return z - (slack / float(cs.normal @ cs.normal)) * cs.normal
-    if isinstance(cs, RealCross):
-        if z.size < 1:
-            raise DimensionMismatch("RealCross needs at least one coordinate")
-        out = np.empty_like(z)
-        out[0] = z[0]
-        out[1:] = project_constraint(cs.base, z[1:])
-        return out
-    raise TypeError(f"unknown constraint spec {type(cs).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -396,25 +346,6 @@ class Coordinates:
 SubspaceSpec = Union[Full, Zero, Coordinates]
 
 
-def project_subspace(us: SubspaceSpec, z) -> np.ndarray:
-    """Orthogonal projection onto the activation subspace."""
-    z = np.asarray(z, dtype=float)
-    if isinstance(us, Full):
-        return z.copy()
-    if isinstance(us, Zero):
-        return np.zeros_like(z)
-    if isinstance(us, Coordinates):
-        if us.indices and max(us.indices) >= z.size:
-            raise DimensionMismatch(
-                f"coordinate index {max(us.indices)} out of range for dim {z.size}"
-            )
-        out = np.zeros_like(z)
-        sel = list(us.indices)
-        out[sel] = z[sel]
-        return out
-    raise TypeError(f"unknown subspace spec {type(us).__name__}")
-
-
 def validate_range_condition(cs: ConstraintSpec, us: SubspaceSpec) -> bool:
     """Check that every point moved by the projector moves inside ``us``.
 
@@ -444,6 +375,258 @@ def validate_range_condition(cs: ConstraintSpec, us: SubspaceSpec) -> bool:
             support = {i for i in range(cs.dim) if cs.normal[i] != 0}
             return support <= sel and sel <= set(range(cs.dim))
     return False
+
+
+# ---------------------------------------------------------------------------
+# stacked kernels
+# ---------------------------------------------------------------------------
+#
+# Each kernel takes a group kind, the stacked coefficients of the group's
+# rows and a (k, d) block of points, one row per member.  Vectors stack
+# into (k, d) arrays, scalars and step sizes into (k, 1) columns.
+
+def _kind(spec):
+    """Group key of a spec: its type, or (RealCross, key of the base)."""
+    if isinstance(spec, RealCross):
+        return (RealCross, _kind(spec.base))
+    return type(spec)
+
+
+def _kind_name(kind) -> str:
+    return kind[0].__name__ if isinstance(kind, tuple) else kind.__name__
+
+
+def _rows(specs, name: str) -> np.ndarray:
+    return np.array([getattr(s, name) for s in specs], dtype=float)
+
+
+def _scalars(specs, name: str) -> np.ndarray:
+    return _rows(specs, name).reshape(-1, 1)
+
+
+def step_column(value, rows: int) -> np.ndarray:
+    """A number or one value per row, as a read-only (rows, 1) column."""
+    return np.broadcast_to(np.reshape(np.asarray(value, dtype=float), (-1, 1)), (rows, 1))
+
+
+def _pack(kind, specs) -> tuple:
+    """Stacked coefficient arrays of specs that share one kind."""
+    if isinstance(kind, tuple):
+        return _pack(kind[1], [s.base for s in specs])
+    if kind is DiagonalAffine:
+        return _rows(specs, "a"), _rows(specs, "b")
+    if kind is GradSeparableQuadratic:
+        return _rows(specs, "q"), _rows(specs, "c")
+    if kind is CvarAugmented:
+        held = np.empty(len(specs), dtype=object)
+        for r, spec in enumerate(specs):
+            held[r] = spec
+        return (held,)
+    if kind is Box:
+        return _rows(specs, "lo"), _rows(specs, "hi")
+    if kind is Ball:
+        return _rows(specs, "center"), _scalars(specs, "radius")
+    if kind in (Halfspace, Hyperplane):
+        sq = np.array([[float(s.normal @ s.normal)] for s in specs])
+        return _rows(specs, "normal"), _scalars(specs, "offset"), sq
+    return ()
+
+
+def _resolvent_kernel(kind, coef, z, gamma):
+    if kind is DiagonalAffine:
+        a, b = coef
+        return (z - gamma * b) / (1.0 + gamma * a)
+    if kind is GradSeparableQuadratic:
+        q, c = coef
+        return (z + gamma * q * c) / (1.0 + gamma * q)
+    if kind is CvarAugmented:
+        # no closed form: the prox runs row by row
+        (held,) = coef
+        gamma = step_column(gamma, z.shape[0])
+        out = np.empty_like(z)
+        for r, op in enumerate(held):
+            out[r, 0], out[r, 1:] = prox_cvar_augmented(
+                op.f, op.alpha, float(gamma[r, 0]), float(z[r, 0]), z[r, 1:]
+            )
+        return out
+    raise TypeError(f"unknown operator spec {_kind_name(kind)}")
+
+
+def _forward_kernel(kind, coef, x):
+    if kind is DiagonalAffine:
+        a, b = coef
+        return a * x + b
+    if kind is GradSeparableQuadratic:
+        q, c = coef
+        return q * (x - c)
+    raise TypeError(f"{_kind_name(kind)} has no single-valued forward map")
+
+
+def _row_dot(a, b) -> np.ndarray:
+    # one dot product per row, as a (k, 1) column; matmul takes the same
+    # path as a 1-d ``a @ b``, so each row rounds the way a single row does
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0]
+
+
+def _project_kernel(kind, coef, z):
+    if isinstance(kind, tuple):
+        out = z.copy()
+        out[:, 1:] = _project_kernel(kind[1], coef, z[:, 1:])
+        return out
+    if kind is WholeSpace:
+        return z.copy()
+    if kind is Box:
+        lo, hi = coef
+        return np.clip(z, lo, hi)
+    if kind is Ball:
+        center, radius = coef
+        shift = z - center
+        dist = np.sqrt(_row_dot(shift, shift))
+        return np.where(dist <= radius, z, center + (radius / np.maximum(dist, radius)) * shift)
+    if kind in (Halfspace, Hyperplane):
+        normal, offset, sq = coef
+        slack = _row_dot(normal, z) - offset
+        if kind is Halfspace:
+            slack = np.maximum(slack, 0.0)
+        return z - (slack / sq) * normal
+    raise TypeError(f"unknown constraint spec {_kind_name(kind)}")
+
+
+def _take(coef: tuple, slots) -> tuple:
+    return coef if slots is None else tuple(c[slots] for c in coef)
+
+
+class Stack:
+    """Per-scenario specs grouped by catalog type, coefficients stacked.
+
+    Built once per problem.  ``groups`` lists ``(kind, members, coef)`` in
+    order of first appearance: the kind (the spec type; RealCross groups by
+    its base too), the member scenarios ascending, and the coefficient
+    arrays with one row per member.
+    """
+
+    def __init__(self, specs):
+        by_kind: dict = {}
+        for i, spec in enumerate(specs):
+            by_kind.setdefault(_kind(spec), []).append(i)
+        self.group_of = np.empty(len(specs), dtype=int)
+        self.slot_of = np.empty(len(specs), dtype=int)
+        self.groups = []
+        for g, (kind, members) in enumerate(by_kind.items()):
+            members = np.array(members)
+            self.group_of[members] = g
+            self.slot_of[members] = np.arange(members.size)
+            self.groups.append((kind, members, _pack(kind, [specs[i] for i in members])))
+
+    def parts(self, rows=None):
+        """Yield ``(kind, pos, coef)`` for each group that ``rows`` touches.
+
+        ``rows`` holds scenario indices in any order, None meaning all of
+        them in order; ``pos`` picks the group's entries out of it and
+        ``coef`` has one coefficient row per picked entry.
+        """
+        if len(self.groups) == 1:
+            kind, _, coef = self.groups[0]
+            yield kind, slice(None), _take(coef, rows)
+        elif rows is None:
+            yield from self.groups
+        else:
+            group = self.group_of[rows]
+            for g, (kind, _, coef) in enumerate(self.groups):
+                pos = np.flatnonzero(group == g)
+                if pos.size:
+                    yield kind, pos, _take(coef, self.slot_of[rows[pos]])
+
+
+def _by_group(kernel, stack: Stack, rows, z, *columns) -> np.ndarray:
+    """Run ``kernel`` on each group's rows of z and of the per-row columns."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    for kind, pos, coef in stack.parts(rows):
+        part = kernel(kind, coef, z[pos], *(c[pos] for c in columns))
+        if isinstance(pos, slice):
+            return part
+        out[pos] = part
+    return out
+
+
+def resolvent_rows(stack: Stack, gamma, z, rows=None) -> np.ndarray:
+    """Resolvents of the scenarios ``rows`` at the rows of z.
+
+    ``gamma`` is a number or one positive step per row.
+    """
+    return _by_group(_resolvent_kernel, stack, rows, z, step_column(gamma, len(z)))
+
+
+def forward_rows(stack: Stack, x, rows=None) -> np.ndarray:
+    """Forward maps of the scenarios ``rows`` at the rows of x."""
+    return _by_group(_forward_kernel, stack, rows, x)
+
+
+def project_constraint_rows(stack: Stack, z, rows=None) -> np.ndarray:
+    """Projections of the rows of z onto the constraint sets of ``rows``."""
+    return _by_group(_project_kernel, stack, rows, z)
+
+
+def subspace_mask(us: SubspaceSpec, dim: int) -> np.ndarray:
+    """Boolean mask of the coordinate axes that span ``us`` in R^dim.
+
+    Every catalog subspace is spanned by axes, so its projector keeps the
+    masked entries of a row and zeroes the rest.
+    """
+    if isinstance(us, Full):
+        return np.ones(dim, dtype=bool)
+    if isinstance(us, Zero):
+        return np.zeros(dim, dtype=bool)
+    if isinstance(us, Coordinates):
+        if us.indices and max(us.indices) >= dim:
+            raise DimensionMismatch(
+                f"coordinate index {max(us.indices)} out of range for dim {dim}"
+            )
+        mask = np.zeros(dim, dtype=bool)
+        mask[list(us.indices)] = True
+        return mask
+    raise TypeError(f"unknown subspace spec {type(us).__name__}")
+
+
+def _one_row(kernel, spec, z, *args) -> np.ndarray:
+    kind = _kind(spec)
+    return kernel(kind, _pack(kind, [spec]), z[None], *args)[0]
+
+
+def apply_operator(op: OperatorSpec, x) -> np.ndarray:
+    """Forward evaluation, defined for the single-valued catalog entries."""
+    return _one_row(_forward_kernel, op, np.asarray(x, dtype=float))
+
+
+def resolvent(op: OperatorSpec, gamma: float, z) -> np.ndarray:
+    """Solve p + gamma*A(p) = z for the catalog operator A."""
+    if gamma <= 0:
+        raise NonPositiveGamma(f"resolvent parameter {gamma} must be positive")
+    z = np.asarray(z, dtype=float)
+    if z.size != op.dim:
+        raise DimensionMismatch(f"operator expects dim {op.dim}, got {z.size}")
+    return _one_row(_resolvent_kernel, op, z, float(gamma))
+
+
+def _check_dim(spec, z: np.ndarray):
+    if spec.dim is not None and z.size != spec.dim:
+        raise DimensionMismatch(f"{type(spec).__name__} expects dim {spec.dim}, got {z.size}")
+    if isinstance(spec, RealCross) and z.size < 1:
+        raise DimensionMismatch("RealCross needs at least one coordinate")
+
+
+def project_constraint(cs: ConstraintSpec, z) -> np.ndarray:
+    """Euclidean projection onto the constraint set."""
+    z = np.asarray(z, dtype=float)
+    _check_dim(cs, z)
+    return _one_row(_project_kernel, cs, z)
+
+
+def project_subspace(us: SubspaceSpec, z) -> np.ndarray:
+    """Orthogonal projection onto the activation subspace."""
+    z = np.asarray(z, dtype=float)
+    return np.where(subspace_mask(us, z.size), z, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -517,28 +700,34 @@ def prox_cvar_augmented(
     return y - gamma + theta * tau, cost_prox(f, theta * tau, x)
 
 
-def composite_resolvent(op: OperatorSpec, cs: ConstraintSpec, gamma: float, z) -> np.ndarray:
-    """Resolvent of gamma*(A + normal cone of C) for separable pairs.
+def require_composite(op_kinds, cs_kinds):
+    """Raise UnsupportedComposite unless every pair has a joint resolvent.
 
     Supported: DiagonalAffine or GradSeparableQuadratic with Box (or no
     constraint).  Componentwise the constrained solution is the clamp of the
-    unconstrained one because each scalar equation is monotone.
+    unconstrained one because each scalar equation is monotone, so the
+    joint resolvent is the box projection of the operator resolvent.
     """
+    for kind in op_kinds:
+        if kind not in (DiagonalAffine, GradSeparableQuadratic):
+            raise UnsupportedComposite(
+                f"no composite resolvent for operator {_kind_name(kind)}"
+            )
+    for kind in cs_kinds:
+        if kind not in (WholeSpace, Box):
+            raise UnsupportedComposite(
+                f"no composite resolvent for constraint {_kind_name(kind)}"
+            )
+
+
+def composite_resolvent(op: OperatorSpec, cs: ConstraintSpec, gamma: float, z) -> np.ndarray:
+    """Resolvent of gamma*(A + normal cone of C) for separable pairs."""
     if gamma <= 0:
         raise NonPositiveGamma(f"resolvent parameter {gamma} must be positive")
-    if not isinstance(op, (DiagonalAffine, GradSeparableQuadratic)):
-        raise UnsupportedComposite(
-            f"no composite resolvent for operator {type(op).__name__}"
-        )
-    if isinstance(cs, WholeSpace):
-        return resolvent(op, gamma, z)
-    if not isinstance(cs, Box):
-        raise UnsupportedComposite(
-            f"no composite resolvent for constraint {type(cs).__name__}"
-        )
+    require_composite([_kind(op)], [_kind(cs)])
     z = np.asarray(z, dtype=float)
     _check_dim(cs, z)
-    return np.clip(resolvent(op, gamma, z), cs.lo, cs.hi)
+    return project_constraint(cs, resolvent(op, gamma, z))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

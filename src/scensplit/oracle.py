@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cvar import CvarProblem, cvar_value
+from .cvar import CvarProblem
 from .errors import (
     BadGrid,
     NonPositiveGamma,
@@ -229,21 +229,36 @@ def oracle_solve_quadratic_box(problem: Problem) -> np.ndarray:
     return _expand(tree, fcs, z)
 
 
-def _feasible(cs, x: np.ndarray) -> bool:
-    # own membership checks, used only to mask grid points
+def _feasible_many(cs, pts: np.ndarray) -> np.ndarray:
+    # own membership checks of the rows of pts, used only to mask grid points
     if isinstance(cs, WholeSpace):
-        return True
+        return np.ones(pts.shape[0], dtype=bool)
     if isinstance(cs, Box):
-        return bool(np.all(x >= cs.lo) and np.all(x <= cs.hi))
+        return np.all((pts >= cs.lo) & (pts <= cs.hi), axis=1)
     if isinstance(cs, Ball):
-        return float(np.linalg.norm(x - cs.center)) <= cs.radius + 1e-12
+        return np.sqrt(np.sum((pts - cs.center) ** 2, axis=1)) <= cs.radius + 1e-12
     if isinstance(cs, Halfspace):
-        return float(cs.normal @ x) <= cs.offset + 1e-12
+        return pts @ cs.normal <= cs.offset + 1e-12
     if isinstance(cs, Hyperplane):
-        return abs(float(cs.normal @ x) - cs.offset) <= 1e-9 * (1.0 + abs(cs.offset))
+        return np.abs(pts @ cs.normal - cs.offset) <= 1e-9 * (1.0 + abs(cs.offset))
     if isinstance(cs, RealCross):
-        return _feasible(cs.base, x[1:])
+        return _feasible_many(cs.base, pts[:, 1:])
     raise UnsupportedInstance(f"no oracle feasibility test for {type(cs).__name__}")
+
+
+def _tail_risk_many(probs: np.ndarray, alpha: float, losses: np.ndarray) -> np.ndarray:
+    """Exact tail risk of each row of an (M, N) loss array.
+
+    The optimal threshold of a row is its smallest loss at which the
+    cumulative probability reaches ``alpha``.
+    """
+    order = np.argsort(losses, axis=1, kind="stable")
+    cum = np.cumsum(probs[order], axis=1)
+    pos = np.minimum(np.sum(cum < alpha, axis=1), losses.shape[1] - 1)
+    rows = np.arange(losses.shape[0])
+    threshold = losses[rows, order[rows, pos]]
+    excess = np.maximum(losses - threshold[:, None], 0.0)
+    return threshold + excess @ probs / (1.0 - alpha)
 
 
 def oracle_cvar_small(cp: CvarProblem, grid: GridSpec):
@@ -263,18 +278,15 @@ def oracle_cvar_small(cp: CvarProblem, grid: GridSpec):
         raise BadGrid(f"grid has {grid.dim} axes, instance has {len(fcs)} free coordinates")
 
     def objective(pts):
-        vals = np.empty(pts.shape[0])
-        for r in range(pts.shape[0]):
-            x = _expand(tree, fcs, pts[r])
-            ok = all(_feasible(cs, x[i]) for i, cs in enumerate(cp.constraints))
-            if not ok:
-                vals[r] = np.inf
-                continue
-            losses = [
-                float(_eval_cost_many(f, x[i : i + 1])[0]) for i, f in enumerate(cp.costs)
-            ]
-            vals[r] = cvar_value(tree, cp.alpha, np.asarray(losses))
-        return vals
+        # policies of all candidates at once: (rows, scenarios, total_dim)
+        x = np.empty((pts.shape[0], tree.num_scenarios, tree.total_dim))
+        for j, (members, col) in enumerate(fcs):
+            x[:, members, col] = pts[:, j : j + 1]
+        ok = np.ones(pts.shape[0], dtype=bool)
+        for i, cs in enumerate(cp.constraints):
+            ok &= _feasible_many(cs, x[:, i])
+        losses = np.stack([_eval_cost_many(f, x[:, i]) for i, f in enumerate(cp.costs)], axis=1)
+        return np.where(ok, _tail_risk_many(tree.probabilities, cp.alpha, losses), np.inf)
 
     point, value = _grid_search(objective, grid)
     return _expand(tree, fcs, point), float(value)

@@ -29,14 +29,16 @@ from .operators import (
     ConstraintSpec,
     Full,
     OperatorSpec,
+    Stack,
     SubspaceSpec,
     WholeSpace,
     Zero,
-    apply_operator,
-    composite_resolvent,
-    project_constraint,
-    project_subspace,
-    resolvent,
+    forward_rows,
+    project_constraint_rows,
+    require_composite,
+    resolvent_rows,
+    step_column,
+    subspace_mask,
     validate_range_condition,
 )
 from .tree import ScenarioTree
@@ -48,12 +50,20 @@ from .tree import ScenarioTree
 
 @dataclass(frozen=True)
 class Problem:
-    """One operator, constraint set and activation subspace per scenario."""
+    """One operator, constraint set and activation subspace per scenario.
+
+    Construction also groups the operators and the constraint sets by
+    catalog type into stacks, and the subspaces into one (N, d) axis mask;
+    every per-scenario computation of the solvers runs on these.
+    """
 
     tree: ScenarioTree
     operators: tuple[OperatorSpec, ...]
     constraints: tuple[ConstraintSpec, ...]
     subspaces: tuple[SubspaceSpec, ...]
+    operator_stack: Stack = field(init=False, repr=False, compare=False)
+    constraint_stack: Stack = field(init=False, repr=False, compare=False)
+    subspace_mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.tree.num_scenarios
@@ -81,6 +91,16 @@ class Problem:
         for i, (cs, us) in enumerate(zip(self.constraints, self.subspaces)):
             if not validate_range_condition(cs, us):
                 raise ValidationError(f"range condition violated for scenario {i}")
+        object.__setattr__(self, "operator_stack", Stack(self.operators))
+        object.__setattr__(self, "constraint_stack", Stack(self.constraints))
+        by_spec: dict = {}
+        for i, us in enumerate(self.subspaces):
+            by_spec.setdefault(us, []).append(i)
+        mask = np.empty((n, d), dtype=bool)
+        for us, rows in by_spec.items():
+            mask[rows] = subspace_mask(us, d)
+        mask.flags.writeable = False
+        object.__setattr__(self, "subspace_mask", mask)
 
 
 def make_problem(tree, operators, constraints=None, subspaces=None) -> Problem:
@@ -188,43 +208,41 @@ class SolverConfig:
     max_iter: int = 100000
     trace_every: int = 1
     record_timing: bool = False
-    threads: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ConfigError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.tol < 0:
+        if not self.tol >= 0:
             raise ConfigError(f"tol must be nonnegative, got {self.tol}")
         if self.max_iter < 0:
             raise ConfigError(f"max_iter must be nonnegative, got {self.max_iter}")
         if self.trace_every < 1:
             raise ConfigError(f"trace_every must be >= 1, got {self.trace_every}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
         lo, hi = self.epsilon, 1.0 / self.epsilon
         for name, rule in (("gamma", self.gamma), ("mu", self.mu)):
-            if isinstance(rule, (int, float)):
-                _check_range(name, float(rule), lo, hi)
-            elif not callable(rule):
-                for v in np.asarray(rule, dtype=float).ravel():
-                    _check_range(name, float(v), lo, hi)
+            if not callable(rule):
+                _check_range(name, rule, lo, hi)
         if isinstance(self.lambda_rule, (int, float)):
             _check_range("lambda", float(self.lambda_rule), lo, 2.0 - self.epsilon)
         elif not callable(self.lambda_rule):
             raise ConfigError("lambda_rule must be a number or a callable")
 
 
-def _check_range(name: str, value: float, lo: float, hi: float):
-    if not lo <= value <= hi:
-        raise ConfigError(f"{name} value {value} outside [{lo}, {hi}]")
+def _check_range(name: str, value, lo: float, hi: float):
+    """Raise unless every entry of ``value`` (a number or an array) is in [lo, hi]."""
+    v = np.asarray(value, dtype=float).ravel()
+    bad = v[~((lo <= v) & (v <= hi))]
+    if bad.size:
+        raise ConfigError(f"{name} value {float(bad[0])} outside [{lo}, {hi}]")
 
 
-def _step_value(rule: StepRule, scenario: int, n: int) -> float:
+def _step_values(rule: StepRule, active: np.ndarray, n: int):
+    """The rule's step for each active scenario, or its constant."""
     if isinstance(rule, (int, float)):
         return float(rule)
     if callable(rule):
-        return float(rule(scenario, n))
-    return float(rule[scenario])
+        return np.array([float(rule(int(i), n)) for i in active])
+    return np.asarray(rule, dtype=float)[active]
 
 
 def _lambda_value(config: SolverConfig, n: int) -> float:
@@ -266,6 +284,7 @@ class SolverState:
 class SolveStatus(enum.Enum):
     CONVERGED = "converged"
     MAX_ITER = "max_iter"
+    NON_FINITE = "non_finite"  # the residual became NaN or infinite
 
 
 @dataclass(frozen=True)
@@ -306,8 +325,7 @@ def init_state(problem: Problem, config: SolverConfig, x0=None, x0_star=None, v0
     vs = policy.zeros(tree) if v0_star is None else policy.check_policy(tree, v0_star).copy()
     x = policy.project_nonanticipative(tree, x)
     vs = policy.project_nonanticipative_complement(tree, vs)
-    for i in range(n):
-        xs[i] = project_subspace(problem.subspaces[i], xs[i])
+    xs = np.where(problem.subspace_mask, xs, 0.0)
     rng = None
     if isinstance(config.schedule, SeededRandom):
         rng = np.random.default_rng(config.schedule.seed)
@@ -326,27 +344,34 @@ def init_state(problem: Problem, config: SolverConfig, x0=None, x0_star=None, v0
     )
 
 
-def scenario_update(state: SolverState, problem: Problem, scenario: int, gamma: float, mu: float):
-    """Refresh one scenario's intermediates at the current iterate.
+def scenario_update(state: SolverState, problem: Problem, scenarios, gamma, mu):
+    """Refresh the intermediates of a block of scenarios at the current iterate.
 
-    Returns ``(op_point, op_dual, set_point, set_dual, gap)``; op_dual lies
-    in the operator's graph at op_point, set_dual in the normal cone of the
+    ``scenarios`` is one index or an index array in any order; ``gamma``
+    and ``mu`` are a number or one value per scenario.  Returns
+    ``(op_point, op_dual, set_point, set_dual, gap)`` with one row per
+    scenario (plain vectors for a single index); op_dual lies in the
+    operator's graph at op_point, set_dual in the normal cone of the
     constraint at set_point, by construction.
     """
-    if gamma <= 0:
-        raise NonPositiveGamma(f"gamma must be positive, got {gamma}")
-    if mu <= 0:
-        raise ConfigError(f"mu must be positive, got {mu}")
-    x = state.x[scenario]
-    xs = state.x_star[scenario]
-    vs = state.v_star[scenario]
+    rows = np.atleast_1d(np.asarray(scenarios, dtype=int))
+    gamma = step_column(gamma, rows.size)
+    mu = step_column(mu, rows.size)
+    if not np.all(gamma > 0):
+        raise NonPositiveGamma(f"gamma must be positive, got {float(gamma.min())}")
+    if not np.all(mu > 0):
+        raise ConfigError(f"mu must be positive, got {float(mu.min())}")
+    x = state.x[rows]
+    xs = state.x_star[rows]
+    vs = state.v_star[rows]
     load = xs + vs
-    op_point = resolvent(problem.operators[scenario], gamma, x - gamma * load)
+    op_point = resolvent_rows(problem.operator_stack, gamma, x - gamma * load, rows)
     op_dual = (x - op_point) / gamma - load
-    set_point = project_constraint(problem.constraints[scenario], x + mu * xs)
+    set_point = project_constraint_rows(problem.constraint_stack, x + mu * xs, rows)
     set_dual = xs + (x - set_point) / mu
-    gap = project_subspace(problem.subspaces[scenario], set_point - op_point)
-    return op_point, op_dual, set_point, set_dual, gap
+    gap = np.where(problem.subspace_mask[rows], set_point - op_point, 0.0)
+    out = (op_point, op_dual, set_point, set_dual, gap)
+    return tuple(a[0] for a in out) if np.ndim(scenarios) == 0 else out
 
 
 def coordination_step(state: SolverState, problem: Problem, config: SolverConfig) -> SolverState:
@@ -395,29 +420,17 @@ def iterate(state: SolverState, problem: Problem, config: SolverConfig) -> Solve
             config.schedule.select(n, num, state.last_activated, state.rng), dtype=int
         )
     lo, hi = config.epsilon, 1.0 / config.epsilon
-
-    def refresh(i: int):
-        g = _step_value(config.gamma, i, n)
-        m = _step_value(config.mu, i, n)
-        _check_range("gamma", g, lo, hi)
-        _check_range("mu", m, lo, hi)
-        out = scenario_update(state, problem, i, g, m)
-        (
-            state.op_point[i],
-            state.op_dual[i],
-            state.set_point[i],
-            state.set_dual[i],
-            state.gap[i],
-        ) = out
-
-    if config.threads > 1 and active.size > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            list(pool.map(refresh, active))
-    else:
-        for i in active:
-            refresh(int(i))
+    gamma = _step_values(config.gamma, active, n)
+    mu = _step_values(config.mu, active, n)
+    _check_range("gamma", gamma, lo, hi)
+    _check_range("mu", mu, lo, hi)
+    (
+        state.op_point[active],
+        state.op_dual[active],
+        state.set_point[active],
+        state.set_dual[active],
+        state.gap[active],
+    ) = scenario_update(state, problem, active, gamma, mu)
 
     coordination_step(state, problem, config)
     state.last_activated[active] = n
@@ -436,14 +449,16 @@ def kkt_residual(problem: Problem, x, x_star, v_star) -> float:
     x = policy.check_policy(tree, x)
     xs = policy.check_policy(tree, x_star)
     vs = policy.check_policy(tree, v_star)
-    total = 0.0
-    for i in range(tree.num_scenarios):
-        op_gap = x[i] - resolvent(problem.operators[i], 1.0, x[i] - xs[i] - vs[i])
-        set_gap = x[i] - project_constraint(problem.constraints[i], x[i] + xs[i])
-        total += tree.probabilities[i] * (op_gap @ op_gap + set_gap @ set_gap)
+    op_gap = x - resolvent_rows(problem.operator_stack, 1.0, x - xs - vs)
+    set_gap = x - project_constraint_rows(problem.constraint_stack, x + xs)
     anti = policy.project_nonanticipative_complement(tree, x)
     dual = policy.project_nonanticipative(tree, vs)
-    total += policy.inner(tree, anti, anti) + policy.inner(tree, dual, dual)
+    total = (
+        policy.inner(tree, op_gap, op_gap)
+        + policy.inner(tree, set_gap, set_gap)
+        + policy.inner(tree, anti, anti)
+        + policy.inner(tree, dual, dual)
+    )
     return float(np.sqrt(max(total, 0.0)))
 
 
@@ -470,6 +485,9 @@ def solve(
         if residual <= config.tol:
             status = SolveStatus.CONVERGED
             break
+        if not math.isfinite(residual):
+            status = SolveStatus.NON_FINITE
+            break
         if state.iteration >= config.max_iter:
             status = SolveStatus.MAX_ITER
             break
@@ -484,7 +502,7 @@ def solve(
                     kappa=state.kappa,
                     tau=state.tau,
                     theta=state.theta,
-                    active=tuple(int(i) for i in state.active),
+                    active=tuple(state.active.tolist()),
                     wall_ms=wall,
                 )
             )
@@ -510,7 +528,8 @@ def progressive_hedging_solve(
 ) -> Solution:
     """Classical averaging baseline for composite-supported instances.
 
-    Per scenario the full operator-plus-constraint resolvent is applied at
+    The full operator-plus-constraint resolvent (the stacked resolvent,
+    then the stacked box projection) is applied to every scenario at
     ``x - gamma * v_star``; the primal averages back to the subspace, the
     dual absorbs the residual part.  Stops on the same residual as the
     block-activated solver, with the constraint multiplier recovered from
@@ -519,23 +538,16 @@ def progressive_hedging_solve(
     if gamma <= 0:
         raise NonPositiveGamma(f"gamma must be positive, got {gamma}")
     tree = problem.tree
-    for op, cs in zip(problem.operators, problem.constraints):
-        composite_resolvent(op, cs, gamma, np.zeros(tree.total_dim))  # capability probe
+    ops, cons = problem.operator_stack, problem.constraint_stack
+    require_composite([g[0] for g in ops.groups], [g[0] for g in cons.groups])
     x = policy.zeros(tree)
     vs = policy.zeros(tree)
-    sub = policy.zeros(tree)
-    implied = policy.zeros(tree)
     trace = []
     n = 0
     start = time.perf_counter()
     while True:
-        for i in range(tree.num_scenarios):
-            sub[i] = composite_resolvent(
-                problem.operators[i], problem.constraints[i], gamma, x[i] - gamma * vs[i]
-            )
-            implied[i] = (x[i] - sub[i]) / gamma - vs[i] - apply_operator(
-                problem.operators[i], sub[i]
-            )
+        sub = project_constraint_rows(cons, resolvent_rows(ops, gamma, x - gamma * vs))
+        implied = (x - sub) / gamma - vs - forward_rows(ops, sub)
         x = policy.project_nonanticipative(tree, sub)
         vs = vs + policy.project_nonanticipative_complement(tree, sub) / gamma
         residual = kkt_residual(problem, x, implied, vs)
@@ -555,6 +567,9 @@ def progressive_hedging_solve(
         n += 1
         if residual <= tol:
             status = SolveStatus.CONVERGED
+            break
+        if not math.isfinite(residual):
+            status = SolveStatus.NON_FINITE
             break
         if n >= max_iter:
             status = SolveStatus.MAX_ITER

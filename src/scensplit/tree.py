@@ -90,7 +90,7 @@ def build_tree(scenarios, stage_dims) -> ScenarioTree:
                 f"scenario {i} has {len(labels)} labels, expected {n_stages}"
             )
         prob = float(prob)
-        if prob <= 0.0:
+        if not prob > 0.0:  # NaN included
             raise NonPositiveProbability(f"scenario {i} has probability {prob}")
         built.append(Scenario(index=i, labels=labels, probability=prob))
 

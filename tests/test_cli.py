@@ -238,6 +238,26 @@ def test_solve_budget_exit_code(tmp_path, capsys):
     assert "status: max_iter" in capsys.readouterr().out
 
 
+def test_solve_non_finite_exit_code(tmp_path, capsys):
+    # valid data whose residual overflows on the first evaluation
+    doc = quad_box_doc()
+    doc["operators"][0] = {"type": "diagonal_affine", "a": [0.0, 0.0], "b": [1e308, 0.0]}
+    del doc["constraints"]
+    path = write_json(tmp_path / "p.json", doc)
+    assert main(["solve", path]) == 1
+    assert "status: non_finite" in capsys.readouterr().out
+
+
+def test_solve_rejects_non_finite_data(tmp_path, capsys):
+    doc = quad_box_doc()
+    doc["operators"][0]["q"][0] = float("nan")  # json writes it as NaN
+    path = write_json(tmp_path / "p.json", doc)
+    assert main(["solve", path]) == 1
+    assert "ValidationError" in capsys.readouterr().err
+    assert main(["solve", write_json(tmp_path / "q.json", quad_box_doc()), "--tol", "nan"]) == 1
+    assert "ConfigError" in capsys.readouterr().err
+
+
 def test_solve_ph_method(tmp_path, capsys):
     path = write_json(tmp_path / "p.json", quad_box_doc())
     assert main(["solve", path, "--method", "ph", "--tol", "1e-9"]) == 0

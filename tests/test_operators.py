@@ -399,3 +399,28 @@ def test_composite_resolvent_unsupported():
             1.0,
             [0.0, 0.0],
         )
+
+
+# --- non-finite data ---
+
+def test_catalog_rejects_non_finite_data():
+    nan, inf = float("nan"), float("inf")
+    with pytest.raises(ValidationError):
+        DiagonalAffine(a=[nan, 1.0], b=[0.0, 0.0])
+    with pytest.raises(ValidationError):
+        Ball(center=[nan, 0.0], radius=1.0)
+    with pytest.raises(ValidationError):
+        GradSeparableQuadratic(q=[1.0], c=[inf])
+    with pytest.raises(ValidationError):
+        Halfspace(normal=[1.0], offset=nan)
+    with pytest.raises(ValidationError):
+        Hyperplane(normal=[inf], offset=0.0)
+    with pytest.raises(ValidationError):
+        Affine(c=[1.0], r=inf)
+    with pytest.raises(ValidationError):
+        SeparableQuadratic(q=[1.0], c=[0.0], r=nan)
+    # boxes keep their infinite sides and still refuse NaN
+    box = Box(lo=[-inf, 0.0], hi=[inf, 1.0])
+    assert_allclose(project_constraint(box, [5.0, 2.0]), [5.0, 1.0])
+    with pytest.raises(ValidationError):
+        Box(lo=[nan], hi=[1.0])

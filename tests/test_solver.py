@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import quadratic_box_instance, random_tree, unconstrained_instance
+from helpers import mixed_instance, quadratic_box_instance, random_tree, unconstrained_instance
 
 from scensplit import policy
 from scensplit.errors import ConfigError, DimensionMismatch, NonTrivialConstraint, UnsupportedComposite, ValidationError
@@ -151,7 +151,9 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         SolverConfig(trace_every=0)
     with pytest.raises(ConfigError):
-        SolverConfig(threads=0)
+        SolverConfig(tol=float("nan"))
+    with pytest.raises(ConfigError):
+        SolverConfig(epsilon=float("nan"))
     SolverConfig(gamma=0.5, mu=2.0, lambda_rule=1.9, epsilon=0.05)
 
 
@@ -355,14 +357,29 @@ def test_solve_trace_and_callback():
     assert walls == sorted(walls)
 
 
-def test_solve_threads_match_serial():
-    rng = np.random.default_rng(32)
-    tree = random_tree(rng, 6, 3)
-    prob = quadratic_box_instance(rng, tree)
-    a = solve(prob, SolverConfig(tol=1e-9, threads=1))
-    b = solve(prob, SolverConfig(tol=1e-9, threads=2))
-    assert a.iterations == b.iterations
-    assert np.array_equal(a.x_bar, b.x_bar)
+def test_solve_stops_on_non_finite_residual():
+    nan_start = np.full((2, 2), np.nan)
+    sol = solve(pair_problem(), SolverConfig(max_iter=50), x0=nan_start)
+    assert sol.status is SolveStatus.NON_FINITE
+    assert sol.iterations == 0
+    assert not np.isfinite(sol.residual)
+
+
+@pytest.mark.parametrize(
+    "schedule, iterations",
+    [
+        (FullActivation(), 668),
+        (RoundRobin(block_size=3), 2637),
+        (SeededRandom(block_size=3, cover_window=10, seed=5), 2193),
+    ],
+)
+def test_mixed_instance_iteration_counts(schedule, iterations):
+    # exact counts: any change to the rounding of the refresh shows up here
+    rng = np.random.default_rng(63)
+    prob = mixed_instance(rng, random_tree(rng, 10, 3))
+    sol = solve(prob, SolverConfig(schedule=schedule, tol=1e-6))
+    assert sol.status is SolveStatus.CONVERGED
+    assert sol.iterations == iterations
 
 
 def test_solve_outputs_live_in_subspaces():

@@ -1,0 +1,203 @@
+"""The stacked kernels agree with one-row evaluation for every catalog type.
+
+Scenarios of different types share one problem, so every call runs over
+several groups; blocks come in unsorted order and leave whole groups out.
+"""
+import numpy as np
+import pytest
+from numpy.testing import assert_array_equal
+
+from scensplit.operators import (
+    Affine,
+    Ball,
+    Box,
+    Coordinates,
+    CvarAugmented,
+    DiagonalAffine,
+    Full,
+    GradSeparableQuadratic,
+    Halfspace,
+    Hyperplane,
+    RealCross,
+    SeparableQuadratic,
+    WholeSpace,
+    Zero,
+    apply_operator,
+    forward_rows,
+    project_constraint,
+    project_constraint_rows,
+    project_subspace,
+    resolvent,
+    resolvent_rows,
+)
+from scensplit.solver import (
+    Problem,
+    RoundRobin,
+    SolverConfig,
+    init_state,
+    iterate,
+    scenario_update,
+)
+from scensplit.tree import build_tree
+
+D = 3
+N = 12
+
+
+def mixed_problem(rng) -> Problem:
+    tree = build_tree([((i,), 1.0 / N) for i in range(N)], [D])
+    ops = []
+    for i in range(N):
+        kind = i % 4
+        if kind == 0:
+            ops.append(DiagonalAffine(a=rng.uniform(0.0, 2.0, D), b=rng.uniform(-1, 1, D)))
+        elif kind == 1:
+            ops.append(GradSeparableQuadratic(q=rng.uniform(0.0, 2.0, D), c=rng.uniform(-1, 1, D)))
+        elif kind == 2:
+            ops.append(CvarAugmented(f=Affine(c=rng.uniform(-1, 1, D - 1), r=0.3), alpha=0.7))
+        else:
+            cost = SeparableQuadratic(q=rng.uniform(0.5, 2.0, D - 1), c=rng.uniform(-1, 1, D - 1))
+            ops.append(CvarAugmented(f=cost, alpha=0.4))
+    half = Box(lo=[0.0, -np.inf, -np.inf], hi=[1.0, np.inf, np.inf])
+    cons = [
+        WholeSpace(),
+        half,
+        Box(lo=[-0.5, -np.inf, 0.0], hi=[0.5, 0.2, np.inf]),
+        Ball(center=[0.1, -0.2, 0.3], radius=0.8),
+        Halfspace(normal=[0.0, 1.0, -1.0], offset=0.2),
+        Hyperplane(normal=[1.0, 2.0, -0.5], offset=0.4),
+        RealCross(base=Box(lo=[0.0, -1.0], hi=[1.0, np.inf])),
+        RealCross(base=Ball(center=[0.0, 0.5], radius=0.6)),
+        RealCross(base=WholeSpace()),
+        Ball(center=[-0.3, 0.0, 0.2], radius=1.5),
+        Halfspace(normal=[1.0, -1.0, 0.5], offset=-0.1),
+        Hyperplane(normal=[0.0, 0.0, 3.0], offset=1.0),
+    ]
+    subs = [Zero(), Coordinates(indices=(0,)), Full(), Full(), Coordinates(indices=(1, 2))]
+    subs += [Full()] * (N - len(subs))
+    return Problem(tree, tuple(ops), tuple(cons), tuple(subs))
+
+
+# blocks in unsorted order; the first two leave whole groups out
+BLOCKS = (
+    np.array([9, 1, 5]),
+    np.array([4, 8, 0]),
+    np.array([11, 2, 7, 3, 6, 10]),
+    np.arange(N)[::-1],
+)
+
+
+@pytest.fixture(scope="module")
+def problem():
+    return mixed_problem(np.random.default_rng(71))
+
+
+def test_groups_follow_catalog_types(problem):
+    ops, cons = problem.operator_stack, problem.constraint_stack
+    assert [g[0] for g in ops.groups] == [DiagonalAffine, GradSeparableQuadratic, CvarAugmented]
+    assert len(cons.groups) == 8  # RealCross groups by its base
+    for kind, members, _ in cons.groups:
+        assert np.all(np.diff(members) > 0)
+
+
+@pytest.mark.parametrize("rows", BLOCKS)
+def test_resolvent_rows_match_single_rows(problem, rows):
+    rng = np.random.default_rng(72)
+    z = 2.0 * rng.standard_normal((rows.size, D))
+    gamma = rng.uniform(0.2, 3.0, rows.size)
+    got = resolvent_rows(problem.operator_stack, gamma, z, rows)
+    want = [resolvent(problem.operators[i], g, zi) for i, g, zi in zip(rows, gamma, z)]
+    assert_array_equal(got, want)
+    # a number stands for one step on every row
+    got = resolvent_rows(problem.operator_stack, 0.7, z, rows)
+    assert_array_equal(got, [resolvent(problem.operators[i], 0.7, zi) for i, zi in zip(rows, z)])
+
+
+def test_forward_rows_match_single_rows(problem):
+    rng = np.random.default_rng(73)
+    rows = np.array([5, 0, 4, 1, 9])  # the single-valued groups only
+    x = rng.standard_normal((rows.size, D))
+    got = forward_rows(problem.operator_stack, x, rows)
+    assert_array_equal(got, [apply_operator(problem.operators[i], xi) for i, xi in zip(rows, x)])
+    with pytest.raises(TypeError):
+        forward_rows(problem.operator_stack, x[:1], np.array([2]))
+
+
+@pytest.mark.parametrize("rows", BLOCKS)
+def test_project_constraint_rows_match_single_rows(problem, rows):
+    rng = np.random.default_rng(74)
+    z = 1.5 * rng.standard_normal((rows.size, D))
+    got = project_constraint_rows(problem.constraint_stack, z, rows)
+    want = [project_constraint(problem.constraints[i], zi) for i, zi in zip(rows, z)]
+    assert_array_equal(got, want)
+
+
+def test_projection_cases_inside_and_outside(problem):
+    # every ball and halfspace row is seen both where it moves the point
+    # and where it leaves the point alone
+    rng = np.random.default_rng(75)
+    rows = np.repeat([3, 9, 4, 10, 7], 40)
+    z = 1.2 * rng.standard_normal((rows.size, D))
+    got = project_constraint_rows(problem.constraint_stack, z, rows)
+    moved = np.any(got != z, axis=1)
+    for i in (3, 9, 4, 10, 7):
+        assert moved[rows == i].any() and not moved[rows == i].all()
+    want = [project_constraint(problem.constraints[i], zi) for i, zi in zip(rows, z)]
+    assert_array_equal(got, want)
+
+
+def test_subspace_mask_matches_single_rows(problem):
+    z = np.random.default_rng(76).standard_normal((N, D))
+    got = np.where(problem.subspace_mask, z, 0.0)
+    assert_array_equal(got, [project_subspace(us, zi) for us, zi in zip(problem.subspaces, z)])
+
+
+def _refresh_by_rows(problem, state, rows, gamma, mu):
+    """The block refresh written out with the one-row functions."""
+    out = []
+    for i, g, m in zip(rows, gamma, mu):
+        x, xs, vs = state.x[i], state.x_star[i], state.v_star[i]
+        a = resolvent(problem.operators[i], g, x - g * (xs + vs))
+        b = project_constraint(problem.constraints[i], x + m * xs)
+        gap = project_subspace(problem.subspaces[i], b - a)
+        out.append((a, (x - a) / g - (xs + vs), b, xs + (x - b) / m, gap))
+    return [np.array(col) for col in zip(*out)]
+
+
+@pytest.mark.parametrize("rule", ["sequence", "callable"])
+def test_block_refresh_matches_single_rows(problem, rule):
+    gammas = np.linspace(0.5, 2.0, N)
+    mus = np.linspace(1.5, 0.8, N)
+    if rule == "sequence":
+        config = SolverConfig(gamma=tuple(gammas), mu=list(mus), schedule=RoundRobin(block_size=5))
+    else:
+        config = SolverConfig(
+            gamma=lambda i, n: gammas[i] * (1.0 + 0.01 * n),
+            mu=lambda i, n: mus[i],
+            schedule=RoundRobin(block_size=5),
+        )
+    rng = np.random.default_rng(77)
+    x0, v0 = rng.standard_normal((2, N, D))
+    state = init_state(problem, config, x0=x0, v0_star=v0)
+    for _ in range(5):
+        n = state.iteration
+        rows = np.arange(N) if n == 0 else config.schedule.select(n, N, state.last_activated, None)
+        step = 1.0 + 0.01 * n if rule == "callable" else 1.0
+        want = _refresh_by_rows(problem, state, rows, gammas[rows] * step, mus[rows])
+        iterate(state, problem, config)
+        for name, col in zip(("op_point", "op_dual", "set_point", "set_dual", "gap"), want):
+            assert_array_equal(getattr(state, name)[rows], col)
+
+
+def test_scenario_update_unsorted_block(problem):
+    rng = np.random.default_rng(78)
+    config = SolverConfig()
+    x0, xs0, v0 = rng.standard_normal((3, N, D))
+    state = init_state(problem, config, x0=x0, x0_star=xs0, v0_star=v0)
+    rows = np.array([10, 3, 7, 0])
+    gamma, mu = rng.uniform(0.5, 2.0, (2, rows.size))
+    got = scenario_update(state, problem, rows, gamma, mu)
+    for col, want in zip(got, _refresh_by_rows(problem, state, rows, gamma, mu)):
+        assert_array_equal(col, want)
+    empty = scenario_update(state, problem, np.array([], dtype=int), 1.0, 1.0)
+    assert all(col.shape == (0, D) for col in empty)

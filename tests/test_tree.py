@@ -96,6 +96,8 @@ def test_nonpositive_probability():
         build_tree([(("a",), 0.0), (("b",), 1.0)], [1])
     with pytest.raises(NonPositiveProbability):
         build_tree([(("a",), -0.2), (("b",), 1.2)], [1])
+    with pytest.raises(NonPositiveProbability):
+        build_tree([(("a",), float("nan")), (("b",), 1.0)], [1])
 
 
 def test_bad_probability_mass():
