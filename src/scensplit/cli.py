@@ -45,10 +45,6 @@ class ProblemBundle:
     problem: Optional[Problem]
     cvar: Optional[CvarProblem]
 
-    @property
-    def kind(self) -> str:
-        return "cvar" if self.cvar is not None else "equilibrium"
-
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -66,100 +62,88 @@ def _record(obj, context: str, required, optional=()):
     return obj
 
 
-def _floats(value, context: str, allow_none: bool = False):
-    if not isinstance(value, list):
-        raise ValidationError(f"{context}: expected a list of numbers")
-    out = []
-    for v in value:
-        if v is None and allow_none:
-            out.append(None)
-        elif isinstance(v, (int, float)) and not isinstance(v, bool):
-            out.append(float(v))
-        else:
-            raise ValidationError(f"{context}: bad entry {v!r}")
-    return out
-
-
 def _scalar(value, context: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ValidationError(f"{context}: expected a number, got {value!r}")
     return float(value)
 
 
-def _parse_cost(rec, context: str):
-    _record(rec, context, ["type"], ["c", "r", "q"])
-    kind = rec.get("type")
-    if kind == "affine":
-        _record(rec, context, ["type", "c"], ["r"])
-        return ops.Affine(c=_floats(rec["c"], context), r=_scalar(rec.get("r", 0.0), context))
-    if kind == "separable_quadratic":
-        _record(rec, context, ["type", "q", "c"], ["r"])
-        return ops.SeparableQuadratic(
-            q=_floats(rec["q"], context),
-            c=_floats(rec["c"], context),
-            r=_scalar(rec.get("r", 0.0), context),
-        )
-    raise ValidationError(f"{context}: unknown cost type {kind!r}")
+def _floats(value, context: str, none=None):
+    """A list of numbers; ``null`` entries become ``none`` when it is given."""
+    if not isinstance(value, list):
+        raise ValidationError(f"{context}: expected a list of numbers")
+    out = []
+    for v in value:
+        if isinstance(v, (int, float)) and not isinstance(v, bool):
+            out.append(float(v))
+        elif v is None and none is not None:
+            out.append(none)
+        else:
+            raise ValidationError(f"{context}: bad entry {v!r}")
+    return out
 
 
-def _parse_operator(rec, context: str):
+def _lower(value, context: str):
+    return _floats(value, context, none=-np.inf)
+
+
+def _upper(value, context: str):
+    return _floats(value, context, none=np.inf)
+
+
+def _indices(value, context: str):
+    if not isinstance(value, list) or not all(
+        isinstance(i, int) and not isinstance(i, bool) for i in value
+    ):
+        raise ValidationError(f"{context}: indices must be a list of integers")
+    return tuple(value)
+
+
+# record kind -> type string -> (spec class, required fields, optional fields);
+# each field maps to its JSON parser, and an absent optional field takes the
+# spec class's default
+CATALOG = {
+    "operator": {
+        "diagonal_affine": (ops.DiagonalAffine, {"a": _floats, "b": _floats}, {}),
+        "grad_separable_quadratic": (ops.GradSeparableQuadratic, {"q": _floats, "c": _floats}, {}),
+    },
+    "constraint": {
+        "whole_space": (ops.WholeSpace, {}, {}),
+        "box": (ops.Box, {"lo": _lower, "hi": _upper}, {}),
+        "ball": (ops.Ball, {"center": _floats, "radius": _scalar}, {}),
+        "halfspace": (ops.Halfspace, {"normal": _floats, "offset": _scalar}, {}),
+        "hyperplane": (ops.Hyperplane, {"normal": _floats, "offset": _scalar}, {}),
+    },
+    "subspace": {
+        "full": (ops.Full, {}, {}),
+        "zero": (ops.Zero, {}, {}),
+        "coordinates": (ops.Coordinates, {"indices": _indices}, {}),
+    },
+    "cost": {
+        "affine": (ops.Affine, {"c": _floats}, {"r": _scalar}),
+        "separable_quadratic": (ops.SeparableQuadratic, {"q": _floats, "c": _floats}, {"r": _scalar}),
+    },
+}
+
+
+def _parse_spec(what: str, rec, context: str):
+    """Build the catalog spec that one ``{"type": ...}`` record describes."""
     if not isinstance(rec, dict) or "type" not in rec:
         raise ValidationError(f"{context}: expected an object with a 'type' key")
     kind = rec["type"]
-    if kind == "diagonal_affine":
-        _record(rec, context, ["type", "a", "b"])
-        return ops.DiagonalAffine(a=_floats(rec["a"], context), b=_floats(rec["b"], context))
-    if kind == "grad_separable_quadratic":
-        _record(rec, context, ["type", "q", "c"])
-        return ops.GradSeparableQuadratic(
-            q=_floats(rec["q"], context), c=_floats(rec["c"], context)
-        )
-    raise ValidationError(f"{context}: unknown operator type {kind!r}")
+    # a list or object type is unhashable, so test for a string first
+    if not isinstance(kind, str) or kind not in CATALOG[what]:
+        raise ValidationError(f"{context}: unknown {what} type {kind!r}")
+    cls, required, optional = CATALOG[what][kind]
+    _record(rec, context, ["type", *required], optional)
+    fields = {**required, **optional}
+    return cls(**{k: parse(rec[k], f"{context}.{k}") for k, parse in fields.items() if k in rec})
 
 
-def _parse_constraint(rec, context: str):
-    if not isinstance(rec, dict) or "type" not in rec:
-        raise ValidationError(f"{context}: expected an object with a 'type' key")
-    kind = rec["type"]
-    if kind == "whole_space":
-        _record(rec, context, ["type"])
-        return ops.WholeSpace()
-    if kind == "box":
-        _record(rec, context, ["type", "lo", "hi"])
-        lo = [-np.inf if v is None else v for v in _floats(rec["lo"], context, allow_none=True)]
-        hi = [np.inf if v is None else v for v in _floats(rec["hi"], context, allow_none=True)]
-        return ops.Box(lo=lo, hi=hi)
-    if kind == "ball":
-        _record(rec, context, ["type", "center", "radius"])
-        return ops.Ball(center=_floats(rec["center"], context), radius=_scalar(rec["radius"], context))
-    if kind == "halfspace":
-        _record(rec, context, ["type", "normal", "offset"])
-        return ops.Halfspace(normal=_floats(rec["normal"], context), offset=_scalar(rec["offset"], context))
-    if kind == "hyperplane":
-        _record(rec, context, ["type", "normal", "offset"])
-        return ops.Hyperplane(normal=_floats(rec["normal"], context), offset=_scalar(rec["offset"], context))
-    raise ValidationError(f"{context}: unknown constraint type {kind!r}")
-
-
-def _parse_subspace(rec, context: str):
-    if not isinstance(rec, dict) or "type" not in rec:
-        raise ValidationError(f"{context}: expected an object with a 'type' key")
-    kind = rec["type"]
-    if kind == "full":
-        _record(rec, context, ["type"])
-        return ops.Full()
-    if kind == "zero":
-        _record(rec, context, ["type"])
-        return ops.Zero()
-    if kind == "coordinates":
-        _record(rec, context, ["type", "indices"])
-        idx = rec["indices"]
-        if not isinstance(idx, list) or not all(
-            isinstance(i, int) and not isinstance(i, bool) for i in idx
-        ):
-            raise ValidationError(f"{context}: indices must be a list of integers")
-        return ops.Coordinates(indices=tuple(idx))
-    raise ValidationError(f"{context}: unknown subspace type {kind!r}")
+def _parse_specs(what: str, seq, context: str, n: int) -> tuple:
+    if not isinstance(seq, list) or len(seq) != n:
+        raise ValidationError(f"{context}: expected a list with {n} entries")
+    return tuple(_parse_spec(what, rec, f"{context}[{i}]") for i, rec in enumerate(seq))
 
 
 def _parse_label(v, context: str):
@@ -195,16 +179,13 @@ def load_problem_file(path: str) -> ProblemBundle:
     tree = build_tree(pairs, stages)
     n = tree.num_scenarios
 
-    def per_scenario(key, parser, default):
+    def per_scenario(key, what, default):
         if key not in doc:
-            return tuple(default() for _ in range(n))
-        seq = doc[key]
-        if not isinstance(seq, list) or len(seq) != n:
-            raise ValidationError(f"{key}: expected a list with {n} entries")
-        return tuple(parser(rec, f"{key}[{i}]") for i, rec in enumerate(seq))
+            return (default,) * n
+        return _parse_specs(what, doc[key], key, n)
 
-    constraints = per_scenario("constraints", _parse_constraint, ops.WholeSpace)
-    subspaces = per_scenario("subspaces", _parse_subspace, ops.Full)
+    constraints = per_scenario("constraints", "constraint", ops.WholeSpace())
+    subspaces = per_scenario("subspaces", "subspace", ops.Full())
 
     has_ops = "operators" in doc
     has_cvar = "cvar" in doc
@@ -214,27 +195,20 @@ def load_problem_file(path: str) -> ProblemBundle:
         raise ValidationError("provide one of 'operators' or 'cvar'")
 
     if has_ops:
-        operators = per_scenario("operators", _parse_operator, None)
+        operators = _parse_specs("operator", doc["operators"], "operators", n)
         problem = Problem(tree, operators, constraints, subspaces)
         return ProblemBundle(tree=tree, problem=problem, cvar=None)
 
     rec = _record(doc["cvar"], "cvar", ["alpha", "costs"])
     alpha = _scalar(rec["alpha"], "cvar.alpha")
-    costs = rec["costs"]
-    if not isinstance(costs, list) or len(costs) != n:
-        raise ValidationError(f"cvar.costs: expected a list with {n} entries")
-    parsed = tuple(_parse_cost(c, f"cvar.costs[{i}]") for i, c in enumerate(costs))
-    cp = CvarProblem(tree=tree, alpha=alpha, costs=parsed, constraints=constraints)
+    costs = _parse_specs("cost", rec["costs"], "cvar.costs", n)
+    cp = CvarProblem(tree=tree, alpha=alpha, costs=costs, constraints=constraints)
     return ProblemBundle(tree=tree, problem=None, cvar=cp)
 
 
 # ---------------------------------------------------------------------------
 # writing
 # ---------------------------------------------------------------------------
-
-def _jfloat(v) -> float:
-    return float(v)
-
 
 def write_trace_csv(path: str, trace):
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -244,27 +218,33 @@ def write_trace_csv(path: str, trace):
             w.writerow(
                 [
                     r.n,
-                    repr(_jfloat(r.residual)),
-                    repr(_jfloat(r.kappa)),
-                    repr(_jfloat(r.tau)),
-                    repr(_jfloat(r.theta)),
+                    repr(float(r.residual)),
+                    repr(float(r.kappa)),
+                    repr(float(r.tau)),
+                    repr(float(r.theta)),
                     r.active_block_size,
-                    repr(_jfloat(r.wall_ms)),
+                    repr(float(r.wall_ms)),
                 ]
             )
 
 
-def write_solution_file(path: str, tree: ScenarioTree, sol: Solution):
+def _write_solution(path: str, tree: ScenarioTree, sol: Solution, header: dict, arrays: dict):
+    """Write the run's status, ``header``, then one entry per scenario.
+
+    ``arrays`` maps a key to an (N, d) array; each scenario entry holds its
+    labels, its probability and its row of every array.
+    """
+    lists = {key: arr.tolist() for key, arr in arrays.items()}
     doc = {
         "status": sol.status.value,
         "iterations": sol.iterations,
-        "residual": _jfloat(sol.residual),
+        "residual": float(sol.residual),
+        **header,
         "scenarios": [
             {
                 "labels": list(s.labels),
-                "probability": _jfloat(s.probability),
-                "x": [_jfloat(v) for v in sol.x_bar[s.index]],
-                "v_star": [_jfloat(v) for v in sol.v_star_bar[s.index]],
+                "probability": float(s.probability),
+                **{key: rows[s.index] for key, rows in lists.items()},
             }
             for s in tree.scenarios
         ],
@@ -274,43 +254,22 @@ def write_solution_file(path: str, tree: ScenarioTree, sol: Solution):
         fh.write("\n")
 
 
+def write_solution_file(path: str, tree: ScenarioTree, sol: Solution):
+    _write_solution(path, tree, sol, {}, {"x": sol.x_bar, "v_star": sol.v_star_bar})
+
+
 def write_cvar_solution_file(path: str, cp: CvarProblem, csol: CvarSolution):
-    sol = csol.inner
-    doc = {
-        "status": sol.status.value,
-        "iterations": sol.iterations,
-        "residual": _jfloat(sol.residual),
-        "alpha": _jfloat(cp.alpha),
-        "threshold": _jfloat(csol.y_bar),
-        "objective": _jfloat(csol.objective),
-        "scenarios": [
-            {
-                "labels": list(s.labels),
-                "probability": _jfloat(s.probability),
-                "x": [_jfloat(v) for v in csol.x_bar[s.index]],
-            }
-            for s in cp.tree.scenarios
-        ],
+    header = {
+        "alpha": float(cp.alpha),
+        "threshold": float(csol.y_bar),
+        "objective": float(csol.objective),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_solution(path, cp.tree, csol.inner, header, {"x": csol.x_bar})
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
-
-def _make_schedule(name: str, block_size: int, seed: int, cover_window, num_scenarios: int):
-    if name == "full":
-        return FullActivation()
-    if name == "round-robin":
-        return RoundRobin(block_size=block_size)
-    if name == "seeded-random":
-        window = num_scenarios if cover_window is None else cover_window
-        return SeededRandom(block_size=block_size, cover_window=window, seed=seed)
-    raise ValidationError(f"unknown schedule {name!r}")
-
 
 def _fail(e: Exception) -> int:
     print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
@@ -319,6 +278,34 @@ def _fail(e: Exception) -> int:
 
 # a non-finite residual means the run broke down, which is an error
 EXIT_CODES = {SolveStatus.CONVERGED: 0, SolveStatus.NON_FINITE: 1, SolveStatus.MAX_ITER: 2}
+
+
+def _config(args: argparse.Namespace, num_scenarios: int) -> SolverConfig:
+    """The solver settings that the parsed solver flags describe."""
+    if args.schedule == "round-robin":
+        schedule = RoundRobin(block_size=args.block_size)
+    elif args.schedule == "seeded-random":
+        window = num_scenarios if args.cover_window is None else args.cover_window
+        schedule = SeededRandom(block_size=args.block_size, cover_window=window, seed=args.seed)
+    else:
+        schedule = FullActivation()
+    return SolverConfig(
+        epsilon=args.epsilon,
+        gamma=args.gamma,
+        mu=args.mu,
+        lambda_rule=args.lambda_,
+        schedule=schedule,
+        tol=args.tol,
+        max_iter=args.max_iter,
+        trace_every=args.trace_every,
+        record_timing=args.trace_timing,
+    )
+
+
+def _report(sol: Solution):
+    print(f"status: {sol.status.value}")
+    print(f"iterations: {sol.iterations}")
+    print(f"residual: {sol.residual!r}")
 
 
 def cmd_validate(path: str) -> int:
@@ -344,125 +331,56 @@ def cmd_validate(path: str) -> int:
     return 0
 
 
-def cmd_solve(
-    path: str,
-    *,
-    method: str = "block",
-    schedule: str = "full",
-    block_size: int = 1,
-    seed: int = 0,
-    cover_window: Optional[int] = None,
-    epsilon: float = 1e-3,
-    gamma: float = 1.0,
-    mu: float = 1.0,
-    lambda_: float = 1.0,
-    tol: float = 1e-8,
-    max_iter: int = 100000,
-    trace_out: Optional[str] = None,
-    trace_every: int = 1,
-    trace_timing: bool = False,
-    solution_out: Optional[str] = None,
-) -> int:
+def cmd_solve(args: argparse.Namespace) -> int:
     """Solve an equilibrium problem file; exit 0/1/2 on converged/error/budget.
 
     A residual that turns NaN or infinite counts as an error.
     """
     try:
-        bundle = load_problem_file(path)
+        bundle = load_problem_file(args.file)
         if bundle.problem is None:
             raise ValidationError("file declares a risk objective; use solve-cvar")
-        problem = bundle.problem
-        if method == "ph":
+        if args.method == "ph":
             sol = progressive_hedging_solve(
-                problem,
-                gamma=gamma,
-                tol=tol,
-                max_iter=max_iter,
-                trace_every=trace_every,
-                record_timing=trace_timing,
+                bundle.problem,
+                gamma=args.gamma,
+                tol=args.tol,
+                max_iter=args.max_iter,
+                trace_every=args.trace_every,
+                record_timing=args.trace_timing,
             )
         else:
-            sched = _make_schedule(schedule, block_size, seed, cover_window, bundle.tree.num_scenarios)
-            config = SolverConfig(
-                epsilon=epsilon,
-                gamma=gamma,
-                mu=mu,
-                lambda_rule=lambda_,
-                schedule=sched,
-                tol=tol,
-                max_iter=max_iter,
-                trace_every=trace_every,
-                record_timing=trace_timing,
-            )
-            if method == "block":
-                sol = solve(problem, config)
-            elif method == "reduced":
-                sol = solve_reduced(problem, config)
-            else:
-                raise ValidationError(f"unknown method {method!r}")
-        if trace_out:
-            write_trace_csv(trace_out, sol.trace)
-        if solution_out:
-            write_solution_file(solution_out, bundle.tree, sol)
+            run = solve if args.method == "block" else solve_reduced
+            sol = run(bundle.problem, _config(args, bundle.tree.num_scenarios))
+        if args.trace_out:
+            write_trace_csv(args.trace_out, sol.trace)
+        if args.solution_out:
+            write_solution_file(args.solution_out, bundle.tree, sol)
     except (ScensplitError, OSError) as e:
         return _fail(e)
-    print(f"status: {sol.status.value}")
-    print(f"iterations: {sol.iterations}")
-    print(f"residual: {sol.residual!r}")
+    _report(sol)
     return EXIT_CODES[sol.status]
 
 
-def cmd_solve_cvar(
-    path: str,
-    *,
-    alpha: Optional[float] = None,
-    schedule: str = "full",
-    block_size: int = 1,
-    seed: int = 0,
-    cover_window: Optional[int] = None,
-    epsilon: float = 1e-3,
-    gamma: float = 1.0,
-    mu: float = 1.0,
-    lambda_: float = 1.0,
-    tol: float = 1e-8,
-    max_iter: int = 100000,
-    trace_out: Optional[str] = None,
-    trace_every: int = 1,
-    trace_timing: bool = False,
-    solution_out: Optional[str] = None,
-) -> int:
+def cmd_solve_cvar(args: argparse.Namespace) -> int:
     """Solve a risk problem file; exit codes as for :func:`cmd_solve`."""
     try:
-        bundle = load_problem_file(path)
+        bundle = load_problem_file(args.file)
         if bundle.cvar is None:
             raise ValidationError("file has no 'cvar' section; use solve")
         cp = bundle.cvar
-        if alpha is not None:
+        if args.alpha is not None:
             cp = CvarProblem(
-                tree=cp.tree, alpha=alpha, costs=cp.costs, constraints=cp.constraints
+                tree=cp.tree, alpha=args.alpha, costs=cp.costs, constraints=cp.constraints
             )
-        sched = _make_schedule(schedule, block_size, seed, cover_window, bundle.tree.num_scenarios)
-        config = SolverConfig(
-            epsilon=epsilon,
-            gamma=gamma,
-            mu=mu,
-            lambda_rule=lambda_,
-            schedule=sched,
-            tol=tol,
-            max_iter=max_iter,
-            trace_every=trace_every,
-            record_timing=trace_timing,
-        )
-        csol = solve_cvar(cp, config)
-        if trace_out:
-            write_trace_csv(trace_out, csol.inner.trace)
-        if solution_out:
-            write_cvar_solution_file(solution_out, cp, csol)
+        csol = solve_cvar(cp, _config(args, bundle.tree.num_scenarios))
+        if args.trace_out:
+            write_trace_csv(args.trace_out, csol.inner.trace)
+        if args.solution_out:
+            write_cvar_solution_file(args.solution_out, cp, csol)
     except (ScensplitError, OSError) as e:
         return _fail(e)
-    print(f"status: {csol.inner.status.value}")
-    print(f"iterations: {csol.inner.iterations}")
-    print(f"residual: {csol.inner.residual!r}")
+    _report(csol.inner)
     print(f"threshold: {csol.y_bar!r}")
     print(f"objective: {csol.objective!r}")
     return EXIT_CODES[csol.inner.status]
@@ -514,39 +432,5 @@ def main(argv=None) -> int:
     if args.command == "validate":
         return cmd_validate(args.file)
     if args.command == "solve":
-        return cmd_solve(
-            args.file,
-            method=args.method,
-            schedule=args.schedule,
-            block_size=args.block_size,
-            seed=args.seed,
-            cover_window=args.cover_window,
-            epsilon=args.epsilon,
-            gamma=args.gamma,
-            mu=args.mu,
-            lambda_=args.lambda_,
-            tol=args.tol,
-            max_iter=args.max_iter,
-            trace_out=args.trace_out,
-            trace_every=args.trace_every,
-            trace_timing=args.trace_timing,
-            solution_out=args.solution_out,
-        )
-    return cmd_solve_cvar(
-        args.file,
-        alpha=args.alpha,
-        schedule=args.schedule,
-        block_size=args.block_size,
-        seed=args.seed,
-        cover_window=args.cover_window,
-        epsilon=args.epsilon,
-        gamma=args.gamma,
-        mu=args.mu,
-        lambda_=args.lambda_,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        trace_out=args.trace_out,
-        trace_every=args.trace_every,
-        trace_timing=args.trace_timing,
-        solution_out=args.solution_out,
-    )
+        return cmd_solve(args)
+    return cmd_solve_cvar(args)

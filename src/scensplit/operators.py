@@ -386,9 +386,15 @@ def validate_range_condition(cs: ConstraintSpec, us: SubspaceSpec) -> bool:
 # into (k, d) arrays, scalars and step sizes into (k, 1) columns.
 
 def _kind(spec):
-    """Group key of a spec: its type, or (RealCross, key of the base)."""
+    """Group key of a spec: its type, or (RealCross, key of the base).
+
+    GradSeparableQuadratic is the diagonal-affine map with a = q and
+    b = -q * c, so it groups with DiagonalAffine.
+    """
     if isinstance(spec, RealCross):
         return (RealCross, _kind(spec.base))
+    if isinstance(spec, GradSeparableQuadratic):
+        return DiagonalAffine
     return type(spec)
 
 
@@ -414,9 +420,11 @@ def _pack(kind, specs) -> tuple:
     if isinstance(kind, tuple):
         return _pack(kind[1], [s.base for s in specs])
     if kind is DiagonalAffine:
-        return _rows(specs, "a"), _rows(specs, "b")
-    if kind is GradSeparableQuadratic:
-        return _rows(specs, "q"), _rows(specs, "c")
+        quad = np.array([isinstance(s, GradSeparableQuadratic) for s in specs])
+        a = np.array([s.q if g else s.a for s, g in zip(specs, quad)])
+        b = np.array([s.c if g else s.b for s, g in zip(specs, quad)])
+        b[quad] *= -a[quad]  # q * (x - c) has b = -q * c
+        return a, b
     if kind is CvarAugmented:
         held = np.empty(len(specs), dtype=object)
         for r, spec in enumerate(specs):
@@ -436,9 +444,6 @@ def _resolvent_kernel(kind, coef, z, gamma):
     if kind is DiagonalAffine:
         a, b = coef
         return (z - gamma * b) / (1.0 + gamma * a)
-    if kind is GradSeparableQuadratic:
-        q, c = coef
-        return (z + gamma * q * c) / (1.0 + gamma * q)
     if kind is CvarAugmented:
         # no closed form: the prox runs row by row
         (held,) = coef
@@ -456,9 +461,6 @@ def _forward_kernel(kind, coef, x):
     if kind is DiagonalAffine:
         a, b = coef
         return a * x + b
-    if kind is GradSeparableQuadratic:
-        q, c = coef
-        return q * (x - c)
     raise TypeError(f"{_kind_name(kind)} has no single-valued forward map")
 
 
@@ -703,13 +705,13 @@ def prox_cvar_augmented(
 def require_composite(op_kinds, cs_kinds):
     """Raise UnsupportedComposite unless every pair has a joint resolvent.
 
-    Supported: DiagonalAffine or GradSeparableQuadratic with Box (or no
-    constraint).  Componentwise the constrained solution is the clamp of the
+    Supported: DiagonalAffine (GradSeparableQuadratic groups with it) with
+    Box (or no constraint).  Componentwise the constrained solution is the clamp of the
     unconstrained one because each scalar equation is monotone, so the
     joint resolvent is the box projection of the operator resolvent.
     """
     for kind in op_kinds:
-        if kind not in (DiagonalAffine, GradSeparableQuadratic):
+        if kind is not DiagonalAffine:
             raise UnsupportedComposite(
                 f"no composite resolvent for operator {_kind_name(kind)}"
             )

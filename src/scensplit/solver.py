@@ -212,12 +212,7 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ConfigError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if not self.tol >= 0:
-            raise ConfigError(f"tol must be nonnegative, got {self.tol}")
-        if self.max_iter < 0:
-            raise ConfigError(f"max_iter must be nonnegative, got {self.max_iter}")
-        if self.trace_every < 1:
-            raise ConfigError(f"trace_every must be >= 1, got {self.trace_every}")
+        _check_stopping(self.tol, self.max_iter, self.trace_every)
         lo, hi = self.epsilon, 1.0 / self.epsilon
         for name, rule in (("gamma", self.gamma), ("mu", self.mu)):
             if not callable(rule):
@@ -226,6 +221,16 @@ class SolverConfig:
             _check_range("lambda", float(self.lambda_rule), lo, 2.0 - self.epsilon)
         elif not callable(self.lambda_rule):
             raise ConfigError("lambda_rule must be a number or a callable")
+
+
+def _check_stopping(tol: float, max_iter: int, trace_every: int):
+    """Raise unless the stopping and tracing settings every solver takes are usable."""
+    if not tol >= 0:
+        raise ConfigError(f"tol must be nonnegative, got {tol}")
+    if max_iter < 0:
+        raise ConfigError(f"max_iter must be nonnegative, got {max_iter}")
+    if trace_every < 1:
+        raise ConfigError(f"trace_every must be >= 1, got {trace_every}")
 
 
 def _check_range(name: str, value, lo: float, hi: float):
@@ -535,8 +540,9 @@ def progressive_hedging_solve(
     block-activated solver, with the constraint multiplier recovered from
     the resolvent identity.
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise NonPositiveGamma(f"gamma must be positive, got {gamma}")
+    _check_stopping(tol, max_iter, trace_every)
     tree = problem.tree
     ops, cons = problem.operator_stack, problem.constraint_stack
     require_composite([g[0] for g in ops.groups], [g[0] for g in cons.groups])

@@ -1,9 +1,12 @@
 import csv
+import dataclasses
 import json
 
+import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
+from scensplit import operators as ops
 from scensplit.cli import TRACE_HEADER, load_problem_file, main
 
 
@@ -168,6 +171,157 @@ def test_box_null_bounds_parse(tmp_path):
     assert box.lo[0] < -1e30 and box.hi[0] > 1e30
 
 
+def every_type_doc():
+    # one record of every operator, constraint and subspace type; the
+    # halfspace's normal lies in its coordinate subspace, as the range
+    # condition asks
+    return {
+        "stages": [1, 1],
+        "scenarios": [
+            {"labels": [0, 0], "probability": 0.25},
+            {"labels": [0, 1], "probability": 0.25},
+            {"labels": [1, 0], "probability": 0.25},
+            {"labels": [1, 1], "probability": 0.125},
+            {"labels": [1, 2], "probability": 0.125},
+        ],
+        "operators": [
+            {"type": "diagonal_affine", "a": [1.0, 0.5], "b": [-0.2, 3]},
+            {"type": "grad_separable_quadratic", "q": [2, 1.0], "c": [0.5, -1.0]},
+            {"type": "diagonal_affine", "a": [0.0, 0.0], "b": [0.0, 0.0]},
+            {"type": "grad_separable_quadratic", "q": [1.0, 1.0], "c": [0.0, 0.0]},
+            {"type": "diagonal_affine", "a": [4.0, 1.0], "b": [1.0, 1.0]},
+        ],
+        "constraints": [
+            {"type": "whole_space"},
+            {"type": "box", "lo": [None, 0.0], "hi": [1.5, None]},
+            {"type": "ball", "center": [0.5, -0.5], "radius": 2},
+            {"type": "halfspace", "normal": [1.0, 0.0], "offset": 0.25},
+            {"type": "hyperplane", "normal": [1.0, -2.0], "offset": -1},
+        ],
+        "subspaces": [
+            {"type": "zero"},
+            {"type": "full"},
+            {"type": "full"},
+            {"type": "coordinates", "indices": [0]},
+            {"type": "full"},
+        ],
+    }
+
+
+def risk_every_type_doc():
+    return {
+        "stages": [1],
+        "scenarios": [{"labels": [i], "probability": 0.25} for i in range(4)],
+        "cvar": {
+            "alpha": 0.75,
+            "costs": [
+                {"type": "affine", "c": [1.0]},
+                {"type": "affine", "c": [-2], "r": 0.5},
+                {"type": "separable_quadratic", "q": [1.0], "c": [0.3]},
+                {"type": "separable_quadratic", "q": [3], "c": [-1.0], "r": -2},
+            ],
+        },
+        "constraints": [
+            {"type": "box", "lo": [0.0], "hi": [1.0]},
+            {"type": "whole_space"},
+            {"type": "whole_space"},
+            {"type": "halfspace", "normal": [1.0], "offset": 2.0},
+        ],
+    }
+
+
+def assert_same_spec(got, want):
+    assert type(got) is type(want)
+    for f in dataclasses.fields(want):
+        g, w = getattr(got, f.name), getattr(want, f.name)
+        assert type(g) is type(w), f.name
+        assert_array_equal(g, w, err_msg=f.name)
+
+
+def test_parse_every_catalog_type(tmp_path):
+    inf = float("inf")
+    bundle = load_problem_file(write_json(tmp_path / "p.json", every_type_doc()))
+    p = bundle.problem
+    want_ops = [
+        ops.DiagonalAffine(a=[1.0, 0.5], b=[-0.2, 3.0]),
+        ops.GradSeparableQuadratic(q=[2.0, 1.0], c=[0.5, -1.0]),
+        ops.DiagonalAffine(a=[0.0, 0.0], b=[0.0, 0.0]),
+        ops.GradSeparableQuadratic(q=[1.0, 1.0], c=[0.0, 0.0]),
+        ops.DiagonalAffine(a=[4.0, 1.0], b=[1.0, 1.0]),
+    ]
+    want_cons = [
+        ops.WholeSpace(),
+        ops.Box(lo=[-inf, 0.0], hi=[1.5, inf]),
+        ops.Ball(center=[0.5, -0.5], radius=2.0),
+        ops.Halfspace(normal=[1.0, 0.0], offset=0.25),
+        ops.Hyperplane(normal=[1.0, -2.0], offset=-1.0),
+    ]
+    want_subs = [ops.Zero(), ops.Full(), ops.Full(), ops.Coordinates(indices=(0,)), ops.Full()]
+    for got, want in zip(p.operators + p.constraints + p.subspaces, want_ops + want_cons + want_subs):
+        assert_same_spec(got, want)
+    assert bundle.cvar is None
+
+    bundle = load_problem_file(write_json(tmp_path / "r.json", risk_every_type_doc()))
+    cp = bundle.cvar
+    assert bundle.problem is None
+    assert cp.alpha == 0.75
+    want_costs = [
+        ops.Affine(c=[1.0], r=0.0),
+        ops.Affine(c=[-2.0], r=0.5),
+        ops.SeparableQuadratic(q=[1.0], c=[0.3], r=0.0),
+        ops.SeparableQuadratic(q=[3.0], c=[-1.0], r=-2.0),
+    ]
+    want_cons = [
+        ops.Box(lo=[0.0], hi=[1.0]),
+        ops.WholeSpace(),
+        ops.WholeSpace(),
+        ops.Halfspace(normal=[1.0], offset=2.0),
+    ]
+    for got, want in zip(cp.costs + cp.constraints, want_costs + want_cons):
+        assert_same_spec(got, want)
+
+
+def _edit(doc, section, i, record):
+    seq = doc["cvar"]["costs"] if section == "costs" else doc[section]
+    seq[i] = record
+
+
+BAD_RECORDS = [
+    ("missing field", "operators", 0, {"type": "diagonal_affine", "a": [1.0, 0.5]}),
+    ("missing field", "constraints", 2, {"type": "ball", "center": [0.0, 0.0]}),
+    ("missing field", "costs", 0, {"type": "affine", "r": 1.0}),
+    ("bool in list", "operators", 1, {"type": "grad_separable_quadratic", "q": [True, 1.0], "c": [0.0, 0.0]}),
+    ("bool in list", "constraints", 1, {"type": "box", "lo": [0.0, False], "hi": [1.0, 1.0]}),
+    ("bool scalar", "constraints", 3, {"type": "halfspace", "normal": [1.0, 0.0], "offset": True}),
+    ("bool in list", "costs", 2, {"type": "separable_quadratic", "q": [1.0], "c": [True]}),
+    ("float indices", "subspaces", 3, {"type": "coordinates", "indices": [0.0]}),
+    ("bool indices", "subspaces", 3, {"type": "coordinates", "indices": [True]}),
+    ("unknown type", "operators", 0, {"type": "cone", "a": [1.0, 0.5]}),
+    ("unknown type", "constraints", 0, {"type": "cone"}),
+    ("unknown type", "subspaces", 0, {"type": "half"}),
+    ("unknown type", "costs", 0, {"type": "quadratic", "c": [1.0]}),
+    ("list type", "operators", 0, {"type": ["diagonal_affine"], "a": [1.0, 0.5], "b": [0.0, 0.0]}),
+    ("list type", "constraints", 0, {"type": ["box"]}),
+    ("list type", "subspaces", 0, {"type": ["zero"]}),
+    ("list type", "costs", 0, {"type": ["affine"], "c": [1.0]}),
+    ("no type", "constraints", 0, {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}),
+    ("not an object", "operators", 0, ["diagonal_affine"]),
+    ("not an object", "costs", 0, "affine"),
+]
+
+
+@pytest.mark.parametrize(
+    "section, i, record", [case[1:] for case in BAD_RECORDS], ids=[case[0] for case in BAD_RECORDS]
+)
+def test_validate_rejects_bad_records(tmp_path, capsys, section, i, record):
+    doc = risk_every_type_doc() if section == "costs" else every_type_doc()
+    _edit(doc, section, i, record)
+    assert main(["validate", write_json(tmp_path / "p.json", doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValidationError:")
+    assert "Traceback" not in err
+
+
 # --- solve ---
 
 def test_solve_writes_solution_and_trace(tmp_path, capsys):
@@ -266,6 +420,16 @@ def test_solve_ph_method(tmp_path, capsys):
     ball = write_json(tmp_path / "ball.json", ball_doc())
     assert main(["solve", ball, "--method", "ph"]) == 1
     assert "UnsupportedComposite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags", [["--trace-every", "0"], ["--tol", "nan"], ["--max-iter", "-3"], ["--tol", "-1"]]
+)
+def test_solve_ph_rejects_bad_settings(tmp_path, capsys, flags):
+    path = write_json(tmp_path / "p.json", quad_box_doc())
+    assert main(["solve", path, "--method", "ph", *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError:")
 
 
 def test_solve_reduced_method(tmp_path, capsys):

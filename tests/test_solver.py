@@ -5,7 +5,14 @@ from numpy.testing import assert_allclose
 from helpers import mixed_instance, quadratic_box_instance, random_tree, unconstrained_instance
 
 from scensplit import policy
-from scensplit.errors import ConfigError, DimensionMismatch, NonTrivialConstraint, UnsupportedComposite, ValidationError
+from scensplit.errors import (
+    ConfigError,
+    DimensionMismatch,
+    NonPositiveGamma,
+    NonTrivialConstraint,
+    UnsupportedComposite,
+    ValidationError,
+)
 from scensplit.operators import (
     Ball,
     Box,
@@ -437,6 +444,27 @@ def test_progressive_hedging_rejects_unsupported():
         progressive_hedging_solve(prob)
     with pytest.raises(Exception):
         progressive_hedging_solve(pair_problem(), gamma=0.0)
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {"tol": float("nan")},
+        {"tol": -1.0},
+        {"max_iter": -3},
+        {"trace_every": 0},
+    ],
+)
+def test_progressive_hedging_checks_settings_like_config(settings):
+    with pytest.raises(ConfigError):
+        SolverConfig(**settings)
+    with pytest.raises(ConfigError):
+        progressive_hedging_solve(pair_problem(), **settings)
+
+
+def test_progressive_hedging_rejects_nan_gamma():
+    with pytest.raises(NonPositiveGamma):
+        progressive_hedging_solve(pair_problem(), gamma=float("nan"))
 
 
 # --- reduced variant ---

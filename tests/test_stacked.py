@@ -94,7 +94,7 @@ def problem():
 
 def test_groups_follow_catalog_types(problem):
     ops, cons = problem.operator_stack, problem.constraint_stack
-    assert [g[0] for g in ops.groups] == [DiagonalAffine, GradSeparableQuadratic, CvarAugmented]
+    assert [g[0] for g in ops.groups] == [DiagonalAffine, CvarAugmented]
     assert len(cons.groups) == 8  # RealCross groups by its base
     for kind, members, _ in cons.groups:
         assert np.all(np.diff(members) > 0)
