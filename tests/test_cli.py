@@ -2,7 +2,6 @@ import csv
 import dataclasses
 import json
 
-import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
