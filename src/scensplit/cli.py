@@ -340,18 +340,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
         bundle = load_problem_file(args.file)
         if bundle.problem is None:
             raise ValidationError("file declares a risk objective; use solve-cvar")
+        config = _config(args, bundle.tree.num_scenarios)
         if args.method == "ph":
             sol = progressive_hedging_solve(
-                bundle.problem,
-                gamma=args.gamma,
-                tol=args.tol,
-                max_iter=args.max_iter,
-                trace_every=args.trace_every,
-                record_timing=args.trace_timing,
+                bundle.problem, config.gamma, config.tol, config.max_iter, config.trace_every,
+                config.record_timing,
             )
         else:
-            run = solve if args.method == "block" else solve_reduced
-            sol = run(bundle.problem, _config(args, bundle.tree.num_scenarios))
+            sol = (solve if args.method == "block" else solve_reduced)(bundle.problem, config)
         if args.trace_out:
             write_trace_csv(args.trace_out, sol.trace)
         if args.solution_out:

@@ -2,15 +2,17 @@
 
 Closed-form resolvents and projectors for a small family of monotone
 operators, convex costs, constraint sets and activation subspaces, plus the
-two bisection-based proximity operators used by the risk-averse pipeline:
-the prox of ``gamma * max{f(.), 0}`` and the prox of the augmented
-threshold-plus-excess cost built from a base cost ``f`` and a tail level
-``alpha``.
+two proximity operators used by the risk-averse pipeline: the prox of
+``gamma * max{f(.), 0}`` and the prox of the augmented threshold-plus-excess
+cost built from a base cost ``f`` and a tail level ``alpha``.
 
 The per-scenario math is written once, as stacked kernels over groups of
 scenarios that share a catalog type (see :class:`Stack`); ``resolvent``,
-``apply_operator``, ``project_constraint`` and ``project_subspace`` are the
-same kernels on a group of one row.
+``apply_operator``, ``project_constraint``, ``project_subspace`` and the
+cost and prox functions are the same kernels on a group of one row.  Every
+cost packs into ``0.5 * sum q (x - c)^2 + <l, x> + r``, whose prox is the
+diagonal-affine resolvent, and both risk proxes are the root of one
+decreasing univariate function, bisected for all rows at once.
 """
 from __future__ import annotations
 
@@ -97,29 +99,41 @@ class SeparableQuadratic:
 CostSpec = Union[Affine, SeparableQuadratic]
 
 
+def _pack_costs(costs) -> tuple:
+    """(q, c, l, r), one row per cost, of f(x) = 0.5*sum q (x - c)^2 + <l, x> + r.
+
+    Affine has q = 0, c = 0 and l = c; SeparableQuadratic has l = 0.  The
+    prox of s*f is the diagonal-affine resolvent with a = q, b = l - q*c.
+    """
+    rows = []
+    for f in costs:
+        if isinstance(f, Affine):
+            zero = np.zeros_like(f.c)
+            rows.append((zero, zero, f.c, f.r))
+        elif isinstance(f, SeparableQuadratic):
+            rows.append((f.q, f.c, np.zeros_like(f.c), f.r))
+        else:
+            raise TypeError(f"unknown cost spec {type(f).__name__}")
+    q, c, l, r = (np.array(col, dtype=float) for col in zip(*rows))
+    return q, c, l, r.reshape(-1, 1)
+
+
+def _cost_rows(cost, x) -> np.ndarray:
+    """Values of the packed costs at the rows of x, as a (k, 1) column."""
+    q, c, l, r = cost
+    return (0.5 * (q * (x - c) ** 2).sum(axis=1, keepdims=True) + _row_dot(l, x)) + r
+
+
 def cost_value(f: CostSpec, x) -> float:
-    x = np.asarray(x, dtype=float)
-    if x.size != f.dim:
-        raise DimensionMismatch(f"cost expects dim {f.dim}, got {x.size}")
-    if isinstance(f, Affine):
-        return float(f.c @ x + f.r)
-    if isinstance(f, SeparableQuadratic):
-        return float(0.5 * np.sum(f.q * (x - f.c) ** 2) + f.r)
-    raise TypeError(f"unknown cost spec {type(f).__name__}")
+    return float(_cost_rows(_pack_costs([f]), _checked(f, x)[None])[0, 0])
 
 
 def cost_prox(f: CostSpec, gamma: float, x) -> np.ndarray:
     """argmin_p gamma*f(p) + 0.5*||p - x||^2; gamma = 0 gives x back."""
-    x = np.asarray(x, dtype=float)
-    if x.size != f.dim:
-        raise DimensionMismatch(f"cost expects dim {f.dim}, got {x.size}")
-    if gamma < 0:
-        raise NonPositiveGamma(f"prox parameter {gamma} is negative")
-    if isinstance(f, Affine):
-        return x - gamma * f.c
-    if isinstance(f, SeparableQuadratic):
-        return (x + gamma * f.q * f.c) / (1.0 + gamma * f.q)
-    raise TypeError(f"unknown cost spec {type(f).__name__}")
+    if not gamma >= 0:
+        raise NonPositiveGamma(f"prox parameter {gamma} must be nonnegative")
+    q, c, l, _ = _pack_costs([f])
+    return _resolvent_kernel(DiagonalAffine, (q, l - q * c), _checked(f, x)[None], gamma)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +440,7 @@ def _pack(kind, specs) -> tuple:
         b[quad] *= -a[quad]  # q * (x - c) has b = -q * c
         return a, b
     if kind is CvarAugmented:
-        held = np.empty(len(specs), dtype=object)
-        for r, spec in enumerate(specs):
-            held[r] = spec
-        return (held,)
+        return (_scalars(specs, "alpha"),) + _pack_costs([s.f for s in specs])
     if kind is Box:
         return _rows(specs, "lo"), _rows(specs, "hi")
     if kind is Ball:
@@ -440,20 +451,18 @@ def _pack(kind, specs) -> tuple:
     return ()
 
 
-def _resolvent_kernel(kind, coef, z, gamma):
+def _resolvent_kernel(kind, coef, z, gamma, tol=1e-12):
     if kind is DiagonalAffine:
         a, b = coef
         return (z - gamma * b) / (1.0 + gamma * a)
     if kind is CvarAugmented:
-        # no closed form: the prox runs row by row
-        (held,) = coef
-        gamma = step_column(gamma, z.shape[0])
-        out = np.empty_like(z)
-        for r, op in enumerate(held):
-            out[r, 0], out[r, 1:] = prox_cvar_augmented(
-                op.f, op.alpha, float(gamma[r, 0]), float(z[r, 0]), z[r, 1:]
-            )
-        return out
+        # with tau = gamma/(1 - alpha), the prox at (y, x) is (y - gamma + t*tau,
+        # prox_{t*tau*f} x) for the root t of f(prox_{t*tau*f} x) - (y - gamma) - t*tau
+        alpha, *cost = coef
+        tau = gamma / (1.0 - alpha)
+        shift = z[:, :1] - gamma
+        t, p = _prox_root(cost, z[:, 1:], tau, shift, tau, tol)
+        return np.hstack([shift + t * tau, p])
     raise TypeError(f"unknown operator spec {_kind_name(kind)}")
 
 
@@ -598,31 +607,29 @@ def _one_row(kernel, spec, z, *args) -> np.ndarray:
 
 def apply_operator(op: OperatorSpec, x) -> np.ndarray:
     """Forward evaluation, defined for the single-valued catalog entries."""
-    return _one_row(_forward_kernel, op, np.asarray(x, dtype=float))
+    return _one_row(_forward_kernel, op, _checked(op, x))
 
 
 def resolvent(op: OperatorSpec, gamma: float, z) -> np.ndarray:
     """Solve p + gamma*A(p) = z for the catalog operator A."""
-    if gamma <= 0:
+    if not gamma > 0:
         raise NonPositiveGamma(f"resolvent parameter {gamma} must be positive")
+    return _one_row(_resolvent_kernel, op, _checked(op, z), float(gamma))
+
+
+def _checked(spec, z) -> np.ndarray:
+    """z as a float array, once its size fits the spec."""
     z = np.asarray(z, dtype=float)
-    if z.size != op.dim:
-        raise DimensionMismatch(f"operator expects dim {op.dim}, got {z.size}")
-    return _one_row(_resolvent_kernel, op, z, float(gamma))
-
-
-def _check_dim(spec, z: np.ndarray):
     if spec.dim is not None and z.size != spec.dim:
         raise DimensionMismatch(f"{type(spec).__name__} expects dim {spec.dim}, got {z.size}")
     if isinstance(spec, RealCross) and z.size < 1:
         raise DimensionMismatch("RealCross needs at least one coordinate")
+    return z
 
 
 def project_constraint(cs: ConstraintSpec, z) -> np.ndarray:
     """Euclidean projection onto the constraint set."""
-    z = np.asarray(z, dtype=float)
-    _check_dim(cs, z)
-    return _one_row(_project_kernel, cs, z)
+    return _one_row(_project_kernel, cs, _checked(cs, z))
 
 
 def project_subspace(us: SubspaceSpec, z) -> np.ndarray:
@@ -635,39 +642,52 @@ def project_subspace(us: SubspaceSpec, z) -> np.ndarray:
 # proximity operators for the risk-averse pipeline
 # ---------------------------------------------------------------------------
 
-def _bisect_decreasing(g, tol: float, max_iter: int = 200) -> float:
-    """Root of a continuous decreasing g on [0, 1] with g(0) >= 0 >= g(1)."""
-    lo, hi = 0.0, 1.0
-    for _ in range(max_iter):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _prox_root(cost, x, scale, shift, slope, tol):
+    """Root t in [0, 1] of h(t) = f(prox_{t*scale*f} x) - shift - t*slope, per row.
+
+    h decreases in t.  A row with h(0) < 0 takes t = 0, else a row with
+    h(1) > 0 takes t = 1; the other rows are bisected together from [0, 1]
+    until the bracket is at most ``tol`` wide (at most 200 halvings) and take
+    its midpoint.  ``scale``, ``shift`` and ``slope`` are numbers or (k, 1)
+    columns.  Returns t and the prox points at t.
+    """
+    q, c, l, r = cost
+    b = l - q * c
+    scale, shift, slope = (step_column(v, len(x)) for v in (scale, shift, slope))
+    args = (q, b, c, l, r, x, scale, shift, slope)
+
+    def h(t, a, b, c, l, r, x, scale, shift, slope):
+        p = _resolvent_kernel(DiagonalAffine, (a, b), x, t * scale)
+        return _cost_rows((a, c, l, r), p) - shift - t * slope
+
+    low = h(0.0, *args) < 0.0
+    t = np.where(low, 0.0, 1.0)
+    todo = np.flatnonzero(~low & ~(h(1.0, *args) > 0.0))
+    if todo.size:
+        sub = tuple(v[todo] for v in args)
+        lo, hi = np.zeros((todo.size, 1)), np.ones((todo.size, 1))
+        width = 1.0  # of every bracket: each step halves them all exactly above 2**-52
+        for _ in range(200):
+            if width <= tol:
+                break
+            mid = 0.5 * (lo + hi)
+            up = h(mid, *sub) > 0.0
+            lo, hi, width = np.where(up, mid, lo), np.where(up, hi, mid), 0.5 * width
+        t[todo] = 0.5 * (lo + hi)
+    return t, _resolvent_kernel(DiagonalAffine, (q, b), x, t * scale)
 
 
 def prox_max_nonneg(f: CostSpec, gamma: float, x, tol: float = 1e-12) -> np.ndarray:
     """Prox of ``gamma * max{f(.), 0}`` for a catalog cost f.
 
-    Three mutually exclusive regimes: the point already satisfies f < 0;
-    the plain prox of gamma*f lands in {f > 0}; otherwise the prox scale
-    theta*gamma is driven by bisection until f vanishes at the prox point.
+    x itself where f(x) < 0, else the prox of gamma*f where f stays positive
+    there, else the prox of theta*gamma*f for the theta at which f vanishes.
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise NonPositiveGamma(f"prox parameter {gamma} must be positive")
-    if tol <= 0:
+    if not tol > 0:
         raise ToleranceError(f"bisection tolerance {tol} must be positive")
-    x = np.asarray(x, dtype=float)
-    if cost_value(f, x) < 0.0:
-        return x.copy()
-    at_full = cost_prox(f, gamma, x)
-    if cost_value(f, at_full) > 0.0:
-        return at_full
-    theta = _bisect_decreasing(lambda t: cost_value(f, cost_prox(f, t * gamma, x)), tol)
-    return cost_prox(f, theta * gamma, x)
+    return _prox_root(_pack_costs([f]), _checked(f, x)[None], gamma, 0.0, 0.0, tol)[1][0]
 
 
 def prox_cvar_augmented(
@@ -675,40 +695,26 @@ def prox_cvar_augmented(
 ):
     """Prox of gamma * [y + max{f(x) - y, 0} / (1 - alpha)] at (y, x).
 
-    Returns the pair (threshold, decisions).  With tau = gamma/(1 - alpha),
-    either the shifted point (y - gamma, x) already has f below the
-    threshold, or the full-step prox of tau*f overshoots it, or the step
-    fraction theta solves f(prox_{theta*tau*f} x) - y + gamma - theta*tau = 0.
+    Returns the pair (threshold, decisions): with tau = gamma/(1 - alpha),
+    (y - gamma + theta*tau, prox_{theta*tau*f} x) for the theta in [0, 1]
+    found by the same root search as :func:`prox_max_nonneg`.
     """
-    if not 0.0 < alpha < 1.0:
-        raise BadAlpha(f"alpha must lie in (0, 1), got {alpha}")
-    if gamma <= 0:
+    op = CvarAugmented(f=f, alpha=alpha)
+    if not gamma > 0:
         raise NonPositiveGamma(f"prox parameter {gamma} must be positive")
-    if tol <= 0:
+    if not tol > 0:
         raise ToleranceError(f"bisection tolerance {tol} must be positive")
-    x = np.asarray(x, dtype=float)
-    y = float(y)
-    tau = gamma / (1.0 - alpha)
-    if cost_value(f, x) - y + gamma < 0.0:
-        return y - gamma, x.copy()
-    at_full = cost_prox(f, tau, x)
-    if cost_value(f, at_full) - y > tau - gamma:
-        return y - gamma + tau, at_full
-
-    def g(t: float) -> float:
-        return cost_value(f, cost_prox(f, t * tau, x)) - y + gamma - t * tau
-
-    theta = _bisect_decreasing(g, tol)
-    return y - gamma + theta * tau, cost_prox(f, theta * tau, x)
+    z = np.concatenate(([float(y)], _checked(f, x)))
+    out = _one_row(_resolvent_kernel, op, z, gamma, tol)
+    return float(out[0]), out[1:]
 
 
 def require_composite(op_kinds, cs_kinds):
     """Raise UnsupportedComposite unless every pair has a joint resolvent.
 
     Supported: DiagonalAffine (GradSeparableQuadratic groups with it) with
-    Box (or no constraint).  Componentwise the constrained solution is the clamp of the
-    unconstrained one because each scalar equation is monotone, so the
-    joint resolvent is the box projection of the operator resolvent.
+    Box or no constraint.  Each scalar equation is monotone, so the joint
+    resolvent is the box projection of the operator resolvent.
     """
     for kind in op_kinds:
         if kind is not DiagonalAffine:
@@ -724,11 +730,9 @@ def require_composite(op_kinds, cs_kinds):
 
 def composite_resolvent(op: OperatorSpec, cs: ConstraintSpec, gamma: float, z) -> np.ndarray:
     """Resolvent of gamma*(A + normal cone of C) for separable pairs."""
-    if gamma <= 0:
+    if not gamma > 0:
         raise NonPositiveGamma(f"resolvent parameter {gamma} must be positive")
     require_composite([_kind(op)], [_kind(cs)])
-    z = np.asarray(z, dtype=float)
-    _check_dim(cs, z)
     return project_constraint(cs, resolvent(op, gamma, z))
 
 

@@ -325,6 +325,10 @@ def init_state(problem: Problem, config: SolverConfig, x0=None, x0_star=None, v0
     """Feasible starting state: x in the subspace, duals in their ranges."""
     tree = problem.tree
     n, d = tree.num_scenarios, tree.total_dim
+    for name in ("gamma", "mu"):
+        rule = getattr(config, name)
+        if not (callable(rule) or isinstance(rule, (int, float)) or np.size(rule) == n):
+            raise ConfigError(f"{name}: got {np.size(rule)} entries for {n} scenarios")
     x = policy.zeros(tree) if x0 is None else policy.check_policy(tree, x0).copy()
     xs = policy.zeros(tree) if x0_star is None else policy.check_policy(tree, x0_star).copy()
     vs = policy.zeros(tree) if v0_star is None else policy.check_policy(tree, v0_star).copy()

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from scensplit import operators as ops
 from scensplit.cli import TRACE_HEADER, load_problem_file, main
+from scensplit.solver import progressive_hedging_solve
 
 
 def write_json(path, doc):
@@ -422,13 +423,36 @@ def test_solve_ph_method(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--trace-every", "0"], ["--tol", "nan"], ["--max-iter", "-3"], ["--tol", "-1"]]
+    "flags",
+    [
+        ["--trace-every", "0"],
+        ["--tol", "nan"],
+        ["--max-iter", "-3"],
+        ["--tol", "-1"],
+        ["--epsilon", "5"],
+        ["--schedule", "round-robin", "--block-size", "0"],
+        ["--gamma", "5000"],
+        ["--mu", "0"],
+        ["--lambda", "2"],
+    ],
 )
 def test_solve_ph_rejects_bad_settings(tmp_path, capsys, flags):
     path = write_json(tmp_path / "p.json", quad_box_doc())
     assert main(["solve", path, "--method", "ph", *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ConfigError:")
+
+
+def test_solve_ph_reads_its_settings(tmp_path, capsys):
+    path = write_json(tmp_path / "p.json", quad_box_doc())
+    sol = progressive_hedging_solve(load_problem_file(path).problem, gamma=0.7, tol=1e-9)
+    trace = tmp_path / "t.csv"
+    flags = ["--gamma", "0.7", "--tol", "1e-9", "--trace-every", "3", "--trace-out", str(trace)]
+    assert main(["solve", path, "--method", "ph", *flags]) == 0
+    assert f"iterations: {sol.iterations}" in capsys.readouterr().out
+    with open(trace, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["n"]) for r in rows] == list(range(0, sol.iterations, 3))
 
 
 def test_solve_reduced_method(tmp_path, capsys):

@@ -81,6 +81,10 @@ def test_cost_validation():
         SeparableQuadratic(q=[1.0, 1.0], c=[0.0])
     with pytest.raises(DimensionMismatch):
         cost_value(Affine(c=[1.0]), [1.0, 2.0])
+    with pytest.raises(DimensionMismatch):
+        cost_prox(SeparableQuadratic(q=[1.0, 1.0], c=[0.0, 0.0]), 1.0, [1.0])
+    with pytest.raises(NonPositiveGamma):
+        cost_prox(Affine(c=[1.0]), float("nan"), [1.0])
 
 
 # --- resolvents ---
@@ -125,6 +129,12 @@ def test_resolvent_errors():
         resolvent(op, 1.0, [1.0, 2.0])
     with pytest.raises(ValidationError):
         DiagonalAffine(a=[-0.1], b=[0.0])
+    with pytest.raises(NonPositiveGamma):
+        resolvent(op, float("nan"), [1.0])
+    with pytest.raises(NonPositiveGamma):
+        composite_resolvent(op, Box(lo=[0.0], hi=[1.0]), float("nan"), [1.0])
+    with pytest.raises(DimensionMismatch):
+        apply_operator(op, [1.0, 2.0])
 
 
 # --- constraint projectors ---
@@ -275,6 +285,12 @@ def test_prox_max_nonneg_errors():
         prox_max_nonneg(f, 0.0, [1.0])
     with pytest.raises(ToleranceError):
         prox_max_nonneg(f, 1.0, [1.0], tol=0.0)
+    with pytest.raises(NonPositiveGamma):
+        prox_max_nonneg(f, float("nan"), [1.0])
+    with pytest.raises(ToleranceError):
+        prox_max_nonneg(f, 1.0, [1.0], tol=float("nan"))
+    with pytest.raises(DimensionMismatch):
+        prox_max_nonneg(f, 1.0, [1.0, 2.0])
 
 
 # --- augmented prox ---
@@ -352,6 +368,14 @@ def test_prox_cvar_errors():
         prox_cvar_augmented(f, 0.5, -1.0, 0.0, [0.0])
     with pytest.raises(ToleranceError):
         prox_cvar_augmented(f, 0.5, 1.0, 0.0, [0.0], tol=-1.0)
+    with pytest.raises(NonPositiveGamma):
+        prox_cvar_augmented(f, 0.5, float("nan"), 0.0, [0.0])
+    with pytest.raises(ToleranceError):
+        prox_cvar_augmented(f, 0.5, 1.0, 0.0, [0.0], tol=float("nan"))
+    with pytest.raises(BadAlpha):
+        prox_cvar_augmented(f, float("nan"), 1.0, 0.0, [0.0])
+    with pytest.raises(DimensionMismatch):
+        prox_cvar_augmented(f, 0.5, 1.0, 0.0, [0.0, 1.0])
 
 
 def test_cvar_augmented_operator_resolvent():

@@ -164,6 +164,19 @@ def test_config_validation():
     SolverConfig(gamma=0.5, mu=2.0, lambda_rule=1.9, epsilon=0.05)
 
 
+@pytest.mark.parametrize("name", ["gamma", "mu"])
+@pytest.mark.parametrize("entries", [2, 6])
+def test_step_sequence_needs_one_entry_per_scenario(name, entries):
+    rng = np.random.default_rng(38)
+    prob = quadratic_box_instance(rng, random_tree(rng, 4, 2))
+    config = SolverConfig(**{name: [1.0] * entries})
+    with pytest.raises(ConfigError, match=f"{name}: got {entries} entries for 4 scenarios"):
+        init_state(prob, config)
+    with pytest.raises(ConfigError):
+        solve(prob, config)
+    solve(prob, SolverConfig(**{name: [1.0] * 4}, max_iter=2))
+
+
 def test_callable_steps_checked_per_iteration():
     prob = pair_problem()
     bad = SolverConfig(gamma=lambda i, n: 5000.0, max_iter=5)

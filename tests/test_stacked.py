@@ -20,13 +20,18 @@ from scensplit.operators import (
     Hyperplane,
     RealCross,
     SeparableQuadratic,
+    Stack,
     WholeSpace,
     Zero,
+    _cost_rows,
+    _pack_costs,
     apply_operator,
+    cost_value,
     forward_rows,
     project_constraint,
     project_constraint_rows,
     project_subspace,
+    prox_cvar_augmented,
     resolvent,
     resolvent_rows,
 )
@@ -111,6 +116,61 @@ def test_resolvent_rows_match_single_rows(problem, rows):
     # a number stands for one step on every row
     got = resolvent_rows(problem.operator_stack, 0.7, z, rows)
     assert_array_equal(got, [resolvent(problem.operators[i], 0.7, zi) for i, zi in zip(rows, z)])
+
+
+def _random_costs(rng, k, d):
+    return [
+        Affine(c=rng.uniform(-2, 2, d), r=rng.uniform(-1, 1))
+        if i % 2
+        else SeparableQuadratic(q=rng.uniform(0, 3, d), c=rng.uniform(-2, 2, d), r=rng.uniform(-1, 1))
+        for i in range(k)
+    ]
+
+
+def test_cvar_rows_match_one_row_prox():
+    # CvarAugmented rows over both cost types, next to DiagonalAffine rows
+    rng = np.random.default_rng(79)
+    k, d = 60, D - 1
+    costs = _random_costs(rng, k, d)
+    alphas = rng.uniform(0.1, 0.9, k)
+    ops = [CvarAugmented(f=f, alpha=a) for f, a in zip(costs, alphas)]
+    ops += [DiagonalAffine(a=rng.uniform(0, 2, D), b=rng.uniform(-1, 1, D)) for _ in range(4)]
+    stack = Stack(ops)
+    rows = rng.permutation(len(ops))[: k - 4]
+    z = 2.0 * rng.standard_normal((rows.size, D))
+    gamma = rng.uniform(0.2, 3.0, rows.size)
+    got = resolvent_rows(stack, gamma, z, rows)
+    regimes = set()
+    for i, g, zi, out in zip(rows, gamma, z, got):
+        if i >= k:
+            assert_array_equal(out, resolvent(ops[i], g, zi))
+            continue
+        y, x = prox_cvar_augmented(costs[i], alphas[i], g, zi[0], zi[1:])
+        assert_array_equal(out, np.concatenate([[y], x]))
+        tau = g / (1.0 - alphas[i])
+        if y == zi[0] - g:
+            regimes.add("below")
+        elif y == zi[0] - g + tau:
+            regimes.add("full")
+        else:
+            regimes.add("root")
+    assert regimes == {"below", "full", "root"}
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 12])
+def test_packed_cost_values_match_per_type_formulas(d):
+    rng = np.random.default_rng(80 + d)
+    costs = _random_costs(rng, 20, d)
+    x = 3.0 * rng.standard_normal((20, d))
+    got = _cost_rows(_pack_costs(costs), x)[:, 0]
+    want = [
+        float(f.c @ xi + f.r)
+        if isinstance(f, Affine)
+        else float(0.5 * np.sum(f.q * (xi - f.c) ** 2) + f.r)
+        for f, xi in zip(costs, x)
+    ]
+    assert_array_equal(got, want)
+    assert_array_equal([cost_value(f, xi) for f, xi in zip(costs, x)], want)
 
 
 def test_forward_rows_match_single_rows(problem):
