@@ -46,5 +46,5 @@ for y, x in ((5.0, 1.0), (-3.0, 1.0), (0.0, 1.0)):
     gt, gd = oracle_prox_cvar_grid(f, 0.5, 1.0, y, x, square)
     print(
         f"  (y, x) = ({y:4.1f}, {x:3.1f}): "
-        f"bisection ({thr:+.6f}, {float(dec[0]):+.6f}), grid ({gt:+.6f}, {gd:+.6f})"
+        f"root ({thr:+.6f}, {float(dec[0]):+.6f}), grid ({gt:+.6f}, {gd:+.6f})"
     )

@@ -11,8 +11,9 @@ scenarios that share a catalog type (see :class:`Stack`); ``resolvent``,
 ``apply_operator``, ``project_constraint``, ``project_subspace`` and the
 cost and prox functions are the same kernels on a group of one row.  Every
 cost packs into ``0.5 * sum q (x - c)^2 + <l, x> + r``, whose prox is the
-diagonal-affine resolvent, and both risk proxes are the root of one
-decreasing univariate function, bisected for all rows at once.
+diagonal-affine resolvent, and both risk proxes are the root of one convex
+decreasing univariate function, found by Newton's method for all rows at
+once.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ import numpy as np
 
 from .errors import (
     BadAlpha,
+    ConfigError,
     DimensionMismatch,
     NonPositiveGamma,
     ToleranceError,
@@ -426,7 +428,10 @@ def _scalars(specs, name: str) -> np.ndarray:
 
 def step_column(value, rows: int) -> np.ndarray:
     """A number or one value per row, as a read-only (rows, 1) column."""
-    return np.broadcast_to(np.reshape(np.asarray(value, dtype=float), (-1, 1)), (rows, 1))
+    column = np.reshape(np.asarray(value, dtype=float), (-1, 1))
+    if len(column) not in (1, rows):
+        raise ConfigError(f"got {len(column)} step values for {rows} rows")
+    return np.broadcast_to(column, (rows, 1))
 
 
 def _pack(kind, specs) -> tuple:
@@ -645,11 +650,16 @@ def project_subspace(us: SubspaceSpec, z) -> np.ndarray:
 def _prox_root(cost, x, scale, shift, slope, tol):
     """Root t in [0, 1] of h(t) = f(prox_{t*scale*f} x) - shift - t*slope, per row.
 
-    h decreases in t.  A row with h(0) < 0 takes t = 0, else a row with
-    h(1) > 0 takes t = 1; the other rows are bisected together from [0, 1]
-    until the bracket is at most ``tol`` wide (at most 200 halvings) and take
-    its midpoint.  ``scale``, ``shift`` and ``slope`` are numbers or (k, 1)
-    columns.  Returns t and the prox points at t.
+    A row with h(0) < 0 takes t = 0, else a row with h(1) > 0 takes t = 1;
+    the others run Newton's method together from t = 0.  With a = q,
+    b = l - q*c and den = 1 + t*scale*a, the prox point p has
+    g = a*p + b = (a*x + b) / den and h'(t) = -scale * sum(g^2 / den) - slope,
+    so h is convex and nonincreasing and no step passes the root.  A row
+    stops on its own after a step of at most ``tol`` or one that left t
+    unchanged (200 steps at most), a linear row (a = 0) after its first,
+    exact step; a zero derivative gives a zero step.  ``scale``, ``shift``
+    and ``slope`` are numbers or (k, 1) columns.  Returns t and the prox
+    points at t.
     """
     q, c, l, r = cost
     b = l - q * c
@@ -660,20 +670,25 @@ def _prox_root(cost, x, scale, shift, slope, tol):
         p = _resolvent_kernel(DiagonalAffine, (a, b), x, t * scale)
         return _cost_rows((a, c, l, r), p) - shift - t * slope
 
-    low = h(0.0, *args) < 0.0
-    t = np.where(low, 0.0, 1.0)
-    todo = np.flatnonzero(~low & ~(h(1.0, *args) > 0.0))
+    value = h(0.0, *args)
+    t = np.where(value < 0.0, 0.0, 1.0)
+    todo = np.flatnonzero((t > 0.0) & ~(h(1.0, *args) > 0.0))
     if todo.size:
         sub = tuple(v[todo] for v in args)
-        lo, hi = np.zeros((todo.size, 1)), np.ones((todo.size, 1))
-        width = 1.0  # of every bracket: each step halves them all exactly above 2**-52
+        a, b_sub, _, _, _, x_sub, s, _, m = sub
+        root, value = np.zeros((todo.size, 1)), value[todo]
+        live, curved = np.ones_like(root, dtype=bool), a.any(axis=1, keepdims=True)
         for _ in range(200):
-            if width <= tol:
+            den = 1.0 + (root * s) * a
+            g = (a * x_sub + b_sub) / den
+            drop = s * (g * g / den).sum(axis=1, keepdims=True) + m  # -h'(root)
+            step = np.divide(value, drop, out=np.zeros_like(value), where=drop > 0.0)
+            root, last = np.where(live, root + step, root), root
+            live &= (step > tol) & (root != last) & curved
+            if not live.any():
                 break
-            mid = 0.5 * (lo + hi)
-            up = h(mid, *sub) > 0.0
-            lo, hi, width = np.where(up, mid, lo), np.where(up, hi, mid), 0.5 * width
-        t[todo] = 0.5 * (lo + hi)
+            value = h(root, *sub)
+        t[todo] = root
     return t, _resolvent_kernel(DiagonalAffine, (q, b), x, t * scale)
 
 
@@ -686,7 +701,7 @@ def prox_max_nonneg(f: CostSpec, gamma: float, x, tol: float = 1e-12) -> np.ndar
     if not gamma > 0:
         raise NonPositiveGamma(f"prox parameter {gamma} must be positive")
     if not tol > 0:
-        raise ToleranceError(f"bisection tolerance {tol} must be positive")
+        raise ToleranceError(f"root tolerance {tol} must be positive")
     return _prox_root(_pack_costs([f]), _checked(f, x)[None], gamma, 0.0, 0.0, tol)[1][0]
 
 
@@ -703,7 +718,7 @@ def prox_cvar_augmented(
     if not gamma > 0:
         raise NonPositiveGamma(f"prox parameter {gamma} must be positive")
     if not tol > 0:
-        raise ToleranceError(f"bisection tolerance {tol} must be positive")
+        raise ToleranceError(f"root tolerance {tol} must be positive")
     z = np.concatenate(([float(y)], _checked(f, x)))
     out = _one_row(_resolvent_kernel, op, z, gamma, tol)
     return float(out[0]), out[1:]

@@ -29,9 +29,12 @@ def zeros(tree: ScenarioTree) -> np.ndarray:
 
 def inner(tree: ScenarioTree, x, y) -> float:
     """Expectation scalar product: sum over scenarios of pi * <x, y>."""
-    x = check_policy(tree, x)
-    y = check_policy(tree, y)
-    return float(np.einsum("s,si,si->", tree.probabilities, x, y))
+    return _inner(tree.probabilities, check_policy(tree, x), check_policy(tree, y))
+
+
+def _inner(probabilities, x, y) -> float:
+    """``inner`` without the shape checks, for arrays the solvers built."""
+    return float(np.einsum("s,si,si->", probabilities, x, y))
 
 
 def norm(tree: ScenarioTree, x) -> float:

@@ -386,23 +386,20 @@ def scenario_update(state: SolverState, problem: Problem, scenarios, gamma, mu):
 def coordination_step(state: SolverState, problem: Problem, config: SolverConfig) -> SolverState:
     """Project the iterate onto the separating half-space and advance n."""
     tree = problem.tree
+    probs = tree.probabilities
     dual_avg = policy.project_nonanticipative(tree, state.op_dual + state.set_dual)
     anti = -policy.project_nonanticipative_complement(tree, state.op_point)
-    tau = (
-        policy.inner(tree, dual_avg, dual_avg)
-        + policy.inner(tree, state.gap, state.gap)
-        + policy.inner(tree, anti, anti)
-    )
+    tau = sum(policy._inner(probs, u, u) for u in (dual_avg, state.gap, anti))
     if tau > 0.0:
         # x lies in the nonanticipative subspace throughout, so pairing it
         # with the averaged dual equals pairing it with the raw duals; the
         # grouped form below avoids cancellation between O(1) inner products
         # once the gaps are tiny
         kappa = (
-            policy.inner(tree, state.x - state.op_point, state.op_dual)
-            + policy.inner(tree, state.x - state.set_point, state.set_dual)
-            + policy.inner(tree, state.gap, state.x_star)
-            + policy.inner(tree, anti, state.v_star)
+            policy._inner(probs, state.x - state.op_point, state.op_dual)
+            + policy._inner(probs, state.x - state.set_point, state.set_dual)
+            + policy._inner(probs, state.gap, state.x_star)
+            + policy._inner(probs, anti, state.v_star)
         )
         theta = _lambda_value(config, state.iteration) * max(kappa, 0.0) / tau
     else:
@@ -462,12 +459,7 @@ def kkt_residual(problem: Problem, x, x_star, v_star) -> float:
     set_gap = x - project_constraint_rows(problem.constraint_stack, x + xs)
     anti = policy.project_nonanticipative_complement(tree, x)
     dual = policy.project_nonanticipative(tree, vs)
-    total = (
-        policy.inner(tree, op_gap, op_gap)
-        + policy.inner(tree, set_gap, set_gap)
-        + policy.inner(tree, anti, anti)
-        + policy.inner(tree, dual, dual)
-    )
+    total = sum(policy._inner(tree.probabilities, u, u) for u in (op_gap, set_gap, anti, dual))
     return float(np.sqrt(max(total, 0.0)))
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
+from scensplit import operators
 from scensplit.errors import (
     BadAlpha,
     DimensionMismatch,
@@ -25,6 +26,8 @@ from scensplit.operators import (
     SeparableQuadratic,
     WholeSpace,
     Zero,
+    _pack_costs,
+    _prox_root,
     apply_operator,
     composite_resolvent,
     cost_prox,
@@ -240,7 +243,7 @@ def test_prox_max_nonneg_cases():
     assert_allclose(prox_max_nonneg(f, 1.0, [0.5]), [0.5])
     # full step stays positive
     assert_allclose(prox_max_nonneg(f, 1.0, [3.0]), [2.0])
-    # boundary case solved by bisection: theta = 0.5
+    # boundary case solved by the root search: theta = 0.5
     assert_allclose(prox_max_nonneg(f, 1.0, [1.5]), [1.0], atol=1e-10)
 
 
@@ -275,7 +278,7 @@ def test_prox_max_nonneg_case_exclusivity():
 
 def test_prox_max_nonneg_boundary_tie():
     f = Affine(c=[1.0], r=0.0)
-    # f(x) = 0 exactly: the bisection regime applies and returns x
+    # f(x) = 0 exactly: the root regime applies and returns x
     assert_allclose(prox_max_nonneg(f, 1.0, [0.0]), [0.0], atol=1e-10)
 
 
@@ -448,3 +451,105 @@ def test_catalog_rejects_non_finite_data():
     assert_allclose(project_constraint(box, [5.0, 2.0]), [5.0, 1.0])
     with pytest.raises(ValidationError):
         Box(lo=[nan], hi=[1.0])
+
+
+# --- the shared root of both risk proxes ---
+
+def _root_args(rng, k, prox):
+    """(scale, shift, slope) columns as prox_max_nonneg or prox_cvar_augmented pass them."""
+    scale = rng.uniform(0.05, 3.0, (k, 1))
+    if prox == "max_nonneg":
+        return scale, np.zeros((k, 1)), np.zeros((k, 1))
+    return scale, rng.uniform(-2.0, 2.0, (k, 1)), scale
+
+
+def _root(costs, x, args, tol=1e-12):
+    return _prox_root(_pack_costs(costs), np.asarray(x, float), *args, tol)[0][:, 0]
+
+
+def _bisected_root(f, x, scale, shift, slope):
+    # 200 halvings of [0, 1] on the decreasing h(t) = f(prox_{t*scale*f} x) - shift - t*slope
+    def h(t):
+        return _val(f, _prox(f, t * scale, x)) - shift - t * slope
+
+    if h(0.0) < 0:
+        return 0.0
+    if h(1.0) > 0:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if h(mid) > 0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def _random_quadratics(rng, k, d):
+    return [
+        SeparableQuadratic(
+            q=rng.uniform(0, 3, d), c=rng.uniform(-2, 2, d), r=float(rng.uniform(-3, 1) * d)
+        )
+        for _ in range(k)
+    ]
+
+
+@pytest.mark.parametrize("prox", ["max_nonneg", "cvar"])
+def test_root_on_affine_rows_is_closed_form(prox):
+    rng = np.random.default_rng(41)
+    k = 200
+    costs = [Affine(c=rng.uniform(-2, 2, 3), r=float(rng.uniform(-2, 2))) for _ in range(k)]
+    x = rng.uniform(-3, 3, (k, 3))
+    args = _root_args(rng, k, prox)
+    t = _root(costs, x, args)
+    scale, shift, slope = (v[:, 0] for v in args)
+    # h is linear: h(t) = f(x) - shift - t * (scale * ||c||^2 + slope)
+    closed = np.array(
+        [(f.c @ xi + f.r - sh) / (s * (f.c @ f.c) + sl)
+         for f, xi, s, sh, sl in zip(costs, x, scale, shift, slope)]
+    )
+    inside = (0 < closed) & (closed < 1)
+    assert 20 < inside.sum() < k
+    assert np.all(np.abs(t - closed)[inside] <= 4 * np.spacing(closed[inside]))
+    assert_array_equal(t[~inside], np.clip(closed[~inside], 0.0, 1.0))
+
+
+@pytest.mark.parametrize("prox", ["max_nonneg", "cvar"])
+@pytest.mark.parametrize("d", [1, 2, 5, 12])
+def test_root_on_quadratic_rows_matches_bisection(prox, d):
+    rng = np.random.default_rng(43 + d)
+    k = 40
+    costs = _random_quadratics(rng, k, d)
+    x = rng.uniform(-3, 3, (k, d))
+    args = _root_args(rng, k, prox)
+    t = _root(costs, x, args)
+    want = np.array(
+        [_bisected_root(f, xi, *(float(v[i, 0]) for v in args))
+         for i, (f, xi) in enumerate(zip(costs, x))]
+    )
+    assert ((0 < want) & (want < 1)).sum() >= 10
+    assert_allclose(t, want, rtol=0, atol=1e-12)
+
+
+def test_root_tolerance_below_one_ulp_stops(monkeypatch):
+    rng = np.random.default_rng(47)
+    k = 40
+    costs = _random_quadratics(rng, k, 5)
+    x = rng.uniform(-3, 3, (k, 5))
+    args = _root_args(rng, k, "cvar")
+    coarse = _root(costs, x, args)
+    calls = []
+    cost_rows = operators._cost_rows
+    monkeypatch.setattr(operators, "_cost_rows", lambda *a: calls.append(1) or cost_rows(*a))
+    fine = _root(costs, x, args, tol=1e-300)
+    assert len(calls) <= 60
+    # both stop where h's rounding error outweighs the step: at most a few
+    # 1e-16 apart (1e-15 is exceeded on about 2 random row sets in 100)
+    assert_allclose(fine, coarse, rtol=0, atol=4e-15)
+
+
+@pytest.mark.parametrize("f", [Affine(c=[0.0, 0.0], r=0.0), SeparableQuadratic(q=[0.0], c=[1.0])])
+def test_constant_cost_root_leaves_x(f):
+    x = np.full(f.dim, 0.7)
+    with np.errstate(all="raise"):
+        assert_array_equal(prox_max_nonneg(f, 1.0, x), x)
+        _, p = prox_cvar_augmented(f, 0.5, 1.0, 0.3, x)
+    assert_array_equal(p, x)

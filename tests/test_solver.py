@@ -22,6 +22,7 @@ from scensplit.operators import (
     GradSeparableQuadratic,
     WholeSpace,
     Zero,
+    resolvent_rows,
 )
 from scensplit.solver import (
     FullActivation,
@@ -175,6 +176,20 @@ def test_step_sequence_needs_one_entry_per_scenario(name, entries):
     with pytest.raises(ConfigError):
         solve(prob, config)
     solve(prob, SolverConfig(**{name: [1.0] * 4}, max_iter=2))
+
+
+@pytest.mark.parametrize("name", ["gamma", "mu"])
+@pytest.mark.parametrize("entries", [2, 5])
+def test_scenario_update_needs_one_step_per_row(name, entries):
+    rng = np.random.default_rng(38)
+    prob = quadratic_box_instance(rng, random_tree(rng, 4, 2))
+    state = init_state(prob, SolverConfig())
+    steps = {"gamma": 1.0, "mu": 1.0, name: [1.0] * entries}
+    message = f"got {entries} step values for 3 rows"
+    with pytest.raises(ConfigError, match=message):
+        scenario_update(state, prob, np.arange(3), steps["gamma"], steps["mu"])
+    with pytest.raises(ConfigError, match=message):
+        resolvent_rows(prob.operator_stack, [1.0] * entries, state.x[:3], np.arange(3))
 
 
 def test_callable_steps_checked_per_iteration():
