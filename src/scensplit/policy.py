@@ -47,22 +47,23 @@ def project_nonanticipative(tree: ScenarioTree, x) -> np.ndarray:
     Stage block k of the output is constant on each stage-k information
     class and equals the probability-weighted average of the inputs there.
     """
-    x = check_policy(tree, x)
-    out = np.empty_like(x)
-    probs = tree.probabilities
-    for k, block in enumerate(tree.stage_slices):
-        idx = tree.class_index[k]
-        mass = tree.class_mass[k]
-        sums = np.zeros((mass.size, block.stop - block.start))
-        np.add.at(sums, idx, probs[:, None] * x[:, block])
-        out[:, block] = sums[idx] / mass[idx, None]
-    return out
+    return _average(tree, check_policy(tree, x))
+
+
+def _average(tree: ScenarioTree, x: np.ndarray) -> np.ndarray:
+    """``project_nonanticipative`` without the shape check.
+
+    One weighted ``bincount`` over the tree's bins sums every class block
+    in scenario order, then one gather and one divide spread the averages.
+    """
+    sums = np.bincount(tree.bins, (tree.probabilities[:, None] * x).ravel())
+    return (sums[tree.bins] / tree.bin_mass).reshape(x.shape)
 
 
 def project_nonanticipative_complement(tree: ScenarioTree, x) -> np.ndarray:
     """Projection onto the orthogonal complement (the residual part)."""
     x = check_policy(tree, x)
-    return x - project_nonanticipative(tree, x)
+    return x - _average(tree, x)
 
 
 def is_nonanticipative(tree: ScenarioTree, x, tol: float = 1e-12) -> bool:

@@ -370,17 +370,38 @@ def scenario_update(state: SolverState, problem: Problem, scenarios, gamma, mu):
         raise NonPositiveGamma(f"gamma must be positive, got {float(gamma.min())}")
     if not np.all(mu > 0):
         raise ConfigError(f"mu must be positive, got {float(mu.min())}")
+    op_point, set_point = _points(
+        problem, state.x[rows], state.x_star[rows], state.v_star[rows], gamma, mu, rows
+    )
+    out = _intermediates(state, problem, rows, gamma, mu, op_point, set_point)
+    return tuple(a[0] for a in out) if np.ndim(scenarios) == 0 else out
+
+
+def _points(problem: Problem, x, x_star, v_star, gamma=1.0, mu=1.0, rows=None) -> tuple:
+    """The refresh's resolvent and projection points of ``rows`` (None: all).
+
+    ``J_A(x - gamma (x* + v*))`` and ``P_C(x + mu x*)``; at unit steps they
+    give the two fixed-point terms of ``kkt_residual``.
+    """
+    return (
+        resolvent_rows(problem.operator_stack, gamma, x - gamma * (x_star + v_star), rows),
+        project_constraint_rows(problem.constraint_stack, x + mu * x_star, rows),
+    )
+
+
+def _intermediates(state, problem, rows, gamma, mu, op_point, set_point) -> tuple:
+    """The refresh's outputs for ``rows`` from their resolvent and projection points."""
     x = state.x[rows]
     xs = state.x_star[rows]
-    vs = state.v_star[rows]
-    load = xs + vs
-    op_point = resolvent_rows(problem.operator_stack, gamma, x - gamma * load, rows)
-    op_dual = (x - op_point) / gamma - load
-    set_point = project_constraint_rows(problem.constraint_stack, x + mu * xs, rows)
+    op_dual = (x - op_point) / gamma - (xs + state.v_star[rows])
     set_dual = xs + (x - set_point) / mu
     gap = np.where(problem.subspace_mask[rows], set_point - op_point, 0.0)
-    out = (op_point, op_dual, set_point, set_dual, gap)
-    return tuple(a[0] for a in out) if np.ndim(scenarios) == 0 else out
+    return op_point, op_dual, set_point, set_dual, gap
+
+
+def _fixed_point_sq(probabilities, x, points) -> float:
+    """Squared operator and constraint fixed-point gaps of x at ``points``."""
+    return sum(policy._inner(probabilities, u, u) for u in (x - points[0], x - points[1]))
 
 
 def coordination_step(state: SolverState, problem: Problem, config: SolverConfig) -> SolverState:
@@ -415,8 +436,13 @@ def coordination_step(state: SolverState, problem: Problem, config: SolverConfig
     return state
 
 
-def iterate(state: SolverState, problem: Problem, config: SolverConfig) -> SolverState:
-    """One full iteration: block refresh, then the coordination step."""
+def iterate(state: SolverState, problem: Problem, config: SolverConfig, points=None) -> SolverState:
+    """One full iteration: block refresh, then the coordination step.
+
+    ``points``, every row's unit-step points at the current iterate as the
+    stopping test of ``solve`` has them, stand in for the refresh's own
+    evaluation when all of the iteration's steps are 1.0.
+    """
     n = state.iteration
     num = problem.tree.num_scenarios
     if n == 0:
@@ -430,13 +456,19 @@ def iterate(state: SolverState, problem: Problem, config: SolverConfig) -> Solve
     mu = _step_values(config.mu, active, n)
     _check_range("gamma", gamma, lo, hi)
     _check_range("mu", mu, lo, hi)
+    if points is not None and np.all(gamma == 1.0) and np.all(mu == 1.0):
+        refreshed = _intermediates(
+            state, problem, active, 1.0, 1.0, points[0][active], points[1][active]
+        )
+    else:
+        refreshed = scenario_update(state, problem, active, gamma, mu)
     (
         state.op_point[active],
         state.op_dual[active],
         state.set_point[active],
         state.set_dual[active],
         state.gap[active],
-    ) = scenario_update(state, problem, active, gamma, mu)
+    ) = refreshed
 
     coordination_step(state, problem, config)
     state.last_activated[active] = n
@@ -448,18 +480,22 @@ def kkt_residual(problem: Problem, x, x_star, v_star) -> float:
     """Scalar optimality measure, zero exactly at equilibrium triples.
 
     Combines the per-scenario fixed-point gaps of the operator resolvent
-    and the constraint projector with the subspace residuals of x and the
-    coupling dual.
+    and the constraint projector (at unit steps) with the subspace
+    residuals of x and the coupling dual.  ``solve`` stops on the first
+    two terms alone, see there.
     """
     tree = problem.tree
     x = policy.check_policy(tree, x)
     xs = policy.check_policy(tree, x_star)
     vs = policy.check_policy(tree, v_star)
-    op_gap = x - resolvent_rows(problem.operator_stack, 1.0, x - xs - vs)
-    set_gap = x - project_constraint_rows(problem.constraint_stack, x + xs)
+    probs = tree.probabilities
     anti = policy.project_nonanticipative_complement(tree, x)
     dual = policy.project_nonanticipative(tree, vs)
-    total = sum(policy._inner(tree.probabilities, u, u) for u in (op_gap, set_gap, anti, dual))
+    total = (
+        _fixed_point_sq(probs, x, _points(problem, x, xs, vs))
+        + policy._inner(probs, anti, anti)
+        + policy._inner(probs, dual, dual)
+    )
     return float(np.sqrt(max(total, 0.0)))
 
 
@@ -475,14 +511,23 @@ def solve(
     v0_star=None,
     callback=None,
 ) -> Solution:
-    """Run the block-activated iteration until the residual meets ``tol``."""
+    """Run the block-activated iteration until the residual meets ``tol``.
+
+    The stopping test is ``kkt_residual`` without its two subspace terms,
+    which stay at roundoff: ``init_state`` puts x in the nonanticipative
+    subspace and v* in its complement, and every update keeps them there.
+    Its unit-step points of every row are passed on to ``iterate``.
+    """
     if config is None:
         config = SolverConfig()
     state = init_state(problem, config, x0, x0_star, v0_star)
+    probs = problem.tree.probabilities
     trace = []
+    block, active = None, ()  # the last traced block, shared while it repeats
     start = time.perf_counter()
     while True:
-        residual = kkt_residual(problem, state.x, state.x_star, state.v_star)
+        points = _points(problem, state.x, state.x_star, state.v_star)
+        residual = float(np.sqrt(max(_fixed_point_sq(probs, state.x, points), 0.0)))
         if residual <= config.tol:
             status = SolveStatus.CONVERGED
             break
@@ -493,9 +538,11 @@ def solve(
             status = SolveStatus.MAX_ITER
             break
         n = state.iteration
-        iterate(state, problem, config)
+        iterate(state, problem, config, points)
         if n % config.trace_every == 0:
             wall = (time.perf_counter() - start) * 1e3 if config.record_timing else 0.0
+            if not np.array_equal(block, state.active):
+                block, active = state.active, tuple(state.active.tolist())
             trace.append(
                 TraceRecord(
                     n=n,
@@ -503,7 +550,7 @@ def solve(
                     kappa=state.kappa,
                     tau=state.tau,
                     theta=state.theta,
-                    active=tuple(state.active.tolist()),
+                    active=active,
                     wall_ms=wall,
                 )
             )
@@ -544,6 +591,7 @@ def progressive_hedging_solve(
     require_composite([g[0] for g in ops.groups], [g[0] for g in cons.groups])
     x = policy.zeros(tree)
     vs = policy.zeros(tree)
+    everyone = tuple(range(tree.num_scenarios))
     trace = []
     n = 0
     start = time.perf_counter()
@@ -562,7 +610,7 @@ def progressive_hedging_solve(
                     kappa=float("nan"),
                     tau=float("nan"),
                     theta=float("nan"),
-                    active=tuple(range(tree.num_scenarios)),
+                    active=everyone,
                     wall_ms=wall,
                 )
             )

@@ -40,9 +40,14 @@ class ScenarioTree:
     """Immutable scenario tree over a fixed set of decision stages.
 
     ``classes[k-1]`` holds the stage-k information partition as a tuple of
-    index tuples, ordered by smallest member, members ascending.  The
-    ``class_index`` / ``class_mass`` arrays are the same partitions in a
-    form convenient for vectorized averaging.
+    index tuples, ordered by smallest member, members ascending.  ``bins``
+    and ``bin_mass`` are the same partitions flattened for one-pass
+    averaging: entry ``(s, j)`` of a row-major (num_scenarios, total_dim)
+    policy, with j in stage k, falls in bin offset + class * d_k + column:
+    the offset counts the bins of the earlier stages, the class is the
+    stage-k class of scenario s and the column is j's place within the
+    stage.  ``bin_mass`` holds that class's probability for each entry.
+    Both are read-only.
     """
 
     scenarios: tuple[Scenario, ...]
@@ -50,8 +55,8 @@ class ScenarioTree:
     classes: tuple[tuple[tuple[int, ...], ...], ...] = field(repr=False)
     probabilities: np.ndarray = field(repr=False)
     stage_slices: tuple[slice, ...] = field(repr=False)
-    class_index: tuple[np.ndarray, ...] = field(repr=False)
-    class_mass: tuple[np.ndarray, ...] = field(repr=False)
+    bins: np.ndarray = field(repr=False)
+    bin_mass: np.ndarray = field(repr=False)
 
     @property
     def num_scenarios(self) -> int:
@@ -107,23 +112,28 @@ def build_tree(scenarios, stage_dims) -> ScenarioTree:
     if abs(mass - 1.0) > MASS_TOL:
         raise BadProbabilityMass(f"probabilities sum to {mass!r}, expected 1")
 
-    # stage-k classes group scenarios by their label prefix of length k-1;
-    # first-seen order equals order by smallest member
+    # the classes of stage k+1 group scenarios by their label prefix of
+    # length k; first-seen order equals order by smallest member
     classes = []
-    class_index = []
-    class_mass = []
-    for k in range(1, n_stages + 1):
+    bins = []
+    bin_mass = []
+    offset = 0
+    for k, dim in enumerate(stage_dims):
         groups: dict[tuple, list[int]] = {}
         for s in built:
-            groups.setdefault(s.labels[: k - 1], []).append(s.index)
+            groups.setdefault(s.labels[:k], []).append(s.index)
         parts = tuple(tuple(g) for g in groups.values())
         classes.append(parts)
-        idx = np.empty(len(built), dtype=int)
+        idx = [0] * len(built)
         for j, members in enumerate(parts):
             for m in members:
                 idx[m] = j
-        class_index.append(_frozen(idx))
-        class_mass.append(_frozen(np.array([probs[list(m)].sum() for m in parts])))
+        idx = np.array(idx)
+        # a singleton's mass is its probability; skip the numpy sum for it
+        mass = np.array([probs[m[0]] if len(m) == 1 else probs[list(m)].sum() for m in parts])
+        bins.append(offset + idx[:, None] * dim + np.arange(dim))
+        bin_mass.append(np.repeat(mass[idx, None], dim, axis=1))
+        offset += len(parts) * dim
 
     offsets = np.concatenate(([0], np.cumsum(stage_dims)))
     slices = tuple(slice(int(offsets[k]), int(offsets[k + 1])) for k in range(n_stages))
@@ -134,8 +144,8 @@ def build_tree(scenarios, stage_dims) -> ScenarioTree:
         classes=tuple(classes),
         probabilities=_frozen(probs),
         stage_slices=slices,
-        class_index=tuple(class_index),
-        class_mass=tuple(class_mass),
+        bins=_frozen(np.hstack(bins).ravel()),
+        bin_mass=_frozen(np.hstack(bin_mass).ravel()),
     )
 
 

@@ -3,7 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from scensplit import build_tree, policy
+from scensplit.cvar import CvarProblem, augment
 from scensplit.errors import ShapeMismatch
+from scensplit.operators import SeparableQuadratic, WholeSpace
 
 from helpers import lsq_project_nonanticipative, random_policy, random_tree
 
@@ -91,3 +93,77 @@ def test_shape_mismatch(pair_tree):
         policy.project_nonanticipative(pair_tree, np.zeros((3, 2)))
     with pytest.raises(ShapeMismatch):
         policy.norm(pair_tree, np.zeros(4))
+
+
+def add_at_projection(tree, x):
+    """Per-stage ``np.add.at`` averaging over the tree's classes."""
+    probs = tree.probabilities
+    out = np.empty_like(x)
+    for block, parts in zip(tree.stage_slices, tree.classes):
+        idx = np.empty(tree.num_scenarios, dtype=int)
+        for j, members in enumerate(parts):
+            idx[list(members)] = j
+        mass = np.array([probs[list(m)].sum() for m in parts])
+        sums = np.zeros((len(parts), block.stop - block.start))
+        np.add.at(sums, idx, probs[:, None] * x[:, block])
+        out[:, block] = sums[idx] / mass[idx, None]
+    return out
+
+
+def labelled_scenarios(rng, num_scenarios, alphabets):
+    """Distinct random label sequences with random probabilities.
+
+    Small per-stage alphabets give classes of unequal sizes.
+    """
+    labels = set()
+    while len(labels) < num_scenarios:
+        labels.add(tuple(int(rng.integers(0, a)) for a in alphabets))
+    probs = rng.uniform(0.1, 1.0, num_scenarios)
+    labels = sorted(labels)
+    rng.shuffle(labels)
+    return list(zip(labels, probs / probs.sum()))
+
+
+@pytest.mark.parametrize("stage_dims", [(1, 3, 2), (2,), (3, 1), (1, 1, 1, 2)])
+def test_projection_bitwise_equals_add_at_reference(stage_dims):
+    rng = np.random.default_rng(sum(stage_dims) + len(stage_dims))
+    alphabets = (2, 3, 4, 5)[: len(stage_dims) - 1] + (50,)
+    for n in (1, 7, 40):
+        tree = build_tree(labelled_scenarios(rng, n, alphabets), stage_dims)
+        x = random_policy(rng, tree, scale=3.0)
+        assert np.array_equal(
+            policy.project_nonanticipative(tree, x), add_at_projection(tree, x)
+        )
+
+
+def test_projection_bitwise_on_lifted_cvar_tree():
+    rng = np.random.default_rng(14)
+    tree = build_tree(labelled_scenarios(rng, 24, (3, 4, 50)), (2, 1, 2))
+    d = tree.total_dim
+    costs = tuple(SeparableQuadratic(q=rng.uniform(0.5, 1.5, d), c=rng.standard_normal(d))
+                  for _ in range(tree.num_scenarios))
+    lifted = augment(CvarProblem(tree, 0.8, costs, (WholeSpace(),) * tree.num_scenarios)).base.tree
+    x = random_policy(rng, lifted)
+    assert np.array_equal(policy.project_nonanticipative(lifted, x), add_at_projection(lifted, x))
+
+
+def test_rebuilt_tree_projects_identically():
+    rng = np.random.default_rng(15)
+    scenarios = labelled_scenarios(rng, 30, (3, 50))
+    a = build_tree(scenarios, (1, 3))
+    b = build_tree(scenarios, (1, 3))
+    x = random_policy(rng, a)
+    assert np.array_equal(policy.project_nonanticipative(a, x), policy.project_nonanticipative(b, x))
+    assert np.array_equal(
+        policy.project_nonanticipative_complement(a, x),
+        policy.project_nonanticipative_complement(b, x),
+    )
+
+
+def test_bin_arrays_read_only():
+    rng = np.random.default_rng(16)
+    tree = build_tree(labelled_scenarios(rng, 9, (2, 50)), (1, 3))
+    for arr in (tree.bins, tree.bin_mass):
+        assert arr.shape == (tree.num_scenarios * tree.total_dim,)
+        with pytest.raises(ValueError):
+            arr[0] = 0

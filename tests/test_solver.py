@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -25,6 +27,7 @@ from scensplit.operators import (
     resolvent_rows,
 )
 from scensplit.solver import (
+    _points,
     FullActivation,
     Problem,
     RoundRobin,
@@ -415,6 +418,68 @@ def test_mixed_instance_iteration_counts(schedule, iterations):
     sol = solve(prob, SolverConfig(schedule=schedule, tol=1e-6))
     assert sol.status is SolveStatus.CONVERGED
     assert sol.iterations == iterations
+
+
+@pytest.mark.parametrize(
+    "steps, iterations",
+    [
+        (dict(gamma=0.7, mu=1.3), 630),
+        # blocks {0, 1, 2} and {3, 4, 5} have unit steps, {6, 7, 8} does not
+        (dict(gamma=[1.0] * 6 + [0.8, 1.0, 1.25, 1.0], schedule=RoundRobin(block_size=3)), 2668),
+    ],
+)
+def test_mixed_instance_iteration_counts_off_unit_steps(steps, iterations):
+    # exact counts for refreshes that cannot reuse the unit-step stopping test
+    rng = np.random.default_rng(63)
+    prob = mixed_instance(rng, random_tree(rng, 10, 3))
+    sol = solve(prob, SolverConfig(tol=1e-6, **steps))
+    assert sol.status is SolveStatus.CONVERGED
+    assert sol.iterations == iterations
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [FullActivation(), RoundRobin(block_size=3), SeededRandom(block_size=3, cover_window=10, seed=5)],
+)
+def test_stopping_test_matches_kkt_residual(schedule):
+    # the stopping test drops the two subspace terms of kkt_residual; they
+    # stay at roundoff only while x and v* keep to their subspaces
+    rng = np.random.default_rng(63)
+    prob = mixed_instance(rng, random_tree(rng, 10, 3))
+    cfg = SolverConfig(schedule=schedule, tol=1e-6)
+    start = init_state(prob, cfg)
+    public = [kkt_residual(prob, start.x, start.x_star, start.v_star)]
+    sol = solve(
+        prob, cfg, callback=lambda st: public.append(kkt_residual(prob, st.x, st.x_star, st.v_star))
+    )
+    assert len(sol.trace) == sol.iterations
+    for r in sol.trace:
+        assert r.residual == pytest.approx(public[r.n], rel=1e-12, abs=0.0)
+    assert sol.residual == pytest.approx(public[-1], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("steps", [dict(), dict(gamma=0.7, mu=1.3)])
+def test_iterate_with_unit_points_matches_plain_iterate(steps):
+    rng = np.random.default_rng(64)
+    prob = mixed_instance(rng, random_tree(rng, 10, 3))
+    cfg = SolverConfig(schedule=RoundRobin(block_size=4), **steps)
+    state = init_state(prob, cfg)
+    for _ in range(5):
+        iterate(state, prob, cfg)
+    plain, reused = copy.deepcopy(state), copy.deepcopy(state)
+    iterate(plain, prob, cfg)
+    iterate(reused, prob, cfg, _points(prob, reused.x, reused.x_star, reused.v_star))
+    for name in ("x", "x_star", "v_star", "op_point", "op_dual", "set_point", "set_dual", "gap"):
+        assert np.array_equal(getattr(plain, name), getattr(reused, name)), name
+
+
+def test_full_blocks_share_one_active_tuple():
+    rng = np.random.default_rng(65)
+    prob = quadratic_box_instance(rng, random_tree(rng, 6, 3))
+    for sol in (solve(prob, SolverConfig(tol=1e-10)), progressive_hedging_solve(prob, tol=1e-10)):
+        assert len(sol.trace) >= 2
+        assert sol.trace[0].active == tuple(range(6))
+        assert all(r.active is sol.trace[0].active for r in sol.trace)
 
 
 def test_solve_outputs_live_in_subspaces():
