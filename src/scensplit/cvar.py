@@ -26,7 +26,8 @@ from .operators import (
     CvarAugmented,
     Full,
     RealCross,
-    cost_value,
+    _cost_rows,
+    _pack_costs,
 )
 from .solver import Problem, Solution, SolverConfig, solve
 from .tree import ScenarioTree, build_tree
@@ -147,7 +148,7 @@ def extract_solution(aug: AugmentedProblem, sol: Solution) -> CvarSolution:
         raise NonConstantThreshold(
             f"threshold varies across scenarios by {spread:.3e}"
         )
-    losses = np.array([cost_value(f, x[i]) for i, f in enumerate(source.costs)])
+    losses = _cost_rows(_pack_costs(source.costs), x)[:, 0]
     objective = cvar_value(tree, source.alpha, losses)
     return CvarSolution(x_bar=x, y_bar=y_bar, objective=objective, inner=sol)
 

@@ -130,13 +130,12 @@ class FullActivation:
 
 @dataclass(frozen=True)
 class RoundRobin:
-    """Cyclic contiguous blocks of a fixed size."""
+    """Cyclic contiguous blocks of a fixed size, an integer >= 1."""
 
     block_size: int = 1
 
     def __post_init__(self):
-        if self.block_size < 1:
-            raise ConfigError(f"block_size must be >= 1, got {self.block_size}")
+        _check_count("block_size", self.block_size, 1)
 
     def cover_window(self, num_scenarios: int) -> int:
         return math.ceil(num_scenarios / self.block_size) - 1
@@ -156,7 +155,8 @@ class SeededRandom:
 
     A scenario inactive for ``cover_window`` iterations is put into the
     block first; the remaining slots are filled uniformly without
-    replacement.  Fully deterministic for a fixed seed.
+    replacement.  Fully deterministic for a fixed seed.  All three settings
+    are integers (numpy integers included).
     """
 
     block_size: int = 1
@@ -164,10 +164,9 @@ class SeededRandom:
     seed: int = 0
 
     def __post_init__(self):
-        if self.block_size < 1:
-            raise ConfigError(f"block_size must be >= 1, got {self.block_size}")
-        if self.cover_window < 0:
-            raise ConfigError(f"cover_window must be >= 0, got {self.cover_window}")
+        _check_count("block_size", self.block_size, 1)
+        _check_count("cover_window", self.cover_window, 0)
+        _check_count("seed", self.seed, 0)
 
     def select(self, n, num_scenarios, last_activated, rng) -> np.ndarray:
         if n == 0:
@@ -193,10 +192,14 @@ StepRule = Union[float, Sequence[float], Callable]
 class SolverConfig:
     """Step sizes, activation schedule and stopping rules.
 
-    ``gamma`` and ``mu`` accept a constant, a per-scenario sequence, or a
+    ``gamma`` and ``mu`` accept a number, a 1-d per-scenario sequence or a
     callable ``(scenario, iteration) -> float``; ``lambda_rule`` accepts a
-    constant or a callable ``iteration -> float``.  Values outside the
-    admissible intervals raise instead of being clamped.
+    number or a callable ``iteration -> float``.  A number is a 0-d integer
+    or float, numpy scalars and 0-d arrays included; anything else raises
+    ``ConfigError``.  Values outside the admissible intervals raise instead
+    of being clamped: numbers and sequences here, a callable's values each
+    time it is called.  ``max_iter`` and ``trace_every`` must be integers,
+    numpy integers included.
     """
 
     epsilon: float = 1e-3
@@ -208,29 +211,33 @@ class SolverConfig:
     max_iter: int = 100000
     trace_every: int = 1
     record_timing: bool = False
+    _steps: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ConfigError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         _check_stopping(self.tol, self.max_iter, self.trace_every)
         lo, hi = self.epsilon, 1.0 / self.epsilon
-        for name, rule in (("gamma", self.gamma), ("mu", self.mu)):
-            if not callable(rule):
-                _check_range(name, rule, lo, hi)
-        if isinstance(self.lambda_rule, (int, float)):
-            _check_range("lambda", float(self.lambda_rule), lo, 2.0 - self.epsilon)
-        elif not callable(self.lambda_rule):
-            raise ConfigError("lambda_rule must be a number or a callable")
+        steps = {
+            "gamma": _settle_step("gamma", self.gamma, lo, hi, 1),
+            "mu": _settle_step("mu", self.mu, lo, hi, 1),
+            "lambda": _settle_step("lambda", self.lambda_rule, lo, 2.0 - lo, 0),
+        }
+        object.__setattr__(self, "_steps", steps)
+
+
+def _check_count(name: str, value, least: int):
+    """Raise unless ``value`` is an integer (numpy integers included) >= ``least``."""
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _check_stopping(tol: float, max_iter: int, trace_every: int):
     """Raise unless the stopping and tracing settings every solver takes are usable."""
     if not tol >= 0:
         raise ConfigError(f"tol must be nonnegative, got {tol}")
-    if max_iter < 0:
-        raise ConfigError(f"max_iter must be nonnegative, got {max_iter}")
-    if trace_every < 1:
-        raise ConfigError(f"trace_every must be >= 1, got {trace_every}")
+    _check_count("max_iter", max_iter, 0)
+    _check_count("trace_every", trace_every, 1)
 
 
 def _check_range(name: str, value, lo: float, hi: float):
@@ -241,22 +248,32 @@ def _check_range(name: str, value, lo: float, hi: float):
         raise ConfigError(f"{name} value {float(bad[0])} outside [{lo}, {hi}]")
 
 
-def _step_values(rule: StepRule, active: np.ndarray, n: int):
-    """The rule's step for each active scenario, or its constant."""
-    if isinstance(rule, (int, float)):
-        return float(rule)
+def _settle_step(name: str, rule, lo: float, hi: float, max_ndim: int) -> tuple:
+    """``(rule, lo, hi)``: a callable as is, else a range-checked float or 1-d float array."""
     if callable(rule):
-        return np.array([float(rule(int(i), n)) for i in active])
-    return np.asarray(rule, dtype=float)[active]
+        return rule, lo, hi
+    try:
+        value = np.asarray(rule)
+    except ValueError:  # ragged nesting
+        value = np.asarray(None)
+    if value.dtype.kind not in "iuf" or value.ndim > max_ndim:
+        kinds = "a number, a 1-d sequence" if max_ndim else "a number"
+        raise ConfigError(f"{name} must be {kinds} or a callable, got {rule!r}")
+    _check_range(name, value, lo, hi)
+    return (float(value) if value.ndim == 0 else value.astype(float)), lo, hi
 
 
-def _lambda_value(config: SolverConfig, n: int) -> float:
-    rule = config.lambda_rule
-    if callable(rule):
-        v = float(rule(n))
-        _check_range("lambda", v, config.epsilon, 2.0 - config.epsilon)
-        return v
-    return float(rule)
+def _step(config: SolverConfig, name: str, n: int, rows=None):
+    """Step ``name`` of iteration n, one per entry of ``rows`` (None for lambda).
+
+    Only a callable's values are range-checked here; see ``SolverConfig``.
+    """
+    rule, lo, hi = config._steps[name]
+    if not callable(rule):
+        return rule if isinstance(rule, float) else rule[rows]
+    v = float(rule(n)) if rows is None else np.array([float(rule(int(i), n)) for i in rows])
+    _check_range(name, v, lo, hi)
+    return v
 
 
 @dataclass
@@ -326,9 +343,9 @@ def init_state(problem: Problem, config: SolverConfig, x0=None, x0_star=None, v0
     tree = problem.tree
     n, d = tree.num_scenarios, tree.total_dim
     for name in ("gamma", "mu"):
-        rule = getattr(config, name)
-        if not (callable(rule) or isinstance(rule, (int, float)) or np.size(rule) == n):
-            raise ConfigError(f"{name}: got {np.size(rule)} entries for {n} scenarios")
+        rule = config._steps[name][0]
+        if isinstance(rule, np.ndarray) and rule.size != n:
+            raise ConfigError(f"{name}: got {rule.size} entries for {n} scenarios")
     x = policy.zeros(tree) if x0 is None else policy.check_policy(tree, x0).copy()
     xs = policy.zeros(tree) if x0_star is None else policy.check_policy(tree, x0_star).copy()
     vs = policy.zeros(tree) if v0_star is None else policy.check_policy(tree, v0_star).copy()
@@ -422,7 +439,7 @@ def coordination_step(state: SolverState, problem: Problem, config: SolverConfig
             + policy._inner(probs, state.gap, state.x_star)
             + policy._inner(probs, anti, state.v_star)
         )
-        theta = _lambda_value(config, state.iteration) * max(kappa, 0.0) / tau
+        theta = _step(config, "lambda", state.iteration) * max(kappa, 0.0) / tau
     else:
         kappa = 0.0
         theta = 0.0
@@ -451,11 +468,8 @@ def iterate(state: SolverState, problem: Problem, config: SolverConfig, points=N
         active = np.asarray(
             config.schedule.select(n, num, state.last_activated, state.rng), dtype=int
         )
-    lo, hi = config.epsilon, 1.0 / config.epsilon
-    gamma = _step_values(config.gamma, active, n)
-    mu = _step_values(config.mu, active, n)
-    _check_range("gamma", gamma, lo, hi)
-    _check_range("mu", mu, lo, hi)
+    gamma = _step(config, "gamma", n, active)
+    mu = _step(config, "mu", n, active)
     if points is not None and np.all(gamma == 1.0) and np.all(mu == 1.0):
         refreshed = _intermediates(
             state, problem, active, 1.0, 1.0, points[0][active], points[1][active]
@@ -481,8 +495,8 @@ def kkt_residual(problem: Problem, x, x_star, v_star) -> float:
 
     Combines the per-scenario fixed-point gaps of the operator resolvent
     and the constraint projector (at unit steps) with the subspace
-    residuals of x and the coupling dual.  ``solve`` stops on the first
-    two terms alone, see there.
+    residuals of x and the coupling dual.  ``solve`` and the hedging loop
+    stop on the first two terms alone, see ``_stop_residual``.
     """
     tree = problem.tree
     x = policy.check_policy(tree, x)
@@ -503,6 +517,52 @@ def kkt_residual(problem: Problem, x, x_star, v_star) -> float:
 # drivers
 # ---------------------------------------------------------------------------
 
+def _stop_residual(problem: Problem, x, x_star, v_star) -> tuple:
+    """``kkt_residual`` without its two subspace terms, and the unit-step points.
+
+    ``solve`` and the hedging loop keep x in the nonanticipative subspace
+    and v* in its complement, so the dropped terms are roundoff.
+    """
+    points = _points(problem, x, x_star, v_star)
+    total = _fixed_point_sq(problem.tree.probabilities, x, points)
+    return float(np.sqrt(max(total, 0.0))), points
+
+
+def _status(residual: float, tol: float, n: int, max_iter: int) -> Optional[SolveStatus]:
+    """Why a run with this residual after n iterations stops, or None to go on."""
+    if residual <= tol:
+        return SolveStatus.CONVERGED
+    if not math.isfinite(residual):
+        return SolveStatus.NON_FINITE
+    if n >= max_iter:
+        return SolveStatus.MAX_ITER
+    return None
+
+
+class _Recorder:
+    """Every ``trace_every``-th trace record of a run, then its Solution.
+
+    Records of a repeated block share one ``active`` tuple.
+    """
+
+    def __init__(self, trace_every: int, record_timing: bool):
+        self.every = trace_every
+        self.start = time.perf_counter() if record_timing else None
+        self.trace = []
+        self.block, self.active = None, ()
+
+    def record(self, n, residual, active, kappa=math.nan, tau=math.nan, theta=math.nan):
+        if n % self.every:
+            return
+        wall = 0.0 if self.start is None else (time.perf_counter() - self.start) * 1e3
+        if not np.array_equal(self.block, active):
+            self.block, self.active = active, tuple(active.tolist())
+        self.trace.append(TraceRecord(n, residual, kappa, tau, theta, self.active, wall))
+
+    def solution(self, x, v_star, status, iterations, residual) -> Solution:
+        return Solution(x.copy(), v_star.copy(), status, iterations, residual, tuple(self.trace))
+
+
 def solve(
     problem: Problem,
     config: Optional[SolverConfig] = None,
@@ -513,57 +573,26 @@ def solve(
 ) -> Solution:
     """Run the block-activated iteration until the residual meets ``tol``.
 
-    The stopping test is ``kkt_residual`` without its two subspace terms,
-    which stay at roundoff: ``init_state`` puts x in the nonanticipative
-    subspace and v* in its complement, and every update keeps them there.
-    Its unit-step points of every row are passed on to ``iterate``.
+    The stopping test is ``kkt_residual`` without its two subspace terms
+    (``init_state`` puts x and v* in their subspaces, every update keeps
+    them there).  It runs before each step, so trace row n holds the
+    residual tested before step n, and its unit-step points of every row
+    are passed on to ``iterate``.
     """
     if config is None:
         config = SolverConfig()
     state = init_state(problem, config, x0, x0_star, v0_star)
-    probs = problem.tree.probabilities
-    trace = []
-    block, active = None, ()  # the last traced block, shared while it repeats
-    start = time.perf_counter()
+    recorder = _Recorder(config.trace_every, config.record_timing)
     while True:
-        points = _points(problem, state.x, state.x_star, state.v_star)
-        residual = float(np.sqrt(max(_fixed_point_sq(probs, state.x, points), 0.0)))
-        if residual <= config.tol:
-            status = SolveStatus.CONVERGED
-            break
-        if not math.isfinite(residual):
-            status = SolveStatus.NON_FINITE
-            break
-        if state.iteration >= config.max_iter:
-            status = SolveStatus.MAX_ITER
-            break
+        residual, points = _stop_residual(problem, state.x, state.x_star, state.v_star)
+        status = _status(residual, config.tol, state.iteration, config.max_iter)
+        if status is not None:
+            return recorder.solution(state.x, state.v_star, status, state.iteration, residual)
         n = state.iteration
         iterate(state, problem, config, points)
-        if n % config.trace_every == 0:
-            wall = (time.perf_counter() - start) * 1e3 if config.record_timing else 0.0
-            if not np.array_equal(block, state.active):
-                block, active = state.active, tuple(state.active.tolist())
-            trace.append(
-                TraceRecord(
-                    n=n,
-                    residual=residual,
-                    kappa=state.kappa,
-                    tau=state.tau,
-                    theta=state.theta,
-                    active=active,
-                    wall_ms=wall,
-                )
-            )
+        recorder.record(n, residual, state.active, state.kappa, state.tau, state.theta)
         if callback is not None:
             callback(state)
-    return Solution(
-        x_bar=state.x.copy(),
-        v_star_bar=state.v_star.copy(),
-        status=status,
-        iterations=state.iteration,
-        residual=residual,
-        trace=tuple(trace),
-    )
 
 
 def progressive_hedging_solve(
@@ -579,9 +608,10 @@ def progressive_hedging_solve(
     The full operator-plus-constraint resolvent (the stacked resolvent,
     then the stacked box projection) is applied to every scenario at
     ``x - gamma * v_star``; the primal averages back to the subspace, the
-    dual absorbs the residual part.  Stops on the same residual as the
-    block-activated solver, with the constraint multiplier recovered from
-    the resolvent identity.
+    dual absorbs the residual part.  Stops on the same residual as
+    ``solve``, with the constraint multiplier recovered from the resolvent
+    identity.  The test runs after each step, so trace row n holds the
+    residual after step n.  The settings are checked as in ``SolverConfig``.
     """
     if not gamma > 0:
         raise NonPositiveGamma(f"gamma must be positive, got {gamma}")
@@ -591,47 +621,20 @@ def progressive_hedging_solve(
     require_composite([g[0] for g in ops.groups], [g[0] for g in cons.groups])
     x = policy.zeros(tree)
     vs = policy.zeros(tree)
-    everyone = tuple(range(tree.num_scenarios))
-    trace = []
+    everyone = np.arange(tree.num_scenarios)
+    recorder = _Recorder(trace_every, record_timing)
     n = 0
-    start = time.perf_counter()
     while True:
         sub = project_constraint_rows(cons, resolvent_rows(ops, gamma, x - gamma * vs))
         implied = (x - sub) / gamma - vs - forward_rows(ops, sub)
         x = policy.project_nonanticipative(tree, sub)
         vs = vs + policy.project_nonanticipative_complement(tree, sub) / gamma
-        residual = kkt_residual(problem, x, implied, vs)
-        if n % trace_every == 0:
-            wall = (time.perf_counter() - start) * 1e3 if record_timing else 0.0
-            trace.append(
-                TraceRecord(
-                    n=n,
-                    residual=residual,
-                    kappa=float("nan"),
-                    tau=float("nan"),
-                    theta=float("nan"),
-                    active=everyone,
-                    wall_ms=wall,
-                )
-            )
+        residual, _ = _stop_residual(problem, x, implied, vs)
+        recorder.record(n, residual, everyone)
         n += 1
-        if residual <= tol:
-            status = SolveStatus.CONVERGED
-            break
-        if not math.isfinite(residual):
-            status = SolveStatus.NON_FINITE
-            break
-        if n >= max_iter:
-            status = SolveStatus.MAX_ITER
-            break
-    return Solution(
-        x_bar=x.copy(),
-        v_star_bar=vs.copy(),
-        status=status,
-        iterations=n,
-        residual=residual,
-        trace=tuple(trace),
-    )
+        status = _status(residual, tol, n, max_iter)
+        if status is not None:
+            return recorder.solution(x, vs, status, n, residual)
 
 
 def solve_reduced(

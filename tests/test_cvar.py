@@ -22,6 +22,7 @@ from scensplit.operators import (
     RealCross,
     SeparableQuadratic,
     WholeSpace,
+    cost_value,
 )
 from scensplit.solver import SolveStatus, Solution, SolverConfig
 from scensplit.tree import build_tree
@@ -227,6 +228,30 @@ def test_extract_solution_rejects_split_threshold():
             residual=0.0,
             trace=(),
         ))
+
+
+@pytest.mark.parametrize("d", [1, 3, 17])
+def test_extract_solution_objective_matches_per_cost_values(d):
+    rng = np.random.default_rng(41 + d)
+    tree = build_tree([((i,), 1.0 / 9) for i in range(9)], stage_dims=[d])
+    costs = tuple(
+        SeparableQuadratic(q=rng.uniform(0.0, 2.0, d), c=rng.normal(size=d), r=rng.normal())
+        if i % 2
+        else Affine(c=rng.normal(size=d), r=rng.normal())
+        for i in range(9)
+    )
+    aug = augment(CvarProblem(tree, 0.8, costs, (WholeSpace(),) * 9))
+    x = rng.normal(size=(9, d))
+    sol = Solution(
+        x_bar=np.hstack([np.full((9, 1), 0.25), x]),
+        v_star_bar=np.zeros((9, d + 1)),
+        status=SolveStatus.CONVERGED,
+        iterations=0,
+        residual=0.0,
+        trace=(),
+    )
+    losses = [cost_value(f, xi) for f, xi in zip(costs, x)]
+    assert extract_solution(aug, sol).objective == cvar_value(tree, 0.8, losses)
 
 
 def test_cvar_solution_container():

@@ -138,6 +138,38 @@ def test_schedule_validation():
         SeededRandom(block_size=1, cover_window=-1)
 
 
+@pytest.mark.parametrize(
+    "schedule, settings",
+    [
+        (RoundRobin, {"block_size": 1.5}),
+        (RoundRobin, {"block_size": "2"}),
+        (SeededRandom, {"block_size": 2.5}),
+        (SeededRandom, {"block_size": 2, "cover_window": 1.5}),
+        (SeededRandom, {"block_size": 2, "seed": 1.5}),
+        (SeededRandom, {"block_size": 2, "seed": -1}),
+    ],
+)
+def test_schedule_settings_must_be_integers(schedule, settings):
+    with pytest.raises(ConfigError):
+        schedule(**settings)
+
+
+def test_schedules_take_numpy_integers():
+    rng = np.random.default_rng(39)
+    prob = quadratic_box_instance(rng, random_tree(rng, 5, 2))
+    for plain, numpy_ints in (
+        (RoundRobin(block_size=2), RoundRobin(block_size=np.int64(2))),
+        (
+            SeededRandom(block_size=2, cover_window=3, seed=4),
+            SeededRandom(block_size=np.int32(2), cover_window=np.int64(3), seed=np.uint8(4)),
+        ),
+    ):
+        want = solve(prob, SolverConfig(schedule=plain, tol=1e-8))
+        got = solve(prob, SolverConfig(schedule=numpy_ints, tol=1e-8))
+        assert got.iterations == want.iterations
+        assert np.array_equal(got.x_bar, want.x_bar)
+
+
 # --- configuration ---
 
 def test_config_validation():
@@ -156,6 +188,8 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         SolverConfig(lambda_rule="fast")
     with pytest.raises(ConfigError):
+        SolverConfig(lambda_rule=[1.0, 1.0])  # lambda has no per-scenario form
+    with pytest.raises(ConfigError):
         SolverConfig(tol=-1.0)
     with pytest.raises(ConfigError):
         SolverConfig(max_iter=-1)
@@ -166,6 +200,56 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         SolverConfig(epsilon=float("nan"))
     SolverConfig(gamma=0.5, mu=2.0, lambda_rule=1.9, epsilon=0.05)
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [{"max_iter": 2.5}, {"max_iter": "3"}, {"trace_every": 1.5}, {"trace_every": 2.0}],
+)
+def test_integer_settings_must_be_integers(settings):
+    with pytest.raises(ConfigError):
+        SolverConfig(**settings)
+    with pytest.raises(ConfigError):
+        progressive_hedging_solve(pair_problem(), **settings)
+
+
+def test_integer_settings_take_numpy_integers():
+    prob = pair_problem()
+    want = solve(prob, SolverConfig(tol=1e-16, max_iter=5, trace_every=2))
+    got = solve(prob, SolverConfig(tol=1e-16, max_iter=np.int64(5), trace_every=np.int32(2)))
+    assert (got.status, got.iterations) == (SolveStatus.MAX_ITER, 5)
+    assert [r.n for r in got.trace] == [r.n for r in want.trace] == [0, 2, 4]
+    ph = progressive_hedging_solve(prob, tol=0.0, max_iter=np.int64(4), trace_every=np.int32(3))
+    assert (ph.status, ph.iterations) == (SolveStatus.MAX_ITER, 4)
+    assert [r.n for r in ph.trace] == [0, 3]
+
+
+@pytest.mark.parametrize("name", ["gamma", "mu", "lambda_rule"])
+@pytest.mark.parametrize(
+    "value, plain",
+    [
+        (np.float32(0.5), 0.5),
+        (np.float64(0.8), 0.8),
+        (np.int64(1), 1.0),
+        (np.array(1.25), 1.25),
+        (np.array([0.75])[0], 0.75),
+    ],
+)
+def test_numpy_scalar_steps_match_plain_floats(name, value, plain):
+    rng = np.random.default_rng(40)
+    prob = quadratic_box_instance(rng, random_tree(rng, 4, 2))
+    want = solve(prob, SolverConfig(tol=1e-8, **{name: plain}))
+    got = solve(prob, SolverConfig(tol=1e-8, **{name: value}))
+    assert got.status is SolveStatus.CONVERGED
+    assert got.iterations == want.iterations
+    assert np.array_equal(got.x_bar, want.x_bar)
+
+
+@pytest.mark.parametrize("name", ["gamma", "mu", "lambda_rule"])
+@pytest.mark.parametrize("value", ["fast", [[1.0]], np.ones((2, 2)), {"a": 1.0}, None])
+def test_step_rules_reject_other_values(name, value):
+    with pytest.raises(ConfigError):
+        SolverConfig(**{name: value})
 
 
 @pytest.mark.parametrize("name", ["gamma", "mu"])
@@ -523,6 +607,59 @@ def test_progressive_hedging_matches_block_solver():
     blk = solve(prob, SolverConfig(tol=1e-10))
     assert ph.status is SolveStatus.CONVERGED
     assert_allclose(ph.x_bar, blk.x_bar, atol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "seed, scenarios, stages, gamma, iterations",
+    [
+        (35, 4, 2, 1.0, 54),
+        (65, 6, 3, 1.0, 42),
+        (66, 8, 3, 0.5, 42),
+        (67, 8, 3, 2.0, 85),
+        (68, 10, 3, 1.0, 45),
+    ],
+)
+def test_progressive_hedging_iteration_counts(seed, scenarios, stages, gamma, iterations):
+    # exact counts: any change to the hedging step or its stopping test shows up here
+    rng = np.random.default_rng(seed)
+    prob = quadratic_box_instance(rng, random_tree(rng, scenarios, stages))
+    sol = progressive_hedging_solve(prob, gamma=gamma, tol=1e-9)
+    assert sol.status is SolveStatus.CONVERGED
+    assert sol.iterations == iterations
+
+
+def test_progressive_hedging_max_iter_status():
+    rng = np.random.default_rng(65)
+    prob = quadratic_box_instance(rng, random_tree(rng, 6, 3))
+    sol = progressive_hedging_solve(prob, tol=0.0, max_iter=3)
+    assert sol.status is SolveStatus.MAX_ITER
+    assert sol.iterations == 3
+    assert [r.n for r in sol.trace] == [0, 1, 2]
+
+
+def test_progressive_hedging_trace_sampling_and_timing():
+    rng = np.random.default_rng(65)
+    prob = quadratic_box_instance(rng, random_tree(rng, 6, 3))
+    full = progressive_hedging_solve(prob, tol=1e-9)
+    assert [r.n for r in full.trace] == list(range(full.iterations))
+    assert all(r.wall_ms == 0.0 for r in full.trace)
+    halved = progressive_hedging_solve(prob, tol=1e-9, trace_every=2)
+    assert halved.iterations == full.iterations
+    assert [(r.n, r.residual) for r in halved.trace] == [(r.n, r.residual) for r in full.trace[::2]]
+    timed = progressive_hedging_solve(prob, tol=1e-9, record_timing=True)
+    walls = [r.wall_ms for r in timed.trace]
+    assert all(w >= 0.0 for w in walls)
+    assert walls == sorted(walls)
+
+
+def test_progressive_hedging_stops_on_non_finite_residual():
+    # finite data whose resolvent overflows: the first step turns x infinite
+    prob = make_problem(pair_tree(), (DiagonalAffine(a=[0.0, 0.0], b=[1e308, 1e308]),) * 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = progressive_hedging_solve(prob, gamma=2.0, max_iter=50)
+    assert sol.status is SolveStatus.NON_FINITE
+    assert sol.iterations == 1
+    assert not np.isfinite(sol.residual)
 
 
 def test_progressive_hedging_rejects_unsupported():
