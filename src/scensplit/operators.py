@@ -456,18 +456,25 @@ def _pack(kind, specs) -> tuple:
     return ()
 
 
-def _resolvent_kernel(kind, coef, z, gamma, tol=1e-12):
+def _resolvent_kernel(kind, coef, z, gamma, start=None, tol=1e-12):
+    """Resolvent points of the rows; with a ``start`` column, (points, roots).
+
+    ``start`` holds one CVaR prox root per row to start from, and the roots
+    found come back in its place; rows without a root pass theirs through.
+    """
     if kind is DiagonalAffine:
         a, b = coef
-        return (z - gamma * b) / (1.0 + gamma * a)
+        out = (z - gamma * b) / (1.0 + gamma * a)
+        return out if start is None else (out, start)
     if kind is CvarAugmented:
         # with tau = gamma/(1 - alpha), the prox at (y, x) is (y - gamma + t*tau,
         # prox_{t*tau*f} x) for the root t of f(prox_{t*tau*f} x) - (y - gamma) - t*tau
         alpha, *cost = coef
         tau = gamma / (1.0 - alpha)
         shift = z[:, :1] - gamma
-        t, p = _prox_root(cost, z[:, 1:], tau, shift, tau, tol)
-        return np.hstack([shift + t * tau, p])
+        t, p = _prox_root(cost, z[:, 1:], tau, shift, tau, tol, start)
+        out = np.hstack([shift + t * tau, p])
+        return out if start is None else (out, t)
     raise TypeError(f"unknown operator spec {_kind_name(kind)}")
 
 
@@ -554,24 +561,37 @@ class Stack:
                     yield kind, pos, _take(coef, self.slot_of[rows[pos]])
 
 
-def _by_group(kernel, stack: Stack, rows, z, *columns) -> np.ndarray:
-    """Run ``kernel`` on each group's rows of z and of the per-row columns."""
+def _by_group(kernel, stack: Stack, rows, z, *columns):
+    """Run ``kernel`` on each group's rows of z and of the per-row columns.
+
+    A kernel may return a pair, its rows and one more per-row block; both
+    are then assembled in the order of z's rows.
+    """
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
+    out, more = np.empty_like(z), None
     for kind, pos, coef in stack.parts(rows):
         part = kernel(kind, coef, z[pos], *(c[pos] for c in columns))
         if isinstance(pos, slice):
             return part
+        if isinstance(part, tuple):
+            part, extra = part
+            if more is None:
+                more = np.empty((len(z),) + extra.shape[1:])
+            more[pos] = extra
         out[pos] = part
-    return out
+    return out if more is None else (out, more)
 
 
-def resolvent_rows(stack: Stack, gamma, z, rows=None) -> np.ndarray:
+def resolvent_rows(stack: Stack, gamma, z, rows=None, start=None):
     """Resolvents of the scenarios ``rows`` at the rows of z.
 
-    ``gamma`` is a number or one positive step per row.
+    ``gamma`` is a number or one positive step per row.  ``start``, a (k, 1)
+    column of CVaR prox roots in [0, 1], warm-starts the prox of the
+    CvarAugmented rows; the return value is then (points, roots), the roots
+    of the other rows being their starts.
     """
-    return _by_group(_resolvent_kernel, stack, rows, z, step_column(gamma, len(z)))
+    columns = (step_column(gamma, len(z)),) + (() if start is None else (start,))
+    return _by_group(_resolvent_kernel, stack, rows, z, *columns)
 
 
 def forward_rows(stack: Stack, x, rows=None) -> np.ndarray:
@@ -647,49 +667,72 @@ def project_subspace(us: SubspaceSpec, z) -> np.ndarray:
 # proximity operators for the risk-averse pipeline
 # ---------------------------------------------------------------------------
 
-def _prox_root(cost, x, scale, shift, slope, tol):
+def _prox_root(cost, x, scale, shift, slope, tol, start=None):
     """Root t in [0, 1] of h(t) = f(prox_{t*scale*f} x) - shift - t*slope, per row.
 
-    A row with h(0) < 0 takes t = 0, else a row with h(1) > 0 takes t = 1;
-    the others run Newton's method together from t = 0.  With a = q,
-    b = l - q*c and den = 1 + t*scale*a, the prox point p has
+    With a = q, b = l - q*c and den = 1 + t*scale*a, the prox point p has
     g = a*p + b = (a*x + b) / den and h'(t) = -scale * sum(g^2 / den) - slope,
-    so h is convex and nonincreasing and no step passes the root.  A row
-    stops on its own after a step of at most ``tol`` or one that left t
-    unchanged (200 steps at most), a linear row (a = 0) after its first,
-    exact step; a zero derivative gives a zero step.  ``scale``, ``shift``
-    and ``slope`` are numbers or (k, 1) columns.  Returns t and the prox
-    points at t.
+    so h is convex and nonincreasing, and Newton's method runs for all rows
+    together.  A zero derivative needs slope = 0 and g = 0, and g = 0 then
+    holds for every t, so h is constant there: the cold search takes a zero
+    step, the warm one steps to the end of [0, 1] that h's sign points to.
+
+    Cold (``start`` None): a row with h(0) < 0 takes t = 0, else a row with
+    h(1) > 0 takes t = 1; the others climb from t = 0, where no step passes
+    the root.
+
+    Warm: ``start``, a (k, 1) column in [0, 1], replaces the h(0)/h(1)
+    bracket.  Each iterate is clipped into [0, 1], which reproduces the
+    bracket's t = 0 and t = 1.  From a start right of the root the first
+    step lands left of it, and the climb is monotone from there.
+
+    A row stays live after its first step while |step| > ``tol``, after a
+    later one while step > ``tol`` (from the left, a step back is roundoff
+    around the root, where |step| could oscillate), and only while its t
+    moved, 200 steps at most; a cold first step is never negative, so the
+    rule is the same for both.  A linear row (a = 0) stops after its first,
+    exact step.  ``scale``, ``shift`` and ``slope`` are numbers or (k, 1)
+    columns.  Returns t and the prox points at t.
     """
     q, c, l, r = cost
     b = l - q * c
     scale, shift, slope = (step_column(v, len(x)) for v in (scale, shift, slope))
     args = (q, b, c, l, r, x, scale, shift, slope)
-
-    def h(t, a, b, c, l, r, x, scale, shift, slope):
-        p = _resolvent_kernel(DiagonalAffine, (a, b), x, t * scale)
-        return _cost_rows((a, c, l, r), p) - shift - t * slope
-
-    value = h(0.0, *args)
-    t = np.where(value < 0.0, 0.0, 1.0)
-    todo = np.flatnonzero((t > 0.0) & ~(h(1.0, *args) > 0.0))
-    if todo.size:
-        sub = tuple(v[todo] for v in args)
-        a, b_sub, _, _, _, x_sub, s, _, m = sub
-        root, value = np.zeros((todo.size, 1)), value[todo]
-        live, curved = np.ones_like(root, dtype=bool), a.any(axis=1, keepdims=True)
-        for _ in range(200):
-            den = 1.0 + (root * s) * a
-            g = (a * x_sub + b_sub) / den
-            drop = s * (g * g / den).sum(axis=1, keepdims=True) + m  # -h'(root)
-            step = np.divide(value, drop, out=np.zeros_like(value), where=drop > 0.0)
-            root, last = np.where(live, root + step, root), root
-            live &= (step > tol) & (root != last) & curved
-            if not live.any():
-                break
-            value = h(root, *sub)
-        t[todo] = root
+    if start is None:
+        value = _root_value(0.0, *args)
+        t = np.where(value < 0.0, 0.0, 1.0)
+        todo = np.flatnonzero((t > 0.0) & ~(_root_value(1.0, *args) > 0.0))
+        if todo.size:
+            sub = tuple(v[todo] for v in args)
+            t[todo] = _newton(sub, np.zeros((todo.size, 1)), value[todo], tol, False)
+    else:
+        t = _newton(args, start, _root_value(start, *args), tol, True)
     return t, _resolvent_kernel(DiagonalAffine, (q, b), x, t * scale)
+
+
+def _root_value(t, a, b, c, l, r, x, scale, shift, slope):
+    """h(t) of ``_prox_root`` for the rows of its arguments."""
+    p = _resolvent_kernel(DiagonalAffine, (a, b), x, t * scale)
+    return _cost_rows((a, c, l, r), p) - shift - t * slope
+
+
+def _newton(args, root, value, tol, warm):
+    """Newton's method for ``_prox_root`` from ``root``, where h is ``value``."""
+    a, b, _, _, _, x, s, _, m = args
+    live, curved = np.ones_like(root, dtype=bool), a.any(axis=1, keepdims=True)
+    for i in range(200):
+        den = 1.0 + (root * s) * a
+        g = (a * x + b) / den
+        drop = s * (g * g / den).sum(axis=1, keepdims=True) + m  # -h'(root)
+        flat = np.sign(value) if warm else np.zeros_like(value)
+        step = np.divide(value, drop, out=flat, where=drop > 0.0)
+        moved = np.clip(root + step, 0.0, 1.0) if warm else root + step
+        root, last = np.where(live, moved, root), root
+        live &= ((np.abs(step) if i == 0 else step) > tol) & (root != last) & curved
+        if not live.any():
+            break
+        value = _root_value(root, *args)
+    return root
 
 
 def prox_max_nonneg(f: CostSpec, gamma: float, x, tol: float = 1e-12) -> np.ndarray:
@@ -720,7 +763,7 @@ def prox_cvar_augmented(
     if not tol > 0:
         raise ToleranceError(f"root tolerance {tol} must be positive")
     z = np.concatenate(([float(y)], _checked(f, x)))
-    out = _one_row(_resolvent_kernel, op, z, gamma, tol)
+    out = _one_row(_resolvent_kernel, op, z, gamma, None, tol)
     return float(out[0]), out[1:]
 
 

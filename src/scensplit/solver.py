@@ -13,7 +13,7 @@ import enum
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union, get_args
 
 import numpy as np
 
@@ -199,7 +199,7 @@ class SolverConfig:
     ``ConfigError``.  Values outside the admissible intervals raise instead
     of being clamped: numbers and sequences here, a callable's values each
     time it is called.  ``max_iter`` and ``trace_every`` must be integers,
-    numpy integers included.
+    numpy integers included, and ``schedule`` one of the three schedules.
     """
 
     epsilon: float = 1e-3
@@ -216,6 +216,11 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ConfigError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+        if not isinstance(self.schedule, get_args(ActivationSchedule)):
+            raise ConfigError(
+                "schedule must be a FullActivation, RoundRobin or SeededRandom, "
+                f"got {self.schedule!r}"
+            )
         _check_stopping(self.tol, self.max_iter, self.trace_every)
         lo, hi = self.epsilon, 1.0 / self.epsilon
         steps = {
@@ -283,7 +288,9 @@ class SolverState:
     ``op_point``/``op_dual`` come from the operator resolvent, ``set_point``
     /``set_dual`` from the constraint projection, ``gap`` is the activation
     subspace's view of their mismatch.  Rows of inactive scenarios are kept
-    bitwise unchanged between activations.
+    bitwise unchanged between activations.  ``root`` is an (N, 1) column
+    holding each scenario's last CVaR prox root, where the next root search
+    of a ``CvarAugmented`` scenario starts (other scenarios ignore theirs).
     """
 
     iteration: int
@@ -296,6 +303,7 @@ class SolverState:
     set_dual: np.ndarray
     gap: np.ndarray
     last_activated: np.ndarray
+    root: np.ndarray
     rng: Optional[np.random.Generator] = None
     active: np.ndarray = field(default_factory=lambda: np.arange(0))
     kappa: float = 0.0
@@ -366,6 +374,7 @@ def init_state(problem: Problem, config: SolverConfig, x0=None, x0_star=None, v0
         set_dual=np.zeros((n, d)),
         gap=np.zeros((n, d)),
         last_activated=np.full(n, -1, dtype=int),
+        root=np.zeros((n, 1)),
         rng=rng,
     )
 
@@ -394,16 +403,21 @@ def scenario_update(state: SolverState, problem: Problem, scenarios, gamma, mu):
     return tuple(a[0] for a in out) if np.ndim(scenarios) == 0 else out
 
 
-def _points(problem: Problem, x, x_star, v_star, gamma=1.0, mu=1.0, rows=None) -> tuple:
+def _points(
+    problem: Problem, x, x_star, v_star, gamma=1.0, mu=1.0, rows=None, start=None
+) -> tuple:
     """The refresh's resolvent and projection points of ``rows`` (None: all).
 
     ``J_A(x - gamma (x* + v*))`` and ``P_C(x + mu x*)``; at unit steps they
-    give the two fixed-point terms of ``kkt_residual``.
+    give the two fixed-point terms of ``kkt_residual``.  With ``start``, the
+    rows' CVaR root starts, the roots found follow as a third entry.
     """
-    return (
-        resolvent_rows(problem.operator_stack, gamma, x - gamma * (x_star + v_star), rows),
-        project_constraint_rows(problem.constraint_stack, x + mu * x_star, rows),
-    )
+    z = x - gamma * (x_star + v_star)
+    projected = project_constraint_rows(problem.constraint_stack, x + mu * x_star, rows)
+    if start is None:
+        return resolvent_rows(problem.operator_stack, gamma, z, rows), projected
+    resolved, roots = resolvent_rows(problem.operator_stack, gamma, z, rows, start)
+    return resolved, projected, roots
 
 
 def _intermediates(state, problem, rows, gamma, mu, op_point, set_point) -> tuple:
@@ -517,13 +531,14 @@ def kkt_residual(problem: Problem, x, x_star, v_star) -> float:
 # drivers
 # ---------------------------------------------------------------------------
 
-def _stop_residual(problem: Problem, x, x_star, v_star) -> tuple:
+def _stop_residual(problem: Problem, x, x_star, v_star, start=None) -> tuple:
     """``kkt_residual`` without its two subspace terms, and the unit-step points.
 
     ``solve`` and the hedging loop keep x in the nonanticipative subspace
-    and v* in its complement, so the dropped terms are roundoff.
+    and v* in its complement, so the dropped terms are roundoff.  The points
+    are those of ``_points``, CVaR roots included when ``start`` is given.
     """
-    points = _points(problem, x, x_star, v_star)
+    points = _points(problem, x, x_star, v_star, start=start)
     total = _fixed_point_sq(problem.tree.probabilities, x, points)
     return float(np.sqrt(max(total, 0.0))), points
 
@@ -577,14 +592,18 @@ def solve(
     (``init_state`` puts x and v* in their subspaces, every update keeps
     them there).  It runs before each step, so trace row n holds the
     residual tested before step n, and its unit-step points of every row
-    are passed on to ``iterate``.
+    are passed on to ``iterate``.  Its CVaR prox roots start from
+    ``state.root`` and are kept there as the next starts.
     """
     if config is None:
         config = SolverConfig()
     state = init_state(problem, config, x0, x0_star, v0_star)
     recorder = _Recorder(config.trace_every, config.record_timing)
     while True:
-        residual, points = _stop_residual(problem, state.x, state.x_star, state.v_star)
+        residual, points = _stop_residual(
+            problem, state.x, state.x_star, state.v_star, state.root
+        )
+        state.root = points[2]
         status = _status(residual, config.tol, state.iteration, config.max_iter)
         if status is not None:
             return recorder.solution(state.x, state.v_star, status, state.iteration, residual)
@@ -611,7 +630,8 @@ def progressive_hedging_solve(
     dual absorbs the residual part.  Stops on the same residual as
     ``solve``, with the constraint multiplier recovered from the resolvent
     identity.  The test runs after each step, so trace row n holds the
-    residual after step n.  The settings are checked as in ``SolverConfig``.
+    residual after step n; ``max_iter=0`` takes no step and tests the start,
+    x = v* = 0 with x* = 0.  The settings are checked as in ``SolverConfig``.
     """
     if not gamma > 0:
         raise NonPositiveGamma(f"gamma must be positive, got {gamma}")
@@ -623,6 +643,9 @@ def progressive_hedging_solve(
     vs = policy.zeros(tree)
     everyone = np.arange(tree.num_scenarios)
     recorder = _Recorder(trace_every, record_timing)
+    if max_iter == 0:
+        residual, _ = _stop_residual(problem, x, policy.zeros(tree), vs)
+        return recorder.solution(x, vs, _status(residual, tol, 0, 0), 0, residual)
     n = 0
     while True:
         sub = project_constraint_rows(cons, resolvent_rows(ops, gamma, x - gamma * vs))

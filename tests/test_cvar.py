@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from scensplit import policy
+from scensplit import operators, policy
 from scensplit.cvar import (
     AugmentedProblem,
     CvarProblem,
@@ -24,7 +24,7 @@ from scensplit.operators import (
     WholeSpace,
     cost_value,
 )
-from scensplit.solver import SolveStatus, Solution, SolverConfig
+from scensplit.solver import RoundRobin, SolveStatus, Solution, SolverConfig
 from scensplit.tree import build_tree
 
 
@@ -191,6 +191,54 @@ def test_solve_cvar_affine_boundary_solution():
     assert_allclose(sol.x_bar, [[1.0], [1.0]], atol=1e-4)
     assert sol.y_bar == pytest.approx(-1.0, abs=1e-4)
     assert sol.objective == pytest.approx(-0.1, abs=1e-4)
+
+
+def _risk_problem(seed, n=8, d=2):
+    # two stages of d decisions, one shared first-stage class, every 4th cost affine
+    rng = np.random.default_rng(seed)
+    probs = rng.uniform(0.5, 1.5, n)
+    probs /= probs.sum()
+    tree = build_tree([((0, i), float(p)) for i, p in enumerate(probs)], stage_dims=[d, d])
+    costs = [
+        Affine(c=rng.uniform(-1, 1, 2 * d), r=float(rng.uniform(-1, 1)))
+        if i % 4 == 3
+        else SeparableQuadratic(
+            q=rng.uniform(0.5, 2, 2 * d),
+            c=rng.uniform(-1.5, 1.5, 2 * d),
+            r=float(rng.uniform(-1, 1)),
+        )
+        for i in range(n)
+    ]
+    return CvarProblem(tree, 0.8, costs, (Box(lo=[-1.0] * 2 * d, hi=[1.0] * 2 * d),) * n)
+
+
+@pytest.mark.parametrize(
+    "config, iterations, saved",
+    [
+        (SolverConfig(tol=1e-6), 117, 0.5),
+        # steps of 0.7 refresh the block cold, only the stopping test starts warm
+        (SolverConfig(tol=1e-6, gamma=0.7, schedule=RoundRobin(block_size=3)), 291, 0.6),
+    ],
+)
+def test_solve_cvar_warm_root_keeps_the_cold_solve(monkeypatch, config, iterations, saved):
+    cp = _risk_problem(1)
+    calls = []
+    cost_rows = operators._cost_rows
+    monkeypatch.setattr(operators, "_cost_rows", lambda *a: calls.append(1) or cost_rows(*a))
+    warm = solve_cvar(cp, config)
+    warm_calls = len(calls)
+    again = solve_cvar(cp, config)
+    assert np.array_equal(again.x_bar, warm.x_bar)
+    assert again.inner.trace == warm.inner.trace
+    # without its start column the root search is the cold one, bit for bit
+    prox_root = operators._prox_root
+    monkeypatch.setattr(operators, "_prox_root", lambda *a: prox_root(*a[:6]))
+    calls.clear()
+    cold = solve_cvar(cp, config)
+    assert warm.inner.status is cold.inner.status is SolveStatus.CONVERGED
+    assert warm.inner.iterations == cold.inner.iterations == iterations
+    assert_allclose(warm.x_bar, cold.x_bar, rtol=0, atol=1e-12)
+    assert warm_calls <= saved * len(calls)
 
 
 def test_solve_cvar_objective_is_recomputed():

@@ -546,6 +546,61 @@ def test_root_tolerance_below_one_ulp_stops(monkeypatch):
     assert_allclose(fine, coarse, rtol=0, atol=4e-15)
 
 
+def _warm_root(costs, x, args, start, tol=1e-12):
+    return _prox_root(_pack_costs(costs), np.asarray(x, float), *args, tol, start)[0][:, 0]
+
+
+@pytest.mark.parametrize("prox", ["max_nonneg", "cvar"])
+@pytest.mark.parametrize("d", [1, 2, 5, 12])
+def test_warm_root_matches_cold_root(prox, d):
+    # the row sets of test_root_on_quadratic_rows_matches_bisection
+    rng = np.random.default_rng(43 + d)
+    k = 40
+    costs = _random_quadratics(rng, k, d)
+    x = rng.uniform(-3, 3, (k, d))
+    args = _root_args(rng, k, prox)
+    cold = _root(costs, x, args)
+    clamped = (cold == 0.0) | (cold == 1.0)
+    assert (cold == 0.0).any() and (cold == 1.0).any() and not clamped.all()
+    for start in (np.zeros((k, 1)), np.ones((k, 1)), *rng.uniform(0, 1, (3, k, 1))):
+        warm = _warm_root(costs, x, args, start)
+        assert_allclose(warm, cold, rtol=0, atol=1e-12)
+        # the clip lands clamped rows on the bracket's end exactly
+        assert_array_equal(warm[clamped], cold[clamped])
+
+
+def test_warm_root_tolerance_below_one_ulp_stops(monkeypatch):
+    rng = np.random.default_rng(47)
+    k = 40
+    costs = _random_quadratics(rng, k, 5)
+    x = rng.uniform(-3, 3, (k, 5))
+    args = _root_args(rng, k, "cvar")
+    coarse = _root(costs, x, args)
+    assert (coarse < 1.0).sum() >= 20
+    calls = []
+    cost_rows = operators._cost_rows
+    monkeypatch.setattr(operators, "_cost_rows", lambda *a: calls.append(1) or cost_rows(*a))
+    # t = 1 is right of every root below it: the first step crosses the
+    # root, and roundoff around it must not keep the rows live
+    fine = _warm_root(costs, x, args, np.ones((k, 1)), tol=1e-300)
+    assert len(calls) <= 60
+    assert_allclose(fine, coarse, rtol=0, atol=4e-15)
+
+
+def test_warm_root_on_constant_rows():
+    # g = 0 at every t, so h is constant and its sign picks the end of [0, 1]
+    costs = [Affine(c=[0.0, 0.0], r=0.5), Affine(c=[0.0, 0.0], r=-0.5),
+             SeparableQuadratic(q=[1.0, 2.0], c=[0.3, -0.1], r=2.0),
+             SeparableQuadratic(q=[1.0, 2.0], c=[0.3, -0.1], r=-2.0)]
+    x = np.array([[1.0, -1.0], [1.0, -1.0], [0.3, -0.1], [0.3, -0.1]])
+    args = (np.ones((4, 1)), np.zeros((4, 1)), np.zeros((4, 1)))
+    cold = _root(costs, x, args)
+    assert_array_equal(cold, [1.0, 0.0, 1.0, 0.0])
+    for start in (0.0, 0.4, 1.0):
+        with np.errstate(all="raise"):
+            assert_array_equal(_warm_root(costs, x, args, np.full((4, 1), start)), cold)
+
+
 @pytest.mark.parametrize("f", [Affine(c=[0.0, 0.0], r=0.0), SeparableQuadratic(q=[0.0], c=[1.0])])
 def test_constant_cost_root_leaves_x(f):
     x = np.full(f.dim, 0.7)

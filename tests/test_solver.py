@@ -202,6 +202,13 @@ def test_config_validation():
     SolverConfig(gamma=0.5, mu=2.0, lambda_rule=1.9, epsilon=0.05)
 
 
+@pytest.mark.parametrize("schedule", ["round-robin", None, RoundRobin, [FullActivation()]])
+def test_config_rejects_unknown_schedules(schedule):
+    # refused at construction, not at the first ``select`` of a solve
+    with pytest.raises(ConfigError, match="schedule must be"):
+        SolverConfig(schedule=schedule)
+
+
 @pytest.mark.parametrize(
     "settings",
     [{"max_iter": 2.5}, {"max_iter": "3"}, {"trace_every": 1.5}, {"trace_every": 2.0}],
@@ -635,6 +642,22 @@ def test_progressive_hedging_max_iter_status():
     assert sol.status is SolveStatus.MAX_ITER
     assert sol.iterations == 3
     assert [r.n for r in sol.trace] == [0, 1, 2]
+
+
+def test_progressive_hedging_zero_budget_takes_no_step():
+    rng = np.random.default_rng(65)
+    prob = quadratic_box_instance(rng, random_tree(rng, 6, 3))
+    sol = progressive_hedging_solve(prob, max_iter=0)
+    zeros = np.zeros_like(sol.x_bar)
+    assert (sol.status, sol.iterations, sol.trace) == (SolveStatus.MAX_ITER, 0, ())
+    assert sol.residual == kkt_residual(prob, zeros, zeros, zeros) > 0.0
+    assert np.array_equal(sol.x_bar, zeros) and np.array_equal(sol.v_star_bar, zeros)
+    # the same answer as ``solve`` from the same start, also where it meets tol
+    for tol in (1e-8, 1e9):
+        ph = progressive_hedging_solve(prob, tol=tol, max_iter=0)
+        sv = solve(prob, SolverConfig(tol=tol, max_iter=0))
+        assert (ph.status, ph.iterations, ph.residual) == (sv.status, sv.iterations, sv.residual)
+    assert ph.status is SolveStatus.CONVERGED
 
 
 def test_progressive_hedging_trace_sampling_and_timing():

@@ -5,7 +5,7 @@ several groups; blocks come in unsorted order and leave whole groups out.
 """
 import numpy as np
 import pytest
-from numpy.testing import assert_array_equal
+from numpy.testing import assert_allclose, assert_array_equal
 
 from scensplit.operators import (
     Affine,
@@ -116,6 +116,26 @@ def test_resolvent_rows_match_single_rows(problem, rows):
     # a number stands for one step on every row
     got = resolvent_rows(problem.operator_stack, 0.7, z, rows)
     assert_array_equal(got, [resolvent(problem.operators[i], 0.7, zi) for i, zi in zip(rows, z)])
+
+
+@pytest.mark.parametrize("rows", [None, BLOCKS[2]])
+def test_resolvent_rows_hand_back_the_roots(problem, rows):
+    # a start column warm-starts the CvarAugmented rows and passes the others' through
+    rng = np.random.default_rng(80)
+    ids = np.arange(N) if rows is None else rows
+    k = ids.size
+    z = 2.0 * rng.standard_normal((k, D))
+    gamma = rng.uniform(0.2, 3.0, k)
+    start = rng.uniform(0.0, 1.0, (k, 1))
+    got, roots = resolvent_rows(problem.operator_stack, gamma, z, rows, start)
+    assert_allclose(got, resolvent_rows(problem.operator_stack, gamma, z, rows), rtol=0, atol=1e-12)
+    risk = ids % 4 >= 2  # mixed_problem's CvarAugmented rows
+    assert_array_equal(roots[~risk], start[~risk])
+    assert np.all(roots[risk] != start[risk]) and np.all((0.0 <= roots) & (roots <= 1.0))
+    # started at its own roots, the search stays there
+    again, same = resolvent_rows(problem.operator_stack, gamma, z, rows, roots)
+    assert_allclose(same, roots, rtol=0, atol=1e-12)
+    assert_allclose(again, got, rtol=0, atol=1e-12)
 
 
 def _random_costs(rng, k, d):
