@@ -9,7 +9,6 @@ runs are deterministic for fixed inputs, flags and seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import dataclass
@@ -210,48 +209,91 @@ def load_problem_file(path: str) -> ProblemBundle:
 # writing
 # ---------------------------------------------------------------------------
 
+def _trace_row(r) -> str:
+    """One trace record as a CSV line, fields in ``TRACE_HEADER`` order."""
+    return (
+        f"{r.n},{float(r.residual)!r},{float(r.kappa)!r},{float(r.tau)!r},"
+        f"{float(r.theta)!r},{r.active_block_size},{float(r.wall_ms)!r}\r\n"
+    )
+
+
 def write_trace_csv(path: str, trace):
+    """Write ``TRACE_HEADER`` and one row per record, in one write.
+
+    Every field is an int or a float ``repr``, so none needs quoting, and
+    lines end in CRLF: the bytes the default ``csv`` dialect writes.
+    """
+    text = ",".join(TRACE_HEADER) + "\r\n" + "".join(map(_trace_row, trace))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(TRACE_HEADER)
-        for r in trace:
-            w.writerow(
-                [
-                    r.n,
-                    repr(float(r.residual)),
-                    repr(float(r.kappa)),
-                    repr(float(r.tau)),
-                    repr(float(r.theta)),
-                    r.active_block_size,
-                    repr(float(r.wall_ms)),
-                ]
-            )
+        fh.write(text)
+
+
+def _json_block(items: list, indent: int, brackets: str = "[]") -> str:
+    """Rendered ``items`` laid out as ``json.dumps(..., indent=2)`` lays out a list.
+
+    The block sits ``indent`` levels deep; ``brackets="{}"`` lays out an
+    object whose items are rendered ``"key": value`` fields.
+    """
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (indent + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * indent + brackets[1]
+
+
+def _float_renderer(values):
+    """json's rendering of the floats in ``values``: ``repr`` when all are finite.
+
+    Otherwise ``json.dumps``, which also writes the NaN, Infinity and
+    -Infinity tokens.
+    """
+    return float.__repr__ if np.isfinite(values).all() else json.dumps
+
+
+def _label(v) -> str:
+    """One label as json writes it inside a scenario's ``labels`` list."""
+    if type(v) is int:
+        return int.__repr__(v)
+    # json.dumps keeps a str, float or bool on one line; the lines of a
+    # nested (tuple) label, which a tree built in Python may hold, move to
+    # the depth of the labels list
+    return json.dumps(v, indent=2).replace("\n", "\n        ")
 
 
 def _write_solution(path: str, tree: ScenarioTree, sol: Solution, header: dict, arrays: dict):
     """Write the run's status, ``header``, then one entry per scenario.
 
     ``arrays`` maps a key to an (N, d) array; each scenario entry holds its
-    labels, its probability and its row of every array.
+    labels, its probability and its row of every array.  The text is that
+    of ``json.dump(doc, fh, indent=2)`` plus a newline.  It is written one
+    scenario entry at a time, so the whole text is never held in memory.
     """
-    lists = {key: arr.tolist() for key, arr in arrays.items()}
-    doc = {
+    head = {
         "status": sol.status.value,
         "iterations": sol.iterations,
         "residual": float(sol.residual),
         **header,
-        "scenarios": [
-            {
-                "labels": list(s.labels),
-                "probability": float(s.probability),
-                **{key: rows[s.index] for key, rows in lists.items()},
-            }
-            for s in tree.scenarios
-        ],
     }
+    probs = [float(s.probability) for s in tree.scenarios]
+    prob = _float_renderer(probs)
+    columns = [
+        (json.dumps(key) + ": ", arr.tolist(), _float_renderer(arr))
+        for key, arr in arrays.items()
+    ]
+    fields = [f"{json.dumps(k)}: {json.dumps(v)}" for k, v in head.items()]
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        # a tree has at least one scenario, so the list is never empty
+        fh.write("{\n  " + ",\n  ".join([*fields, '"scenarios": [']))
+        for i, (s, p) in enumerate(zip(tree.scenarios, probs)):
+            entry = [
+                '"labels": ' + _json_block([_label(v) for v in s.labels], 3),
+                '"probability": ' + prob(p),
+                *(
+                    name + _json_block(list(map(render, rows[s.index])), 3)
+                    for name, rows, render in columns
+                ),
+            ]
+            fh.write(("," if i else "") + "\n    " + _json_block(entry, 2, "{}"))
+        fh.write("\n  ]\n}\n")
 
 
 def write_solution_file(path: str, tree: ScenarioTree, sol: Solution):

@@ -71,37 +71,47 @@ class GridSpec:
 
 
 def _grid_search(fun, spec: GridSpec, extra=None):
-    """Minimize fun over the box by refined dense evaluation.
+    """Minimize an objective over the box by refined dense evaluation.
 
-    ``fun`` maps an (M, dim) array to M values.  Each round shrinks the box
-    tenfold around the incumbent (clipped to the original bounds), so the
-    incumbent value never increases across rounds.  ``extra``, when given,
-    maps the current window (lo, hi) to additional candidate rows inside it;
-    callers use it to sample kink curves that a rectangular mesh straddles.
+    ``fun`` maps the axes of a round (``dim`` 1-d coordinate arrays) to the
+    objective on their mesh, in ``meshgrid(*axes, indexing="ij")`` ravel
+    order.  Each round shrinks the box tenfold around the incumbent (clipped
+    to the original bounds), so the incumbent value never increases across
+    rounds.  ``extra``, when given, maps the current window (lo, hi) to
+    ``(rows, values)``: more candidate points inside it and their objective
+    values, ranked after the mesh; callers use it to sample kink curves
+    that a rectangular mesh straddles.
     """
     lo = spec.lower.copy()
     hi = spec.upper.copy()
+    shape = (spec.points,) * spec.dim
+    mesh_size = spec.points**spec.dim
     best_point = None
     best_value = np.inf
     for _ in range(spec.rounds + 1):
         axes = [np.linspace(lo[j], hi[j], spec.points) for j in range(spec.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        vals = np.asarray(fun(axes), dtype=float).ravel()
         if extra is not None:
-            more = np.asarray(extra(lo, hi), dtype=float).reshape(-1, spec.dim)
-            if more.size:
-                pts = np.concatenate([pts, more], axis=0)
-        vals = np.asarray(fun(pts), dtype=float)
+            more, more_vals = extra(lo, hi)
+            vals = np.concatenate([vals, more_vals])
         at = int(np.argmin(vals))
         if vals[at] < best_value:
             best_value = float(vals[at])
-            best_point = pts[at].copy()
+            if at < mesh_size:
+                best_point = np.array([a[i] for a, i in zip(axes, np.unravel_index(at, shape))])
+            else:
+                best_point = more[at - mesh_size].copy()
         if best_point is None:
             raise UnsupportedInstance("objective is infinite on the whole grid")
         width = (hi - lo) / 10.0
         lo = np.maximum(spec.lower, best_point - width / 2.0)
         hi = np.minimum(spec.upper, best_point + width / 2.0)
     return best_point, best_value
+
+
+def _mesh_rows(axes) -> np.ndarray:
+    """The points of the axes' mesh as rows, in ``_grid_search`` order."""
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
 
 def _eval_cost_many(f, pts: np.ndarray) -> np.ndarray:
@@ -121,7 +131,8 @@ def oracle_prox_grid(f, gamma: float, x: float, grid: GridSpec, positive_part: b
         raise UnsupportedInstance("the prox oracle handles one-dimensional costs")
     x = float(x)
 
-    def objective(pts):
+    def objective(axes):
+        pts = _mesh_rows(axes)
         fv = _eval_cost_many(f, pts)
         penal = np.maximum(fv, 0.0) if positive_part else fv
         return gamma * penal + 0.5 * (pts[:, 0] - x) ** 2
@@ -142,12 +153,16 @@ def oracle_prox_cvar_grid(f, alpha: float, gamma: float, y: float, x: float, gri
     x = float(x)
     scale = 1.0 / (1.0 - alpha)
 
-    def objective(pts):
-        thr = pts[:, 0]
-        dec = pts[:, 1:2]
-        fv = _eval_cost_many(f, dec)
+    def objective(thr, dec, fv):
+        # elementwise, so it serves the broadcast mesh and the kink rows alike
         risk = thr + scale * np.maximum(fv - thr, 0.0)
-        return gamma * risk + 0.5 * ((thr - y) ** 2 + (dec[:, 0] - x) ** 2)
+        return gamma * risk + 0.5 * ((thr - y) ** 2 + (dec - x) ** 2)
+
+    def on_mesh(axes):
+        # the cost depends on the decision axis only: one value per column
+        thr, dec = axes
+        fv = _eval_cost_many(f, dec[:, None])
+        return objective(thr[:, None], dec[None, :], fv[None, :])
 
     def kink_candidates(lo, hi):
         # minimizers frequently sit on the curve f(dec) = thr, which the
@@ -156,9 +171,10 @@ def oracle_prox_cvar_grid(f, alpha: float, gamma: float, y: float, x: float, gri
         dec = np.linspace(lo[1], hi[1], grid.points)
         thr = _eval_cost_many(f, dec[:, None])
         keep = (thr >= lo[0]) & (thr <= hi[0])
-        return np.stack([thr[keep], dec[keep]], axis=-1)
+        thr, dec = thr[keep], dec[keep]
+        return np.stack([thr, dec], axis=-1), objective(thr, dec, thr)
 
-    point, _ = _grid_search(objective, grid, extra=kink_candidates)
+    point, _ = _grid_search(on_mesh, grid, extra=kink_candidates)
     return float(point[0]), float(point[1])
 
 
@@ -277,7 +293,8 @@ def oracle_cvar_small(cp: CvarProblem, grid: GridSpec):
     if grid.dim != len(fcs):
         raise BadGrid(f"grid has {grid.dim} axes, instance has {len(fcs)} free coordinates")
 
-    def objective(pts):
+    def objective(axes):
+        pts = _mesh_rows(axes)
         # policies of all candidates at once: (rows, scenarios, total_dim)
         x = np.empty((pts.shape[0], tree.num_scenarios, tree.total_dim))
         for j, (members, col) in enumerate(fcs):

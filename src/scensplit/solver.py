@@ -156,7 +156,7 @@ class SeededRandom:
     A scenario inactive for ``cover_window`` iterations is put into the
     block first; the remaining slots are filled uniformly without
     replacement.  Fully deterministic for a fixed seed.  All three settings
-    are integers (numpy integers included).
+    are integers (numpy integers included, bools not).
     """
 
     block_size: int = 1
@@ -171,10 +171,13 @@ class SeededRandom:
     def select(self, n, num_scenarios, last_activated, rng) -> np.ndarray:
         if n == 0:
             return np.arange(num_scenarios)
-        overdue = np.flatnonzero(last_activated <= n - self.cover_window - 1)
-        rest = np.setdiff1d(np.arange(num_scenarios), overdue, assume_unique=True)
+        waited = last_activated <= n - self.cover_window - 1
+        overdue = np.flatnonzero(waited)
+        rest = np.flatnonzero(~waited)
         slots = min(max(self.block_size - overdue.size, 0), rest.size)
         picked = rng.choice(rest, size=slots, replace=False) if slots else rest[:0]
+        if not overdue.size:
+            return np.sort(picked)
         return np.sort(np.concatenate([overdue, picked]))
 
 
@@ -199,7 +202,8 @@ class SolverConfig:
     ``ConfigError``.  Values outside the admissible intervals raise instead
     of being clamped: numbers and sequences here, a callable's values each
     time it is called.  ``max_iter`` and ``trace_every`` must be integers,
-    numpy integers included, and ``schedule`` one of the three schedules.
+    numpy integers included and bools not, ``tol`` a number that is not a
+    bool, and ``schedule`` one of the three schedules.
     """
 
     epsilon: float = 1e-3
@@ -232,14 +236,14 @@ class SolverConfig:
 
 
 def _check_count(name: str, value, least: int):
-    """Raise unless ``value`` is an integer (numpy integers included) >= ``least``."""
-    if not isinstance(value, (int, np.integer)) or value < least:
+    """Raise unless ``value`` is an integer (numpy integers included, bools not) >= ``least``."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
         raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _check_stopping(tol: float, max_iter: int, trace_every: int):
     """Raise unless the stopping and tracing settings every solver takes are usable."""
-    if not tol >= 0:
+    if isinstance(tol, (bool, np.bool_)) or not tol >= 0:
         raise ConfigError(f"tol must be nonnegative, got {tol}")
     _check_count("max_iter", max_iter, 0)
     _check_count("trace_every", trace_every, 1)

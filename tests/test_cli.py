@@ -1,13 +1,31 @@
 import csv
 import dataclasses
+import io
 import json
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from scensplit import operators as ops
-from scensplit.cli import TRACE_HEADER, load_problem_file, main
-from scensplit.solver import progressive_hedging_solve
+from scensplit.cli import (
+    TRACE_HEADER,
+    load_problem_file,
+    main,
+    write_cvar_solution_file,
+    write_solution_file,
+    write_trace_csv,
+)
+from scensplit.cvar import solve_cvar
+from scensplit.solver import (
+    SeededRandom,
+    Solution,
+    SolverConfig,
+    SolveStatus,
+    progressive_hedging_solve,
+    solve,
+)
+from scensplit.tree import build_tree
 
 
 def write_json(path, doc):
@@ -506,3 +524,153 @@ def test_solve_cvar_rejects_equilibrium_file(tmp_path, capsys):
     path = write_json(tmp_path / "p.json", quad_box_doc())
     assert main(["solve-cvar", path]) == 1
     assert "no 'cvar' section" in capsys.readouterr().err
+
+
+# --- written bytes against the json and csv encoders ---
+
+def encoder_solution_text(tree, sol, header, arrays):
+    # the document the writers encode, through json.dumps with indent=2
+    doc = {
+        "status": sol.status.value,
+        "iterations": sol.iterations,
+        "residual": float(sol.residual),
+        **header,
+        "scenarios": [
+            {
+                "labels": list(s.labels),
+                "probability": float(s.probability),
+                **{key: arr.tolist()[s.index] for key, arr in arrays.items()},
+            }
+            for s in tree.scenarios
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def encoder_trace_text(trace):
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(TRACE_HEADER)
+    for r in trace:
+        w.writerow(
+            [
+                r.n,
+                repr(float(r.residual)),
+                repr(float(r.kappa)),
+                repr(float(r.tau)),
+                repr(float(r.theta)),
+                r.active_block_size,
+                repr(float(r.wall_ms)),
+            ]
+        )
+    return buf.getvalue()
+
+
+def assert_solution_bytes(tmp_path, tree, sol):
+    path = tmp_path / "sol.json"
+    write_solution_file(str(path), tree, sol)
+    arrays = {"x": sol.x_bar, "v_star": sol.v_star_bar}
+    assert path.read_bytes() == encoder_solution_text(tree, sol, {}, arrays).encode("utf-8")
+
+
+def assert_trace_bytes(tmp_path, trace):
+    path = tmp_path / "trace.csv"
+    write_trace_csv(str(path), trace)
+    assert path.read_bytes() == encoder_trace_text(trace).encode("utf-8")
+
+
+def test_written_files_match_encoders(tmp_path):
+    path = write_json(tmp_path / "p.json", quad_box_doc())
+    flags = ["--schedule", "seeded-random", "--block-size", "1", "--cover-window", "2"]
+    flags += ["--seed", "3", "--tol", "1e-9", "--trace-every", "5"]
+    sol_path, trace_path = tmp_path / "cli.json", tmp_path / "cli.csv"
+    out = ["--solution-out", str(sol_path), "--trace-out", str(trace_path)]
+    assert main(["solve", path, *flags, *out]) == 0
+    bundle = load_problem_file(path)
+    schedule = SeededRandom(block_size=1, cover_window=2, seed=3)
+    sol = solve(bundle.problem, SolverConfig(schedule=schedule, tol=1e-9, trace_every=5))
+    assert sol.status is SolveStatus.CONVERGED
+    arrays = {"x": sol.x_bar, "v_star": sol.v_star_bar}
+    want = encoder_solution_text(bundle.tree, sol, {}, arrays)
+    assert sol_path.read_bytes() == want.encode("utf-8")
+    assert trace_path.read_bytes() == encoder_trace_text(sol.trace).encode("utf-8")
+
+
+def test_written_non_finite_values_match_encoders(tmp_path):
+    doc = quad_box_doc()
+    doc["operators"][0] = {"type": "diagonal_affine", "a": [0.0, 0.0], "b": [1e308, 0.0]}
+    del doc["constraints"]
+    bundle = load_problem_file(write_json(tmp_path / "p.json", doc))
+    sol = solve(bundle.problem, SolverConfig())
+    assert sol.status is SolveStatus.NON_FINITE
+    assert not np.isfinite(sol.residual)
+    assert_solution_bytes(tmp_path, bundle.tree, sol)
+    # every json token for a non-finite float, in either array
+    odd = np.array([[np.nan, np.inf], [-np.inf, 0.25]])
+    for x, v in ((odd, np.zeros((2, 2))), (np.zeros((2, 2)), odd)):
+        assert_solution_bytes(tmp_path, bundle.tree, dataclasses.replace(sol, x_bar=x, v_star_bar=v))
+    text = (tmp_path / "sol.json").read_text()
+    assert all(token in text for token in ("NaN", "Infinity", "-Infinity"))
+    # rows with no entries are written as []
+    assert_solution_bytes(tmp_path, bundle.tree, dataclasses.replace(sol, x_bar=np.zeros((2, 0))))
+    assert '"x": []' in (tmp_path / "sol.json").read_text()
+    # trace rows with non-finite fields
+    finite = load_problem_file(write_json(tmp_path / "q.json", quad_box_doc()))
+    record = solve(finite.problem, SolverConfig(max_iter=1)).trace[0]
+    rows = [
+        dataclasses.replace(record, residual=float("nan")),
+        dataclasses.replace(record, n=1, residual=float("inf"), kappa=-float("inf"), tau=np.nan),
+    ]
+    assert_trace_bytes(tmp_path, rows)
+    assert "nan" in (tmp_path / "trace.csv").read_text()
+
+
+def test_written_labels_match_encoders(tmp_path):
+    labels = [
+        ("caf\u00e9 \"q\" \\", -3),
+        ("caf\u00e9 \"q\" \\", 2.5),
+        (True, -3),
+        (False, (1, ("a", 0.5), ())),
+    ]
+    tree = build_tree([(lab, 0.25) for lab in labels], stage_dims=[1, 2])
+    rng = np.random.default_rng(5)
+    sol = Solution(
+        x_bar=rng.standard_normal((4, 3)) * 1e-20,
+        v_star_bar=rng.standard_normal((4, 3)) * 1e20,
+        status=SolveStatus.MAX_ITER,
+        iterations=7,
+        residual=0.125,
+        trace=(),
+    )
+    assert_solution_bytes(tmp_path, tree, sol)
+    assert "caf\\u00e9 \\\"q\\\" \\\\" in (tmp_path / "sol.json").read_text()
+
+
+def test_written_cvar_solution_matches_encoder(tmp_path):
+    cp = load_problem_file(write_json(tmp_path / "c.json", cvar_doc())).cvar
+    csol = solve_cvar(cp, SolverConfig(tol=1e-9))
+    path = tmp_path / "sol.json"
+    write_cvar_solution_file(str(path), cp, csol)
+    header = {
+        "alpha": float(cp.alpha),
+        "threshold": float(csol.y_bar),
+        "objective": float(csol.objective),
+    }
+    want = encoder_solution_text(cp.tree, csol.inner, header, {"x": csol.x_bar})
+    assert path.read_bytes() == want.encode("utf-8")
+    assert_trace_bytes(tmp_path, csol.inner.trace)
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [{"trace_every": 5}, {"record_timing": True}, {"max_iter": 0}],
+)
+def test_written_traces_match_encoder(tmp_path, settings):
+    bundle = load_problem_file(write_json(tmp_path / "p.json", quad_box_doc()))
+    sol = solve(bundle.problem, SolverConfig(tol=1e-12, **settings))
+    assert_trace_bytes(tmp_path, sol.trace)
+    if settings.get("record_timing"):
+        assert any(r.wall_ms > 0.0 for r in sol.trace)
+    if settings.get("max_iter") == 0:
+        assert sol.trace == ()
+        assert (tmp_path / "trace.csv").read_bytes() == (",".join(TRACE_HEADER) + "\r\n").encode()

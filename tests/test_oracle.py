@@ -22,6 +22,7 @@ from scensplit.operators import (
 )
 from scensplit.oracle import (
     GridSpec,
+    _eval_cost_many,
     oracle_cvar_small,
     oracle_prox_cvar_grid,
     oracle_prox_grid,
@@ -118,6 +119,64 @@ def test_oracle_prox_cvar_known_values():
     thr, dec = oracle_prox_cvar_grid(f, 0.5, 1.0, 5.0, 1.0, grid)
     assert thr == pytest.approx(4.0, abs=tol)
     assert dec == pytest.approx(1.0, abs=tol)
+
+
+def _stacked_prox_cvar_grid(f, alpha, gamma, y, x, grid):
+    # the evaluation oracle_prox_cvar_grid replaced: every round stacks the
+    # mesh as rows, appends the kink rows and evaluates the cost on each row
+    scale = 1.0 / (1.0 - alpha)
+
+    def objective(pts):
+        thr = pts[:, 0]
+        dec = pts[:, 1:2]
+        fv = _eval_cost_many(f, dec)
+        risk = thr + scale * np.maximum(fv - thr, 0.0)
+        return gamma * risk + 0.5 * ((thr - y) ** 2 + (dec[:, 0] - x) ** 2)
+
+    lo, hi = grid.lower.copy(), grid.upper.copy()
+    best_point, best_value = None, np.inf
+    for _ in range(grid.rounds + 1):
+        axes = [np.linspace(lo[j], hi[j], grid.points) for j in range(2)]
+        pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        dec = np.linspace(lo[1], hi[1], grid.points)
+        thr = _eval_cost_many(f, dec[:, None])
+        keep = (thr >= lo[0]) & (thr <= hi[0])
+        more = np.stack([thr[keep], dec[keep]], axis=-1)
+        if more.size:
+            pts = np.concatenate([pts, more], axis=0)
+        vals = objective(pts)
+        at = int(np.argmin(vals))
+        if vals[at] < best_value:
+            best_value, best_point = float(vals[at]), pts[at].copy()
+        width = (hi - lo) / 10.0
+        lo = np.maximum(grid.lower, best_point - width / 2.0)
+        hi = np.minimum(grid.upper, best_point + width / 2.0)
+    return float(best_point[0]), float(best_point[1])
+
+
+def test_oracle_prox_cvar_matches_stacked_rows_bitwise():
+    rng = np.random.default_rng(77)
+    for _ in range(50):
+        if rng.random() < 0.5:
+            f = Affine(c=[float(rng.uniform(-2, 2))], r=float(rng.uniform(-1, 1)))
+        else:
+            f = SeparableQuadratic(
+                q=[float(rng.uniform(0.3, 3.0))],
+                c=[float(rng.uniform(-2, 2))],
+                r=float(rng.uniform(-1, 1)),
+            )
+        alpha, gamma = float(rng.uniform(0.1, 0.9)), float(rng.uniform(0.1, 2.0))
+        y, x = rng.uniform(-3, 3, size=2)
+        lower = rng.uniform(-5, -0.5, size=2)
+        grid = GridSpec(
+            lower=lower,
+            upper=lower + rng.uniform(1.0, 8.0, size=2),
+            points=int(rng.choice([51, 101, 201])),
+            rounds=int(rng.integers(0, 5)),
+        )
+        got = oracle_prox_cvar_grid(f, alpha, gamma, y, x, grid)
+        want = _stacked_prox_cvar_grid(f, alpha, gamma, y, x, grid)
+        assert np.array_equal(got, want), (f, alpha, gamma, y, x, grid)
 
 
 def test_oracle_prox_cvar_errors():

@@ -131,6 +131,33 @@ def test_seeded_random_schedule():
     assert 4 in picked
 
 
+def _old_seeded_select(sched, n, num_scenarios, last_activated, rng):
+    # the set-difference formula that SeededRandom.select replaced
+    if n == 0:
+        return np.arange(num_scenarios)
+    overdue = np.flatnonzero(last_activated <= n - sched.cover_window - 1)
+    rest = np.setdiff1d(np.arange(num_scenarios), overdue, assume_unique=True)
+    slots = min(max(sched.block_size - overdue.size, 0), rest.size)
+    picked = rng.choice(rest, size=slots, replace=False) if slots else rest[:0]
+    return np.sort(np.concatenate([overdue, picked]))
+
+
+@pytest.mark.parametrize("block_size, cover_window", [(3, 0), (3, 4), (5, 9), (3, 400)])
+def test_seeded_random_matches_set_difference_formula(block_size, cover_window):
+    sched = SeededRandom(block_size=block_size, cover_window=cover_window, seed=13)
+    rng_new = np.random.default_rng(sched.seed)
+    rng_old = np.random.default_rng(sched.seed)
+    last = np.full(40, -1, dtype=int)
+    for n in range(2000):
+        got = sched.select(n, 40, last, rng_new)
+        want = _old_seeded_select(sched, n, 40, last, rng_old)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want), n
+        last[got] = n
+    # both generators drew the same stream
+    assert rng_new.integers(1 << 62) == rng_old.integers(1 << 62)
+
+
 def test_schedule_validation():
     with pytest.raises(ConfigError):
         RoundRobin(block_size=0)
@@ -147,6 +174,10 @@ def test_schedule_validation():
         (SeededRandom, {"block_size": 2, "cover_window": 1.5}),
         (SeededRandom, {"block_size": 2, "seed": 1.5}),
         (SeededRandom, {"block_size": 2, "seed": -1}),
+        (RoundRobin, {"block_size": True}),
+        (SeededRandom, {"block_size": np.True_}),
+        (SeededRandom, {"block_size": 2, "cover_window": True}),
+        (SeededRandom, {"block_size": 2, "seed": False}),
     ],
 )
 def test_schedule_settings_must_be_integers(schedule, settings):
@@ -211,7 +242,15 @@ def test_config_rejects_unknown_schedules(schedule):
 
 @pytest.mark.parametrize(
     "settings",
-    [{"max_iter": 2.5}, {"max_iter": "3"}, {"trace_every": 1.5}, {"trace_every": 2.0}],
+    [
+        {"max_iter": 2.5},
+        {"max_iter": "3"},
+        {"trace_every": 1.5},
+        {"trace_every": 2.0},
+        {"max_iter": True},
+        {"max_iter": np.True_},
+        {"trace_every": True},
+    ],
 )
 def test_integer_settings_must_be_integers(settings):
     with pytest.raises(ConfigError):
@@ -706,6 +745,8 @@ def test_progressive_hedging_rejects_unsupported():
         {"tol": -1.0},
         {"max_iter": -3},
         {"trace_every": 0},
+        {"tol": True},
+        {"tol": np.False_},
     ],
 )
 def test_progressive_hedging_checks_settings_like_config(settings):
