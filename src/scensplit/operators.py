@@ -135,7 +135,7 @@ def cost_prox(f: CostSpec, gamma: float, x) -> np.ndarray:
     if not gamma >= 0:
         raise NonPositiveGamma(f"prox parameter {gamma} must be nonnegative")
     q, c, l, _ = _pack_costs([f])
-    return _resolvent_kernel(DiagonalAffine, (q, l - q * c), _checked(f, x)[None], gamma)[0]
+    return _resolvent_kernel(DiagonalAffine, (q, l - q * c), _checked(f, x)[None], gamma)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -342,11 +342,14 @@ class Zero:
 
 @dataclass(frozen=True)
 class Coordinates:
-    """Span of the listed coordinate axes (0-based indices)."""
+    """Span of the listed coordinate axes (0-based integer indices, not bools)."""
 
     indices: tuple[int, ...]
 
     def __post_init__(self):
+        for i in self.indices:
+            if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
+                raise ValidationError(f"coordinate indices must be integers, got {i!r}")
         idx = tuple(int(i) for i in self.indices)
         if len(set(idx)) != len(idx):
             raise ValidationError("coordinate indices must be distinct")
@@ -456,16 +459,15 @@ def _pack(kind, specs) -> tuple:
     return ()
 
 
-def _resolvent_kernel(kind, coef, z, gamma, start=None, tol=1e-12):
-    """Resolvent points of the rows; with a ``start`` column, (points, roots).
+def _resolvent_kernel(kind, coef, z, gamma, start=0.0, tol=1e-12):
+    """Resolvent points of the rows and their CVaR prox roots, as a pair.
 
-    ``start`` holds one CVaR prox root per row to start from, and the roots
-    found come back in its place; rows without a root pass theirs through.
+    Each CvarAugmented row's root search starts at ``start``, a number or a
+    (k, 1) column in [0, 1]; the other rows hand their start back as root.
     """
     if kind is DiagonalAffine:
         a, b = coef
-        out = (z - gamma * b) / (1.0 + gamma * a)
-        return out if start is None else (out, start)
+        return (z - gamma * b) / (1.0 + gamma * a), start
     if kind is CvarAugmented:
         # with tau = gamma/(1 - alpha), the prox at (y, x) is (y - gamma + t*tau,
         # prox_{t*tau*f} x) for the root t of f(prox_{t*tau*f} x) - (y - gamma) - t*tau
@@ -473,8 +475,7 @@ def _resolvent_kernel(kind, coef, z, gamma, start=None, tol=1e-12):
         tau = gamma / (1.0 - alpha)
         shift = z[:, :1] - gamma
         t, p = _prox_root(cost, z[:, 1:], tau, shift, tau, tol, start)
-        out = np.hstack([shift + t * tau, p])
-        return out if start is None else (out, t)
+        return np.hstack([shift + t * tau, p]), t
     raise TypeError(f"unknown operator spec {_kind_name(kind)}")
 
 
@@ -585,13 +586,17 @@ def _by_group(kernel, stack: Stack, rows, z, *columns):
 def resolvent_rows(stack: Stack, gamma, z, rows=None, start=None):
     """Resolvents of the scenarios ``rows`` at the rows of z.
 
-    ``gamma`` is a number or one positive step per row.  ``start``, a (k, 1)
-    column of CVaR prox roots in [0, 1], warm-starts the prox of the
-    CvarAugmented rows; the return value is then (points, roots), the roots
-    of the other rows being their starts.
+    ``gamma`` is a number or one positive step per row.  The prox root
+    search of a CvarAugmented row starts at t = 0, or at its entry of
+    ``start``, a number or a (k, 1) column in [0, 1].  Given a ``start``,
+    the return value is (points, roots), the roots of the other rows being
+    their starts.
     """
-    columns = (step_column(gamma, len(z)),) + (() if start is None else (start,))
-    return _by_group(_resolvent_kernel, stack, rows, z, *columns)
+    starts = step_column(0.0 if start is None else start, len(z))
+    out = _by_group(_resolvent_kernel, stack, rows, z, step_column(gamma, len(z)), starts)
+    # an empty block of a mixed stack runs no kernel, so no pair comes back
+    points, roots = out if isinstance(out, tuple) else (out, starts)
+    return points if start is None else (points, roots)
 
 
 def forward_rows(stack: Stack, x, rows=None) -> np.ndarray:
@@ -627,7 +632,8 @@ def subspace_mask(us: SubspaceSpec, dim: int) -> np.ndarray:
 
 def _one_row(kernel, spec, z, *args) -> np.ndarray:
     kind = _kind(spec)
-    return kernel(kind, _pack(kind, [spec]), z[None], *args)[0]
+    out = kernel(kind, _pack(kind, [spec]), z[None], *args)
+    return (out[0] if isinstance(out, tuple) else out)[0]
 
 
 def apply_operator(op: OperatorSpec, x) -> np.ndarray:
@@ -667,72 +673,40 @@ def project_subspace(us: SubspaceSpec, z) -> np.ndarray:
 # proximity operators for the risk-averse pipeline
 # ---------------------------------------------------------------------------
 
-def _prox_root(cost, x, scale, shift, slope, tol, start=None):
+def _prox_root(cost, x, scale, shift, slope, tol, start=0.0):
     """Root t in [0, 1] of h(t) = f(prox_{t*scale*f} x) - shift - t*slope, per row.
 
     With a = q, b = l - q*c and den = 1 + t*scale*a, the prox point p has
     g = a*p + b = (a*x + b) / den and h'(t) = -scale * sum(g^2 / den) - slope,
-    so h is convex and nonincreasing, and Newton's method runs for all rows
-    together.  A zero derivative needs slope = 0 and g = 0, and g = 0 then
-    holds for every t, so h is constant there: the cold search takes a zero
-    step, the warm one steps to the end of [0, 1] that h's sign points to.
-
-    Cold (``start`` None): a row with h(0) < 0 takes t = 0, else a row with
-    h(1) > 0 takes t = 1; the others climb from t = 0, where no step passes
-    the root.
-
-    Warm: ``start``, a (k, 1) column in [0, 1], replaces the h(0)/h(1)
-    bracket.  Each iterate is clipped into [0, 1], which reproduces the
-    bracket's t = 0 and t = 1.  From a start right of the root the first
-    step lands left of it, and the climb is monotone from there.
-
-    A row stays live after its first step while |step| > ``tol``, after a
-    later one while step > ``tol`` (from the left, a step back is roundoff
-    around the root, where |step| could oscillate), and only while its t
-    moved, 200 steps at most; a cold first step is never negative, so the
-    rule is the same for both.  A linear row (a = 0) stops after its first,
-    exact step.  ``scale``, ``shift`` and ``slope`` are numbers or (k, 1)
-    columns.  Returns t and the prox points at t.
+    so h is convex and nonincreasing, and Newton's method climbs for all rows
+    together from ``start``, each iterate clipped into [0, 1]: a row whose h
+    keeps one sign on [0, 1] lands on the end it points to, and from a start
+    right of the root the first step lands left of it, the climb being
+    monotone from there.  A zero derivative needs slope = 0 and g = 0, and
+    g = 0 then holds for every t, so h is constant and the row steps to the
+    end of [0, 1] that h's sign points to.  A row stays live after its first
+    step while |step| > ``tol``, after a later one while step > ``tol`` (from
+    the left, a step back is roundoff around the root, where |step| could
+    oscillate), and only while its t moved, 200 steps at most; a linear row
+    (a = 0) stops after its first, exact step.  ``scale``, ``shift``,
+    ``slope`` and ``start`` are numbers or (k, 1) columns.  Returns t and the
+    prox points at t.
     """
     q, c, l, r = cost
     b = l - q * c
-    scale, shift, slope = (step_column(v, len(x)) for v in (scale, shift, slope))
-    args = (q, b, c, l, r, x, scale, shift, slope)
-    if start is None:
-        value = _root_value(0.0, *args)
-        t = np.where(value < 0.0, 0.0, 1.0)
-        todo = np.flatnonzero((t > 0.0) & ~(_root_value(1.0, *args) > 0.0))
-        if todo.size:
-            sub = tuple(v[todo] for v in args)
-            t[todo] = _newton(sub, np.zeros((todo.size, 1)), value[todo], tol, False)
-    else:
-        t = _newton(args, start, _root_value(start, *args), tol, True)
-    return t, _resolvent_kernel(DiagonalAffine, (q, b), x, t * scale)
-
-
-def _root_value(t, a, b, c, l, r, x, scale, shift, slope):
-    """h(t) of ``_prox_root`` for the rows of its arguments."""
-    p = _resolvent_kernel(DiagonalAffine, (a, b), x, t * scale)
-    return _cost_rows((a, c, l, r), p) - shift - t * slope
-
-
-def _newton(args, root, value, tol, warm):
-    """Newton's method for ``_prox_root`` from ``root``, where h is ``value``."""
-    a, b, _, _, _, x, s, _, m = args
-    live, curved = np.ones_like(root, dtype=bool), a.any(axis=1, keepdims=True)
+    scale, shift, slope, t = (step_column(v, len(x)) for v in (scale, shift, slope, start))
+    live, curved = np.ones_like(t, dtype=bool), q.any(axis=1, keepdims=True)
     for i in range(200):
-        den = 1.0 + (root * s) * a
-        g = (a * x + b) / den
-        drop = s * (g * g / den).sum(axis=1, keepdims=True) + m  # -h'(root)
-        flat = np.sign(value) if warm else np.zeros_like(value)
-        step = np.divide(value, drop, out=flat, where=drop > 0.0)
-        moved = np.clip(root + step, 0.0, 1.0) if warm else root + step
-        root, last = np.where(live, moved, root), root
-        live &= ((np.abs(step) if i == 0 else step) > tol) & (root != last) & curved
+        den = 1.0 + (t * scale) * q
+        value = _cost_rows(cost, (x - (t * scale) * b) / den) - shift - t * slope
+        g = (q * x + b) / den
+        drop = scale * (g * g / den).sum(axis=1, keepdims=True) + slope  # -h'(t)
+        step = np.divide(value, drop, out=np.sign(value), where=drop > 0.0)
+        t, last = np.where(live, np.clip(t + step, 0.0, 1.0), t), t
+        live &= ((np.abs(step) if i == 0 else step) > tol) & (t != last) & curved
         if not live.any():
             break
-        value = _root_value(root, *args)
-    return root
+    return t, _resolvent_kernel(DiagonalAffine, (q, b), x, t * scale)[0]
 
 
 def prox_max_nonneg(f: CostSpec, gamma: float, x, tol: float = 1e-12) -> np.ndarray:
@@ -763,7 +737,7 @@ def prox_cvar_augmented(
     if not tol > 0:
         raise ToleranceError(f"root tolerance {tol} must be positive")
     z = np.concatenate(([float(y)], _checked(f, x)))
-    out = _one_row(_resolvent_kernel, op, z, gamma, None, tol)
+    out = _one_row(_resolvent_kernel, op, z, gamma, 0.0, tol)
     return float(out[0]), out[1:]
 
 

@@ -203,7 +203,8 @@ class SolverConfig:
     of being clamped: numbers and sequences here, a callable's values each
     time it is called.  ``max_iter`` and ``trace_every`` must be integers,
     numpy integers included and bools not, ``tol`` a number that is not a
-    bool, and ``schedule`` one of the three schedules.
+    bool, ``record_timing`` a bool (``np.bool_`` included), and ``schedule``
+    one of the three schedules.
     """
 
     epsilon: float = 1e-3
@@ -225,7 +226,7 @@ class SolverConfig:
                 "schedule must be a FullActivation, RoundRobin or SeededRandom, "
                 f"got {self.schedule!r}"
             )
-        _check_stopping(self.tol, self.max_iter, self.trace_every)
+        _check_stopping(self.tol, self.max_iter, self.trace_every, self.record_timing)
         lo, hi = self.epsilon, 1.0 / self.epsilon
         steps = {
             "gamma": _settle_step("gamma", self.gamma, lo, hi, 1),
@@ -241,12 +242,14 @@ def _check_count(name: str, value, least: int):
         raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def _check_stopping(tol: float, max_iter: int, trace_every: int):
+def _check_stopping(tol: float, max_iter: int, trace_every: int, record_timing: bool):
     """Raise unless the stopping and tracing settings every solver takes are usable."""
     if isinstance(tol, (bool, np.bool_)) or not tol >= 0:
         raise ConfigError(f"tol must be nonnegative, got {tol}")
     _check_count("max_iter", max_iter, 0)
     _check_count("trace_every", trace_every, 1)
+    if not isinstance(record_timing, (bool, np.bool_)):
+        raise ConfigError(f"record_timing must be a bool, got {record_timing!r}")
 
 
 def _check_range(name: str, value, lo: float, hi: float):
@@ -257,14 +260,19 @@ def _check_range(name: str, value, lo: float, hi: float):
         raise ConfigError(f"{name} value {float(bad[0])} outside [{lo}, {hi}]")
 
 
+def _as_array(value) -> np.ndarray:
+    """``value`` as a numpy array; ragged nesting gives a 0-d object array."""
+    try:
+        return np.asarray(value)
+    except ValueError:
+        return np.asarray(None)
+
+
 def _settle_step(name: str, rule, lo: float, hi: float, max_ndim: int) -> tuple:
     """``(rule, lo, hi)``: a callable as is, else a range-checked float or 1-d float array."""
     if callable(rule):
         return rule, lo, hi
-    try:
-        value = np.asarray(rule)
-    except ValueError:  # ragged nesting
-        value = np.asarray(None)
+    value = _as_array(rule)
     if value.dtype.kind not in "iuf" or value.ndim > max_ndim:
         kinds = "a number, a 1-d sequence" if max_ndim else "a number"
         raise ConfigError(f"{name} must be {kinds} or a callable, got {rule!r}")
@@ -293,8 +301,10 @@ class SolverState:
     /``set_dual`` from the constraint projection, ``gap`` is the activation
     subspace's view of their mismatch.  Rows of inactive scenarios are kept
     bitwise unchanged between activations.  ``root`` is an (N, 1) column
-    holding each scenario's last CVaR prox root, where the next root search
-    of a ``CvarAugmented`` scenario starts (other scenarios ignore theirs).
+    holding each scenario's CVaR prox root from the last stopping test of
+    ``solve``, where the next test's root search of a ``CvarAugmented``
+    scenario starts (other scenarios ignore theirs); every other root search
+    starts at t = 0.
     """
 
     iteration: int
@@ -400,7 +410,7 @@ def scenario_update(state: SolverState, problem: Problem, scenarios, gamma, mu):
         raise NonPositiveGamma(f"gamma must be positive, got {float(gamma.min())}")
     if not np.all(mu > 0):
         raise ConfigError(f"mu must be positive, got {float(mu.min())}")
-    op_point, set_point = _points(
+    op_point, set_point, _ = _points(
         problem, state.x[rows], state.x_star[rows], state.v_star[rows], gamma, mu, rows
     )
     out = _intermediates(state, problem, rows, gamma, mu, op_point, set_point)
@@ -408,18 +418,17 @@ def scenario_update(state: SolverState, problem: Problem, scenarios, gamma, mu):
 
 
 def _points(
-    problem: Problem, x, x_star, v_star, gamma=1.0, mu=1.0, rows=None, start=None
+    problem: Problem, x, x_star, v_star, gamma=1.0, mu=1.0, rows=None, start=0.0
 ) -> tuple:
     """The refresh's resolvent and projection points of ``rows`` (None: all).
 
     ``J_A(x - gamma (x* + v*))`` and ``P_C(x + mu x*)``; at unit steps they
-    give the two fixed-point terms of ``kkt_residual``.  With ``start``, the
-    rows' CVaR root starts, the roots found follow as a third entry.
+    give the two fixed-point terms of ``kkt_residual``.  The rows' CVaR prox
+    root searches start at ``start``, a number or one root per row, and the
+    roots found follow as a third entry.
     """
     z = x - gamma * (x_star + v_star)
     projected = project_constraint_rows(problem.constraint_stack, x + mu * x_star, rows)
-    if start is None:
-        return resolvent_rows(problem.operator_stack, gamma, z, rows), projected
     resolved, roots = resolvent_rows(problem.operator_stack, gamma, z, rows, start)
     return resolved, projected, roots
 
@@ -535,12 +544,12 @@ def kkt_residual(problem: Problem, x, x_star, v_star) -> float:
 # drivers
 # ---------------------------------------------------------------------------
 
-def _stop_residual(problem: Problem, x, x_star, v_star, start=None) -> tuple:
+def _stop_residual(problem: Problem, x, x_star, v_star, start=0.0) -> tuple:
     """``kkt_residual`` without its two subspace terms, and the unit-step points.
 
     ``solve`` and the hedging loop keep x in the nonanticipative subspace
     and v* in its complement, so the dropped terms are roundoff.  The points
-    are those of ``_points``, CVaR roots included when ``start`` is given.
+    are the three entries of ``_points``, CVaR roots started at ``start``.
     """
     points = _points(problem, x, x_star, v_star, start=start)
     total = _fixed_point_sq(problem.tree.probabilities, x, points)
@@ -635,11 +644,19 @@ def progressive_hedging_solve(
     ``solve``, with the constraint multiplier recovered from the resolvent
     identity.  The test runs after each step, so trace row n holds the
     residual after step n; ``max_iter=0`` takes no step and tests the start,
-    x = v* = 0 with x* = 0.  The settings are checked as in ``SolverConfig``.
+    x = v* = 0 with x* = 0.  ``gamma`` must be a finite positive number, 0-d
+    numpy values included and bools not; it has no ``epsilon`` range.  The
+    other settings are checked as in ``SolverConfig``.
     """
+    value = _as_array(gamma)
+    if value.ndim or value.dtype.kind not in "iuf":
+        raise ConfigError(f"gamma must be a number, got {gamma!r}")
+    gamma = float(value)
     if not gamma > 0:
         raise NonPositiveGamma(f"gamma must be positive, got {gamma}")
-    _check_stopping(tol, max_iter, trace_every)
+    if not math.isfinite(gamma):
+        raise ConfigError(f"gamma must be finite, got {gamma}")
+    _check_stopping(tol, max_iter, trace_every, record_timing)
     tree = problem.tree
     ops, cons = problem.operator_stack, problem.constraint_stack
     require_composite([g[0] for g in ops.groups], [g[0] for g in cons.groups])

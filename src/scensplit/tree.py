@@ -74,10 +74,15 @@ class ScenarioTree:
 def build_tree(scenarios, stage_dims) -> ScenarioTree:
     """Build an immutable tree from ``(labels, probability)`` pairs.
 
-    ``stage_dims`` fixes the per-stage decision dimensions.  Label sequences
+    ``stage_dims`` fixes the per-stage decision dimensions, integers (numpy
+    integers included, bools not).  Label sequences
     must be pairwise distinct, probabilities must be positive and sum to 1
     within ``MASS_TOL``.
     """
+    stage_dims = tuple(stage_dims)
+    for d in stage_dims:
+        if not isinstance(d, (int, np.integer)) or isinstance(d, bool):
+            raise ValidationError(f"stage dims must be integers, got {d!r}")
     stage_dims = tuple(int(d) for d in stage_dims)
     if not stage_dims or any(d < 1 for d in stage_dims):
         raise ValidationError("stage_dims must be a nonempty sequence of dims >= 1")

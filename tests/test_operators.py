@@ -213,6 +213,18 @@ def test_project_subspace():
 
 # --- range condition catalog ---
 
+@pytest.mark.parametrize("indices", [(1.5, 0.2), (0.0,), (True,), (np.True_,), ("0",), (None,)])
+def test_coordinates_reject_non_integer_indices(indices):
+    with pytest.raises(ValidationError, match="integers"):
+        Coordinates(indices=indices)
+
+
+def test_coordinates_take_numpy_integers():
+    us = Coordinates(indices=(np.int64(2), np.int32(0)))
+    assert us.indices == (2, 0)
+    assert all(type(i) is int for i in us.indices)
+
+
 def test_range_condition_catalog():
     d2_box = Box(lo=[0.0, 0.0], hi=[1.0, 1.0])
     assert validate_range_condition(d2_box, Full())
@@ -567,6 +579,26 @@ def test_warm_root_matches_cold_root(prox, d):
         assert_allclose(warm, cold, rtol=0, atol=1e-12)
         # the clip lands clamped rows on the bracket's end exactly
         assert_array_equal(warm[clamped], cold[clamped])
+
+
+@pytest.mark.parametrize("prox", ["max_nonneg", "cvar"])
+@pytest.mark.parametrize("d", [1, 2, 5, 12])
+def test_root_without_start_climbs_from_zero(prox, d):
+    # the row sets of test_root_on_quadratic_rows_matches_bisection
+    rng = np.random.default_rng(43 + d)
+    k = 40
+    costs = _random_quadratics(rng, k, d)
+    x = rng.uniform(-3, 3, (k, d))
+    args = _root_args(rng, k, prox)
+    t = _root(costs, x, args)
+    assert_array_equal(t, _warm_root(costs, x, args, np.zeros((k, 1))))
+    want = np.array(
+        [_bisected_root(f, xi, *(float(v[i, 0]) for v in args))
+         for i, (f, xi) in enumerate(zip(costs, x))]
+    )
+    clamped = (want == 0.0) | (want == 1.0)
+    assert clamped.any() and not clamped.all()
+    assert_array_equal(t[clamped], want[clamped])
 
 
 def test_warm_root_tolerance_below_one_ulp_stops(monkeypatch):

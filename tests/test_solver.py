@@ -756,6 +756,36 @@ def test_progressive_hedging_checks_settings_like_config(settings):
         progressive_hedging_solve(pair_problem(), **settings)
 
 
+@pytest.mark.parametrize("gamma", [True, np.True_, "1", None, [1.0], np.array([1.0]), np.inf])
+def test_progressive_hedging_rejects_non_numbers_and_infinite_gamma(gamma):
+    with pytest.raises(ConfigError, match="gamma"):
+        progressive_hedging_solve(pair_problem(), gamma=gamma)
+
+
+def test_progressive_hedging_takes_numpy_gamma():
+    want = progressive_hedging_solve(pair_problem(), gamma=0.5, tol=1e-10)
+    for gamma in (np.float64(0.5), np.float32(0.5), np.array(0.5)):
+        got = progressive_hedging_solve(pair_problem(), gamma=gamma, tol=1e-10)
+        assert got.iterations == want.iterations
+        assert np.array_equal(got.x_bar, want.x_bar)
+    with pytest.raises(NonPositiveGamma):
+        progressive_hedging_solve(pair_problem(), gamma=-np.inf)
+
+
+@pytest.mark.parametrize("flag", ["no", 1, 0.0, None, np.float64(1.0)])
+def test_record_timing_must_be_a_bool(flag):
+    with pytest.raises(ConfigError, match="record_timing"):
+        SolverConfig(record_timing=flag)
+    with pytest.raises(ConfigError, match="record_timing"):
+        progressive_hedging_solve(pair_problem(), record_timing=flag)
+
+
+def test_record_timing_takes_numpy_bools():
+    assert SolverConfig(record_timing=np.True_).record_timing
+    sol = progressive_hedging_solve(pair_problem(), tol=1e-10, record_timing=np.False_)
+    assert all(r.wall_ms == 0.0 for r in sol.trace)
+
+
 def test_progressive_hedging_rejects_nan_gamma():
     with pytest.raises(NonPositiveGamma):
         progressive_hedging_solve(pair_problem(), gamma=float("nan"))

@@ -119,6 +119,19 @@ def test_bad_stage_dims():
         build_tree([(("a",), 1.0)], [0])
 
 
+@pytest.mark.parametrize("dims", [[1.7], [True], [np.True_], [1, 2.0], ["1"]])
+def test_stage_dims_must_be_integers(dims):
+    labels = [("a",) * len(dims)]
+    with pytest.raises(ValidationError, match="integers"):
+        build_tree([(labels[0], 1.0)], dims)
+
+
+def test_stage_dims_take_numpy_integers():
+    tree = build_tree([(("a", "b"), 1.0)], np.array([2, 1]))
+    assert tree.stage_dims == (2, 1)
+    assert all(type(d) is int for d in tree.stage_dims)
+
+
 def test_stage_out_of_range():
     tree = build_tree([(("a",), 1.0)], [1])
     with pytest.raises(StageOutOfRange):
