@@ -28,6 +28,7 @@ from .operators import (
     RealCross,
     _cost_rows,
     _pack_costs,
+    check_roles,
 )
 from .solver import Problem, Solution, SolverConfig, solve
 from .tree import ScenarioTree, build_tree
@@ -59,6 +60,8 @@ class CvarProblem:
             raise ValidationError(
                 f"constraints: got {len(self.constraints)} entries for {n} scenarios"
             )
+        check_roles(self.costs, CostSpec, "cost {}")
+        check_roles(self.constraints, ConstraintSpec, "constraint {}")
         for i, f in enumerate(self.costs):
             if f.dim != d:
                 raise ShapeMismatch(f"cost {i} has dim {f.dim}, tree needs {d}")

@@ -18,7 +18,7 @@ once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Union, get_args
 
 import numpy as np
 
@@ -54,6 +54,25 @@ def _scalar(x) -> float:
 
 def _setfield(obj, name, value):
     object.__setattr__(obj, name, value)
+
+
+def check_roles(specs, role, label: str):
+    """Raise ValidationError, naming spec i by ``label.format(i)``, unless each is a ``role``."""
+    kinds = get_args(role)
+    for i, spec in enumerate(specs):
+        if not isinstance(spec, kinds):
+            names = ", ".join(k.__name__ for k in kinds)
+            got = type(spec).__name__
+            raise ValidationError(f"{label.format(i)} must be one of {names}, got {got}")
+
+
+def _check_gamma(gamma, zero: bool = False):
+    """Raise NonPositiveGamma unless gamma > 0 (>= 0 with ``zero``), ValidationError for +inf."""
+    if not (gamma >= 0 if zero else gamma > 0):
+        least = "nonnegative" if zero else "positive"
+        raise NonPositiveGamma(f"gamma must be {least}, got {gamma}")
+    if gamma == np.inf:
+        raise ValidationError(f"gamma must be finite, got {gamma}")
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +151,7 @@ def cost_value(f: CostSpec, x) -> float:
 
 def cost_prox(f: CostSpec, gamma: float, x) -> np.ndarray:
     """argmin_p gamma*f(p) + 0.5*||p - x||^2; gamma = 0 gives x back."""
-    if not gamma >= 0:
-        raise NonPositiveGamma(f"prox parameter {gamma} must be nonnegative")
+    _check_gamma(gamma, zero=True)
     q, c, l, _ = _pack_costs([f])
     return _resolvent_kernel(DiagonalAffine, (q, l - q * c), _checked(f, x)[None], gamma)[0][0]
 
@@ -194,6 +212,7 @@ class CvarAugmented:
     alpha: float
 
     def __post_init__(self):
+        check_roles((self.f,), CostSpec, "CvarAugmented.f")
         _setfield(self, "alpha", float(self.alpha))
         if not 0.0 < self.alpha < 1.0:
             raise BadAlpha(f"alpha must lie in (0, 1), got {self.alpha}")
@@ -308,6 +327,9 @@ class RealCross:
     """
 
     base: "ConstraintSpec"
+
+    def __post_init__(self):
+        check_roles((self.base,), ConstraintSpec, "RealCross.base")
 
     @property
     def dim(self):
@@ -643,8 +665,7 @@ def apply_operator(op: OperatorSpec, x) -> np.ndarray:
 
 def resolvent(op: OperatorSpec, gamma: float, z) -> np.ndarray:
     """Solve p + gamma*A(p) = z for the catalog operator A."""
-    if not gamma > 0:
-        raise NonPositiveGamma(f"resolvent parameter {gamma} must be positive")
+    _check_gamma(gamma)
     return _one_row(_resolvent_kernel, op, _checked(op, z), float(gamma))
 
 
@@ -715,8 +736,7 @@ def prox_max_nonneg(f: CostSpec, gamma: float, x, tol: float = 1e-12) -> np.ndar
     x itself where f(x) < 0, else the prox of gamma*f where f stays positive
     there, else the prox of theta*gamma*f for the theta at which f vanishes.
     """
-    if not gamma > 0:
-        raise NonPositiveGamma(f"prox parameter {gamma} must be positive")
+    _check_gamma(gamma)
     if not tol > 0:
         raise ToleranceError(f"root tolerance {tol} must be positive")
     return _prox_root(_pack_costs([f]), _checked(f, x)[None], gamma, 0.0, 0.0, tol)[1][0]
@@ -732,8 +752,7 @@ def prox_cvar_augmented(
     found by the same root search as :func:`prox_max_nonneg`.
     """
     op = CvarAugmented(f=f, alpha=alpha)
-    if not gamma > 0:
-        raise NonPositiveGamma(f"prox parameter {gamma} must be positive")
+    _check_gamma(gamma)
     if not tol > 0:
         raise ToleranceError(f"root tolerance {tol} must be positive")
     z = np.concatenate(([float(y)], _checked(f, x)))
@@ -762,8 +781,7 @@ def require_composite(op_kinds, cs_kinds):
 
 def composite_resolvent(op: OperatorSpec, cs: ConstraintSpec, gamma: float, z) -> np.ndarray:
     """Resolvent of gamma*(A + normal cone of C) for separable pairs."""
-    if not gamma > 0:
-        raise NonPositiveGamma(f"resolvent parameter {gamma} must be positive")
+    _check_gamma(gamma)
     require_composite([_kind(op)], [_kind(cs)])
     return project_constraint(cs, resolvent(op, gamma, z))
 

@@ -33,6 +33,7 @@ from .operators import (
     SubspaceSpec,
     WholeSpace,
     Zero,
+    check_roles,
     forward_rows,
     project_constraint_rows,
     require_composite,
@@ -52,9 +53,11 @@ from .tree import ScenarioTree
 class Problem:
     """One operator, constraint set and activation subspace per scenario.
 
-    Construction also groups the operators and the constraint sets by
-    catalog type into stacks, and the subspaces into one (N, d) axis mask;
-    every per-scenario computation of the solvers runs on these.
+    Each spec must be one of its role's catalog types; a misfit raises
+    ``ValidationError`` naming its index.  Construction also groups the
+    operators and the constraint sets by catalog type into stacks, and the
+    subspaces into one (N, d) axis mask; every per-scenario computation of
+    the solvers runs on these.
     """
 
     tree: ScenarioTree
@@ -71,13 +74,14 @@ class Problem:
         object.__setattr__(self, "operators", tuple(self.operators))
         object.__setattr__(self, "constraints", tuple(self.constraints))
         object.__setattr__(self, "subspaces", tuple(self.subspaces))
-        for name, seq in (
-            ("operators", self.operators),
-            ("constraints", self.constraints),
-            ("subspaces", self.subspaces),
+        for name, seq, role in (
+            ("operators", self.operators, OperatorSpec),
+            ("constraints", self.constraints, ConstraintSpec),
+            ("subspaces", self.subspaces, SubspaceSpec),
         ):
             if len(seq) != n:
                 raise ValidationError(f"{name}: got {len(seq)} entries for {n} scenarios")
+            check_roles(seq, role, name[:-1] + " {}")
         for i, op in enumerate(self.operators):
             if op.dim is not None and op.dim != d:
                 raise DimensionMismatch(f"operator {i} has dim {op.dim}, tree needs {d}")
@@ -202,9 +206,9 @@ class SolverConfig:
     ``ConfigError``.  Values outside the admissible intervals raise instead
     of being clamped: numbers and sequences here, a callable's values each
     time it is called.  ``max_iter`` and ``trace_every`` must be integers,
-    numpy integers included and bools not, ``tol`` a number that is not a
-    bool, ``record_timing`` a bool (``np.bool_`` included), and ``schedule``
-    one of the three schedules.
+    numpy integers included and bools not, ``epsilon`` and ``tol`` numbers
+    as above (bools are not numbers), ``record_timing`` a bool
+    (``np.bool_`` included), and ``schedule`` one of the three schedules.
     """
 
     epsilon: float = 1e-3
@@ -219,7 +223,7 @@ class SolverConfig:
     _steps: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
+        if not 0.0 < _number("epsilon", self.epsilon) < 1.0:
             raise ConfigError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if not isinstance(self.schedule, get_args(ActivationSchedule)):
             raise ConfigError(
@@ -244,7 +248,7 @@ def _check_count(name: str, value, least: int):
 
 def _check_stopping(tol: float, max_iter: int, trace_every: int, record_timing: bool):
     """Raise unless the stopping and tracing settings every solver takes are usable."""
-    if isinstance(tol, (bool, np.bool_)) or not tol >= 0:
+    if not _number("tol", tol) >= 0:
         raise ConfigError(f"tol must be nonnegative, got {tol}")
     _check_count("max_iter", max_iter, 0)
     _check_count("trace_every", trace_every, 1)
@@ -268,14 +272,24 @@ def _as_array(value) -> np.ndarray:
         return np.asarray(None)
 
 
+def _number(name: str, value, max_ndim: int = 0, kinds: str = "a number") -> np.ndarray:
+    """``value`` as an integer or float array of at most ``max_ndim`` dimensions.
+
+    Anything else, bools and numpy bools included, raises ``ConfigError``
+    saying that ``name`` must be ``kinds``.
+    """
+    array = _as_array(value)
+    if array.ndim > max_ndim or array.dtype.kind not in "iuf":
+        raise ConfigError(f"{name} must be {kinds}, got {value!r}")
+    return array
+
+
 def _settle_step(name: str, rule, lo: float, hi: float, max_ndim: int) -> tuple:
     """``(rule, lo, hi)``: a callable as is, else a range-checked float or 1-d float array."""
     if callable(rule):
         return rule, lo, hi
-    value = _as_array(rule)
-    if value.dtype.kind not in "iuf" or value.ndim > max_ndim:
-        kinds = "a number, a 1-d sequence" if max_ndim else "a number"
-        raise ConfigError(f"{name} must be {kinds} or a callable, got {rule!r}")
+    kinds = "a number, a 1-d sequence" if max_ndim else "a number"
+    value = _number(name, rule, max_ndim, kinds + " or a callable")
     _check_range(name, value, lo, hi)
     return (float(value) if value.ndim == 0 else value.astype(float)), lo, hi
 
@@ -297,25 +311,21 @@ def _step(config: SolverConfig, name: str, n: int, rows=None):
 class SolverState:
     """Mutable iterate plus per-scenario intermediates.
 
-    ``op_point``/``op_dual`` come from the operator resolvent, ``set_point``
-    /``set_dual`` from the constraint projection, ``gap`` is the activation
-    subspace's view of their mismatch.  Rows of inactive scenarios are kept
-    bitwise unchanged between activations.  ``root`` is an (N, 1) column
-    holding each scenario's CVaR prox root from the last stopping test of
-    ``solve``, where the next test's root search of a ``CvarAugmented``
-    scenario starts (other scenarios ignore theirs); every other root search
-    starts at t = 0.
+    ``stack`` is one (8, N, d) array holding ``x``, ``x_star``, ``v_star``,
+    ``op_point``, ``op_dual``, ``set_point``, ``set_dual`` and ``gap`` in
+    that order; the eight names are read-only properties that return views
+    of its layers.  ``op_point``/``op_dual`` come from the operator
+    resolvent, ``set_point``/``set_dual`` from the constraint projection,
+    ``gap`` is the activation subspace's view of their mismatch.  Rows of
+    inactive scenarios are kept bitwise unchanged between activations.
+    ``root`` is an (N, 1) column holding each scenario's CVaR prox root
+    from the last stopping test of ``solve``, where the next test's root
+    search of a ``CvarAugmented`` scenario starts (other scenarios ignore
+    theirs); every other root search starts at t = 0.
     """
 
     iteration: int
-    x: np.ndarray
-    x_star: np.ndarray
-    v_star: np.ndarray
-    op_point: np.ndarray
-    op_dual: np.ndarray
-    set_point: np.ndarray
-    set_dual: np.ndarray
-    gap: np.ndarray
+    stack: np.ndarray
     last_activated: np.ndarray
     root: np.ndarray
     rng: Optional[np.random.Generator] = None
@@ -323,6 +333,10 @@ class SolverState:
     kappa: float = 0.0
     tau: float = 0.0
     theta: float = 0.0
+
+    x, x_star, v_star, op_point, op_dual, set_point, set_dual, gap = (
+        property(lambda self, i=i: self.stack[i]) for i in range(8)
+    )
 
 
 class SolveStatus(enum.Enum):
@@ -368,29 +382,20 @@ def init_state(problem: Problem, config: SolverConfig, x0=None, x0_star=None, v0
         rule = config._steps[name][0]
         if isinstance(rule, np.ndarray) and rule.size != n:
             raise ConfigError(f"{name}: got {rule.size} entries for {n} scenarios")
-    x = policy.zeros(tree) if x0 is None else policy.check_policy(tree, x0).copy()
-    xs = policy.zeros(tree) if x0_star is None else policy.check_policy(tree, x0_star).copy()
-    vs = policy.zeros(tree) if v0_star is None else policy.check_policy(tree, v0_star).copy()
-    x = policy.project_nonanticipative(tree, x)
-    vs = policy.project_nonanticipative_complement(tree, vs)
-    xs = np.where(problem.subspace_mask, xs, 0.0)
+    x, xs, vs = (
+        policy.zeros(tree) if v is None else policy.check_policy(tree, v)
+        for v in (x0, x0_star, v0_star)
+    )
+    stack = np.zeros((8, n, d))
+    stack[:3] = (
+        policy.project_nonanticipative(tree, x),
+        np.where(problem.subspace_mask, xs, 0.0),
+        policy.project_nonanticipative_complement(tree, vs),
+    )
     rng = None
     if isinstance(config.schedule, SeededRandom):
         rng = np.random.default_rng(config.schedule.seed)
-    return SolverState(
-        iteration=0,
-        x=x,
-        x_star=xs,
-        v_star=vs,
-        op_point=np.zeros((n, d)),
-        op_dual=np.zeros((n, d)),
-        set_point=np.zeros((n, d)),
-        set_dual=np.zeros((n, d)),
-        gap=np.zeros((n, d)),
-        last_activated=np.full(n, -1, dtype=int),
-        root=np.zeros((n, 1)),
-        rng=rng,
-    )
+    return SolverState(0, stack, np.full(n, -1, dtype=int), np.zeros((n, 1)), rng)
 
 
 def scenario_update(state: SolverState, problem: Problem, scenarios, gamma, mu):
@@ -410,10 +415,9 @@ def scenario_update(state: SolverState, problem: Problem, scenarios, gamma, mu):
         raise NonPositiveGamma(f"gamma must be positive, got {float(gamma.min())}")
     if not np.all(mu > 0):
         raise ConfigError(f"mu must be positive, got {float(mu.min())}")
-    op_point, set_point, _ = _points(
-        problem, state.x[rows], state.x_star[rows], state.v_star[rows], gamma, mu, rows
-    )
-    out = _intermediates(state, problem, rows, gamma, mu, op_point, set_point)
+    block = state.stack[:3].take(rows, axis=1)
+    op_point, set_point, _ = _points(problem, *block, gamma, mu, rows)
+    out = _intermediates(block, problem, rows, gamma, mu, op_point, set_point)
     return tuple(a[0] for a in out) if np.ndim(scenarios) == 0 else out
 
 
@@ -433,11 +437,13 @@ def _points(
     return resolved, projected, roots
 
 
-def _intermediates(state, problem, rows, gamma, mu, op_point, set_point) -> tuple:
-    """The refresh's outputs for ``rows`` from their resolvent and projection points."""
-    x = state.x[rows]
-    xs = state.x_star[rows]
-    op_dual = (x - op_point) / gamma - (xs + state.v_star[rows])
+def _intermediates(block, problem, rows, gamma, mu, op_point, set_point) -> tuple:
+    """The refresh's outputs for ``rows`` from their resolvent and projection points.
+
+    ``block`` holds the rows' x, x* and v* as one (3, k, d) array.
+    """
+    x, xs, vs = block
+    op_dual = (x - op_point) / gamma - (xs + vs)
     set_dual = xs + (x - set_point) / mu
     gap = np.where(problem.subspace_mask[rows], set_point - op_point, 0.0)
     return op_point, op_dual, set_point, set_dual, gap
@@ -452,27 +458,28 @@ def coordination_step(state: SolverState, problem: Problem, config: SolverConfig
     """Project the iterate onto the separating half-space and advance n."""
     tree = problem.tree
     probs = tree.probabilities
-    dual_avg = policy.project_nonanticipative(tree, state.op_dual + state.set_dual)
-    anti = -policy.project_nonanticipative_complement(tree, state.op_point)
-    tau = sum(policy._inner(probs, u, u) for u in (dual_avg, state.gap, anti))
+    x, xs, vs, a, a_star, b, b_star, u = state.stack
+    dual_avg = policy._average(tree, a_star + b_star)
+    anti = -(a - policy._average(tree, a))
+    tau = sum(policy._inner(probs, w, w) for w in (dual_avg, u, anti))
     if tau > 0.0:
         # x lies in the nonanticipative subspace throughout, so pairing it
         # with the averaged dual equals pairing it with the raw duals; the
         # grouped form below avoids cancellation between O(1) inner products
         # once the gaps are tiny
         kappa = (
-            policy._inner(probs, state.x - state.op_point, state.op_dual)
-            + policy._inner(probs, state.x - state.set_point, state.set_dual)
-            + policy._inner(probs, state.gap, state.x_star)
-            + policy._inner(probs, anti, state.v_star)
+            policy._inner(probs, x - a, a_star)
+            + policy._inner(probs, x - b, b_star)
+            + policy._inner(probs, u, xs)
+            + policy._inner(probs, anti, vs)
         )
         theta = _step(config, "lambda", state.iteration) * max(kappa, 0.0) / tau
     else:
         kappa = 0.0
         theta = 0.0
-    state.x -= theta * dual_avg
-    state.x_star -= theta * state.gap
-    state.v_star -= theta * anti
+    x -= theta * dual_avg
+    xs -= theta * u
+    vs -= theta * anti
     state.kappa = kappa
     state.tau = tau
     state.theta = theta
@@ -497,20 +504,16 @@ def iterate(state: SolverState, problem: Problem, config: SolverConfig, points=N
         )
     gamma = _step(config, "gamma", n, active)
     mu = _step(config, "mu", n, active)
+    full = active.size == num
+    rows = slice(None) if full else active
     if points is not None and np.all(gamma == 1.0) and np.all(mu == 1.0):
-        refreshed = _intermediates(
-            state, problem, active, 1.0, 1.0, points[0][active], points[1][active]
-        )
+        # take keeps each layer C-ordered; stack[:3, rows] interleaves the layers' rows
+        block = state.stack[:3] if full else state.stack[:3].take(active, axis=1)
+        refreshed = _intermediates(block, problem, rows, 1.0, 1.0, points[0][rows], points[1][rows])
     else:
         refreshed = scenario_update(state, problem, active, gamma, mu)
-    (
-        state.op_point[active],
-        state.op_dual[active],
-        state.set_point[active],
-        state.set_dual[active],
-        state.gap[active],
-    ) = refreshed
-
+    for dst, src in zip(state.stack[3:], refreshed):
+        dst[rows] = src
     coordination_step(state, problem, config)
     state.last_activated[active] = n
     state.active = active
@@ -648,10 +651,7 @@ def progressive_hedging_solve(
     numpy values included and bools not; it has no ``epsilon`` range.  The
     other settings are checked as in ``SolverConfig``.
     """
-    value = _as_array(gamma)
-    if value.ndim or value.dtype.kind not in "iuf":
-        raise ConfigError(f"gamma must be a number, got {gamma!r}")
-    gamma = float(value)
+    gamma = float(_number("gamma", gamma))
     if not gamma > 0:
         raise NonPositiveGamma(f"gamma must be positive, got {gamma}")
     if not math.isfinite(gamma):

@@ -18,6 +18,7 @@ from scensplit.operators import (
     Affine,
     Box,
     CvarAugmented,
+    DiagonalAffine,
     Full,
     RealCross,
     SeparableQuadratic,
@@ -34,6 +35,17 @@ def quarter_tree():
 
 def skew_tree():
     return build_tree([((0,), 0.7), ((1,), 0.3)], stage_dims=[1])
+
+
+# --- problem validation ---
+
+def test_cvar_problem_checks_each_spec_role():
+    tree = skew_tree()
+    box = Box(lo=[0.0], hi=[1.0])
+    with pytest.raises(ValidationError, match="constraint 0 must be one of"):
+        CvarProblem(tree, 0.9, (Affine(c=[1.0]),) * 2, (Full(), box))
+    with pytest.raises(ValidationError, match="cost 1 must be one of"):
+        CvarProblem(tree, 0.9, (Affine(c=[1.0]), DiagonalAffine(a=[1.0], b=[0.0])), (box,) * 2)
 
 
 # --- tail risk of a fixed loss vector ---

@@ -294,6 +294,32 @@ def test_prox_max_nonneg_boundary_tie():
     assert_allclose(prox_max_nonneg(f, 1.0, [0.0]), [0.0], atol=1e-10)
 
 
+def test_infinite_gamma_is_refused():
+    # an infinite step used to give NaN points with RuntimeWarnings
+    op, f, box = DiagonalAffine(a=[1.0], b=[0.0]), Affine(c=[1.0]), Box(lo=[0.0], hi=[1.0])
+    calls = [
+        lambda g: resolvent(op, g, [1.0]),
+        lambda g: cost_prox(f, g, [1.0]),
+        lambda g: prox_max_nonneg(f, g, [1.0]),
+        lambda g: prox_cvar_augmented(f, 0.5, g, 0.0, [1.0]),
+        lambda g: composite_resolvent(op, box, g, [1.0]),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="gamma must be finite"):
+            call(np.inf)
+        for bad in (-np.inf, -1.0, float("nan")):
+            with pytest.raises(NonPositiveGamma):
+                call(bad)
+    assert_array_equal(cost_prox(f, 0.0, [1.0]), [1.0])
+
+
+def test_specs_check_the_roles_of_their_parts():
+    with pytest.raises(ValidationError, match="CvarAugmented.f must be one of Affine"):
+        CvarAugmented(f=DiagonalAffine(a=[1.0], b=[0.0]), alpha=0.5)
+    with pytest.raises(ValidationError, match="RealCross.base must be one of"):
+        RealCross(base=Full())
+
+
 def test_prox_max_nonneg_errors():
     f = Affine(c=[1.0])
     with pytest.raises(NonPositiveGamma):

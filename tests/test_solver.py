@@ -90,6 +90,19 @@ def test_problem_validation():
         )
 
 
+def test_problem_checks_each_spec_role():
+    # a spec in the wrong role is refused when the problem is built
+    tree = pair_tree()
+    ops = (DiagonalAffine(a=[1.0, 1.0], b=[0.0, 0.0]),) * 2
+    box = Box(lo=[0.0, 0.0], hi=[1.0, 1.0])
+    with pytest.raises(ValidationError, match="operator 0 must be one of"):
+        make_problem(tree, (box,) * 2)
+    with pytest.raises(ValidationError, match="constraint 1 must be one of"):
+        make_problem(tree, ops, constraints=(WholeSpace(), Full()))
+    with pytest.raises(ValidationError, match="subspace 0 must be one of"):
+        make_problem(tree, ops, subspaces=(box, Full()))
+
+
 def test_make_problem_defaults():
     prob = pair_problem()
     assert all(isinstance(c, WholeSpace) for c in prob.constraints)
@@ -588,11 +601,14 @@ def test_stopping_test_matches_kkt_residual(schedule):
     assert sol.residual == pytest.approx(public[-1], rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("steps", [dict(), dict(gamma=0.7, mu=1.3)])
+@pytest.mark.parametrize(
+    # full activation refreshes through slices, against scenario_update's index arrays
+    "steps", [dict(), dict(gamma=0.7, mu=1.3), dict(schedule=FullActivation())]
+)
 def test_iterate_with_unit_points_matches_plain_iterate(steps):
     rng = np.random.default_rng(64)
     prob = mixed_instance(rng, random_tree(rng, 10, 3))
-    cfg = SolverConfig(schedule=RoundRobin(block_size=4), **steps)
+    cfg = SolverConfig(**{"schedule": RoundRobin(block_size=4), **steps})
     state = init_state(prob, cfg)
     for _ in range(5):
         iterate(state, prob, cfg)
@@ -601,6 +617,26 @@ def test_iterate_with_unit_points_matches_plain_iterate(steps):
     iterate(reused, prob, cfg, _points(prob, reused.x, reused.x_star, reused.v_star))
     for name in ("x", "x_star", "v_star", "op_point", "op_dual", "set_point", "set_dual", "gap"):
         assert np.array_equal(getattr(plain, name), getattr(reused, name)), name
+
+
+def test_state_names_are_views_of_one_stack():
+    rng = np.random.default_rng(66)
+    prob = mixed_instance(rng, random_tree(rng, 6, 3))
+    cfg = SolverConfig(schedule=RoundRobin(block_size=4))
+    state = init_state(prob, cfg)
+    iterate(state, prob, cfg)
+    twin = copy.deepcopy(state)
+    names = ("x", "x_star", "v_star", "op_point", "op_dual", "set_point", "set_dual", "gap")
+    for st in (state, twin):
+        assert st.stack.shape == (8, 6, prob.tree.total_dim)
+        for i, name in enumerate(names):
+            assert getattr(st, name).base is st.stack
+            assert np.array_equal(getattr(st, name), st.stack[i])
+    assert not np.shares_memory(twin.stack, state.stack)
+    state.x[0, 0] = 2.0
+    assert state.stack[0, 0, 0] == 2.0 and twin.x[0, 0] != 2.0
+    with pytest.raises(AttributeError):
+        state.gap = np.zeros_like(state.gap)
 
 
 def test_full_blocks_share_one_active_tuple():
@@ -747,6 +783,9 @@ def test_progressive_hedging_rejects_unsupported():
         {"trace_every": 0},
         {"tol": True},
         {"tol": np.False_},
+        {"tol": "1e-6"},
+        {"tol": None},
+        {"tol": np.array([1e-6, 1e-6])},
     ],
 )
 def test_progressive_hedging_checks_settings_like_config(settings):
@@ -754,6 +793,12 @@ def test_progressive_hedging_checks_settings_like_config(settings):
         SolverConfig(**settings)
     with pytest.raises(ConfigError):
         progressive_hedging_solve(pair_problem(), **settings)
+
+
+@pytest.mark.parametrize("epsilon", ["0.1", None, np.array([0.1, 0.1]), True])
+def test_config_refuses_epsilon_that_is_not_a_number(epsilon):
+    with pytest.raises(ConfigError, match="epsilon must be a number"):
+        SolverConfig(epsilon=epsilon)
 
 
 @pytest.mark.parametrize("gamma", [True, np.True_, "1", None, [1.0], np.array([1.0]), np.inf])
