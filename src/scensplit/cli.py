@@ -9,6 +9,9 @@ runs are deterministic for fixed inputs, flags and seed.
 from __future__ import annotations
 
 import argparse
+import bisect
+import dataclasses
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -18,7 +21,7 @@ import numpy as np
 
 from . import operators as ops
 from .cvar import CvarProblem, CvarSolution, solve_cvar
-from .errors import ParseError, ScensplitError, ValidationError
+from .errors import DimensionMismatch, ParseError, ScensplitError, ShapeMismatch, ValidationError
 from .solver import (
     FullActivation,
     Problem,
@@ -31,7 +34,7 @@ from .solver import (
     solve,
     solve_reduced,
 )
-from .tree import ScenarioTree, build_tree, equivalence_classes
+from .tree import ScenarioTree, build_tree, check_stage_dims, equivalence_classes
 
 TRACE_HEADER = ["n", "residual", "kappa", "tau", "theta", "active_block_size", "wall_time_ms"]
 
@@ -61,130 +64,183 @@ def _record(obj, context: str, required, optional=()):
     return obj
 
 
-def _scalar(value, context: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValidationError(f"{context}: expected a number, got {value!r}")
-    return float(value)
+# json gives a number as an int or a float, and true/false as bools
+_NUMBER_TYPES = frozenset((int, float))
+_LABEL_TYPES = frozenset((str, int, float, bool))
+_SCENARIO_KEYS = frozenset(("labels", "probability"))
+# the least integer that float() rounds past the largest float
+_FLOAT_LIMIT = 2**1024 - 2**970
 
 
-def _floats(value, context: str, none=None):
-    """A list of numbers; ``null`` entries become ``none`` when it is given."""
-    if not isinstance(value, list):
-        raise ValidationError(f"{context}: expected a list of numbers")
-    out = []
-    for v in value:
-        if isinstance(v, (int, float)) and not isinstance(v, bool):
-            out.append(float(v))
-        elif v is None and none is not None:
-            out.append(none)
-        else:
-            raise ValidationError(f"{context}: bad entry {v!r}")
-    return out
+def _numbers(values: list, where, fill=None) -> np.ndarray:
+    """The JSON numbers in ``values`` as one float array; ``where(j)`` names entry j.
+
+    A bool, any other non-number and an integer beyond float range raise
+    ValidationError.  ``null`` entries become ``fill`` when it is given.
+    """
+    allowed = _NUMBER_TYPES if fill is None else _NUMBER_TYPES | {type(None)}
+    kinds = set(map(type, values))
+    if not kinds <= allowed:
+        j = next(j for j, v in enumerate(values) if type(v) not in allowed)
+        raise ValidationError(f"{where(j)}: expected a number, got {values[j]!r}")
+    if type(None) in kinds:
+        values = [fill if v is None else v for v in values]
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:
+        j = next(j for j, v in enumerate(values) if abs(v) >= _FLOAT_LIMIT)
+        raise ValidationError(f"{where(j)}: integer beyond float range") from None
 
 
-def _lower(value, context: str):
-    return _floats(value, context, none=-np.inf)
+def _stacked(rows: list, where, width: int, mismatch, fill=None) -> np.ndarray:
+    """``rows``, one JSON list of numbers each, as one (len(rows), width) float array.
+
+    ``where(r)`` names row r.  A row that is not a list or holds a bad
+    entry raises ValidationError, a row of another length ``mismatch``.
+    """
+    if set(map(type, rows)) != {list}:
+        r = next(r for r, row in enumerate(rows) if type(row) is not list)
+        raise ValidationError(f"{where(r)}: expected a list of numbers")
+    lengths = list(map(len, rows))
+
+    def entry(j: int) -> str:
+        return where(bisect.bisect_right(list(itertools.accumulate(lengths)), j))
+
+    values = _numbers(list(itertools.chain.from_iterable(rows)), entry, fill)
+    if lengths.count(width) != len(rows):
+        r = next(r for r, length in enumerate(lengths) if length != width)
+        raise mismatch(f"{where(r)}: got {lengths[r]} entries, the tree needs {width}")
+    return values.reshape(len(rows), width)
 
 
-def _upper(value, context: str):
-    return _floats(value, context, none=np.inf)
-
-
-def _indices(value, context: str):
-    if not isinstance(value, list) or not all(
-        isinstance(i, int) and not isinstance(i, bool) for i in value
-    ):
+def _coordinates(value, context: str) -> ops.Coordinates:
+    if not isinstance(value, list) or not all(type(i) is int for i in value):
         raise ValidationError(f"{context}: indices must be a list of integers")
-    return tuple(value)
+    try:
+        return ops.Coordinates(indices=tuple(value))
+    except ValidationError as e:
+        raise ValidationError(f"{context}: {e}") from None
 
 
-# record kind -> type string -> (spec class, required fields, optional fields);
-# each field maps to its JSON parser, and an absent optional field takes the
-# spec class's default
+# record kind -> type string -> spec class.  A record holds "type" and the
+# fields of its class; an absent field that has a default takes it.
 CATALOG = {
     "operator": {
-        "diagonal_affine": (ops.DiagonalAffine, {"a": _floats, "b": _floats}, {}),
-        "grad_separable_quadratic": (ops.GradSeparableQuadratic, {"q": _floats, "c": _floats}, {}),
+        "diagonal_affine": ops.DiagonalAffine,
+        "grad_separable_quadratic": ops.GradSeparableQuadratic,
     },
     "constraint": {
-        "whole_space": (ops.WholeSpace, {}, {}),
-        "box": (ops.Box, {"lo": _lower, "hi": _upper}, {}),
-        "ball": (ops.Ball, {"center": _floats, "radius": _scalar}, {}),
-        "halfspace": (ops.Halfspace, {"normal": _floats, "offset": _scalar}, {}),
-        "hyperplane": (ops.Hyperplane, {"normal": _floats, "offset": _scalar}, {}),
+        "whole_space": ops.WholeSpace,
+        "box": ops.Box,
+        "ball": ops.Ball,
+        "halfspace": ops.Halfspace,
+        "hyperplane": ops.Hyperplane,
     },
-    "subspace": {
-        "full": (ops.Full, {}, {}),
-        "zero": (ops.Zero, {}, {}),
-        "coordinates": (ops.Coordinates, {"indices": _indices}, {}),
-    },
-    "cost": {
-        "affine": (ops.Affine, {"c": _floats}, {"r": _scalar}),
-        "separable_quadratic": (ops.SeparableQuadratic, {"q": _floats, "c": _floats}, {"r": _scalar}),
-    },
+    "subspace": {"full": ops.Full, "zero": ops.Zero, "coordinates": ops.Coordinates},
+    "cost": {"affine": ops.Affine, "separable_quadratic": ops.SeparableQuadratic},
 }
+# a null entry of these fields is an unbounded box side
+_NULL_SIDES = {"lo": -np.inf, "hi": np.inf}
 
 
-def _parse_spec(what: str, rec, context: str):
-    """Build the catalog spec that one ``{"type": ...}`` record describes."""
-    if not isinstance(rec, dict) or "type" not in rec:
-        raise ValidationError(f"{context}: expected an object with a 'type' key")
-    kind = rec["type"]
-    # a list or object type is unhashable, so test for a string first
-    if not isinstance(kind, str) or kind not in CATALOG[what]:
-        raise ValidationError(f"{context}: unknown {what} type {kind!r}")
-    cls, required, optional = CATALOG[what][kind]
-    _record(rec, context, ["type", *required], optional)
-    fields = {**required, **optional}
-    return cls(**{k: parse(rec[k], f"{context}.{k}") for k, parse in fields.items() if k in rec})
+def _record_keys(cls) -> tuple:
+    """(required, allowed) keys of a ``cls`` record."""
+    fields = dataclasses.fields(cls)
+    allowed = frozenset(["type", *(f.name for f in fields)])
+    return allowed - {f.name for f in fields if f.default is not dataclasses.MISSING}, allowed
 
 
-def _parse_specs(what: str, seq, context: str, n: int) -> tuple:
+_RECORD_KEYS = {cls: _record_keys(cls) for kinds in CATALOG.values() for cls in kinds.values()}
+
+
+def _parse_group(cls, recs: list, label, width: int, mismatch) -> list:
+    """The specs of the ``cls`` records ``recs``; ``label(r)`` names record r."""
+    if cls is ops.Coordinates:
+        return [_coordinates(rec["indices"], f"{label(r)}.indices") for r, rec in enumerate(recs)]
+    if cls not in ops.RULES:
+        return [cls()] * len(recs)
+    vectors, scalars, _ = ops.RULES[cls]
+    fields = {
+        name: _stacked(
+            [rec[name] for rec in recs],
+            lambda r: f"{label(r)}.{name}",
+            width,
+            mismatch,
+            _NULL_SIDES.get(name),
+        )
+        for name in vectors
+    }
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    for name in scalars:
+        values = [rec.get(name, defaults[name]) for rec in recs]
+        fields[name] = _numbers(values, lambda r: f"{label(r)}.{name}").reshape(-1, 1)
+    return ops.specs_from_rows(cls, fields, label)
+
+
+def _parse_section(what: str, seq, section: str, n: int, width: int, mismatch) -> tuple:
+    """The specs of one per-scenario section, parsed one group of a type at a time.
+
+    Each record's keys are checked on their own; each group's fields are
+    checked and stacked field by field, and its catalog rules run once.
+    """
     if not isinstance(seq, list) or len(seq) != n:
-        raise ValidationError(f"{context}: expected a list with {n} entries")
-    return tuple(_parse_spec(what, rec, f"{context}[{i}]") for i, rec in enumerate(seq))
+        raise ValidationError(f"{section}: expected a list with {n} entries")
+    catalog = CATALOG[what]
+    groups: dict = {}
+    for i, rec in enumerate(seq):
+        if type(rec) is not dict or "type" not in rec:
+            raise ValidationError(f"{section}[{i}]: expected an object with a 'type' key")
+        kind = rec["type"]
+        # a list or object type is unhashable, so test for a string first
+        if type(kind) is not str or kind not in catalog:
+            raise ValidationError(f"{section}[{i}]: unknown {what} type {kind!r}")
+        required, allowed = _RECORD_KEYS[catalog[kind]]
+        if not required <= rec.keys() <= allowed:
+            _record(rec, f"{section}[{i}]", required, allowed)
+        groups.setdefault(kind, []).append(i)
+    specs = [None] * n
+    for kind, members in groups.items():
+        recs = [seq[i] for i in members]
 
+        def label(r, members=members):
+            return f"{section}[{members[r]}]"
 
-def _parse_label(v, context: str):
-    if isinstance(v, (str, int, float, bool)):
-        return v
-    raise ValidationError(f"{context}: labels must be strings or numbers, got {v!r}")
+        for i, spec in zip(members, _parse_group(catalog[kind], recs, label, width, mismatch)):
+            specs[i] = spec
+    return tuple(specs)
 
 
 def load_problem_file(path: str) -> ProblemBundle:
-    """Parse and fully validate a problem file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    """Parse and fully validate a problem file.
+
+    Each section is parsed in bulk and checked against the scenario count
+    and the record width sum(stages) before the tree is built.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
             doc = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: invalid JSON: {e}") from e
+        # ValueError: bad JSON or UTF-8, or an integer over the digit limit
+        except (ValueError, RecursionError) as e:
+            raise ParseError(f"{path}: invalid JSON: {e}") from e
     _record(doc, "problem file", ["stages", "scenarios"], ["operators", "constraints", "subspaces", "cvar"])
 
-    stages = doc["stages"]
-    if not isinstance(stages, list) or not all(
-        isinstance(d, int) and not isinstance(d, bool) for d in stages
-    ):
+    if not isinstance(doc["stages"], list):
         raise ValidationError("stages: expected a list of integers")
+    stages = check_stage_dims(doc["stages"])
+    width = sum(stages)
     raw = doc["scenarios"]
     if not isinstance(raw, list):
         raise ValidationError("scenarios: expected a list")
-    pairs = []
     for i, rec in enumerate(raw):
-        _record(rec, f"scenario {i}", ["labels", "probability"])
-        if not isinstance(rec["labels"], list):
-            raise ValidationError(f"scenario {i}: labels must be a list")
-        labels = tuple(_parse_label(v, f"scenario {i}") for v in rec["labels"])
-        pairs.append((labels, _scalar(rec["probability"], f"scenario {i}")))
-    tree = build_tree(pairs, stages)
-    n = tree.num_scenarios
-
-    def per_scenario(key, what, default):
-        if key not in doc:
-            return (default,) * n
-        return _parse_specs(what, doc[key], key, n)
-
-    constraints = per_scenario("constraints", "constraint", ops.WholeSpace())
-    subspaces = per_scenario("subspaces", "subspace", ops.Full())
+        if type(rec) is not dict or rec.keys() != _SCENARIO_KEYS:
+            _record(rec, f"scenarios[{i}]", _SCENARIO_KEYS)
+        labels = rec["labels"]
+        if type(labels) is not list or not _LABEL_TYPES.issuperset(map(type, labels)):
+            raise ValidationError(f"scenarios[{i}].labels: expected a list of strings and numbers")
+    probabilities = _numbers(
+        [rec["probability"] for rec in raw], lambda i: f"scenarios[{i}].probability"
+    )
+    n = len(raw)
 
     has_ops = "operators" in doc
     has_cvar = "cvar" in doc
@@ -192,15 +248,25 @@ def load_problem_file(path: str) -> ProblemBundle:
         raise ValidationError("provide either 'operators' or 'cvar', not both")
     if not has_ops and not has_cvar:
         raise ValidationError("provide one of 'operators' or 'cvar'")
+    # the classes Problem and CvarProblem raise for a width other than the tree's
+    mismatch = DimensionMismatch if has_ops else ShapeMismatch
 
+    def per_scenario(key, what, default):
+        if key not in doc:
+            return (default,) * n
+        return _parse_section(what, doc[key], key, n, width, mismatch)
+
+    constraints = per_scenario("constraints", "constraint", ops.WholeSpace())
+    subspaces = per_scenario("subspaces", "subspace", ops.Full())
     if has_ops:
-        operators = _parse_specs("operator", doc["operators"], "operators", n)
-        problem = Problem(tree, operators, constraints, subspaces)
-        return ProblemBundle(tree=tree, problem=problem, cvar=None)
-
-    rec = _record(doc["cvar"], "cvar", ["alpha", "costs"])
-    alpha = _scalar(rec["alpha"], "cvar.alpha")
-    costs = _parse_specs("cost", rec["costs"], "cvar.costs", n)
+        operators = _parse_section("operator", doc["operators"], "operators", n, width, mismatch)
+    else:
+        rec = _record(doc["cvar"], "cvar", ["alpha", "costs"])
+        alpha = _numbers([rec["alpha"]], lambda j: "cvar.alpha").tolist()[0]
+        costs = _parse_section("cost", rec["costs"], "cvar.costs", n, width, mismatch)
+    tree = build_tree(zip((tuple(rec["labels"]) for rec in raw), probabilities.tolist()), stages)
+    if has_ops:
+        return ProblemBundle(tree, Problem(tree, operators, constraints, subspaces), None)
     cp = CvarProblem(tree=tree, alpha=alpha, costs=costs, constraints=constraints)
     return ProblemBundle(tree=tree, problem=None, cvar=cp)
 

@@ -36,20 +36,11 @@ from .errors import (
 UNBOUNDED = float(np.finfo(np.float64).max)
 
 
-def _vec(x, finite: bool = True) -> np.ndarray:
+def _vec(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
-        raise ValidationError(f"expected a 1-d array, got shape {arr.shape}")
-    if finite and not np.isfinite(arr).all():
-        raise ValidationError(f"expected finite entries, got {arr[~np.isfinite(arr)][0]}")
+        raise ValidationError(f"{name}: expected a 1-d array, got shape {arr.shape}")
     return arr
-
-
-def _scalar(x) -> float:
-    value = float(x)
-    if not np.isfinite(value):
-        raise ValidationError(f"expected a finite number, got {value}")
-    return value
 
 
 def _setfield(obj, name, value):
@@ -66,13 +57,44 @@ def check_roles(specs, role, label: str):
             raise ValidationError(f"{label.format(i)} must be one of {names}, got {got}")
 
 
-def _check_gamma(gamma, zero: bool = False):
-    """Raise NonPositiveGamma unless gamma > 0 (>= 0 with ``zero``), ValidationError for +inf."""
+def _as_array(value) -> np.ndarray:
+    """``value`` as a numpy array; ragged nesting gives a 0-d object array."""
+    try:
+        return np.asarray(value)
+    except ValueError:
+        return np.asarray(None)
+
+
+def _number(name: str, value, max_ndim: int = 0, kinds: str = "a number") -> np.ndarray:
+    """``value`` as an integer or float array of at most ``max_ndim`` dimensions.
+
+    Anything else, bools and numpy bools included, raises ``ConfigError``
+    saying that ``name`` must be ``kinds``.
+    """
+    array = _as_array(value)
+    if array.ndim > max_ndim or array.dtype.kind not in "iuf":
+        raise ConfigError(f"{name} must be {kinds}, got {value!r}")
+    return array
+
+
+def _check_gamma(gamma, zero: bool = False) -> float:
+    """gamma as a float, once it is a number > 0 (>= 0 with ``zero``) and finite.
+
+    A number is an integer or float, numpy scalars and one-entry arrays
+    included; anything else (a string, None, a bool, a longer array) raises
+    ConfigError.  A value out of range raises NonPositiveGamma, +inf
+    ValidationError.
+    """
+    array = _number("gamma", gamma, max_ndim=1)
+    if array.size != 1:
+        raise ConfigError(f"gamma must be a number, got {gamma!r}")
+    gamma = float(array.reshape(()))
     if not (gamma >= 0 if zero else gamma > 0):
         least = "nonnegative" if zero else "positive"
         raise NonPositiveGamma(f"gamma must be {least}, got {gamma}")
     if gamma == np.inf:
         raise ValidationError(f"gamma must be finite, got {gamma}")
+    return gamma
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +109,7 @@ class Affine:
     r: float = 0.0
 
     def __post_init__(self):
-        _setfield(self, "c", _vec(self.c))
-        _setfield(self, "r", _scalar(self.r))
+        _settle(self)
 
     @property
     def dim(self) -> int:
@@ -104,13 +125,7 @@ class SeparableQuadratic:
     r: float = 0.0
 
     def __post_init__(self):
-        _setfield(self, "q", _vec(self.q))
-        _setfield(self, "c", _vec(self.c))
-        _setfield(self, "r", _scalar(self.r))
-        if self.q.size != self.c.size:
-            raise DimensionMismatch("q and c must have equal length")
-        if (self.q < 0).any():
-            raise ValidationError("quadratic weights must be nonnegative")
+        _settle(self)
 
     @property
     def dim(self) -> int:
@@ -151,7 +166,7 @@ def cost_value(f: CostSpec, x) -> float:
 
 def cost_prox(f: CostSpec, gamma: float, x) -> np.ndarray:
     """argmin_p gamma*f(p) + 0.5*||p - x||^2; gamma = 0 gives x back."""
-    _check_gamma(gamma, zero=True)
+    gamma = _check_gamma(gamma, zero=True)
     q, c, l, _ = _pack_costs([f])
     return _resolvent_kernel(DiagonalAffine, (q, l - q * c), _checked(f, x)[None], gamma)[0][0]
 
@@ -168,12 +183,7 @@ class DiagonalAffine:
     b: np.ndarray
 
     def __post_init__(self):
-        _setfield(self, "a", _vec(self.a))
-        _setfield(self, "b", _vec(self.b))
-        if self.a.size != self.b.size:
-            raise DimensionMismatch("a and b must have equal length")
-        if (self.a < 0).any():
-            raise ValidationError("diagonal coefficients must be nonnegative")
+        _settle(self)
 
     @property
     def dim(self) -> int:
@@ -188,12 +198,7 @@ class GradSeparableQuadratic:
     c: np.ndarray
 
     def __post_init__(self):
-        _setfield(self, "q", _vec(self.q))
-        _setfield(self, "c", _vec(self.c))
-        if self.q.size != self.c.size:
-            raise DimensionMismatch("q and c must have equal length")
-        if (self.q < 0).any():
-            raise ValidationError("quadratic weights must be nonnegative")
+        _settle(self)
 
     @property
     def dim(self) -> int:
@@ -246,18 +251,7 @@ class Box:
     hi: np.ndarray
 
     def __post_init__(self):
-        # -inf / +inf sides map to the sentinels; NaN and the other
-        # infinities fail the finiteness check
-        lo = np.maximum(_vec(self.lo, finite=False), -UNBOUNDED)
-        hi = np.minimum(_vec(self.hi, finite=False), UNBOUNDED)
-        if lo.size != hi.size:
-            raise DimensionMismatch("lo and hi must have equal length")
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            raise ValidationError("box bounds must be finite or +-inf")
-        if (lo > hi).any():
-            raise ValidationError("box needs lo <= hi componentwise")
-        _setfield(self, "lo", _frozen(lo))
-        _setfield(self, "hi", _frozen(hi))
+        _settle(self)
 
     @property
     def dim(self) -> int:
@@ -272,10 +266,7 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        _setfield(self, "center", _vec(self.center))
-        _setfield(self, "radius", float(self.radius))
-        if not (np.isfinite(self.radius) and self.radius > 0):
-            raise ValidationError(f"ball radius must be positive, got {self.radius}")
+        _settle(self)
 
     @property
     def dim(self) -> int:
@@ -290,10 +281,7 @@ class Halfspace:
     offset: float
 
     def __post_init__(self):
-        _setfield(self, "normal", _vec(self.normal))
-        _setfield(self, "offset", _scalar(self.offset))
-        if not (self.normal != 0).any():
-            raise ValidationError("halfspace normal must be nonzero")
+        _settle(self)
 
     @property
     def dim(self) -> int:
@@ -308,10 +296,7 @@ class Hyperplane:
     offset: float
 
     def __post_init__(self):
-        _setfield(self, "normal", _vec(self.normal))
-        _setfield(self, "offset", _scalar(self.offset))
-        if not (self.normal != 0).any():
-            raise ValidationError("hyperplane normal must be nonzero")
+        _settle(self)
 
     @property
     def dim(self) -> int:
@@ -385,6 +370,115 @@ class Coordinates:
 
 
 SubspaceSpec = Union[Full, Zero, Coordinates]
+
+
+# ---------------------------------------------------------------------------
+# catalog rules
+# ---------------------------------------------------------------------------
+#
+# The rules of a spec class with numeric fields are checked on a group of
+# rows at once: each vector field stacked into a (k, d) array, each scalar
+# field into a (k, 1) column.  A spec checks itself as a group of one row.
+
+def _finite(name: str) -> tuple:
+    return name, "expected finite entries", lambda f: ~np.isfinite(f[name]).all(axis=1)
+
+
+def _nonnegative(name: str, message: str) -> tuple:
+    return name, message, lambda f: (f[name] < 0).any(axis=1)
+
+
+def _nonzero_normal(kind: str) -> tuple:
+    return "normal", f"{kind} normal must be nonzero", lambda f: ~(f["normal"] != 0).any(axis=1)
+
+
+_QUADRATIC = _nonnegative("q", "quadratic weights must be nonnegative")
+
+# spec class -> (vector fields, scalar fields, rules).  Every entry must be
+# finite, once a Box's infinite sides are clamped; each further rule is
+# (field, message, test), where test maps the stacked fields to a (k,) mask,
+# True at the rows that break the rule.
+RULES = {
+    Affine: (("c",), ("r",), ()),
+    SeparableQuadratic: (("q", "c"), ("r",), (_QUADRATIC,)),
+    DiagonalAffine: (("a", "b"), (), (_nonnegative("a", "diagonal coefficients must be nonnegative"),)),
+    GradSeparableQuadratic: (("q", "c"), (), (_QUADRATIC,)),
+    Box: (
+        ("lo", "hi"),
+        (),
+        (("hi", "box needs lo <= hi componentwise", lambda f: (f["lo"] > f["hi"]).any(axis=1)),),
+    ),
+    Ball: (
+        ("center",),
+        ("radius",),
+        (("radius", "ball radius must be positive", lambda f: f["radius"][:, 0] <= 0),),
+    ),
+    Halfspace: (("normal",), ("offset",), (_nonzero_normal("halfspace"),)),
+    Hyperplane: (("normal",), ("offset",), (_nonzero_normal("hyperplane"),)),
+}
+
+
+def _settle_rows(cls, fields: dict, label) -> dict:
+    """The stacked ``fields`` of a group of ``cls`` specs, once every row passes the rules.
+
+    ``fields`` maps each field of ``cls`` in :data:`RULES` to its stacked
+    array.  Vector fields of unequal widths raise DimensionMismatch;
+    otherwise the first row that breaks a rule raises ValidationError for
+    the first rule it breaks, led by ``label(row)`` and the field.  Box sides
+    come back read-only, -inf and +inf moved to -+UNBOUNDED.
+    """
+    vectors, scalars, rules = RULES[cls]
+    if len({fields[name].shape[1] for name in vectors}) > 1:
+        raise DimensionMismatch(f"{label(0)}: {' and '.join(vectors)} must have equal length")
+    if cls is Box:
+        # NaN and the other infinities stay, to fail the finiteness rule
+        fields = {
+            "lo": _frozen(np.maximum(fields["lo"], -UNBOUNDED)),
+            "hi": _frozen(np.minimum(fields["hi"], UNBOUNDED)),
+        }
+    rules = [_finite(name) for name in vectors + scalars] + list(rules)
+    broken = np.array([test(fields) for *_, test in rules])
+    rows = broken.any(axis=0)
+    if rows.any():
+        row = int(rows.argmax())
+        name, message, _ = rules[int(broken[:, row].argmax())]
+        raise ValidationError(f"{label(row)}.{name}: {message}")
+    return fields
+
+
+def _settle(spec):
+    """Check a spec's fields as a group of one row, then store them as 1-d arrays and floats."""
+    cls = type(spec)
+    vectors, scalars, _ = RULES[cls]
+    fields = {name: _vec(getattr(spec, name), f"{cls.__name__}.{name}")[None] for name in vectors}
+    for name in scalars:
+        fields[name] = np.array([[float(getattr(spec, name))]])
+    fields = _settle_rows(cls, fields, lambda row: cls.__name__)
+    for name in vectors:
+        _setfield(spec, name, fields[name][0])
+    for name in scalars:
+        _setfield(spec, name, float(fields[name][0, 0]))
+
+
+def specs_from_rows(cls, fields: dict, label) -> list:
+    """One ``cls`` spec per row of the stacked ``fields``, the rows checked once as a group.
+
+    ``fields`` and ``label`` are as for :func:`_settle_rows`.  The arrays are
+    frozen: each spec holds read-only row views for its vectors and floats
+    for its scalars, and is not checked again on its own.
+    """
+    fields = _settle_rows(cls, fields, label)
+    vectors, scalars, _ = RULES[cls]
+    columns = [_frozen(fields[name]) for name in vectors]
+    columns += [fields[name][:, 0].tolist() for name in scalars]
+    names = vectors + scalars
+    specs = []
+    for values in zip(*columns):
+        spec = object.__new__(cls)
+        for name, value in zip(names, values):
+            _setfield(spec, name, value)
+        specs.append(spec)
+    return specs
 
 
 def validate_range_condition(cs: ConstraintSpec, us: SubspaceSpec) -> bool:
@@ -665,8 +759,8 @@ def apply_operator(op: OperatorSpec, x) -> np.ndarray:
 
 def resolvent(op: OperatorSpec, gamma: float, z) -> np.ndarray:
     """Solve p + gamma*A(p) = z for the catalog operator A."""
-    _check_gamma(gamma)
-    return _one_row(_resolvent_kernel, op, _checked(op, z), float(gamma))
+    gamma = _check_gamma(gamma)
+    return _one_row(_resolvent_kernel, op, _checked(op, z), gamma)
 
 
 def _checked(spec, z) -> np.ndarray:
@@ -736,7 +830,7 @@ def prox_max_nonneg(f: CostSpec, gamma: float, x, tol: float = 1e-12) -> np.ndar
     x itself where f(x) < 0, else the prox of gamma*f where f stays positive
     there, else the prox of theta*gamma*f for the theta at which f vanishes.
     """
-    _check_gamma(gamma)
+    gamma = _check_gamma(gamma)
     if not tol > 0:
         raise ToleranceError(f"root tolerance {tol} must be positive")
     return _prox_root(_pack_costs([f]), _checked(f, x)[None], gamma, 0.0, 0.0, tol)[1][0]
@@ -752,7 +846,7 @@ def prox_cvar_augmented(
     found by the same root search as :func:`prox_max_nonneg`.
     """
     op = CvarAugmented(f=f, alpha=alpha)
-    _check_gamma(gamma)
+    gamma = _check_gamma(gamma)
     if not tol > 0:
         raise ToleranceError(f"root tolerance {tol} must be positive")
     z = np.concatenate(([float(y)], _checked(f, x)))

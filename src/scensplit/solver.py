@@ -33,6 +33,7 @@ from .operators import (
     SubspaceSpec,
     WholeSpace,
     Zero,
+    _number,
     check_roles,
     forward_rows,
     project_constraint_rows,
@@ -264,26 +265,6 @@ def _check_range(name: str, value, lo: float, hi: float):
         raise ConfigError(f"{name} value {float(bad[0])} outside [{lo}, {hi}]")
 
 
-def _as_array(value) -> np.ndarray:
-    """``value`` as a numpy array; ragged nesting gives a 0-d object array."""
-    try:
-        return np.asarray(value)
-    except ValueError:
-        return np.asarray(None)
-
-
-def _number(name: str, value, max_ndim: int = 0, kinds: str = "a number") -> np.ndarray:
-    """``value`` as an integer or float array of at most ``max_ndim`` dimensions.
-
-    Anything else, bools and numpy bools included, raises ``ConfigError``
-    saying that ``name`` must be ``kinds``.
-    """
-    array = _as_array(value)
-    if array.ndim > max_ndim or array.dtype.kind not in "iuf":
-        raise ConfigError(f"{name} must be {kinds}, got {value!r}")
-    return array
-
-
 def _settle_step(name: str, rule, lo: float, hi: float, max_ndim: int) -> tuple:
     """``(rule, lo, hi)``: a callable as is, else a range-checked float or 1-d float array."""
     if callable(rule):
@@ -402,7 +383,7 @@ def scenario_update(state: SolverState, problem: Problem, scenarios, gamma, mu):
     """Refresh the intermediates of a block of scenarios at the current iterate.
 
     ``scenarios`` is one index or an index array in any order; ``gamma``
-    and ``mu`` are a number or one value per scenario.  Returns
+    and ``mu`` are a finite positive number or one such value per scenario.  Returns
     ``(op_point, op_dual, set_point, set_dual, gap)`` with one row per
     scenario (plain vectors for a single index); op_dual lies in the
     operator's graph at op_point, set_dual in the normal cone of the
@@ -411,10 +392,11 @@ def scenario_update(state: SolverState, problem: Problem, scenarios, gamma, mu):
     rows = np.atleast_1d(np.asarray(scenarios, dtype=int))
     gamma = step_column(gamma, rows.size)
     mu = step_column(mu, rows.size)
-    if not np.all(gamma > 0):
-        raise NonPositiveGamma(f"gamma must be positive, got {float(gamma.min())}")
-    if not np.all(mu > 0):
-        raise ConfigError(f"mu must be positive, got {float(mu.min())}")
+    for name, step, error in (("gamma", gamma, NonPositiveGamma), ("mu", mu, ConfigError)):
+        if not np.all(step > 0):
+            raise error(f"{name} must be positive, got {float(step.min())}")
+        if not np.isfinite(step).all():
+            raise ConfigError(f"{name} must be finite, got {float(step.max())}")
     block = state.stack[:3].take(rows, axis=1)
     op_point, set_point, _ = _points(problem, *block, gamma, mu, rows)
     out = _intermediates(block, problem, rows, gamma, mu, op_point, set_point)

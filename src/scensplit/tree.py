@@ -71,13 +71,10 @@ class ScenarioTree:
         return sum(self.stage_dims)
 
 
-def build_tree(scenarios, stage_dims) -> ScenarioTree:
-    """Build an immutable tree from ``(labels, probability)`` pairs.
+def check_stage_dims(stage_dims) -> tuple[int, ...]:
+    """``stage_dims`` as a tuple of ints, once it is a nonempty sequence of integers >= 1.
 
-    ``stage_dims`` fixes the per-stage decision dimensions, integers (numpy
-    integers included, bools not).  Label sequences
-    must be pairwise distinct, probabilities must be positive and sum to 1
-    within ``MASS_TOL``.
+    Numpy integers count as integers, bools do not.
     """
     stage_dims = tuple(stage_dims)
     for d in stage_dims:
@@ -86,6 +83,18 @@ def build_tree(scenarios, stage_dims) -> ScenarioTree:
     stage_dims = tuple(int(d) for d in stage_dims)
     if not stage_dims or any(d < 1 for d in stage_dims):
         raise ValidationError("stage_dims must be a nonempty sequence of dims >= 1")
+    return stage_dims
+
+
+def build_tree(scenarios, stage_dims) -> ScenarioTree:
+    """Build an immutable tree from ``(labels, probability)`` pairs.
+
+    ``stage_dims`` fixes the per-stage decision dimensions, as
+    :func:`check_stage_dims` takes them.  Label sequences
+    must be pairwise distinct, probabilities must be positive and sum to 1
+    within ``MASS_TOL``.
+    """
+    stage_dims = check_stage_dims(stage_dims)
     n_stages = len(stage_dims)
 
     items = list(scenarios)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from scensplit import cli
 from scensplit import operators as ops
 from scensplit.cli import (
     TRACE_HEADER,
@@ -16,8 +17,10 @@ from scensplit.cli import (
     write_solution_file,
     write_trace_csv,
 )
-from scensplit.cvar import solve_cvar
+from scensplit.cvar import CvarProblem, augment, solve_cvar
+from scensplit.errors import DimensionMismatch, ShapeMismatch
 from scensplit.solver import (
+    Problem,
     SeededRandom,
     Solution,
     SolverConfig,
@@ -111,6 +114,21 @@ def test_validate_bad_json(tmp_path, capsys):
     path.write_text("{not json", encoding="utf-8")
     assert main(["validate", str(path)]) == 1
     assert "ParseError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [b"[" + b"1" * 5000 + b"]", b'{"stages": [1], "scenarios": "\xff"}', b"[" * 100000 + b"]" * 100000],
+    ids=["integer over the digit limit", "bad utf-8", "deep nesting"],
+)
+def test_validate_unreadable_json(tmp_path, capsys, text):
+    # these used to escape as ValueError and RecursionError tracebacks
+    path = tmp_path / "p.json"
+    path.write_bytes(text)
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError:")
+    assert "Traceback" not in err
 
 
 def test_validate_missing_file(tmp_path, capsys):
@@ -338,6 +356,197 @@ def test_validate_rejects_bad_records(tmp_path, capsys, section, i, record):
     err = capsys.readouterr().err
     assert err.startswith("error: ValidationError:")
     assert "Traceback" not in err
+
+
+# --- bulk parse against specs built one record at a time ---
+
+SPEC_TYPES = {
+    "diagonal_affine": ops.DiagonalAffine,
+    "grad_separable_quadratic": ops.GradSeparableQuadratic,
+    "whole_space": ops.WholeSpace,
+    "box": ops.Box,
+    "ball": ops.Ball,
+    "halfspace": ops.Halfspace,
+    "hyperplane": ops.Hyperplane,
+    "full": ops.Full,
+    "zero": ops.Zero,
+    "coordinates": ops.Coordinates,
+    "affine": ops.Affine,
+    "separable_quadratic": ops.SeparableQuadratic,
+}
+
+
+def spec_of(rec):
+    """The spec of one record, built and checked by its class on its own."""
+    fields = {k: v for k, v in rec.items() if k != "type"}
+    for side, fill in (("lo", -np.inf), ("hi", np.inf)):
+        if side in fields:
+            fields[side] = [fill if v is None else v for v in fields[side]]
+    if "indices" in fields:
+        fields["indices"] = tuple(fields["indices"])
+    return SPEC_TYPES[rec["type"]](**fields)
+
+
+def interleaved_doc(seed, risk=False, n=300):
+    # records of every numeric type in a seeded order, some entries ints,
+    # some box sides null; the subspaces are full, so any constraint passes
+    rng = np.random.default_rng(seed)
+    d = 3
+
+    def vec(lo=-2.0, hi=2.0):
+        return [int(v) if rng.random() < 0.2 else float(v) for v in rng.uniform(lo, hi, d)]
+
+    def record(kind):
+        if kind in ("diagonal_affine", "grad_separable_quadratic", "separable_quadratic"):
+            first = "a" if kind == "diagonal_affine" else "q"
+            rec = {first: vec(0.0, 3.0), ("b" if first == "a" else "c"): vec()}
+        elif kind == "affine":
+            rec = {"c": vec()}
+        elif kind == "box":
+            lo = [None if rng.random() < 0.3 else v for v in vec(-2.0, 0.0)]
+            rec = {"lo": lo, "hi": [None if rng.random() < 0.3 else v for v in vec(0.0, 2.0)]}
+        elif kind == "ball":
+            rec = {"center": vec(), "radius": float(rng.uniform(0.5, 2.0))}
+        elif kind in ("halfspace", "hyperplane"):
+            rec = {"normal": vec(0.5, 2.0), "offset": float(rng.uniform(-1.0, 1.0))}
+        else:
+            rec = {}
+        if kind in ("affine", "separable_quadratic") and rng.random() < 0.5:
+            rec["r"] = float(rng.uniform(-1.0, 1.0))
+        return {"type": kind, **rec}
+
+    def section(kinds):
+        return [record(kinds[int(rng.integers(len(kinds)))]) for _ in range(n)]
+
+    doc = {
+        "stages": [2, 1],
+        "scenarios": [{"labels": [i // 10, i], "probability": 1.0 / n} for i in range(n)],
+        "constraints": section(["whole_space", "box", "ball", "halfspace", "hyperplane"]),
+    }
+    if risk:
+        doc["cvar"] = {"alpha": 0.8, "costs": section(["affine", "separable_quadratic"])}
+    else:
+        doc["operators"] = section(["diagonal_affine", "grad_separable_quadratic"])
+        doc["subspaces"] = section(["full"])
+    return doc
+
+
+def assert_same_stack(got, want):
+    assert len(got.groups) == len(want.groups)
+    for (gk, gm, gc), (wk, wm, wc) in zip(got.groups, want.groups):
+        assert gk == wk
+        assert_array_equal(gm, wm)
+        assert len(gc) == len(wc)
+        for g, w in zip(gc, wc):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [every_type_doc, risk_every_type_doc, lambda: interleaved_doc(7), lambda: interleaved_doc(8, risk=True)],
+    ids=["every_type", "risk_every_type", "interleaved", "risk_interleaved"],
+)
+def test_bulk_parse_matches_specs_built_one_at_a_time(tmp_path, make):
+    doc = make()
+    bundle = load_problem_file(write_json(tmp_path / "p.json", doc))
+    constraints = tuple(map(spec_of, doc["constraints"]))
+    if bundle.problem is not None:
+        got = bundle.problem
+        ops_, subs = (tuple(map(spec_of, doc[k])) for k in ("operators", "subspaces"))
+        want = Problem(got.tree, ops_, constraints, subs)
+        pairs = zip(got.operators + got.constraints + got.subspaces, ops_ + constraints + subs)
+    else:
+        cp = bundle.cvar
+        costs = tuple(map(spec_of, doc["cvar"]["costs"]))
+        pairs = zip(cp.costs + cp.constraints, costs + constraints)
+        got = augment(cp).base
+        want = augment(CvarProblem(cp.tree, cp.alpha, costs, constraints)).base
+    for g, w in pairs:
+        assert_same_spec(g, w)
+        for f in dataclasses.fields(g):
+            value = getattr(g, f.name)
+            assert not isinstance(value, np.ndarray) or not value.flags.writeable
+    assert_same_stack(got.operator_stack, want.operator_stack)
+    assert_same_stack(got.constraint_stack, want.constraint_stack)
+
+
+def uniform_doc(n):
+    # n scenarios over one stage of width 2, each with the same records
+    return {
+        "stages": [2],
+        "scenarios": [{"labels": [i], "probability": 1.0 / n} for i in range(n)],
+        "operators": [
+            {"type": "grad_separable_quadratic", "q": [1.0, 2.0], "c": [0.5, 0.5]} for _ in range(n)
+        ],
+        "constraints": [{"type": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]} for _ in range(n)],
+    }
+
+
+@pytest.mark.parametrize(
+    "section, i, field, value, rule",
+    [
+        ("operators", 700, "q", [1.0, -0.5], "quadratic weights must be nonnegative"),
+        ("operators", 1023, "c", [0.5, float("nan")], "expected finite entries"),
+        ("constraints", 513, "lo", [0.0, 2.0], "box needs lo <= hi"),
+        ("constraints", 900, "hi", [1.0, float("-inf")], "expected finite entries"),
+    ],
+)
+def test_broken_rule_deep_in_a_section_names_its_record(tmp_path, capsys, section, i, field, value, rule):
+    doc = uniform_doc(1024)
+    doc[section][i][field] = value
+    assert main(["validate", write_json(tmp_path / "p.json", doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ValidationError: {section}[{i}].")
+    assert rule in err
+
+
+@pytest.mark.parametrize(
+    "where, edit",
+    [
+        ("operators[0].a", lambda doc: doc["operators"][0]["a"].__setitem__(0, 10**400)),
+        ("constraints[1].hi", lambda doc: doc["constraints"][1]["hi"].__setitem__(0, -(10**400))),
+        ("constraints[2].radius", lambda doc: doc["constraints"][2].__setitem__("radius", 10**309)),
+        ("scenarios[3].probability", lambda doc: doc["scenarios"][3].__setitem__("probability", 10**400)),
+        ("cvar.alpha", lambda doc: doc["cvar"].__setitem__("alpha", 10**400)),
+    ],
+)
+def test_integers_beyond_float_range_are_refused(tmp_path, capsys, where, edit):
+    # these used to escape as OverflowError tracebacks
+    doc = risk_every_type_doc() if where == "cvar.alpha" else every_type_doc()
+    edit(doc)
+    assert main(["validate", write_json(tmp_path / "p.json", doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ValidationError: {where}: ")
+    assert "Traceback" not in err
+
+
+def test_large_integers_read_back_as_their_floats(tmp_path):
+    doc = every_type_doc()
+    doc["operators"][0]["b"] = [2**53 + 1, -(2**70 + 1)]
+    doc["constraints"][2]["radius"] = 2**70 + 1
+    doc["constraints"][3]["offset"] = 2**53 + 1
+    p = load_problem_file(write_json(tmp_path / "p.json", doc)).problem
+    assert p.operators[0].b.tobytes() == np.array([float(2**53 + 1), float(-(2**70 + 1))]).tobytes()
+    assert type(p.constraints[2].radius) is float and p.constraints[2].radius == float(2**70 + 1)
+    assert type(p.constraints[3].offset) is float and p.constraints[3].offset == float(2**53 + 1)
+
+
+@pytest.mark.parametrize("risk", [False, True], ids=["operators", "cvar"])
+def test_record_widths_are_checked_before_the_tree_is_built(tmp_path, monkeypatch, risk):
+    # a typo in stages must not allocate the tree's (N, sum(stages)) arrays
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_tree called before the record widths were checked")
+
+    monkeypatch.setattr(cli, "build_tree", refuse)
+    doc = cvar_doc() if risk else quad_box_doc()
+    doc["stages"] = [1000]
+    for rec in doc["scenarios"]:
+        rec["labels"] = rec["labels"][:1]
+    if risk:
+        doc["cvar"]["costs"] = [{"type": "affine", "c": [1.0, 2.0]}] * 2
+    path = write_json(tmp_path / "p.json", doc)
+    with pytest.raises(ShapeMismatch if risk else DimensionMismatch, match="the tree needs 1000"):
+        load_problem_file(path)
 
 
 # --- solve ---

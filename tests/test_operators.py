@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scensplit import operators
 from scensplit.errors import (
     BadAlpha,
+    ConfigError,
     DimensionMismatch,
     NonPositiveGamma,
     ToleranceError,
@@ -311,6 +312,31 @@ def test_infinite_gamma_is_refused():
             with pytest.raises(NonPositiveGamma):
                 call(bad)
     assert_array_equal(cost_prox(f, 0.0, [1.0]), [1.0])
+
+
+_OP, _COST, _BOX = DiagonalAffine(a=[1.0], b=[0.0]), Affine(c=[1.0]), Box(lo=[0.0], hi=[1.0])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: resolvent(_OP, g, [1.0]),
+        lambda g: cost_prox(_COST, g, [1.0]),
+        lambda g: prox_max_nonneg(_COST, g, [1.0]),
+        lambda g: prox_cvar_augmented(_COST, 0.5, g, 0.0, [1.0]),
+        lambda g: composite_resolvent(_OP, _BOX, g, [1.0]),
+    ],
+    ids=["resolvent", "cost_prox", "prox_max_nonneg", "prox_cvar_augmented", "composite_resolvent"],
+)
+def test_gamma_that_is_not_a_number_is_refused(call):
+    # these used to reach a raw comparison and raise TypeError
+    for bad in ("1", None, True, np.True_, [1.0, 2.0], np.ones(2), {"gamma": 1.0}):
+        with pytest.raises(ConfigError, match="gamma must be a number"):
+            call(bad)
+    # prox_cvar_augmented returns a (threshold, decisions) pair
+    want = np.hstack(call(1.0))
+    for same in (1, np.float32(1.0), np.array(1.0), np.array([1.0])):
+        assert_array_equal(np.hstack(call(same)), want)
 
 
 def test_specs_check_the_roles_of_their_parts():

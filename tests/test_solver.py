@@ -1,4 +1,5 @@
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -336,6 +337,20 @@ def test_scenario_update_needs_one_step_per_row(name, entries):
         scenario_update(state, prob, np.arange(3), steps["gamma"], steps["mu"])
     with pytest.raises(ConfigError, match=message):
         resolvent_rows(prob.operator_stack, [1.0] * entries, state.x[:3], np.arange(3))
+
+
+@pytest.mark.parametrize("name", ["gamma", "mu"])
+@pytest.mark.parametrize("step", [np.inf, [1.0, np.inf, 1.0]])
+def test_scenario_update_refuses_infinite_steps(name, step):
+    # an infinite step used to give NaN rows, with a RuntimeWarning
+    rng = np.random.default_rng(38)
+    prob = quadratic_box_instance(rng, random_tree(rng, 4, 2))
+    state = init_state(prob, SolverConfig())
+    steps = {"gamma": 1.0, "mu": 1.0, name: step}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            scenario_update(state, prob, np.arange(3), steps["gamma"], steps["mu"])
 
 
 def test_callable_steps_checked_per_iteration():
