@@ -2,7 +2,7 @@
 
 Problem files are JSON with keys ``stages``, ``scenarios``, then either
 ``operators`` (equilibrium form) or ``cvar`` (risk form), plus optional
-``constraints`` and ``subspaces``.  Unknown keys are rejected everywhere.
+``constraints`` and, in the equilibrium form only, ``subspaces``.  Unknown keys are rejected everywhere.
 Solutions are written as JSON, iteration traces as CSV with a fixed header;
 runs are deterministic for fixed inputs, flags and seed.
 """
@@ -248,6 +248,9 @@ def load_problem_file(path: str) -> ProblemBundle:
         raise ValidationError("provide either 'operators' or 'cvar', not both")
     if not has_ops and not has_cvar:
         raise ValidationError("provide one of 'operators' or 'cvar'")
+    if has_cvar and "subspaces" in doc:
+        # the risk form lifts every scenario with the full subspace
+        raise ValidationError("subspaces: a 'cvar' file takes no subspaces")
     # the classes Problem and CvarProblem raise for a width other than the tree's
     mismatch = DimensionMismatch if has_ops else ShapeMismatch
 

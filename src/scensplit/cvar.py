@@ -27,6 +27,7 @@ from .operators import (
     Full,
     RealCross,
     _cost_rows,
+    _number,
     _pack_costs,
     check_roles,
 )
@@ -48,7 +49,7 @@ class CvarProblem:
     constraints: tuple[ConstraintSpec, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "alpha", float(_number("alpha", self.alpha)))
         object.__setattr__(self, "costs", tuple(self.costs))
         object.__setattr__(self, "constraints", tuple(self.constraints))
         if not 0.0 < self.alpha < 1.0:

@@ -136,10 +136,13 @@ CostSpec = Union[Affine, SeparableQuadratic]
 
 
 def _pack_costs(costs) -> tuple:
-    """(q, c, l, r), one row per cost, of f(x) = 0.5*sum q (x - c)^2 + <l, x> + r.
+    """(q, c, l, r, b, curved), one row per cost, of f(x) = 0.5*sum q (x - c)^2 + <l, x> + r.
 
-    Affine has q = 0, c = 0 and l = c; SeparableQuadratic has l = 0.  The
-    prox of s*f is the diagonal-affine resolvent with a = q, b = l - q*c.
+    q, c, l and b are (k, d) arrays, r a (k, 1) column and curved a (k, 1)
+    bool column.  Affine has q = 0, c = 0 and l = c; SeparableQuadratic has
+    l = 0.  The prox of s*f is the diagonal-affine resolvent with a = q and
+    b = l - q*c; curved marks the rows with some q > 0, the only ones whose
+    prox root search takes more than one step.
     """
     rows = []
     for f in costs:
@@ -151,12 +154,12 @@ def _pack_costs(costs) -> tuple:
         else:
             raise TypeError(f"unknown cost spec {type(f).__name__}")
     q, c, l, r = (np.array(col, dtype=float) for col in zip(*rows))
-    return q, c, l, r.reshape(-1, 1)
+    return q, c, l, r.reshape(-1, 1), l - q * c, q.any(axis=1, keepdims=True)
 
 
 def _cost_rows(cost, x) -> np.ndarray:
     """Values of the packed costs at the rows of x, as a (k, 1) column."""
-    q, c, l, r = cost
+    q, c, l, r, *_ = cost
     return (0.5 * (q * (x - c) ** 2).sum(axis=1, keepdims=True) + _row_dot(l, x)) + r
 
 
@@ -167,8 +170,8 @@ def cost_value(f: CostSpec, x) -> float:
 def cost_prox(f: CostSpec, gamma: float, x) -> np.ndarray:
     """argmin_p gamma*f(p) + 0.5*||p - x||^2; gamma = 0 gives x back."""
     gamma = _check_gamma(gamma, zero=True)
-    q, c, l, _ = _pack_costs([f])
-    return _resolvent_kernel(DiagonalAffine, (q, l - q * c), _checked(f, x)[None], gamma)[0][0]
+    q, *_, b, _ = _pack_costs([f])
+    return _resolvent_kernel(DiagonalAffine, (q, b), _checked(f, x)[None], gamma)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +213,9 @@ class CvarAugmented:
     """Subdifferential of (y, x) -> y + max{f(x) - y, 0} / (1 - alpha).
 
     Acts on R x R^d where d is the dimension of the wrapped cost; the
-    threshold coordinate comes first.
+    threshold coordinate comes first.  ``alpha`` is a number in (0, 1): a
+    non-number (a string, bool, None or sequence) raises ConfigError, a
+    number outside the interval BadAlpha.
     """
 
     f: CostSpec
@@ -218,7 +223,7 @@ class CvarAugmented:
 
     def __post_init__(self):
         check_roles((self.f,), CostSpec, "CvarAugmented.f")
-        _setfield(self, "alpha", float(self.alpha))
+        _setfield(self, "alpha", float(_number("alpha", self.alpha)))
         if not 0.0 < self.alpha < 1.0:
             raise BadAlpha(f"alpha must lie in (0, 1), got {self.alpha}")
 
@@ -546,11 +551,18 @@ def _scalars(specs, name: str) -> np.ndarray:
 
 
 def step_column(value, rows: int) -> np.ndarray:
-    """A number or one value per row, as a read-only (rows, 1) column."""
-    column = np.reshape(np.asarray(value, dtype=float), (-1, 1))
-    if len(column) not in (1, rows):
+    """A number or one value per row, as a (rows, 1) float column.
+
+    One value per row comes back as a (rows, 1) view of ``value`` when it
+    is a float array already, a single value as a new column filled with it.
+    Callers read the column and never write to it.
+    """
+    column = np.asarray(value, dtype=float).reshape(-1, 1)
+    if len(column) == rows:
+        return column
+    if len(column) != 1:
         raise ConfigError(f"got {len(column)} step values for {rows} rows")
-    return np.broadcast_to(column, (rows, 1))
+    return np.full((rows, 1), column[0, 0])
 
 
 def _pack(kind, specs) -> tuple:
@@ -591,7 +603,7 @@ def _resolvent_kernel(kind, coef, z, gamma, start=0.0, tol=1e-12):
         tau = gamma / (1.0 - alpha)
         shift = z[:, :1] - gamma
         t, p = _prox_root(cost, z[:, 1:], tau, shift, tau, tol, start)
-        return np.hstack([shift + t * tau, p]), t
+        return np.concatenate([shift + t * tau, p], axis=1), t
     raise TypeError(f"unknown operator spec {_kind_name(kind)}")
 
 
@@ -665,10 +677,7 @@ class Stack:
         them in order; ``pos`` picks the group's entries out of it and
         ``coef`` has one coefficient row per picked entry.
         """
-        if len(self.groups) == 1:
-            kind, _, coef = self.groups[0]
-            yield kind, slice(None), _take(coef, rows)
-        elif rows is None:
+        if rows is None:
             yield from self.groups
         else:
             group = self.group_of[rows]
@@ -682,14 +691,16 @@ def _by_group(kernel, stack: Stack, rows, z, *columns):
     """Run ``kernel`` on each group's rows of z and of the per-row columns.
 
     A kernel may return a pair, its rows and one more per-row block; both
-    are then assembled in the order of z's rows.
+    are then assembled in the order of z's rows.  A stack of one group
+    hands z and the columns to its kernel whole.
     """
     z = np.asarray(z, dtype=float)
+    if len(stack.groups) == 1:
+        kind, _, coef = stack.groups[0]
+        return kernel(kind, _take(coef, rows), z, *columns)
     out, more = np.empty_like(z), None
     for kind, pos, coef in stack.parts(rows):
         part = kernel(kind, coef, z[pos], *(c[pos] for c in columns))
-        if isinstance(pos, slice):
-            return part
         if isinstance(part, tuple):
             part, extra = part
             if more is None:
@@ -791,7 +802,8 @@ def project_subspace(us: SubspaceSpec, z) -> np.ndarray:
 def _prox_root(cost, x, scale, shift, slope, tol, start=0.0):
     """Root t in [0, 1] of h(t) = f(prox_{t*scale*f} x) - shift - t*slope, per row.
 
-    With a = q, b = l - q*c and den = 1 + t*scale*a, the prox point p has
+    ``cost`` is a :func:`_pack_costs` pack.  With a = q, b = l - q*c and
+    den = 1 + t*scale*a, the prox point p has
     g = a*p + b = (a*x + b) / den and h'(t) = -scale * sum(g^2 / den) - slope,
     so h is convex and nonincreasing, and Newton's method climbs for all rows
     together from ``start``, each iterate clipped into [0, 1]: a row whose h
@@ -807,14 +819,14 @@ def _prox_root(cost, x, scale, shift, slope, tol, start=0.0):
     ``slope`` and ``start`` are numbers or (k, 1) columns.  Returns t and the
     prox points at t.
     """
-    q, c, l, r = cost
-    b = l - q * c
+    q, *_, b, curved = cost
     scale, shift, slope, t = (step_column(v, len(x)) for v in (scale, shift, slope, start))
-    live, curved = np.ones_like(t, dtype=bool), q.any(axis=1, keepdims=True)
+    live, gx = np.ones_like(t, dtype=bool), q * x + b
     for i in range(200):
-        den = 1.0 + (t * scale) * q
-        value = _cost_rows(cost, (x - (t * scale) * b) / den) - shift - t * slope
-        g = (q * x + b) / den
+        ts = t * scale
+        den = 1.0 + ts * q
+        value = _cost_rows(cost, (x - ts * b) / den) - shift - t * slope
+        g = gx / den
         drop = scale * (g * g / den).sum(axis=1, keepdims=True) + slope  # -h'(t)
         step = np.divide(value, drop, out=np.sign(value), where=drop > 0.0)
         t, last = np.where(live, np.clip(t + step, 0.0, 1.0), t), t
@@ -843,13 +855,14 @@ def prox_cvar_augmented(
 
     Returns the pair (threshold, decisions): with tau = gamma/(1 - alpha),
     (y - gamma + theta*tau, prox_{theta*tau*f} x) for the theta in [0, 1]
-    found by the same root search as :func:`prox_max_nonneg`.
+    found by the same root search as :func:`prox_max_nonneg`.  ``alpha``,
+    ``gamma`` and ``y`` must be numbers, as for :class:`CvarAugmented`.
     """
     op = CvarAugmented(f=f, alpha=alpha)
     gamma = _check_gamma(gamma)
     if not tol > 0:
         raise ToleranceError(f"root tolerance {tol} must be positive")
-    z = np.concatenate(([float(y)], _checked(f, x)))
+    z = np.concatenate(([float(_number("y", y))], _checked(f, x)))
     out = _one_row(_resolvent_kernel, op, z, gamma, 0.0, tol)
     return float(out[0]), out[1:]
 

@@ -488,7 +488,10 @@ def iterate(state: SolverState, problem: Problem, config: SolverConfig, points=N
     mu = _step(config, "mu", n, active)
     full = active.size == num
     rows = slice(None) if full else active
-    if points is not None and np.all(gamma == 1.0) and np.all(mu == 1.0):
+    unit = gamma == mu == 1.0 if type(gamma) is type(mu) is float else (
+        np.all(gamma == 1.0) and np.all(mu == 1.0)
+    )
+    if points is not None and unit:
         # take keeps each layer C-ordered; stack[:3, rows] interleaves the layers' rows
         block = state.stack[:3] if full else state.stack[:3].take(active, axis=1)
         refreshed = _intermediates(block, problem, rows, 1.0, 1.0, points[0][rows], points[1][rows])

@@ -172,6 +172,22 @@ def test_validate_operator_cvar_exclusive(tmp_path, capsys):
     assert "one of" in capsys.readouterr().err
 
 
+def test_validate_cvar_with_subspaces(tmp_path, capsys):
+    # zero subspaces next to boxes, which an equilibrium file refuses for
+    # the range condition; a risk file refuses the section itself
+    doc = cvar_doc()
+    doc["constraints"] = [{"type": "box", "lo": [0.0], "hi": [1.0]}] * 2
+    doc["subspaces"] = [{"type": "zero"}, {"type": "zero"}]
+    path = write_json(tmp_path / "c.json", doc)
+    assert main(["validate", path]) == 1
+    assert "ValidationError: subspaces: a 'cvar' file takes no subspaces" in capsys.readouterr().err
+    # refused before the section is parsed
+    doc["subspaces"] = "not a list"
+    path = write_json(tmp_path / "c2.json", doc)
+    assert main(["validate", path]) == 1
+    assert "takes no subspaces" in capsys.readouterr().err
+
+
 def test_validate_range_condition_violation(tmp_path, capsys):
     doc = ball_doc()
     doc["subspaces"] = [{"type": "zero"}, {"type": "zero"}]

@@ -13,7 +13,13 @@ from scensplit.cvar import (
     solve_cvar,
     split_augmented,
 )
-from scensplit.errors import BadAlpha, NonConstantThreshold, ShapeMismatch, ValidationError
+from scensplit.errors import (
+    BadAlpha,
+    ConfigError,
+    NonConstantThreshold,
+    ShapeMismatch,
+    ValidationError,
+)
 from scensplit.operators import (
     Affine,
     Box,
@@ -24,6 +30,7 @@ from scensplit.operators import (
     SeparableQuadratic,
     WholeSpace,
     cost_value,
+    prox_cvar_augmented,
 )
 from scensplit.solver import RoundRobin, SolveStatus, Solution, SolverConfig
 from scensplit.tree import build_tree
@@ -130,6 +137,32 @@ def test_cvar_problem_validation():
         CvarProblem(tree, 0.5, (Affine(c=[1.0, 1.0]),) * 2, cons)
     with pytest.raises(ShapeMismatch):
         CvarProblem(tree, 0.5, costs, (Box(lo=[0.0, 0.0], hi=[1.0, 1.0]),) * 2)
+
+
+_RISK_COSTS = (Affine(c=[1.0]), Affine(c=[2.0]))
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("y", lambda v: prox_cvar_augmented(_RISK_COSTS[0], 0.9, 1.0, v, [1.0])),
+        ("alpha", lambda v: prox_cvar_augmented(_RISK_COSTS[0], v, 1.0, 0.0, [1.0])),
+        ("alpha", lambda v: CvarAugmented(f=_RISK_COSTS[0], alpha=v)),
+        ("alpha", lambda v: CvarProblem(skew_tree(), v, _RISK_COSTS, (WholeSpace(),) * 2)),
+    ],
+    ids=["prox_cvar_augmented y", "prox_cvar_augmented alpha", "CvarAugmented", "CvarProblem"],
+)
+def test_risk_numbers_that_are_not_numbers_are_refused(name, call):
+    for bad in ("1", "0.5", "abc", None, True, np.True_, [0.5], np.array([0.5]), {name: 0.5}):
+        with pytest.raises(ConfigError, match=f"{name} must be a number"):
+            call(bad)
+    if name == "alpha":
+        for bad in (np.nan, 0.0, 1, 1.5, -np.inf):
+            with pytest.raises(BadAlpha):
+                call(bad)
+    # numpy numbers and 0-d arrays stand for their value
+    for good in (0.5, np.float32(0.5), np.float64(0.5), np.array(0.5)):
+        call(good)
 
 
 # --- lifting ---

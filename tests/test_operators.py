@@ -692,3 +692,95 @@ def test_constant_cost_root_leaves_x(f):
         assert_array_equal(prox_max_nonneg(f, 1.0, x), x)
         _, p = prox_cvar_augmented(f, 0.5, 1.0, 0.3, x)
     assert_array_equal(p, x)
+
+
+def _packed_by_hand(costs):
+    """(q, c, l, r) of f = 0.5*sum q (x - c)^2 + <l, x> + r, one row per cost."""
+    quad = [isinstance(f, SeparableQuadratic) for f in costs]
+    zero = [np.zeros(f.dim) for f in costs]
+    q = np.array([f.q if g else z for f, g, z in zip(costs, quad, zero)])
+    c = np.array([f.c if g else z for f, g, z in zip(costs, quad, zero)])
+    l = np.array([z if g else f.c for f, g, z in zip(costs, quad, zero)])
+    return q, c, l, np.array([[f.r] for f in costs])
+
+
+def _reference_root(costs, x, scale, shift, slope, tol, start):
+    # the Newton climb as first written, kept here to pin the kernel's bits
+    q, c, l, r = _packed_by_hand(costs)
+    b = l - q * c
+    scale, shift, slope, t = (
+        np.broadcast_to(np.reshape(np.asarray(v, dtype=float), (-1, 1)), (len(x), 1))
+        for v in (scale, shift, slope, start)
+    )
+    live, curved = np.ones_like(t, dtype=bool), q.any(axis=1, keepdims=True)
+    for i in range(200):
+        den = 1.0 + (t * scale) * q
+        p = (x - (t * scale) * b) / den
+        dot = np.matmul(l[:, None, :], p[:, :, None])[:, 0]
+        value = ((0.5 * (q * (p - c) ** 2).sum(axis=1, keepdims=True) + dot) + r) - shift - t * slope
+        g = (q * x + b) / den
+        drop = scale * (g * g / den).sum(axis=1, keepdims=True) + slope
+        step = np.divide(value, drop, out=np.sign(value), where=drop > 0.0)
+        t, last = np.where(live, np.clip(t + step, 0.0, 1.0), t), t
+        live &= ((np.abs(step) if i == 0 else step) > tol) & (t != last) & curved
+        if not live.any():
+            break
+    return t, (x - (t * scale) * b) / (1.0 + (t * scale) * q)
+
+
+def _mixed_costs(rng, k, d):
+    """Quadratic, partly flat, affine and constant costs, in random order."""
+    costs = []
+    for kind in rng.integers(0, 4, k):
+        r = float(rng.uniform(-3, 2) * d)
+        if kind == 0:
+            costs.append(SeparableQuadratic(q=rng.uniform(0.1, 3, d), c=rng.uniform(-2, 2, d), r=r))
+        elif kind == 1:
+            q = rng.uniform(0.1, 3, d) * (rng.random(d) < 0.5)
+            costs.append(SeparableQuadratic(q=q, c=rng.uniform(-2, 2, d), r=r))
+        elif kind == 2:
+            costs.append(Affine(c=rng.uniform(-2, 2, d), r=r))
+        elif rng.random() < 0.5:
+            costs.append(Affine(c=np.zeros(d), r=r))
+        else:
+            costs.append(SeparableQuadratic(q=np.zeros(d), c=rng.uniform(-2, 2, d), r=r))
+    return costs
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("start", ["zero", "one", "uniform"])
+def test_root_keeps_the_reference_bits(start):
+    # 100 seeded row sets per start, 300 in all, each tol on a third of them
+    for s in range(100):
+        rng = np.random.default_rng([59, ["zero", "one", "uniform"].index(start), s])
+        k, d = int(rng.integers(1, 17)), int(rng.integers(1, 7))
+        costs = _mixed_costs(rng, k, d)
+        x = rng.uniform(-3, 3, (k, d))
+        args = _root_args(rng, k, "max_nonneg" if s % 2 else "cvar")
+        begin = {"zero": 0.0, "one": np.ones((k, 1)), "uniform": rng.uniform(0, 1, (k, 1))}[start]
+        tol = (1e-12, 1e-6, 1e-300)[s % 3]
+        t, p = _prox_root(_pack_costs(costs), x, *args, tol, begin)
+        want_t, want_p = _reference_root(costs, x, *args, tol, begin)
+        assert t.shape == want_t.shape == (k, 1) and p.shape == want_p.shape == (k, d)
+        assert_array_equal(_bits(t), _bits(want_t))
+        assert_array_equal(_bits(p), _bits(want_p))
+
+
+_PER_ROW = [0.5, 1.0, 1.5, 2.0, 2.5]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0.5, 2, np.float32(0.25), np.array(1.5), np.array([0.75]), _PER_ROW, np.array(_PER_ROW),
+     np.array(_PER_ROW).reshape(-1, 1)],
+)
+def test_step_column_is_a_column_of_the_values(value):
+    k = len(_PER_ROW)
+    column = operators.step_column(value, k)
+    assert column.shape == (k, 1) and column.dtype == np.float64
+    assert_array_equal(column, np.broadcast_to(np.reshape(np.asarray(value, float), (-1, 1)), (k, 1)))
+    with pytest.raises(ConfigError, match="step values for"):
+        operators.step_column(np.ones(k + 1), k)

@@ -42,6 +42,7 @@ from scensplit.solver import (
     init_state,
     iterate,
     scenario_update,
+    solve,
 )
 from scensplit.tree import build_tree
 
@@ -136,6 +137,35 @@ def test_resolvent_rows_hand_back_the_roots(problem, rows):
     again, same = resolvent_rows(problem.operator_stack, gamma, z, rows, roots)
     assert_allclose(same, roots, rtol=0, atol=1e-12)
     assert_allclose(again, got, rtol=0, atol=1e-12)
+
+
+def _risk_only(problem):
+    return Problem(
+        problem.tree,
+        tuple(problem.operators[i] if i % 4 >= 2 else problem.operators[2] for i in range(N)),
+        (WholeSpace(),) * N,
+        (Full(),) * N,
+    )
+
+
+def _no_risk(problem):
+    # mixed_problem's DiagonalAffine and GradSeparableQuadratic rows only
+    ops = tuple(problem.operators[i % 2] for i in range(N))
+    return Problem(problem.tree, ops, problem.constraints, problem.subspaces)
+
+
+@pytest.mark.parametrize("variant", [lambda p: p, _risk_only, _no_risk], ids=["mixed", "risk", "none"])
+def test_solve_keeps_root_an_n_by_1_float_column(problem, variant):
+    problem = variant(problem)
+    roots = []
+    solve(problem, SolverConfig(max_iter=6), callback=lambda state: roots.append(state.root))
+    risk = np.array([isinstance(op, CvarAugmented) for op in problem.operators])
+    assert len(roots) == 6
+    for root in roots:
+        assert root.shape == (N, 1) and root.dtype == np.float64
+        assert np.all((0.0 <= root) & (root <= 1.0))
+        # rows without a root search keep their start, t = 0
+        assert_array_equal(root[~risk], 0.0)
 
 
 def _random_costs(rng, k, d):
