@@ -95,8 +95,10 @@ def cvar_value(tree: ScenarioTree, alpha: float, losses) -> float:
     """Exact tail risk of a per-scenario loss vector.
 
     The optimal threshold is the smallest loss at which the cumulative
-    probability reaches ``alpha`` (ties resolved downward).
+    probability reaches ``alpha`` (ties resolved downward).  ``alpha`` is a
+    number in (0, 1), as for :class:`CvarProblem`.
     """
+    alpha = float(_number("alpha", alpha))
     if not 0.0 < alpha < 1.0:
         raise BadAlpha(f"alpha must lie in (0, 1), got {alpha}")
     losses = np.asarray(losses, dtype=float)

@@ -523,7 +523,8 @@ def validate_range_condition(cs: ConstraintSpec, us: SubspaceSpec) -> bool:
 #
 # Each kernel takes a group kind, the stacked coefficients of the group's
 # rows and a (k, d) block of points, one row per member.  Vectors stack
-# into (k, d) arrays, scalars and step sizes into (k, 1) columns.
+# into (k, d) arrays, scalars into (k, 1) columns; a step size is a float
+# or such a column.
 
 def _kind(spec):
     """Group key of a spec: its type, or (RealCross, key of the base).
@@ -615,9 +616,9 @@ def _forward_kernel(kind, coef, x):
 
 
 def _row_dot(a, b) -> np.ndarray:
-    # one dot product per row, as a (k, 1) column; matmul takes the same
-    # path as a 1-d ``a @ b``, so each row rounds the way a single row does
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0]
+    # one dot product per row, as a (k, 1) column; vecdot rounds each row
+    # the way a 1-d ``a @ b`` does
+    return np.vecdot(a, b)[:, None]
 
 
 def _project_kernel(kind, coef, z):
@@ -629,7 +630,7 @@ def _project_kernel(kind, coef, z):
         return z.copy()
     if kind is Box:
         lo, hi = coef
-        return np.clip(z, lo, hi)
+        return z.clip(lo, hi)
     if kind is Ball:
         center, radius = coef
         shift = z - center
@@ -645,7 +646,7 @@ def _project_kernel(kind, coef, z):
 
 
 def _take(coef: tuple, slots) -> tuple:
-    return coef if slots is None else tuple(c[slots] for c in coef)
+    return coef if slots is None else tuple(c.take(slots, axis=0) for c in coef)
 
 
 class Stack:
@@ -692,7 +693,8 @@ def _by_group(kernel, stack: Stack, rows, z, *columns):
 
     A kernel may return a pair, its rows and one more per-row block; both
     are then assembled in the order of z's rows.  A stack of one group
-    hands z and the columns to its kernel whole.
+    hands z and the columns to its kernel whole; a float column (one value
+    for every row) goes whole to every group.
     """
     z = np.asarray(z, dtype=float)
     if len(stack.groups) == 1:
@@ -700,7 +702,8 @@ def _by_group(kernel, stack: Stack, rows, z, *columns):
         return kernel(kind, _take(coef, rows), z, *columns)
     out, more = np.empty_like(z), None
     for kind, pos, coef in stack.parts(rows):
-        part = kernel(kind, coef, z[pos], *(c[pos] for c in columns))
+        picked = (c if isinstance(c, float) else c.take(pos, axis=0) for c in columns)
+        part = kernel(kind, coef, z.take(pos, axis=0), *picked)
         if isinstance(part, tuple):
             part, extra = part
             if more is None:
@@ -720,7 +723,9 @@ def resolvent_rows(stack: Stack, gamma, z, rows=None, start=None):
     their starts.
     """
     starts = step_column(0.0 if start is None else start, len(z))
-    out = _by_group(_resolvent_kernel, stack, rows, z, step_column(gamma, len(z)), starts)
+    # a float step multiplies as a column holding it does, without the broadcast
+    step = gamma if isinstance(gamma, float) else step_column(gamma, len(z))
+    out = _by_group(_resolvent_kernel, stack, rows, z, step, starts)
     # an empty block of a mixed stack runs no kernel, so no pair comes back
     points, roots = out if isinstance(out, tuple) else (out, starts)
     return points if start is None else (points, roots)
@@ -829,7 +834,7 @@ def _prox_root(cost, x, scale, shift, slope, tol, start=0.0):
         g = gx / den
         drop = scale * (g * g / den).sum(axis=1, keepdims=True) + slope  # -h'(t)
         step = np.divide(value, drop, out=np.sign(value), where=drop > 0.0)
-        t, last = np.where(live, np.clip(t + step, 0.0, 1.0), t), t
+        t, last = np.where(live, (t + step).clip(0.0, 1.0), t), t
         live &= ((np.abs(step) if i == 0 else step) > tol) & (t != last) & curved
         if not live.any():
             break

@@ -56,7 +56,7 @@ def _average(tree: ScenarioTree, x: np.ndarray) -> np.ndarray:
     One weighted ``bincount`` over the tree's bins sums every class block
     in scenario order, then one gather and one divide spread the averages.
     """
-    sums = np.bincount(tree.bins, (tree.probabilities[:, None] * x).ravel())
+    sums = np.bincount(tree.bins, tree.weights * x.ravel())
     return (sums[tree.bins] / tree.bin_mass).reshape(x.shape)
 
 

@@ -58,7 +58,8 @@ class Problem:
     ``ValidationError`` naming its index.  Construction also groups the
     operators and the constraint sets by catalog type into stacks, and the
     subspaces into one (N, d) axis mask; every per-scenario computation of
-    the solvers runs on these.
+    the solvers runs on these.  ``full_mask`` is True when that mask is
+    all True, so no subspace zeroes an entry.
     """
 
     tree: ScenarioTree
@@ -68,6 +69,7 @@ class Problem:
     operator_stack: Stack = field(init=False, repr=False, compare=False)
     constraint_stack: Stack = field(init=False, repr=False, compare=False)
     subspace_mask: np.ndarray = field(init=False, repr=False, compare=False)
+    full_mask: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.tree.num_scenarios
@@ -106,6 +108,7 @@ class Problem:
             mask[rows] = subspace_mask(us, d)
         mask.flags.writeable = False
         object.__setattr__(self, "subspace_mask", mask)
+        object.__setattr__(self, "full_mask", bool(mask.all()))
 
 
 def make_problem(tree, operators, constraints=None, subspaces=None) -> Problem:
@@ -323,7 +326,8 @@ class SolverState:
 class SolveStatus(enum.Enum):
     CONVERGED = "converged"
     MAX_ITER = "max_iter"
-    NON_FINITE = "non_finite"  # the residual became NaN or infinite
+    # the residual, or kappa, tau or theta of a coordination step, became NaN or infinite
+    NON_FINITE = "non_finite"
 
 
 @dataclass(frozen=True)
@@ -384,10 +388,10 @@ def scenario_update(state: SolverState, problem: Problem, scenarios, gamma, mu):
 
     ``scenarios`` is one index or an index array in any order; ``gamma``
     and ``mu`` are a finite positive number or one such value per scenario.  Returns
-    ``(op_point, op_dual, set_point, set_dual, gap)`` with one row per
-    scenario (plain vectors for a single index); op_dual lies in the
-    operator's graph at op_point, set_dual in the normal cone of the
-    constraint at set_point, by construction.
+    ``op_point``, ``op_dual``, ``set_point``, ``set_dual`` and ``gap`` as
+    one (5, k, d) array, one row per scenario (a (5, d) array for a single
+    index); op_dual lies in the operator's graph at op_point, set_dual in
+    the normal cone of the constraint at set_point, by construction.
     """
     rows = np.atleast_1d(np.asarray(scenarios, dtype=int))
     gamma = step_column(gamma, rows.size)
@@ -400,7 +404,7 @@ def scenario_update(state: SolverState, problem: Problem, scenarios, gamma, mu):
     block = state.stack[:3].take(rows, axis=1)
     op_point, set_point, _ = _points(problem, *block, gamma, mu, rows)
     out = _intermediates(block, problem, rows, gamma, mu, op_point, set_point)
-    return tuple(a[0] for a in out) if np.ndim(scenarios) == 0 else out
+    return out[:, 0] if np.ndim(scenarios) == 0 else out
 
 
 def _points(
@@ -419,16 +423,41 @@ def _points(
     return resolved, projected, roots
 
 
-def _intermediates(block, problem, rows, gamma, mu, op_point, set_point) -> tuple:
-    """The refresh's outputs for ``rows`` from their resolvent and projection points.
+def _intermediates(block, problem, rows, gamma, mu, op_point, set_point, out=None):
+    """The five refresh layers of ``rows`` (None: all) from their resolvent and projection points.
 
-    ``block`` holds the rows' x, x* and v* as one (3, k, d) array.
+    ``block`` holds the rows' x, x* and v* as one (3, k, d) array.  The
+    layers ``op_point``, ``op_dual = (x - op_point) / gamma - (x* + v*)``,
+    ``set_point``, ``set_dual = x* + (x - set_point) / mu`` and ``gap``, the
+    subspace's entries of ``set_point - op_point`` (0 elsewhere), are
+    written into ``out``, a (5, k, d) array, new when None, which is
+    returned.  A step that is the float 1.0 is not divided by, as
+    ``v / 1.0 == v``.
     """
     x, xs, vs = block
-    op_dual = (x - op_point) / gamma - (xs + vs)
-    set_dual = xs + (x - set_point) / mu
-    gap = np.where(problem.subspace_mask[rows], set_point - op_point, 0.0)
-    return op_point, op_dual, set_point, set_dual, gap
+    if out is None:
+        out = np.empty((5,) + x.shape)
+    a, a_star, b, b_star, u = out
+    np.copyto(a, op_point)
+    np.copyto(b, set_point)
+    np.add(xs, vs, out=u)
+    np.subtract(x, op_point, out=a_star)
+    if not _is_one(gamma):
+        a_star /= gamma
+    a_star -= u
+    np.subtract(x, set_point, out=b_star)
+    if not _is_one(mu):
+        b_star /= mu
+    b_star += xs  # float addition commutes, so this is x* + (x - set_point) / mu
+    np.subtract(set_point, op_point, out=u)
+    if not problem.full_mask:
+        mask = problem.subspace_mask if rows is None else problem.subspace_mask.take(rows, axis=0)
+        np.copyto(u, 0.0, where=~mask)
+    return out
+
+
+def _is_one(step) -> bool:
+    return isinstance(step, float) and step == 1.0
 
 
 def _fixed_point_sq(probabilities, x, points) -> float:
@@ -474,7 +503,10 @@ def iterate(state: SolverState, problem: Problem, config: SolverConfig, points=N
 
     ``points``, every row's unit-step points at the current iterate as the
     stopping test of ``solve`` has them, stand in for the refresh's own
-    evaluation when all of the iteration's steps are 1.0.
+    evaluation when all of the iteration's steps are 1.0.  The refresh
+    from them writes the five layers straight into ``state.stack[3:]`` at
+    full activation; a block gathers its rows once and scatters them back
+    once.
     """
     n = state.iteration
     num = problem.tree.num_scenarios
@@ -491,14 +523,16 @@ def iterate(state: SolverState, problem: Problem, config: SolverConfig, points=N
     unit = gamma == mu == 1.0 if type(gamma) is type(mu) is float else (
         np.all(gamma == 1.0) and np.all(mu == 1.0)
     )
-    if points is not None and unit:
-        # take keeps each layer C-ordered; stack[:3, rows] interleaves the layers' rows
-        block = state.stack[:3] if full else state.stack[:3].take(active, axis=1)
-        refreshed = _intermediates(block, problem, rows, 1.0, 1.0, points[0][rows], points[1][rows])
+    if points is None or not unit:
+        state.stack[3:, rows] = scenario_update(state, problem, active, gamma, mu)
+    elif full:
+        _intermediates(state.stack[:3], problem, None, 1.0, 1.0, *points[:2], out=state.stack[3:])
     else:
-        refreshed = scenario_update(state, problem, active, gamma, mu)
-    for dst, src in zip(state.stack[3:], refreshed):
-        dst[rows] = src
+        # take keeps each layer C-ordered; stack[:3, rows] interleaves the layers' rows
+        block = state.stack[:3].take(active, axis=1)
+        op_point, set_point = (p.take(active, axis=0) for p in points[:2])
+        new = _intermediates(block, problem, active, 1.0, 1.0, op_point, set_point)
+        state.stack[3:, active] = new
     coordination_step(state, problem, config)
     state.last_activated[active] = n
     state.active = active
@@ -594,7 +628,9 @@ def solve(
     them there).  It runs before each step, so trace row n holds the
     residual tested before step n, and its unit-step points of every row
     are passed on to ``iterate``.  Its CVaR prox roots start from
-    ``state.root`` and are kept there as the next starts.
+    ``state.root`` and are kept there as the next starts.  A step whose
+    kappa, tau or theta is not finite ends the run with ``NON_FINITE``,
+    the residual being the one tested before that step.
     """
     if config is None:
         config = SolverConfig()
@@ -613,6 +649,9 @@ def solve(
         recorder.record(n, residual, state.active, state.kappa, state.tau, state.theta)
         if callback is not None:
             callback(state)
+        if not all(map(math.isfinite, (state.kappa, state.tau, state.theta))):
+            status = SolveStatus.NON_FINITE
+            return recorder.solution(state.x, state.v_star, status, state.iteration, residual)
 
 
 def progressive_hedging_solve(

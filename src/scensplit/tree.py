@@ -46,8 +46,10 @@ class ScenarioTree:
     policy, with j in stage k, falls in bin offset + class * d_k + column:
     the offset counts the bins of the earlier stages, the class is the
     stage-k class of scenario s and the column is j's place within the
-    stage.  ``bin_mass`` holds that class's probability for each entry.
-    Both are read-only.
+    stage.  ``bin_mass`` holds that class's probability for each entry and
+    ``weights`` the probability of the entry's scenario, so
+    ``weights * x.ravel()`` weights a policy x in one contiguous pass.  All
+    three are read-only.
     """
 
     scenarios: tuple[Scenario, ...]
@@ -57,6 +59,7 @@ class ScenarioTree:
     stage_slices: tuple[slice, ...] = field(repr=False)
     bins: np.ndarray = field(repr=False)
     bin_mass: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
 
     @property
     def num_scenarios(self) -> int:
@@ -160,6 +163,7 @@ def build_tree(scenarios, stage_dims) -> ScenarioTree:
         stage_slices=slices,
         bins=_frozen(np.hstack(bins).ravel()),
         bin_mass=_frozen(np.hstack(bin_mass).ravel()),
+        weights=_frozen(np.repeat(probs, sum(stage_dims))),
     )
 
 

@@ -354,3 +354,21 @@ def test_cvar_solution_container():
     assert isinstance(sol, CvarSolution)
     assert isinstance(sol.inner, Solution)
     assert sol.x_bar.shape == (2, 1)
+
+
+@pytest.mark.parametrize(
+    "alpha, error",
+    [
+        ("0.9", ConfigError),
+        (None, ConfigError),
+        (True, ConfigError),
+        ([0.5], ConfigError),
+        (np.array([0.5, 0.6]), ConfigError),
+        (np.nan, BadAlpha),
+        (-0.5, BadAlpha),
+        (1.5, BadAlpha),
+    ],
+)
+def test_cvar_value_refuses_alpha_that_is_not_a_number_in_range(alpha, error):
+    with pytest.raises(error):
+        cvar_value(quarter_tree(), alpha, [1.0, 2.0, 3.0, 4.0])

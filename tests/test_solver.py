@@ -876,3 +876,46 @@ def test_solution_is_frozen():
     assert isinstance(sol, Solution)
     with pytest.raises(AttributeError):
         sol.iterations = 0
+
+
+@pytest.mark.parametrize(
+    "instance", [mixed_instance, quadratic_box_instance], ids=["mixed", "qbox"]
+)
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        FullActivation(),
+        RoundRobin(block_size=4),
+        SeededRandom(block_size=3, cover_window=10, seed=5),
+    ],
+    ids=["full", "round-robin", "seeded"],
+)
+def test_iterate_from_stopping_points_is_bitwise_on_every_layer(instance, schedule):
+    # the unit-step refresh from the stopping test's points writes the bits
+    # the refresh's own evaluation writes, on all eight stack layers
+    rng = np.random.default_rng(67)
+    prob = instance(rng, random_tree(rng, 10, 3))
+    cfg = SolverConfig(schedule=schedule)
+    x0, xs0, v0 = rng.standard_normal((3, prob.tree.num_scenarios, prob.tree.total_dim))
+    state = init_state(prob, cfg, x0, xs0, v0)
+    for _ in range(12):
+        plain = copy.deepcopy(state)
+        iterate(plain, prob, cfg)
+        iterate(state, prob, cfg, _points(prob, state.x, state.x_star, state.v_star))
+        assert np.array_equal(state.active, plain.active)
+        assert (state.kappa, state.tau, state.theta) == (plain.kappa, plain.tau, plain.theta)
+        assert np.array_equal(state.stack.view(np.uint64), plain.stack.view(np.uint64))
+
+
+def test_solve_stops_when_a_coordination_step_overflows():
+    # tau overflows to inf, so theta = 0 and the iterate would never move
+    prob = make_problem(build_tree([(("a",), 1.0)], (1,)), [DiagonalAffine(a=[0.0], b=[0.0])])
+    sol = solve(prob, SolverConfig(max_iter=2000), x0_star=[[8e153]])
+    assert sol.status is SolveStatus.NON_FINITE
+    assert sol.iterations == 1
+    assert len(sol.trace) == 1 and sol.trace[0].tau == np.inf
+    assert np.isfinite(sol.residual)
+    # a start that keeps tau finite converges in one step
+    sol = solve(prob, SolverConfig(max_iter=2000), x0_star=[[1e100]])
+    assert sol.status is SolveStatus.CONVERGED
+    assert sol.iterations == 1

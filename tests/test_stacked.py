@@ -21,6 +21,7 @@ from scensplit.operators import (
     RealCross,
     SeparableQuadratic,
     Stack,
+    UNBOUNDED,
     WholeSpace,
     Zero,
     _cost_rows,
@@ -311,3 +312,55 @@ def test_scenario_update_unsorted_block(problem):
         assert_array_equal(col, want)
     empty = scenario_update(state, problem, np.array([], dtype=int), 1.0, 1.0)
     assert all(col.shape == (0, D) for col in empty)
+
+
+def _bits(a) -> np.ndarray:
+    # the raw float64 bit patterns: -0.0 and 0.0 differ here
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("rows", [None, BLOCKS[2]], ids=["all", "unsorted"])
+@pytest.mark.parametrize("gamma", [1.0, 0.7, 1.3])
+def test_float_step_matches_a_column_of_it_bitwise(problem, rows, gamma):
+    # a float step and a (k, 1) column holding it give the same points and roots
+    rng = np.random.default_rng(81)
+    k = N if rows is None else rows.size
+    z = 2.0 * rng.standard_normal((k, D))
+    column = np.full((k, 1), gamma)
+    ops = problem.operator_stack
+    assert_array_equal(
+        _bits(resolvent_rows(ops, gamma, z, rows)), _bits(resolvent_rows(ops, column, z, rows))
+    )
+    start = rng.uniform(0.0, 1.0, (k, 1))
+    got = resolvent_rows(ops, gamma, z, rows, start)
+    want = resolvent_rows(ops, column, z, rows, start)
+    for a, b in zip(got, want):
+        assert_array_equal(_bits(a), _bits(b))
+
+
+def test_box_kernel_matches_np_clip_bitwise():
+    # signed zeros, infinities and the UNBOUNDED sentinel come out as np.clip gives them
+    big = UNBOUNDED
+    boxes = [
+        Box(lo=[-0.0, 0.0, -np.inf, -1.0, 0.0, -big], hi=[0.0, 1.0, np.inf, -0.0, np.inf, big]),
+        Box(lo=[0.0, -0.0, -2.0, -np.inf, -0.0, 1.0], hi=[0.0, 0.0, np.inf, 0.5, 2.0, 1.0]),
+    ]
+    values = [-0.0, 0.0, np.inf, -np.inf, big, -big, 0.5, -3.0, 3.0]
+    z = np.array([np.roll(values, s)[:6] for s in range(len(values))])
+    z = np.concatenate([z, -z])
+    # two Box groups' rows interleaved with WholeSpace rows
+    specs = [(boxes[0], WholeSpace(), boxes[1])[i % 3] for i in range(len(z))]
+    want = np.array(
+        [zi if isinstance(s, WholeSpace) else np.clip(zi, s.lo, s.hi) for s, zi in zip(specs, z)]
+    )
+    stack = Stack(specs)
+    assert_array_equal(_bits(project_constraint_rows(stack, z)), _bits(want))
+    rows = np.arange(len(z))[::-3]  # an unsorted block
+    assert_array_equal(_bits(project_constraint_rows(stack, z[rows], rows)), _bits(want[rows]))
+    boxes_only = Stack([boxes[i % 2] for i in range(len(z))])
+    want = np.array([np.clip(zi, boxes[i % 2].lo, boxes[i % 2].hi) for i, zi in enumerate(z)])
+    assert_array_equal(_bits(project_constraint_rows(boxes_only, z)), _bits(want))
+    for box in boxes:
+        for row in z:
+            got = project_constraint(box, row)
+            assert_array_equal(_bits(got), _bits(np.clip(row, box.lo, box.hi)))
