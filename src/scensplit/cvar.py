@@ -14,12 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    BadAlpha,
-    NonConstantThreshold,
-    ShapeMismatch,
-    ValidationError,
-)
+from .errors import NonConstantThreshold, ShapeMismatch
 from .operators import (
     ConstraintSpec,
     CostSpec,
@@ -27,9 +22,9 @@ from .operators import (
     Full,
     RealCross,
     _cost_rows,
-    _number,
     _pack_costs,
-    check_roles,
+    check_alpha,
+    check_specs,
 )
 from .solver import Problem, Solution, SolverConfig, solve
 from .tree import ScenarioTree, build_tree
@@ -49,26 +44,12 @@ class CvarProblem:
     constraints: tuple[ConstraintSpec, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", float(_number("alpha", self.alpha)))
+        object.__setattr__(self, "alpha", check_alpha(self.alpha))
         object.__setattr__(self, "costs", tuple(self.costs))
         object.__setattr__(self, "constraints", tuple(self.constraints))
-        if not 0.0 < self.alpha < 1.0:
-            raise BadAlpha(f"alpha must lie in (0, 1), got {self.alpha}")
         n, d = self.tree.num_scenarios, self.tree.total_dim
-        if len(self.costs) != n:
-            raise ValidationError(f"costs: got {len(self.costs)} entries for {n} scenarios")
-        if len(self.constraints) != n:
-            raise ValidationError(
-                f"constraints: got {len(self.constraints)} entries for {n} scenarios"
-            )
-        check_roles(self.costs, CostSpec, "cost {}")
-        check_roles(self.constraints, ConstraintSpec, "constraint {}")
-        for i, f in enumerate(self.costs):
-            if f.dim != d:
-                raise ShapeMismatch(f"cost {i} has dim {f.dim}, tree needs {d}")
-        for i, cs in enumerate(self.constraints):
-            if cs.dim is not None and cs.dim != d:
-                raise ShapeMismatch(f"constraint {i} has dim {cs.dim}, tree needs {d}")
+        check_specs(self.costs, CostSpec, "cost", n, d, ShapeMismatch)
+        check_specs(self.constraints, ConstraintSpec, "constraint", n, d, ShapeMismatch)
 
 
 @dataclass(frozen=True)
@@ -98,9 +79,7 @@ def cvar_value(tree: ScenarioTree, alpha: float, losses) -> float:
     probability reaches ``alpha`` (ties resolved downward).  ``alpha`` is a
     number in (0, 1), as for :class:`CvarProblem`.
     """
-    alpha = float(_number("alpha", alpha))
-    if not 0.0 < alpha < 1.0:
-        raise BadAlpha(f"alpha must lie in (0, 1), got {alpha}")
+    alpha = check_alpha(alpha)
     losses = np.asarray(losses, dtype=float)
     if losses.shape != (tree.num_scenarios,):
         raise ShapeMismatch(

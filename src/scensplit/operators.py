@@ -18,6 +18,7 @@ once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Union, get_args
 
 import numpy as np
@@ -36,15 +37,13 @@ from .errors import (
 UNBOUNDED = float(np.finfo(np.float64).max)
 
 
-def _vec(x, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1:
-        raise ValidationError(f"{name}: expected a 1-d array, got shape {arr.shape}")
-    return arr
-
-
 def _setfield(obj, name, value):
     object.__setattr__(obj, name, value)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def check_roles(specs, role, label: str):
@@ -55,6 +54,20 @@ def check_roles(specs, role, label: str):
             names = ", ".join(k.__name__ for k in kinds)
             got = type(spec).__name__
             raise ValidationError(f"{label.format(i)} must be one of {names}, got {got}")
+
+
+def check_specs(specs, role, name: str, n: int, width: int, mismatch):
+    """Check a problem's ``n`` per-scenario ``role`` specs, spec i named ``name i``.
+
+    A count other than n raises ValidationError, as does a spec of another
+    role; a spec whose dim is neither None nor ``width`` raises ``mismatch``.
+    """
+    if len(specs) != n:
+        raise ValidationError(f"{name}s: got {len(specs)} entries for {n} scenarios")
+    check_roles(specs, role, name + " {}")
+    for i, spec in enumerate(specs):
+        if spec.dim not in (None, width):
+            raise mismatch(f"{name} {i} has dim {spec.dim}, tree needs {width}")
 
 
 def _as_array(value) -> np.ndarray:
@@ -97,39 +110,68 @@ def _check_gamma(gamma, zero: bool = False) -> float:
     return gamma
 
 
+def check_alpha(alpha) -> float:
+    """alpha as a float, once it is a number in (0, 1).
+
+    A non-number (a string, bool, None or sequence) raises ConfigError, a
+    number outside the interval BadAlpha.
+    """
+    alpha = float(_number("alpha", alpha))
+    if not 0.0 < alpha < 1.0:
+        raise BadAlpha(f"alpha must lie in (0, 1), got {alpha}")
+    return alpha
+
+
+def _vec(x, name: str) -> np.ndarray:
+    arr = np.asarray(_number(name, x, np.inf, "an array of numbers"), dtype=float)
+    if arr.ndim != 1:
+        raise ValidationError(f"{name}: expected a 1-d array, got shape {arr.shape}")
+    return arr
+
+
+class _Numeric:
+    """Base of the catalog specs whose fields :data:`RULES` lists.
+
+    Construction checks a spec as a group of one row, then stores its
+    vector fields as 1-d float arrays and its scalar fields as floats.  A
+    field that is not made of integers or floats raises ConfigError naming
+    ``Class.field``.  ``dim``, set below :data:`RULES`, is the width of the
+    first vector field.
+    """
+
+    def __post_init__(self):
+        cls = type(self)
+        vectors, scalars, _ = RULES[cls]
+        name = cls.__name__
+        fields = {f: _vec(getattr(self, f), f"{name}.{f}")[None] for f in vectors}
+        for f in scalars:
+            fields[f] = np.array([[float(_number(f"{name}.{f}", getattr(self, f)))]])
+        fields = _settle_rows(cls, fields, lambda row: name)
+        for f in vectors:
+            _setfield(self, f, fields[f][0])
+        for f in scalars:
+            _setfield(self, f, float(fields[f][0, 0]))
+
+
 # ---------------------------------------------------------------------------
 # convex costs
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Affine:
+class Affine(_Numeric):
     """f(x) = <c, x> + r."""
 
     c: np.ndarray
     r: float = 0.0
 
-    def __post_init__(self):
-        _settle(self)
-
-    @property
-    def dim(self) -> int:
-        return self.c.size
-
 
 @dataclass(frozen=True)
-class SeparableQuadratic:
+class SeparableQuadratic(_Numeric):
     """f(x) = 0.5 * sum_i q_i (x_i - c_i)^2 + r with q >= 0."""
 
     q: np.ndarray
     c: np.ndarray
     r: float = 0.0
-
-    def __post_init__(self):
-        _settle(self)
-
-    @property
-    def dim(self) -> int:
-        return self.q.size
 
 
 CostSpec = Union[Affine, SeparableQuadratic]
@@ -179,33 +221,19 @@ def cost_prox(f: CostSpec, gamma: float, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DiagonalAffine:
+class DiagonalAffine(_Numeric):
     """A(x) = a * x + b componentwise, with a >= 0 so A is monotone."""
 
     a: np.ndarray
     b: np.ndarray
 
-    def __post_init__(self):
-        _settle(self)
-
-    @property
-    def dim(self) -> int:
-        return self.a.size
-
 
 @dataclass(frozen=True)
-class GradSeparableQuadratic:
+class GradSeparableQuadratic(_Numeric):
     """A(x) = q * (x - c): gradient of x -> 0.5 * sum_i q_i (x_i - c_i)^2."""
 
     q: np.ndarray
     c: np.ndarray
-
-    def __post_init__(self):
-        _settle(self)
-
-    @property
-    def dim(self) -> int:
-        return self.q.size
 
 
 @dataclass(frozen=True)
@@ -213,9 +241,8 @@ class CvarAugmented:
     """Subdifferential of (y, x) -> y + max{f(x) - y, 0} / (1 - alpha).
 
     Acts on R x R^d where d is the dimension of the wrapped cost; the
-    threshold coordinate comes first.  ``alpha`` is a number in (0, 1): a
-    non-number (a string, bool, None or sequence) raises ConfigError, a
-    number outside the interval BadAlpha.
+    threshold coordinate comes first.  ``alpha`` goes through
+    :func:`check_alpha`.
     """
 
     f: CostSpec
@@ -223,9 +250,7 @@ class CvarAugmented:
 
     def __post_init__(self):
         check_roles((self.f,), CostSpec, "CvarAugmented.f")
-        _setfield(self, "alpha", float(_number("alpha", self.alpha)))
-        if not 0.0 < self.alpha < 1.0:
-            raise BadAlpha(f"alpha must lie in (0, 1), got {self.alpha}")
+        _setfield(self, "alpha", check_alpha(self.alpha))
 
     @property
     def dim(self) -> int:
@@ -243,69 +268,39 @@ OperatorSpec = Union[DiagonalAffine, GradSeparableQuadratic, CvarAugmented]
 class WholeSpace:
     """No constraint; the projector is the identity in any dimension."""
 
-    @property
-    def dim(self):
-        return None
+    dim = None
 
 
 @dataclass(frozen=True)
-class Box:
+class Box(_Numeric):
     """Axis-aligned box; infinite bounds are stored as +-UNBOUNDED."""
 
     lo: np.ndarray
     hi: np.ndarray
 
-    def __post_init__(self):
-        _settle(self)
-
-    @property
-    def dim(self) -> int:
-        return self.lo.size
-
 
 @dataclass(frozen=True)
-class Ball:
+class Ball(_Numeric):
     """Euclidean ball of positive radius."""
 
     center: np.ndarray
     radius: float
 
-    def __post_init__(self):
-        _settle(self)
-
-    @property
-    def dim(self) -> int:
-        return self.center.size
-
 
 @dataclass(frozen=True)
-class Halfspace:
+class Halfspace(_Numeric):
     """{x : <normal, x> <= offset} with a nonzero normal."""
 
     normal: np.ndarray
     offset: float
 
-    def __post_init__(self):
-        _settle(self)
-
-    @property
-    def dim(self) -> int:
-        return self.normal.size
-
 
 @dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(_Numeric):
     """{x : <normal, x> = offset} with a nonzero normal."""
 
     normal: np.ndarray
     offset: float
-
-    def __post_init__(self):
-        _settle(self)
-
-    @property
-    def dim(self) -> int:
-        return self.normal.size
 
 
 @dataclass(frozen=True)
@@ -338,18 +333,14 @@ ConstraintSpec = Union[WholeSpace, Box, Ball, Halfspace, Hyperplane, RealCross]
 class Full:
     """The whole space; projection is the identity."""
 
-    @property
-    def dim(self):
-        return None
+    dim = None
 
 
 @dataclass(frozen=True)
 class Zero:
     """The trivial subspace {0}."""
 
-    @property
-    def dim(self):
-        return None
+    dim = None
 
 
 @dataclass(frozen=True)
@@ -357,8 +348,11 @@ class Coordinates:
     """Span of the listed coordinate axes (0-based integer indices, not bools)."""
 
     indices: tuple[int, ...]
+    dim = None
 
     def __post_init__(self):
+        if not np.iterable(self.indices):
+            raise ValidationError(f"coordinate indices must be integers, got {self.indices!r}")
         for i in self.indices:
             if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
                 raise ValidationError(f"coordinate indices must be integers, got {i!r}")
@@ -368,10 +362,6 @@ class Coordinates:
         if any(i < 0 for i in idx):
             raise ValidationError("coordinate indices must be nonnegative")
         _setfield(self, "indices", idx)
-
-    @property
-    def dim(self):
-        return None
 
 
 SubspaceSpec = Union[Full, Zero, Coordinates]
@@ -422,6 +412,10 @@ RULES = {
     Hyperplane: (("normal",), ("offset",), (_nonzero_normal("hyperplane"),)),
 }
 
+# attrgetter reads the width in C: Problem checks every spec's dim
+for _cls, (_vectors, _, _) in RULES.items():
+    _cls.dim = property(attrgetter(_vectors[0] + ".size"))
+
 
 def _settle_rows(cls, fields: dict, label) -> dict:
     """The stacked ``fields`` of a group of ``cls`` specs, once every row passes the rules.
@@ -449,20 +443,6 @@ def _settle_rows(cls, fields: dict, label) -> dict:
         name, message, _ = rules[int(broken[:, row].argmax())]
         raise ValidationError(f"{label(row)}.{name}: {message}")
     return fields
-
-
-def _settle(spec):
-    """Check a spec's fields as a group of one row, then store them as 1-d arrays and floats."""
-    cls = type(spec)
-    vectors, scalars, _ = RULES[cls]
-    fields = {name: _vec(getattr(spec, name), f"{cls.__name__}.{name}")[None] for name in vectors}
-    for name in scalars:
-        fields[name] = np.array([[float(getattr(spec, name))]])
-    fields = _settle_rows(cls, fields, lambda row: cls.__name__)
-    for name in vectors:
-        _setfield(spec, name, fields[name][0])
-    for name in scalars:
-        _setfield(spec, name, float(fields[name][0, 0]))
 
 
 def specs_from_rows(cls, fields: dict, label) -> list:
@@ -578,14 +558,14 @@ def _pack(kind, specs) -> tuple:
         return a, b
     if kind is CvarAugmented:
         return (_scalars(specs, "alpha"),) + _pack_costs([s.f for s in specs])
-    if kind is Box:
-        return _rows(specs, "lo"), _rows(specs, "hi")
-    if kind is Ball:
-        return _rows(specs, "center"), _scalars(specs, "radius")
+    if kind not in RULES:
+        return ()
+    vectors, scalars, _ = RULES[kind]
+    coef = tuple(_rows(specs, name) for name in vectors)
+    coef += tuple(_scalars(specs, name) for name in scalars)
     if kind in (Halfspace, Hyperplane):
-        sq = np.array([[float(s.normal @ s.normal)] for s in specs])
-        return _rows(specs, "normal"), _scalars(specs, "offset"), sq
-    return ()
+        coef += (np.array([[float(s.normal @ s.normal)] for s in specs]),)
+    return coef
 
 
 def _resolvent_kernel(kind, coef, z, gamma, start=0.0, tol=1e-12):
@@ -896,8 +876,3 @@ def composite_resolvent(op: OperatorSpec, cs: ConstraintSpec, gamma: float, z) -
     _check_gamma(gamma)
     require_composite([_kind(op)], [_kind(cs)])
     return project_constraint(cs, resolvent(op, gamma, z))
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr

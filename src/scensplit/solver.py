@@ -34,7 +34,7 @@ from .operators import (
     WholeSpace,
     Zero,
     _number,
-    check_roles,
+    check_specs,
     forward_rows,
     project_constraint_rows,
     require_composite,
@@ -77,20 +77,9 @@ class Problem:
         object.__setattr__(self, "operators", tuple(self.operators))
         object.__setattr__(self, "constraints", tuple(self.constraints))
         object.__setattr__(self, "subspaces", tuple(self.subspaces))
-        for name, seq, role in (
-            ("operators", self.operators, OperatorSpec),
-            ("constraints", self.constraints, ConstraintSpec),
-            ("subspaces", self.subspaces, SubspaceSpec),
-        ):
-            if len(seq) != n:
-                raise ValidationError(f"{name}: got {len(seq)} entries for {n} scenarios")
-            check_roles(seq, role, name[:-1] + " {}")
-        for i, op in enumerate(self.operators):
-            if op.dim is not None and op.dim != d:
-                raise DimensionMismatch(f"operator {i} has dim {op.dim}, tree needs {d}")
-        for i, cs in enumerate(self.constraints):
-            if cs.dim is not None and cs.dim != d:
-                raise DimensionMismatch(f"constraint {i} has dim {cs.dim}, tree needs {d}")
+        check_specs(self.operators, OperatorSpec, "operator", n, d, DimensionMismatch)
+        check_specs(self.constraints, ConstraintSpec, "constraint", n, d, DimensionMismatch)
+        check_specs(self.subspaces, SubspaceSpec, "subspace", n, d, DimensionMismatch)
         for i, us in enumerate(self.subspaces):
             idx = getattr(us, "indices", ())
             if idx and max(idx) >= d:

@@ -21,6 +21,7 @@ from .errors import (
     StageOutOfRange,
     ValidationError,
 )
+from .operators import _frozen, _number
 
 # total probability mass must match 1 within this tolerance
 MASS_TOL = 1e-12
@@ -94,8 +95,9 @@ def build_tree(scenarios, stage_dims) -> ScenarioTree:
 
     ``stage_dims`` fixes the per-stage decision dimensions, as
     :func:`check_stage_dims` takes them.  Label sequences
-    must be pairwise distinct, probabilities must be positive and sum to 1
-    within ``MASS_TOL``.
+    must be pairwise distinct.  Probabilities must be integers or floats
+    (anything else, bools included, raises ConfigError), positive and sum
+    to 1 within ``MASS_TOL``.
     """
     stage_dims = check_stage_dims(stage_dims)
     n_stages = len(stage_dims)
@@ -104,14 +106,14 @@ def build_tree(scenarios, stage_dims) -> ScenarioTree:
     if not items:
         raise EmptyTree("a scenario tree needs at least one scenario")
 
+    probs = _number("probabilities", [prob for _, prob in items], 1, "numbers").astype(float)
     built = []
-    for i, (labels, prob) in enumerate(items):
+    for i, ((labels, _), prob) in enumerate(zip(items, probs.tolist())):
         labels = tuple(labels)
         if len(labels) != n_stages:
             raise ValidationError(
                 f"scenario {i} has {len(labels)} labels, expected {n_stages}"
             )
-        prob = float(prob)
         if not prob > 0.0:  # NaN included
             raise NonPositiveProbability(f"scenario {i} has probability {prob}")
         built.append(Scenario(index=i, labels=labels, probability=prob))
@@ -124,7 +126,6 @@ def build_tree(scenarios, stage_dims) -> ScenarioTree:
             )
         seen[s.labels] = s.index
 
-    probs = np.array([s.probability for s in built], dtype=float)
     mass = float(probs.sum())
     if abs(mass - 1.0) > MASS_TOL:
         raise BadProbabilityMass(f"probabilities sum to {mass!r}, expected 1")
@@ -172,8 +173,3 @@ def equivalence_classes(tree: ScenarioTree, stage: int):
     if not 1 <= stage <= tree.num_stages:
         raise StageOutOfRange(f"stage {stage} outside 1..{tree.num_stages}")
     return tree.classes[stage - 1]
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr

@@ -899,3 +899,16 @@ def test_written_traces_match_encoder(tmp_path, settings):
     if settings.get("max_iter") == 0:
         assert sol.trace == ()
         assert (tmp_path / "trace.csv").read_bytes() == (",".join(TRACE_HEADER) + "\r\n").encode()
+
+
+def test_every_catalog_class_is_in_rules_or_has_no_fields():
+    # the bulk parser stacks exactly the RULES fields of a class; Coordinates
+    # is the one class with a field outside RULES, parsed by its own branch
+    for kinds in cli.CATALOG.values():
+        for cls in kinds.values():
+            fields = {f.name for f in dataclasses.fields(cls)}
+            if cls in ops.RULES:
+                vectors, scalars, _ = ops.RULES[cls]
+                assert fields == set(vectors + scalars), cls.__name__
+            elif cls is not ops.Coordinates:
+                assert fields == set(), cls.__name__

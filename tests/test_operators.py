@@ -1,3 +1,5 @@
+from typing import get_args
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -784,3 +786,68 @@ def test_step_column_is_a_column_of_the_values(value):
     assert_array_equal(column, np.broadcast_to(np.reshape(np.asarray(value, float), (-1, 1)), (k, 1)))
     with pytest.raises(ConfigError, match="step values for"):
         operators.step_column(np.ones(k + 1), k)
+
+
+# --- catalog guards ---
+
+_NOT_NUMBERS = [
+    (lambda: Box(lo=["0"], hi=["1"]), "Box.lo"),
+    (lambda: Box(lo=[0.0], hi=[None]), "Box.hi"),
+    (lambda: Ball(center=[0.0], radius="2"), "Ball.radius"),
+    (lambda: Ball(center=[True], radius=1.0), "Ball.center"),
+    (lambda: Ball(center=[0.0], radius=True), "Ball.radius"),
+    (lambda: Ball(center=[0.0], radius=np.True_), "Ball.radius"),
+    (lambda: Halfspace(normal=[1.0], offset=None), "Halfspace.offset"),
+    (lambda: Hyperplane(normal=[1.0], offset=[0.5]), "Hyperplane.offset"),
+    (lambda: DiagonalAffine(a=[1 + 0j], b=[0]), "DiagonalAffine.a"),
+    (lambda: GradSeparableQuadratic(q=[1.0], c=[[0.0], [1.0, 2.0]]), "GradSeparableQuadratic.c"),
+    (lambda: Affine(c=[1.0], r=[2.0]), "Affine.r"),
+    (lambda: SeparableQuadratic(q=np.array([True]), c=[0.0]), "SeparableQuadratic.q"),
+]
+
+
+@pytest.mark.parametrize("build, field", _NOT_NUMBERS, ids=[f for _, f in _NOT_NUMBERS])
+def test_spec_fields_that_are_not_numbers_are_refused(build, field):
+    with pytest.raises(ConfigError, match=rf"^{field} must be"):
+        build()
+
+
+def test_spec_fields_keep_their_shape_errors_and_take_numpy_numbers():
+    for bad in (0.0, [[0.0, 1.0]]):
+        with pytest.raises(ValidationError, match="Box.lo: expected a 1-d array"):
+            Box(lo=bad, hi=[1.0, 2.0])
+    with pytest.raises(ValidationError, match="coordinate indices must be integers, got 5"):
+        Coordinates(indices=5)
+    ball = Ball(center=np.array([1, 2], dtype=np.int32), radius=np.float32(0.5))
+    assert ball.center.dtype == float and type(ball.radius) is float
+    assert_array_equal(ball.center, [1.0, 2.0])
+    assert ball.radius == 0.5
+    assert Halfspace(normal=[3], offset=np.int64(-2)).offset == -2.0
+
+
+# one instance of every spec class, each numeric one of width 3
+_SPEC_EXAMPLES = [
+    Affine(c=[1.0, 2.0, 3.0], r=0.5),
+    SeparableQuadratic(q=[1.0, 0.0, 2.0], c=[0.0, 1.0, 2.0]),
+    DiagonalAffine(a=[1.0, 2.0, 0.0], b=[0.5, 0.0, -1.0]),
+    GradSeparableQuadratic(q=[1.0, 0.5, 2.0], c=[0.0, 1.0, -1.0]),
+    Box(lo=[0.0, -np.inf, 1.0], hi=[1.0, 2.0, np.inf]),
+    Ball(center=[0.0, 1.0, 2.0], radius=1.5),
+    Halfspace(normal=[1.0, 0.0, -1.0], offset=0.5),
+    Hyperplane(normal=[0.0, 2.0, 1.0], offset=-1.0),
+    WholeSpace(),
+    Full(),
+    Zero(),
+    Coordinates(indices=(0, 2)),
+]
+
+
+@pytest.mark.parametrize("spec", _SPEC_EXAMPLES, ids=lambda s: type(s).__name__)
+def test_dim_of_every_spec_class(spec):
+    assert spec.dim == (3 if type(spec) in operators.RULES else None)
+
+
+def test_dim_examples_cover_every_spec_class_but_the_composites():
+    roles = (operators.CostSpec, operators.OperatorSpec, operators.ConstraintSpec, operators.SubspaceSpec)
+    classes = {cls for role in roles for cls in get_args(role)} - {CvarAugmented, RealCross}
+    assert {type(s) for s in _SPEC_EXAMPLES} == classes

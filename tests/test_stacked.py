@@ -18,6 +18,7 @@ from scensplit.operators import (
     GradSeparableQuadratic,
     Halfspace,
     Hyperplane,
+    RULES,
     RealCross,
     SeparableQuadratic,
     Stack,
@@ -364,3 +365,56 @@ def test_box_kernel_matches_np_clip_bitwise():
         for row in z:
             got = project_constraint(box, row)
             assert_array_equal(_bits(got), _bits(np.clip(row, box.lo, box.hi)))
+
+
+# the coefficient arrays each kernel unpacks: RULES vector fields, then its
+# scalar fields as (k, 1) columns, then a half-space's or hyperplane's
+# squared normal norm
+_PACKED_FIELDS = {
+    Affine: ("c", "r"),
+    SeparableQuadratic: ("q", "c", "r"),
+    DiagonalAffine: ("a", "b"),
+    Box: ("lo", "hi"),
+    Ball: ("center", "radius"),
+    Halfspace: ("normal", "offset", "sq"),
+    Hyperplane: ("normal", "offset", "sq"),
+}
+
+
+def _two_specs(cls, rng):
+    vectors, scalars, _ = RULES[cls]
+    specs = []
+    for _ in range(2):
+        fields = {name: rng.uniform(0.5, 2.0, D) for name in vectors}
+        fields.update({name: float(rng.uniform(0.5, 2.0)) for name in scalars})
+        if cls is Box:
+            fields["hi"] = fields["lo"] + 1.0
+        specs.append(cls(**fields))
+    return specs
+
+
+@pytest.mark.parametrize("cls", list(RULES), ids=lambda c: c.__name__)
+def test_stack_packs_each_rules_kind_in_rules_order(cls):
+    specs = _two_specs(cls, np.random.default_rng(5))
+    [(kind, members, coef)] = Stack(specs).groups
+    assert_array_equal(members, [0, 1])
+    if cls is GradSeparableQuadratic:
+        # q * (x - c) packs as the diagonal-affine (a, b) = (q, -q * c)
+        assert kind is DiagonalAffine
+        q, c = (np.array([getattr(s, name) for s in specs]) for name in ("q", "c"))
+        assert len(coef) == 2
+        assert_array_equal(coef[0], q)
+        assert_array_equal(coef[1], -q * c)
+        return
+    vectors, scalars, _ = RULES[cls]
+    names = _PACKED_FIELDS[cls]
+    assert kind is cls and names[: len(vectors + scalars)] == vectors + scalars
+    assert len(coef) == len(names)
+    for name, array in zip(names, coef):
+        if name == "sq":
+            want = [[float(s.normal @ s.normal)] for s in specs]
+        elif name in scalars:
+            want = [[getattr(s, name)] for s in specs]
+        else:
+            want = [getattr(s, name) for s in specs]
+        assert_array_equal(array, want, strict=True)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 from scensplit import build_tree, equivalence_classes
 from scensplit.errors import (
     BadProbabilityMass,
+    ConfigError,
     DuplicateScenario,
     EmptyTree,
     NonPositiveProbability,
@@ -98,6 +100,20 @@ def test_nonpositive_probability():
         build_tree([(("a",), -0.2), (("b",), 1.2)], [1])
     with pytest.raises(NonPositiveProbability):
         build_tree([(("a",), float("nan")), (("b",), 1.0)], [1])
+
+
+@pytest.mark.parametrize("prob", [True, np.True_, "1.0", None, [1.0], 1 + 0j])
+def test_probability_that_is_not_a_number_is_refused(prob):
+    with pytest.raises(ConfigError, match="probabilities must be numbers"):
+        build_tree([(("a",), prob)], [1])
+
+
+def test_probabilities_take_integers_and_numpy_floats():
+    tree = build_tree([(("a",), 1)], [1])
+    assert tree.scenarios[0].probability == 1.0
+    tree = build_tree([(("a",), np.float32(0.25)), (("b",), np.float64(0.75))], [1])
+    assert [type(s.probability) for s in tree.scenarios] == [float, float]
+    assert_array_equal(tree.probabilities, [0.25, 0.75])
 
 
 def test_bad_probability_mass():
