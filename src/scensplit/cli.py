@@ -64,32 +64,18 @@ def _record(obj, context: str, required, optional=()):
     return obj
 
 
-# json gives a number as an int or a float, and true/false as bools
-_NUMBER_TYPES = frozenset((int, float))
 _LABEL_TYPES = frozenset((str, int, float, bool))
 _SCENARIO_KEYS = frozenset(("labels", "probability"))
-# the least integer that float() rounds past the largest float
-_FLOAT_LIMIT = 2**1024 - 2**970
 
 
 def _numbers(values: list, where, fill=None) -> np.ndarray:
-    """The JSON numbers in ``values`` as one float array; ``where(j)`` names entry j.
+    """The JSON numbers in ``values`` as one float array, read by :func:`ops.number_list`.
 
-    A bool, any other non-number and an integer beyond float range raise
-    ValidationError.  ``null`` entries become ``fill`` when it is given.
+    A refused entry raises ValidationError named by ``where(j)``; ``null`` entries become ``fill``.
     """
-    allowed = _NUMBER_TYPES if fill is None else _NUMBER_TYPES | {type(None)}
-    kinds = set(map(type, values))
-    if not kinds <= allowed:
-        j = next(j for j, v in enumerate(values) if type(v) not in allowed)
-        raise ValidationError(f"{where(j)}: expected a number, got {values[j]!r}")
-    if type(None) in kinds:
-        values = [fill if v is None else v for v in values]
-    try:
-        return np.array(values, dtype=float)
-    except OverflowError:
-        j = next(j for j, v in enumerate(values) if abs(v) >= _FLOAT_LIMIT)
-        raise ValidationError(f"{where(j)}: integer beyond float range") from None
+    return ops.number_list(
+        values, lambda j, got: ValidationError(f"{where(j)}: expected a number, {got}"), fill
+    )
 
 
 def _stacked(rows: list, where, width: int, mismatch, fill=None) -> np.ndarray:
@@ -114,10 +100,10 @@ def _stacked(rows: list, where, width: int, mismatch, fill=None) -> np.ndarray:
 
 
 def _coordinates(value, context: str) -> ops.Coordinates:
-    if not isinstance(value, list) or not all(type(i) is int for i in value):
+    if not isinstance(value, list):
         raise ValidationError(f"{context}: indices must be a list of integers")
     try:
-        return ops.Coordinates(indices=tuple(value))
+        return ops.Coordinates(indices=value)
     except ValidationError as e:
         raise ValidationError(f"{context}: {e}") from None
 
@@ -224,8 +210,6 @@ def load_problem_file(path: str) -> ProblemBundle:
             raise ParseError(f"{path}: invalid JSON: {e}") from e
     _record(doc, "problem file", ["stages", "scenarios"], ["operators", "constraints", "subspaces", "cvar"])
 
-    if not isinstance(doc["stages"], list):
-        raise ValidationError("stages: expected a list of integers")
     stages = check_stage_dims(doc["stages"])
     width = sum(stages)
     raw = doc["scenarios"]

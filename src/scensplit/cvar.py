@@ -22,6 +22,7 @@ from .operators import (
     Full,
     RealCross,
     _cost_rows,
+    _number,
     _pack_costs,
     check_alpha,
     check_specs,
@@ -80,7 +81,7 @@ def cvar_value(tree: ScenarioTree, alpha: float, losses) -> float:
     number in (0, 1), as for :class:`CvarProblem`.
     """
     alpha = check_alpha(alpha)
-    losses = np.asarray(losses, dtype=float)
+    losses = _number("losses", losses, np.inf, "an array of numbers")
     if losses.shape != (tree.num_scenarios,):
         raise ShapeMismatch(
             f"losses shape {losses.shape}, expected ({tree.num_scenarios},)"

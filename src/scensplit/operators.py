@@ -70,52 +70,120 @@ def check_specs(specs, role, name: str, n: int, width: int, mismatch):
             raise mismatch(f"{name} {i} has dim {spec.dim}, tree needs {width}")
 
 
-def _as_array(value) -> np.ndarray:
-    """``value`` as a numpy array; ragged nesting gives a 0-d object array."""
+# ---------------------------------------------------------------------------
+# input rules: every number, integer and step the package takes is read by
+# number_list (or _number), integers or check_step
+# ---------------------------------------------------------------------------
+
+_FLOAT_LIMIT = 2**1024 - 2**970  # the least integer that float() rounds past the largest float
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def number_list(values: list, refuse, fill=None) -> np.ndarray:
+    """The flat list ``values`` as one float array, once each entry is a number.
+
+    A number is an :func:`_is_integer` integer or a float, numpy's included.
+    The first other entry j, or an integer beyond float range, raises
+    ``refuse(j, got)``.  ``None`` entries become ``fill`` when it is given.
+    """
+    plain = {int, float} if fill is None else {int, float, type(None)}  # json's number types
+    kinds = set(map(type, values))
+    if not kinds <= plain:
+        for j, v in enumerate(values):
+            if type(v) not in plain and not (_is_integer(v) or isinstance(v, np.floating)):
+                raise refuse(j, f"got {v!r}")
+    if type(None) in kinds:
+        values = [fill if v is None else v for v in values]
     try:
-        return np.asarray(value)
-    except ValueError:
-        return np.asarray(None)
+        return np.array(values, dtype=float)
+    except OverflowError:
+        j = next(j for j, v in enumerate(values) if abs(v) >= _FLOAT_LIMIT)
+        raise refuse(j, "got an integer beyond float range") from None
 
 
 def _number(name: str, value, max_ndim: int = 0, kinds: str = "a number") -> np.ndarray:
-    """``value`` as an integer or float array of at most ``max_ndim`` dimensions.
+    """``value`` as a float array of at most ``max_ndim`` dimensions, its entries numbers.
 
-    Anything else, bools and numpy bools included, raises ``ConfigError``
-    saying that ``name`` must be ``kinds``.
+    Anything else (a string, None, a bool also inside a list, a complex or ragged
+    value, an integer beyond float range) raises ConfigError: ``name`` must be ``kinds``.
     """
-    array = _as_array(value)
-    if array.ndim > max_ndim or array.dtype.kind not in "iuf":
-        raise ConfigError(f"{name} must be {kinds}, got {value!r}")
-    return array
+    def refuse(j, got):
+        return ConfigError(f"{name} must be {kinds}, {got}")
+
+    try:
+        array = np.asarray(value)
+    except ValueError:  # ragged nesting
+        raise refuse(0, f"got {value!r}") from None
+    if array.ndim > max_ndim or array.dtype.kind not in "iufO":
+        raise refuse(0, f"got {value!r}")
+    if array.dtype.kind == "O" or (array.ndim and not isinstance(value, np.ndarray)):
+        # numpy reads a list's bools as numbers and an integer beyond int64 as an object
+        raw = array if array.dtype.kind == "O" else np.array(value, dtype=object)
+        array = number_list(raw.ravel().tolist(), refuse).reshape(array.shape)
+    return np.asarray(array, dtype=float)
 
 
-def _check_gamma(gamma, zero: bool = False) -> float:
-    """gamma as a float, once it is a number > 0 (>= 0 with ``zero``) and finite.
+def integers(name: str, values, least: int, below=np.inf, error=ConfigError, kinds="integers"):
+    """``values``, read once, once each entry is an :func:`_is_integer` integer in [least, below).
 
-    A number is an integer or float, numpy scalars and one-entry arrays
-    included; anything else (a string, None, a bool, a longer array) raises
-    ConfigError.  A value out of range raises NonPositiveGamma, +inf
-    ValidationError.
+    A 1-d integer array comes back as is, anything else as a list of Python
+    ints.  Any other value or entry raises ``error``: ``name`` must be ``kinds``.
     """
-    array = _number("gamma", gamma, max_ndim=1)
-    if array.size != 1:
-        raise ConfigError(f"gamma must be a number, got {gamma!r}")
-    gamma = float(array.reshape(()))
-    if not (gamma >= 0 if zero else gamma > 0):
-        least = "nonnegative" if zero else "positive"
-        raise NonPositiveGamma(f"gamma must be {least}, got {gamma}")
-    if gamma == np.inf:
-        raise ValidationError(f"gamma must be finite, got {gamma}")
-    return gamma
+    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iu":
+        low, high = values.min(initial=least), values.max(initial=least)
+    elif np.iterable(values):
+        # tolist gives an array's entries as Python numbers, or as lists past 1-d
+        values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+        if set(map(type, values)) - {int}:
+            for v in values:
+                if not _is_integer(v):
+                    raise error(f"{name} must be {kinds}, got {v!r}")
+            values = list(map(int, values))
+        low, high = min(values, default=least), max(values, default=least)
+    else:
+        raise error(f"{name} must be {kinds}, got {values!r}")
+    if not least <= low <= high < below:
+        v = next(v for v in values if not least <= v < below)
+        raise error(f"{name} must be {kinds} in [{least}, {below}), got {v}")
+    return values
+
+
+def check_step(name: str, value, max_ndim: int = 0, window=None, zero: bool = False):
+    """``value`` as a step: a float, or with ``max_ndim=1`` a float or a 1-d float array.
+
+    Entries are read by :func:`_number`.  An entry outside ``window`` (lo, hi),
+    when one is given, raises ConfigError.  Otherwise an entry that is not
+    > 0 (>= 0 with ``zero``), NaN included, raises NonPositiveGamma for
+    ``gamma`` and ConfigError for other steps, and +inf raises ConfigError.
+    """
+    kinds = "a number or a 1-d sequence of numbers" if max_ndim else "a number"
+    step = _number(name, value, max_ndim, kinds)
+    if window is not None:
+        lo, hi = window
+        bad = step[~((lo <= step) & (step <= hi))]
+        if bad.size:
+            raise ConfigError(f"{name} value {float(bad[0])} outside [{lo}, {hi}]")
+    elif not (step >= 0 if zero else step > 0).all():
+        error = NonPositiveGamma if name == "gamma" else ConfigError
+        raise error(f"{name} must be {'nonnegative' if zero else 'positive'}, got {step.min()}")
+    elif (step == np.inf).any():
+        raise ConfigError(f"{name} must be finite, got inf")
+    return float(step) if step.ndim == 0 else step
+
+
+def _root_tol(tol) -> float:
+    """``tol`` as a float, once it is a number (ConfigError) > 0 (ToleranceError)."""
+    tol = float(_number("tol", tol))
+    if not tol > 0:
+        raise ToleranceError(f"root tolerance {tol} must be positive")
+    return tol
 
 
 def check_alpha(alpha) -> float:
-    """alpha as a float, once it is a number in (0, 1).
-
-    A non-number (a string, bool, None or sequence) raises ConfigError, a
-    number outside the interval BadAlpha.
-    """
+    """alpha as a float, once it is a number (ConfigError) in (0, 1) (BadAlpha)."""
     alpha = float(_number("alpha", alpha))
     if not 0.0 < alpha < 1.0:
         raise BadAlpha(f"alpha must lie in (0, 1), got {alpha}")
@@ -123,7 +191,7 @@ def check_alpha(alpha) -> float:
 
 
 def _vec(x, name: str) -> np.ndarray:
-    arr = np.asarray(_number(name, x, np.inf, "an array of numbers"), dtype=float)
+    arr = _number(name, x, np.inf, "an array of numbers")
     if arr.ndim != 1:
         raise ValidationError(f"{name}: expected a 1-d array, got shape {arr.shape}")
     return arr
@@ -211,7 +279,7 @@ def cost_value(f: CostSpec, x) -> float:
 
 def cost_prox(f: CostSpec, gamma: float, x) -> np.ndarray:
     """argmin_p gamma*f(p) + 0.5*||p - x||^2; gamma = 0 gives x back."""
-    gamma = _check_gamma(gamma, zero=True)
+    gamma = check_step("gamma", gamma, zero=True)
     q, *_, b, _ = _pack_costs([f])
     return _resolvent_kernel(DiagonalAffine, (q, b), _checked(f, x)[None], gamma)[0][0]
 
@@ -351,16 +419,10 @@ class Coordinates:
     dim = None
 
     def __post_init__(self):
-        if not np.iterable(self.indices):
-            raise ValidationError(f"coordinate indices must be integers, got {self.indices!r}")
-        for i in self.indices:
-            if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
-                raise ValidationError(f"coordinate indices must be integers, got {i!r}")
-        idx = tuple(int(i) for i in self.indices)
+        idx = integers("coordinate indices", self.indices, 0, error=ValidationError)
+        idx = tuple(map(int, idx))
         if len(set(idx)) != len(idx):
             raise ValidationError("coordinate indices must be distinct")
-        if any(i < 0 for i in idx):
-            raise ValidationError("coordinate indices must be nonnegative")
         _setfield(self, "indices", idx)
 
 
@@ -383,11 +445,26 @@ def _nonnegative(name: str, message: str) -> tuple:
     return name, message, lambda f: (f[name] < 0).any(axis=1)
 
 
+def _packs_finite(name: str, message: str, packed) -> tuple:
+    """A rule on the rows whose ``packed(fields)``, computed as _pack computes it, is not finite."""
+    def test(f):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return ~np.isfinite(packed(f)).all(axis=1)
+
+    return name, message, test
+
+
 def _nonzero_normal(kind: str) -> tuple:
     return "normal", f"{kind} normal must be nonzero", lambda f: ~(f["normal"] != 0).any(axis=1)
 
 
-_QUADRATIC = _nonnegative("q", "quadratic weights must be nonnegative")
+_QUADRATIC = (
+    _nonnegative("q", "quadratic weights must be nonnegative"),
+    _packs_finite("c", "q * c must be finite", lambda f: f["q"] * f["c"]),
+)
+_NORMAL_SQUARE = _packs_finite(
+    "normal", "squared norm must be finite", lambda f: _row_dot(f["normal"], f["normal"])
+)
 
 # spec class -> (vector fields, scalar fields, rules).  Every entry must be
 # finite, once a Box's infinite sides are clamped; each further rule is
@@ -395,9 +472,9 @@ _QUADRATIC = _nonnegative("q", "quadratic weights must be nonnegative")
 # True at the rows that break the rule.
 RULES = {
     Affine: (("c",), ("r",), ()),
-    SeparableQuadratic: (("q", "c"), ("r",), (_QUADRATIC,)),
+    SeparableQuadratic: (("q", "c"), ("r",), _QUADRATIC),
     DiagonalAffine: (("a", "b"), (), (_nonnegative("a", "diagonal coefficients must be nonnegative"),)),
-    GradSeparableQuadratic: (("q", "c"), (), (_QUADRATIC,)),
+    GradSeparableQuadratic: (("q", "c"), (), _QUADRATIC),
     Box: (
         ("lo", "hi"),
         (),
@@ -408,8 +485,8 @@ RULES = {
         ("radius",),
         (("radius", "ball radius must be positive", lambda f: f["radius"][:, 0] <= 0),),
     ),
-    Halfspace: (("normal",), ("offset",), (_nonzero_normal("halfspace"),)),
-    Hyperplane: (("normal",), ("offset",), (_nonzero_normal("hyperplane"),)),
+    Halfspace: (("normal",), ("offset",), (_nonzero_normal("halfspace"), _NORMAL_SQUARE)),
+    Hyperplane: (("normal",), ("offset",), (_nonzero_normal("hyperplane"), _NORMAL_SQUARE)),
 }
 
 # attrgetter reads the width in C: Problem checks every spec's dim
@@ -732,12 +809,8 @@ def subspace_mask(us: SubspaceSpec, dim: int) -> np.ndarray:
     if isinstance(us, Zero):
         return np.zeros(dim, dtype=bool)
     if isinstance(us, Coordinates):
-        if us.indices and max(us.indices) >= dim:
-            raise DimensionMismatch(
-                f"coordinate index {max(us.indices)} out of range for dim {dim}"
-            )
         mask = np.zeros(dim, dtype=bool)
-        mask[list(us.indices)] = True
+        mask[integers("coordinate indices", us.indices, 0, dim, DimensionMismatch)] = True
         return mask
     raise TypeError(f"unknown subspace spec {type(us).__name__}")
 
@@ -755,13 +828,13 @@ def apply_operator(op: OperatorSpec, x) -> np.ndarray:
 
 def resolvent(op: OperatorSpec, gamma: float, z) -> np.ndarray:
     """Solve p + gamma*A(p) = z for the catalog operator A."""
-    gamma = _check_gamma(gamma)
+    gamma = check_step("gamma", gamma)
     return _one_row(_resolvent_kernel, op, _checked(op, z), gamma)
 
 
 def _checked(spec, z) -> np.ndarray:
-    """z as a float array, once its size fits the spec."""
-    z = np.asarray(z, dtype=float)
+    """z as a float array, once it holds numbers and its size fits the spec."""
+    z = _number("point", z, np.inf, "an array of numbers")
     if spec.dim is not None and z.size != spec.dim:
         raise DimensionMismatch(f"{type(spec).__name__} expects dim {spec.dim}, got {z.size}")
     if isinstance(spec, RealCross) and z.size < 1:
@@ -776,7 +849,7 @@ def project_constraint(cs: ConstraintSpec, z) -> np.ndarray:
 
 def project_subspace(us: SubspaceSpec, z) -> np.ndarray:
     """Orthogonal projection onto the activation subspace."""
-    z = np.asarray(z, dtype=float)
+    z = _number("point", z, np.inf, "an array of numbers")
     return np.where(subspace_mask(us, z.size), z, 0.0)
 
 
@@ -827,9 +900,8 @@ def prox_max_nonneg(f: CostSpec, gamma: float, x, tol: float = 1e-12) -> np.ndar
     x itself where f(x) < 0, else the prox of gamma*f where f stays positive
     there, else the prox of theta*gamma*f for the theta at which f vanishes.
     """
-    gamma = _check_gamma(gamma)
-    if not tol > 0:
-        raise ToleranceError(f"root tolerance {tol} must be positive")
+    gamma = check_step("gamma", gamma)
+    tol = _root_tol(tol)
     return _prox_root(_pack_costs([f]), _checked(f, x)[None], gamma, 0.0, 0.0, tol)[1][0]
 
 
@@ -844,9 +916,8 @@ def prox_cvar_augmented(
     ``gamma`` and ``y`` must be numbers, as for :class:`CvarAugmented`.
     """
     op = CvarAugmented(f=f, alpha=alpha)
-    gamma = _check_gamma(gamma)
-    if not tol > 0:
-        raise ToleranceError(f"root tolerance {tol} must be positive")
+    gamma = check_step("gamma", gamma)
+    tol = _root_tol(tol)
     z = np.concatenate(([float(_number("y", y))], _checked(f, x)))
     out = _one_row(_resolvent_kernel, op, z, gamma, 0.0, tol)
     return float(out[0]), out[1:]
@@ -873,6 +944,6 @@ def require_composite(op_kinds, cs_kinds):
 
 def composite_resolvent(op: OperatorSpec, cs: ConstraintSpec, gamma: float, z) -> np.ndarray:
     """Resolvent of gamma*(A + normal cone of C) for separable pairs."""
-    _check_gamma(gamma)
+    gamma = check_step("gamma", gamma)
     require_composite([_kind(op)], [_kind(cs)])
     return project_constraint(cs, resolvent(op, gamma, z))

@@ -14,12 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cvar import CvarProblem
-from .errors import (
-    BadGrid,
-    NonPositiveGamma,
-    TooManyFreeCoordinates,
-    UnsupportedInstance,
-)
+from .errors import BadGrid, TooManyFreeCoordinates, UnsupportedInstance
 from .operators import (
     Affine,
     Ball,
@@ -30,6 +25,8 @@ from .operators import (
     RealCross,
     SeparableQuadratic,
     WholeSpace,
+    check_step,
+    integers,
 )
 from .solver import Problem
 from .tree import ScenarioTree
@@ -55,10 +52,8 @@ class GridSpec:
             raise BadGrid("grid bounds must be finite")
         if np.any(lo >= hi):
             raise BadGrid("grid needs lower < upper on every axis")
-        if self.points < 3:
-            raise BadGrid(f"need at least 3 points per axis, got {self.points}")
-        if self.rounds < 0:
-            raise BadGrid(f"rounds must be nonnegative, got {self.rounds}")
+        integers("points", [self.points], 3, error=BadGrid, kinds="an integer")
+        integers("rounds", [self.rounds], 0, error=BadGrid, kinds="an integer")
 
     @property
     def dim(self) -> int:
@@ -125,8 +120,7 @@ def _eval_cost_many(f, pts: np.ndarray) -> np.ndarray:
 
 def oracle_prox_grid(f, gamma: float, x: float, grid: GridSpec, positive_part: bool = True) -> float:
     """Grid minimizer of gamma*max{f,0} + 0.5(.-x)^2 (or gamma*f + ...)."""
-    if gamma <= 0:
-        raise NonPositiveGamma(f"prox parameter {gamma} must be positive")
+    gamma = check_step("gamma", gamma)
     if f.dim != 1 or grid.dim != 1:
         raise UnsupportedInstance("the prox oracle handles one-dimensional costs")
     x = float(x)
@@ -143,8 +137,7 @@ def oracle_prox_grid(f, gamma: float, x: float, grid: GridSpec, positive_part: b
 
 def oracle_prox_cvar_grid(f, alpha: float, gamma: float, y: float, x: float, grid: GridSpec):
     """Grid minimizer over (threshold, decision) of the augmented prox objective."""
-    if gamma <= 0:
-        raise NonPositiveGamma(f"prox parameter {gamma} must be positive")
+    gamma = check_step("gamma", gamma)
     if not 0.0 < alpha < 1.0:
         raise UnsupportedInstance(f"alpha must lie in (0, 1), got {alpha}")
     if f.dim != 1 or grid.dim != 2:

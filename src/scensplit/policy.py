@@ -11,12 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeMismatch
+from .operators import _number
 from .tree import ScenarioTree
 
 
 def check_policy(tree: ScenarioTree, x) -> np.ndarray:
-    """Coerce ``x`` to a float array of shape (num_scenarios, total_dim)."""
-    arr = np.asarray(x, dtype=float)
+    """``x`` as a float array of numbers (else ConfigError), shaped (num_scenarios, total_dim)."""
+    arr = _number("policy", x, np.inf, "an array of numbers")
     expected = (tree.num_scenarios, tree.total_dim)
     if arr.shape != expected:
         raise ShapeMismatch(f"policy shape {arr.shape}, expected {expected}")

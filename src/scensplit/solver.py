@@ -18,13 +18,7 @@ from typing import Callable, Optional, Sequence, Union, get_args
 import numpy as np
 
 from . import policy
-from .errors import (
-    ConfigError,
-    DimensionMismatch,
-    NonPositiveGamma,
-    NonTrivialConstraint,
-    ValidationError,
-)
+from .errors import ConfigError, DimensionMismatch, NonTrivialConstraint, ValidationError
 from .operators import (
     ConstraintSpec,
     Full,
@@ -35,7 +29,9 @@ from .operators import (
     Zero,
     _number,
     check_specs,
+    check_step,
     forward_rows,
+    integers,
     project_constraint_rows,
     require_composite,
     resolvent_rows,
@@ -80,22 +76,19 @@ class Problem:
         check_specs(self.operators, OperatorSpec, "operator", n, d, DimensionMismatch)
         check_specs(self.constraints, ConstraintSpec, "constraint", n, d, DimensionMismatch)
         check_specs(self.subspaces, SubspaceSpec, "subspace", n, d, DimensionMismatch)
-        for i, us in enumerate(self.subspaces):
-            idx = getattr(us, "indices", ())
-            if idx and max(idx) >= d:
-                raise DimensionMismatch(f"subspace {i} indexes axis {max(idx)}, dim is {d}")
-        for i, (cs, us) in enumerate(zip(self.constraints, self.subspaces)):
-            if not validate_range_condition(cs, us):
-                raise ValidationError(f"range condition violated for scenario {i}")
-        object.__setattr__(self, "operator_stack", Stack(self.operators))
-        object.__setattr__(self, "constraint_stack", Stack(self.constraints))
         by_spec: dict = {}
         for i, us in enumerate(self.subspaces):
             by_spec.setdefault(us, []).append(i)
         mask = np.empty((n, d), dtype=bool)
         for us, rows in by_spec.items():
+            # before the range conditions: an index past d raises DimensionMismatch here
             mask[rows] = subspace_mask(us, d)
         mask.flags.writeable = False
+        for i, (cs, us) in enumerate(zip(self.constraints, self.subspaces)):
+            if not validate_range_condition(cs, us):
+                raise ValidationError(f"range condition violated for scenario {i}")
+        object.__setattr__(self, "operator_stack", Stack(self.operators))
+        object.__setattr__(self, "constraint_stack", Stack(self.constraints))
         object.__setattr__(self, "subspace_mask", mask)
         object.__setattr__(self, "full_mask", bool(mask.all()))
 
@@ -132,7 +125,7 @@ class RoundRobin:
     block_size: int = 1
 
     def __post_init__(self):
-        _check_count("block_size", self.block_size, 1)
+        integers("block_size", [self.block_size], 1, kinds="an integer")
 
     def cover_window(self, num_scenarios: int) -> int:
         return math.ceil(num_scenarios / self.block_size) - 1
@@ -153,7 +146,7 @@ class SeededRandom:
     A scenario inactive for ``cover_window`` iterations is put into the
     block first; the remaining slots are filled uniformly without
     replacement.  Fully deterministic for a fixed seed.  All three settings
-    are integers (numpy integers included, bools not).
+    are integers.
     """
 
     block_size: int = 1
@@ -161,9 +154,9 @@ class SeededRandom:
     seed: int = 0
 
     def __post_init__(self):
-        _check_count("block_size", self.block_size, 1)
-        _check_count("cover_window", self.cover_window, 0)
-        _check_count("seed", self.seed, 0)
+        integers("block_size", [self.block_size], 1, kinds="an integer")
+        integers("cover_window", [self.cover_window], 0, kinds="an integer")
+        integers("seed", [self.seed], 0, kinds="an integer")
 
     def select(self, n, num_scenarios, last_activated, rng) -> np.ndarray:
         if n == 0:
@@ -194,14 +187,12 @@ class SolverConfig:
 
     ``gamma`` and ``mu`` accept a number, a 1-d per-scenario sequence or a
     callable ``(scenario, iteration) -> float``; ``lambda_rule`` accepts a
-    number or a callable ``iteration -> float``.  A number is a 0-d integer
-    or float, numpy scalars and 0-d arrays included; anything else raises
-    ``ConfigError``.  Values outside the admissible intervals raise instead
-    of being clamped: numbers and sequences here, a callable's values each
-    time it is called.  ``max_iter`` and ``trace_every`` must be integers,
-    numpy integers included and bools not, ``epsilon`` and ``tol`` numbers
-    as above (bools are not numbers), ``record_timing`` a bool
-    (``np.bool_`` included), and ``schedule`` one of the three schedules.
+    number or a callable ``iteration -> float``.  Numbers and integers are
+    read by the input rules of :mod:`operators`; anything else raises
+    ``ConfigError``, as do step values outside their windows: numbers and
+    sequences here, a callable's values each time it is called.
+    ``record_timing`` must be a bool (``np.bool_`` included) and
+    ``schedule`` one of the three schedules.
     """
 
     epsilon: float = 1e-3
@@ -233,38 +224,19 @@ class SolverConfig:
         object.__setattr__(self, "_steps", steps)
 
 
-def _check_count(name: str, value, least: int):
-    """Raise unless ``value`` is an integer (numpy integers included, bools not) >= ``least``."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
-        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
 def _check_stopping(tol: float, max_iter: int, trace_every: int, record_timing: bool):
     """Raise unless the stopping and tracing settings every solver takes are usable."""
     if not _number("tol", tol) >= 0:
         raise ConfigError(f"tol must be nonnegative, got {tol}")
-    _check_count("max_iter", max_iter, 0)
-    _check_count("trace_every", trace_every, 1)
+    integers("max_iter", [max_iter], 0, kinds="an integer")
+    integers("trace_every", [trace_every], 1, kinds="an integer")
     if not isinstance(record_timing, (bool, np.bool_)):
         raise ConfigError(f"record_timing must be a bool, got {record_timing!r}")
 
 
-def _check_range(name: str, value, lo: float, hi: float):
-    """Raise unless every entry of ``value`` (a number or an array) is in [lo, hi]."""
-    v = np.asarray(value, dtype=float).ravel()
-    bad = v[~((lo <= v) & (v <= hi))]
-    if bad.size:
-        raise ConfigError(f"{name} value {float(bad[0])} outside [{lo}, {hi}]")
-
-
 def _settle_step(name: str, rule, lo: float, hi: float, max_ndim: int) -> tuple:
-    """``(rule, lo, hi)``: a callable as is, else a range-checked float or 1-d float array."""
-    if callable(rule):
-        return rule, lo, hi
-    kinds = "a number, a 1-d sequence" if max_ndim else "a number"
-    value = _number(name, rule, max_ndim, kinds + " or a callable")
-    _check_range(name, value, lo, hi)
-    return (float(value) if value.ndim == 0 else value.astype(float)), lo, hi
+    """``(rule, lo, hi)``: a callable as is, else a float or 1-d float array in [lo, hi]."""
+    return (rule if callable(rule) else check_step(name, rule, max_ndim, (lo, hi))), lo, hi
 
 
 def _step(config: SolverConfig, name: str, n: int, rows=None):
@@ -276,8 +248,7 @@ def _step(config: SolverConfig, name: str, n: int, rows=None):
     if not callable(rule):
         return rule if isinstance(rule, float) else rule[rows]
     v = float(rule(n)) if rows is None else np.array([float(rule(int(i), n)) for i in rows])
-    _check_range(name, v, lo, hi)
-    return v
+    return check_step(name, v, 1, (lo, hi))
 
 
 @dataclass
@@ -382,18 +353,15 @@ def scenario_update(state: SolverState, problem: Problem, scenarios, gamma, mu):
     index); op_dual lies in the operator's graph at op_point, set_dual in
     the normal cone of the constraint at set_point, by construction.
     """
-    rows = np.atleast_1d(np.asarray(scenarios, dtype=int))
-    gamma = step_column(gamma, rows.size)
-    mu = step_column(mu, rows.size)
-    for name, step, error in (("gamma", gamma, NonPositiveGamma), ("mu", mu, ConfigError)):
-        if not np.all(step > 0):
-            raise error(f"{name} must be positive, got {float(step.min())}")
-        if not np.isfinite(step).all():
-            raise ConfigError(f"{name} must be finite, got {float(step.max())}")
+    many = np.ndim(scenarios)
+    n = problem.tree.num_scenarios
+    rows = np.asarray(integers("scenarios", scenarios if many else [scenarios], 0, n), dtype=int)
+    gamma = step_column(check_step("gamma", gamma, 1), rows.size)
+    mu = step_column(check_step("mu", mu, 1), rows.size)
     block = state.stack[:3].take(rows, axis=1)
     op_point, set_point, _ = _points(problem, *block, gamma, mu, rows)
     out = _intermediates(block, problem, rows, gamma, mu, op_point, set_point)
-    return out[:, 0] if np.ndim(scenarios) == 0 else out
+    return out if many else out[:, 0]
 
 
 def _points(
@@ -660,15 +628,11 @@ def progressive_hedging_solve(
     ``solve``, with the constraint multiplier recovered from the resolvent
     identity.  The test runs after each step, so trace row n holds the
     residual after step n; ``max_iter=0`` takes no step and tests the start,
-    x = v* = 0 with x* = 0.  ``gamma`` must be a finite positive number, 0-d
-    numpy values included and bools not; it has no ``epsilon`` range.  The
-    other settings are checked as in ``SolverConfig``.
+    x = v* = 0 with x* = 0.  ``gamma`` is one step, as ``check_step`` reads
+    it, with no ``epsilon`` window; the other settings are checked as in
+    ``SolverConfig``.
     """
-    gamma = float(_number("gamma", gamma))
-    if not gamma > 0:
-        raise NonPositiveGamma(f"gamma must be positive, got {gamma}")
-    if not math.isfinite(gamma):
-        raise ConfigError(f"gamma must be finite, got {gamma}")
+    gamma = check_step("gamma", gamma)
     _check_stopping(tol, max_iter, trace_every, record_timing)
     tree = problem.tree
     ops, cons = problem.operator_stack, problem.constraint_stack

@@ -15,13 +15,14 @@ import numpy as np
 
 from .errors import (
     BadProbabilityMass,
+    ConfigError,
     DuplicateScenario,
     EmptyTree,
     NonPositiveProbability,
     StageOutOfRange,
     ValidationError,
 )
-from .operators import _frozen, _number
+from .operators import _frozen, integers, number_list
 
 # total probability mass must match 1 within this tolerance
 MASS_TOL = 1e-12
@@ -76,16 +77,9 @@ class ScenarioTree:
 
 
 def check_stage_dims(stage_dims) -> tuple[int, ...]:
-    """``stage_dims`` as a tuple of ints, once it is a nonempty sequence of integers >= 1.
-
-    Numpy integers count as integers, bools do not.
-    """
-    stage_dims = tuple(stage_dims)
-    for d in stage_dims:
-        if not isinstance(d, (int, np.integer)) or isinstance(d, bool):
-            raise ValidationError(f"stage dims must be integers, got {d!r}")
-    stage_dims = tuple(int(d) for d in stage_dims)
-    if not stage_dims or any(d < 1 for d in stage_dims):
+    """``stage_dims`` as a tuple of ints, once it is a nonempty sequence of integers >= 1."""
+    stage_dims = tuple(map(int, integers("stage dims", stage_dims, 1, error=ValidationError)))
+    if not stage_dims:
         raise ValidationError("stage_dims must be a nonempty sequence of dims >= 1")
     return stage_dims
 
@@ -95,9 +89,8 @@ def build_tree(scenarios, stage_dims) -> ScenarioTree:
 
     ``stage_dims`` fixes the per-stage decision dimensions, as
     :func:`check_stage_dims` takes them.  Label sequences
-    must be pairwise distinct.  Probabilities must be integers or floats
-    (anything else, bools included, raises ConfigError), positive and sum
-    to 1 within ``MASS_TOL``.
+    must be pairwise distinct.  Probabilities must be numbers (ConfigError
+    otherwise), positive and sum to 1 within ``MASS_TOL``.
     """
     stage_dims = check_stage_dims(stage_dims)
     n_stages = len(stage_dims)
@@ -106,7 +99,8 @@ def build_tree(scenarios, stage_dims) -> ScenarioTree:
     if not items:
         raise EmptyTree("a scenario tree needs at least one scenario")
 
-    probs = _number("probabilities", [prob for _, prob in items], 1, "numbers").astype(float)
+    probs = [prob for _, prob in items]
+    probs = number_list(probs, lambda j, got: ConfigError(f"probabilities must be numbers, {got}"))
     built = []
     for i, ((labels, _), prob) in enumerate(zip(items, probs.tolist())):
         labels = tuple(labels)
