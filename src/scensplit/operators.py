@@ -641,7 +641,7 @@ def _pack(kind, specs) -> tuple:
     coef = tuple(_rows(specs, name) for name in vectors)
     coef += tuple(_scalars(specs, name) for name in scalars)
     if kind in (Halfspace, Hyperplane):
-        coef += (np.array([[float(s.normal @ s.normal)] for s in specs]),)
+        coef += (_row_dot(coef[0], coef[0]),)  # the squared normals, as _NORMAL_SQUARE reads them
     return coef
 
 

@@ -240,15 +240,17 @@ def _settle_step(name: str, rule, lo: float, hi: float, max_ndim: int) -> tuple:
 
 
 def _step(config: SolverConfig, name: str, n: int, rows=None):
-    """Step ``name`` of iteration n, one per entry of ``rows`` (None for lambda).
+    """Step ``name`` of iteration n: a float, or a (k, 1) column for the k ``rows``.
 
-    Only a callable's values are range-checked here; see ``SolverConfig``.
+    Lambda (``rows`` None) is one float.  Only a callable's values are read
+    here, by ``check_step`` in the step's window; see ``SolverConfig``.
     """
     rule, lo, hi = config._steps[name]
     if not callable(rule):
-        return rule if isinstance(rule, float) else rule[rows]
-    v = float(rule(n)) if rows is None else np.array([float(rule(int(i), n)) for i in rows])
-    return check_step(name, v, 1, (lo, hi))
+        return rule if isinstance(rule, float) else rule[rows, None]
+    if rows is None:
+        return check_step(name, rule(n), 0, (lo, hi))
+    return check_step(name, [rule(int(i), n) for i in rows], 1, (lo, hi))[:, None]
 
 
 @dataclass
@@ -388,8 +390,8 @@ def _intermediates(block, problem, rows, gamma, mu, op_point, set_point, out=Non
     ``set_point``, ``set_dual = x* + (x - set_point) / mu`` and ``gap``, the
     subspace's entries of ``set_point - op_point`` (0 elsewhere), are
     written into ``out``, a (5, k, d) array, new when None, which is
-    returned.  A step that is the float 1.0 is not divided by, as
-    ``v / 1.0 == v``.
+    returned.  A step that is 1.0, or a column of 1.0, is not divided by,
+    as ``v / 1.0 == v``.
     """
     x, xs, vs = block
     if out is None:
@@ -414,7 +416,7 @@ def _intermediates(block, problem, rows, gamma, mu, op_point, set_point, out=Non
 
 
 def _is_one(step) -> bool:
-    return isinstance(step, float) and step == 1.0
+    return step == 1.0 if isinstance(step, float) else bool((step == 1.0).all())
 
 
 def _fixed_point_sq(probabilities, x, points) -> float:
@@ -458,12 +460,12 @@ def coordination_step(state: SolverState, problem: Problem, config: SolverConfig
 def iterate(state: SolverState, problem: Problem, config: SolverConfig, points=None) -> SolverState:
     """One full iteration: block refresh, then the coordination step.
 
-    ``points``, every row's unit-step points at the current iterate as the
-    stopping test of ``solve`` has them, stand in for the refresh's own
-    evaluation when all of the iteration's steps are 1.0.  The refresh
-    from them writes the five layers straight into ``state.stack[3:]`` at
-    full activation; a block gathers its rows once and scatters them back
-    once.
+    The refresh gathers the block's x, x* and v* (the view
+    ``state.stack[:3]`` at full activation, else one ``take``), gets its
+    points and writes its five layers: into ``state.stack[3:]`` at full
+    activation, else scattered back once.  The points are ``points``, the
+    stopping test's unit-step points of every row, when all of the
+    iteration's steps are 1.0, else ``_points`` of the block at its steps.
     """
     n = state.iteration
     num = problem.tree.num_scenarios
@@ -475,21 +477,17 @@ def iterate(state: SolverState, problem: Problem, config: SolverConfig, points=N
         )
     gamma = _step(config, "gamma", n, active)
     mu = _step(config, "mu", n, active)
-    full = active.size == num
-    rows = slice(None) if full else active
-    unit = gamma == mu == 1.0 if type(gamma) is type(mu) is float else (
-        np.all(gamma == 1.0) and np.all(mu == 1.0)
-    )
-    if points is None or not unit:
-        state.stack[3:, rows] = scenario_update(state, problem, active, gamma, mu)
-    elif full:
-        _intermediates(state.stack[:3], problem, None, 1.0, 1.0, *points[:2], out=state.stack[3:])
+    rows = None if active.size == num else active
+    # take keeps each layer C-ordered; stack[:3, rows] interleaves the layers' rows
+    block = state.stack[:3] if rows is None else state.stack[:3].take(rows, axis=1)
+    if points is None or not (_is_one(gamma) and _is_one(mu)):
+        op_point, set_point, _ = _points(problem, *block, gamma, mu, rows)
     else:
-        # take keeps each layer C-ordered; stack[:3, rows] interleaves the layers' rows
-        block = state.stack[:3].take(active, axis=1)
-        op_point, set_point = (p.take(active, axis=0) for p in points[:2])
-        new = _intermediates(block, problem, active, 1.0, 1.0, op_point, set_point)
-        state.stack[3:, active] = new
+        op_point, set_point = (p if rows is None else p.take(rows, axis=0) for p in points[:2])
+    if rows is None:
+        _intermediates(block, problem, None, gamma, mu, op_point, set_point, state.stack[3:])
+    else:
+        state.stack[3:, rows] = _intermediates(block, problem, rows, gamma, mu, op_point, set_point)
     coordination_step(state, problem, config)
     state.last_activated[active] = n
     state.active = active

@@ -120,7 +120,8 @@ def build_tree(scenarios, stage_dims) -> ScenarioTree:
             )
         seen[s.labels] = s.index
 
-    mass = float(probs.sum())
+    with np.errstate(over="ignore"):  # an overflowing sum is a bad mass, not a warning
+        mass = float(probs.sum())
     if abs(mass - 1.0) > MASS_TOL:
         raise BadProbabilityMass(f"probabilities sum to {mass!r}, expected 1")
 

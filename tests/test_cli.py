@@ -2,6 +2,10 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ from scensplit.cli import (
     write_trace_csv,
 )
 from scensplit.cvar import CvarProblem, augment, solve_cvar
-from scensplit.errors import DimensionMismatch, ShapeMismatch
+from scensplit.errors import DimensionMismatch, ShapeMismatch, ValidationError
 from scensplit.solver import (
     Problem,
     SeededRandom,
@@ -719,6 +723,29 @@ def test_solve_bad_config_exit(tmp_path, capsys):
     assert "ConfigError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("indices", [0, "0", None, {"0": 0}])
+def test_coordinates_indices_must_be_a_list(tmp_path, indices):
+    doc = every_type_doc()
+    doc["subspaces"][3] = {"type": "coordinates", "indices": indices}
+    with pytest.raises(ValidationError, match=r"subspaces\[3\]\.indices: indices must be a list"):
+        load_problem_file(write_json(tmp_path / "p.json", doc))
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    path = write_json(tmp_path / "p.json", quad_box_doc())
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "scensplit", "validate", path],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.rstrip().endswith("valid")
+
+
 # --- solve-cvar ---
 
 def test_solve_cvar_writes_solution(tmp_path, capsys):
@@ -735,6 +762,20 @@ def test_solve_cvar_writes_solution(tmp_path, capsys):
     assert doc["threshold"] == pytest.approx(0.0, abs=1e-4)
     assert doc["objective"] == pytest.approx(0.0, abs=1e-6)
     assert_allclose([rec["x"] for rec in doc["scenarios"]], [[0.3], [0.3]], atol=1e-4)
+
+
+def test_solve_cvar_writes_trace(tmp_path):
+    path = write_json(tmp_path / "c.json", cvar_doc())
+    sol_path = tmp_path / "sol.json"
+    trace_path = tmp_path / "trace.csv"
+    flags = ["--tol", "1e-9", "--solution-out", str(sol_path), "--trace-out", str(trace_path)]
+    assert main(["solve-cvar", path, *flags]) == 0
+    iterations = json.loads(sol_path.read_text(encoding="utf-8"))["iterations"]
+    with open(trace_path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert iterations > 0
+    assert rows[0] == TRACE_HEADER
+    assert [int(r[0]) for r in rows[1:]] == list(range(iterations))
 
 
 def test_solve_cvar_alpha_override(tmp_path):

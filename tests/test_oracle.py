@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from scensplit.cvar import CvarProblem, cvar_value
+from scensplit.cvar import CvarProblem, cvar_value, solve_cvar
 from scensplit.errors import (
     BadGrid,
     NonPositiveGamma,
@@ -11,10 +11,14 @@ from scensplit.errors import (
 )
 from scensplit.operators import (
     Affine,
+    Ball,
     Box,
     DiagonalAffine,
     Full,
     GradSeparableQuadratic,
+    Halfspace,
+    Hyperplane,
+    RealCross,
     SeparableQuadratic,
     WholeSpace,
     cost_prox,
@@ -23,12 +27,13 @@ from scensplit.operators import (
 from scensplit.oracle import (
     GridSpec,
     _eval_cost_many,
+    _feasible_many,
     oracle_cvar_small,
     oracle_prox_cvar_grid,
     oracle_prox_grid,
     oracle_solve_quadratic_box,
 )
-from scensplit.solver import Problem
+from scensplit.solver import Problem, SolverConfig, SolveStatus
 from scensplit.tree import build_tree
 
 
@@ -288,6 +293,40 @@ def test_oracle_cvar_small_quadratic_common_minimum():
     tol = 2.0 * float(grid.final_pitch.max())
     assert_allclose(point, [[0.3], [0.3]], atol=tol)
     assert value == pytest.approx(0.0, abs=tol)
+
+
+@pytest.mark.parametrize(
+    "constraint",
+    [
+        Ball(center=[0.0, 0.0], radius=1.0),
+        Halfspace(normal=[1.0, 1.0], offset=1.0),
+        # through the grid's y = 0.5 line, so grid points lie on it
+        Hyperplane(normal=[0.0, 1.0], offset=0.5),
+    ],
+    ids=["ball", "halfspace", "hyperplane"],
+)
+def test_oracle_cvar_small_matches_solve_cvar_on_curved_and_flat_sets(constraint):
+    # both costs pull the shared decision out of the set, onto its boundary
+    tree = build_tree([((0,), 0.6), ((1,), 0.4)], stage_dims=[2])
+    costs = (
+        SeparableQuadratic(q=[1.0, 2.0], c=[1.5, 1.0]),
+        SeparableQuadratic(q=[2.0, 1.0], c=[1.0, 2.0]),
+    )
+    cp = CvarProblem(tree, 0.5, costs, (constraint,) * 2)
+    grid = GridSpec(lower=[-1.0, -1.0], upper=[2.0, 2.0], points=301, rounds=2)
+    point, value = oracle_cvar_small(cp, grid)
+    sol = solve_cvar(cp, SolverConfig(tol=1e-10))
+    assert sol.inner.status is SolveStatus.CONVERGED
+    assert np.max(np.abs(sol.x_bar - point)) <= 2.0 * float(grid.final_pitch.max())
+    assert sol.objective == pytest.approx(value, abs=1e-5)
+
+
+def test_feasibility_mask_of_a_real_cross_reads_its_base():
+    pts = np.array([[5.0, 0.5, 0.5], [-5.0, 2.0, 0.0]])
+    base = Ball(center=[0.0, 0.0], radius=1.0)
+    assert _feasible_many(RealCross(base), pts).tolist() == [True, False]
+    with pytest.raises(UnsupportedInstance):
+        _feasible_many(Full(), pts)
 
 
 def test_oracle_cvar_small_beats_random_candidates():

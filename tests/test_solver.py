@@ -366,6 +366,28 @@ def test_callable_steps_checked_per_iteration():
     assert sol.status is SolveStatus.CONVERGED
 
 
+@pytest.mark.parametrize(
+    "name, steps",
+    [
+        ("lambda", dict(lambda_rule=lambda n: "x")),
+        ("gamma", dict(gamma=lambda i, n: None)),
+        ("mu", dict(mu=lambda i, n: [1.0, 2.0])),
+    ],
+    ids=["lambda-string", "gamma-none", "mu-list"],
+)
+def test_callable_step_values_go_through_the_step_rule(name, steps):
+    # a callable's value is read as a step is, so a value that is not one
+    # number raises ConfigError at the first iteration that reads it
+    prob = pair_problem()  # its nonzero targets give tau > 0, so lambda is read
+    cfg = SolverConfig(**steps)
+    state = init_state(prob, cfg)
+    with pytest.raises(ConfigError, match=f"{name} must be a number"):
+        iterate(state, prob, cfg)
+    assert state.iteration == 0
+    with pytest.raises(ConfigError, match=f"{name} must be a number"):
+        solve(prob, cfg)
+
+
 # --- init_state ---
 
 def test_init_state_projects_inputs():
@@ -616,22 +638,70 @@ def test_stopping_test_matches_kkt_residual(schedule):
     assert sol.residual == pytest.approx(public[-1], rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize(
-    # full activation refreshes through slices, against scenario_update's index arrays
-    "steps", [dict(), dict(gamma=0.7, mu=1.3), dict(schedule=FullActivation())]
-)
+# step forms of the bitwise guards, as config settings for n scenarios: the
+# float 1.0, numbers, 1.0 per scenario, a callable 1.0, per-scenario numbers
+# and a callable that is not 1.0
+STEP_FORMS = [
+    lambda n: {},
+    lambda n: dict(gamma=0.7, mu=1.3),
+    lambda n: dict(gamma=[1.0] * n),
+    lambda n: dict(gamma=lambda i, k: 1.0, mu=lambda i, k: 1.0),
+    lambda n: dict(gamma=[0.6 + 0.1 * (i % 5) for i in range(n)], mu=1.2),
+    lambda n: dict(gamma=lambda i, k: 0.8 + 0.1 * (i % 3), mu=lambda i, k: 1.5 - 0.01 * k),
+]
+SCHEDULES = [
+    FullActivation(),
+    RoundRobin(block_size=4),
+    SeededRandom(block_size=3, cover_window=10, seed=5),
+]
+SCHEDULE_IDS = ["full", "round-robin", "seeded"]
+
+
+def _rule_values(rule, rows, n):
+    """A step rule's values at the scenarios ``rows`` of iteration n."""
+    if callable(rule):
+        return [rule(int(i), n) for i in rows]
+    return np.asarray(rule, dtype=float)[rows] if np.ndim(rule) else rule
+
+
+@pytest.mark.parametrize("steps", STEP_FORMS, ids=[f"steps{i}" for i in range(len(STEP_FORMS))])
 def test_iterate_with_unit_points_matches_plain_iterate(steps):
-    rng = np.random.default_rng(64)
+    # the refresh reuses the stopping test's points only when every step is 1.0
+    for schedule in SCHEDULES:
+        rng = np.random.default_rng(64)
+        prob = mixed_instance(rng, random_tree(rng, 10, 3))
+        cfg = SolverConfig(schedule=schedule, **steps(prob.tree.num_scenarios))
+        state = init_state(prob, cfg)
+        for _ in range(5):
+            iterate(state, prob, cfg)
+        plain, reused = copy.deepcopy(state), copy.deepcopy(state)
+        iterate(plain, prob, cfg)
+        iterate(reused, prob, cfg, _points(prob, reused.x, reused.x_star, reused.v_star))
+        assert np.array_equal(plain.stack.view(np.uint64), reused.stack.view(np.uint64)), schedule
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES, ids=SCHEDULE_IDS)
+@pytest.mark.parametrize(
+    "steps", [STEP_FORMS[i] for i in (1, 4, 5)], ids=["numbers", "per-scenario", "callable"]
+)
+def test_iterate_refresh_is_scenario_update_at_non_unit_steps(steps, schedule):
+    # the active rows get the bits of the public refresh, the idle rows keep theirs
+    rng = np.random.default_rng(68)
     prob = mixed_instance(rng, random_tree(rng, 10, 3))
-    cfg = SolverConfig(**{"schedule": RoundRobin(block_size=4), **steps})
-    state = init_state(prob, cfg)
-    for _ in range(5):
-        iterate(state, prob, cfg)
-    plain, reused = copy.deepcopy(state), copy.deepcopy(state)
-    iterate(plain, prob, cfg)
-    iterate(reused, prob, cfg, _points(prob, reused.x, reused.x_star, reused.v_star))
-    for name in ("x", "x_star", "v_star", "op_point", "op_dual", "set_point", "set_dual", "gap"):
-        assert np.array_equal(getattr(plain, name), getattr(reused, name)), name
+    n = prob.tree.num_scenarios
+    cfg = SolverConfig(schedule=schedule, **steps(n))
+    x0, xs0, v0 = rng.standard_normal((3, n, prob.tree.total_dim))
+    state = init_state(prob, cfg, x0, xs0, v0)
+    for _ in range(8):
+        before = copy.deepcopy(state)
+        iterate(state, prob, cfg, _points(prob, state.x, state.x_star, state.v_star))
+        rows = state.active
+        gamma, mu = (_rule_values(rule, rows, before.iteration) for rule in (cfg.gamma, cfg.mu))
+        want = scenario_update(before, prob, rows, gamma, mu)
+        assert np.array_equal(state.stack[3:, rows].view(np.uint64), want.view(np.uint64))
+        idle = np.setdiff1d(np.arange(n), rows)
+        kept = before.stack[3:, idle].view(np.uint64)
+        assert np.array_equal(state.stack[3:, idle].view(np.uint64), kept)
 
 
 def test_state_names_are_views_of_one_stack():
@@ -863,6 +933,15 @@ def test_solve_reduced_matches_full():
     assert_allclose(red.x_bar, full.x_bar, atol=1e-6)
 
 
+def test_solve_reduced_defaults_to_the_default_config():
+    rng = np.random.default_rng(37)
+    prob = unconstrained_instance(quadratic_box_instance(rng, random_tree(rng, 3, 2)))
+    got, want = solve_reduced(prob), solve_reduced(prob, SolverConfig())
+    assert got.status is SolveStatus.CONVERGED
+    assert got.iterations == want.iterations
+    assert np.array_equal(got.x_bar, want.x_bar) and np.array_equal(got.v_star_bar, want.v_star_bar)
+
+
 def test_solve_reduced_rejects_constraints():
     rng = np.random.default_rng(37)
     tree = random_tree(rng, 3, 2)
@@ -881,30 +960,24 @@ def test_solution_is_frozen():
 @pytest.mark.parametrize(
     "instance", [mixed_instance, quadratic_box_instance], ids=["mixed", "qbox"]
 )
-@pytest.mark.parametrize(
-    "schedule",
-    [
-        FullActivation(),
-        RoundRobin(block_size=4),
-        SeededRandom(block_size=3, cover_window=10, seed=5),
-    ],
-    ids=["full", "round-robin", "seeded"],
-)
+@pytest.mark.parametrize("schedule", SCHEDULES, ids=SCHEDULE_IDS)
 def test_iterate_from_stopping_points_is_bitwise_on_every_layer(instance, schedule):
-    # the unit-step refresh from the stopping test's points writes the bits
-    # the refresh's own evaluation writes, on all eight stack layers
-    rng = np.random.default_rng(67)
-    prob = instance(rng, random_tree(rng, 10, 3))
-    cfg = SolverConfig(schedule=schedule)
-    x0, xs0, v0 = rng.standard_normal((3, prob.tree.num_scenarios, prob.tree.total_dim))
-    state = init_state(prob, cfg, x0, xs0, v0)
-    for _ in range(12):
-        plain = copy.deepcopy(state)
-        iterate(plain, prob, cfg)
-        iterate(state, prob, cfg, _points(prob, state.x, state.x_star, state.v_star))
-        assert np.array_equal(state.active, plain.active)
-        assert (state.kappa, state.tau, state.theta) == (plain.kappa, plain.tau, plain.theta)
-        assert np.array_equal(state.stack.view(np.uint64), plain.stack.view(np.uint64))
+    # the refresh from the stopping test's points writes the bits the
+    # refresh's own evaluation writes, on all eight stack layers, at every
+    # step form (points are taken only when all steps are 1.0)
+    for steps in STEP_FORMS:
+        rng = np.random.default_rng(67)
+        prob = instance(rng, random_tree(rng, 10, 3))
+        cfg = SolverConfig(schedule=schedule, **steps(prob.tree.num_scenarios))
+        x0, xs0, v0 = rng.standard_normal((3, prob.tree.num_scenarios, prob.tree.total_dim))
+        state = init_state(prob, cfg, x0, xs0, v0)
+        for _ in range(12):
+            plain = copy.deepcopy(state)
+            iterate(plain, prob, cfg)
+            iterate(state, prob, cfg, _points(prob, state.x, state.x_star, state.v_star))
+            assert np.array_equal(state.active, plain.active)
+            assert (state.kappa, state.tau, state.theta) == (plain.kappa, plain.tau, plain.theta)
+            assert np.array_equal(state.stack.view(np.uint64), plain.stack.view(np.uint64))
 
 
 def test_solve_stops_when_a_coordination_step_overflows():

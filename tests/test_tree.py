@@ -123,6 +123,12 @@ def test_bad_probability_mass():
     build_tree([(("a",), 0.5 + 4e-13), (("b",), 0.5)], [1])
 
 
+def test_probabilities_whose_sum_overflows_are_a_bad_mass():
+    # the sum overflows to inf; that is a mass far from 1, not a RuntimeWarning
+    with pytest.raises(BadProbabilityMass, match="sum to inf"):
+        build_tree([(("a",), 1e308), (("b",), 1e308)], [1])
+
+
 def test_label_length_mismatch():
     with pytest.raises(ValidationError):
         build_tree([(("a",), 1.0)], [1, 1])
