@@ -302,6 +302,21 @@ def _float_renderer(values):
     return float.__repr__ if np.isfinite(values).all() else json.dumps
 
 
+def _entry_texts(arrays: list) -> list:
+    """json's text of every entry of each float array in ``arrays``, shaped as the array.
+
+    Each distinct bit pattern among all the entries is rendered once, so
+    ``-0.0`` and ``0.0``, and NaNs of other payloads, are looked up apart.
+    """
+    values = np.concatenate([a.ravel() for a in arrays], dtype=float)
+    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    distinct = keys.view(float)
+    # json.dumps writes a finite float as its repr
+    texts = np.array(list(map(_float_renderer(distinct), distinct.tolist())), dtype=object)[inverse]
+    ends = itertools.accumulate(a.size for a in arrays)
+    return [texts[end - a.size : end].reshape(a.shape) for a, end in zip(arrays, ends)]
+
+
 def _label(v) -> str:
     """One label as json writes it inside a scenario's ``labels`` list."""
     if type(v) is int:
@@ -312,13 +327,37 @@ def _label(v) -> str:
     return json.dumps(v, indent=2).replace("\n", "\n        ")
 
 
+def _label_key(v):
+    # 1, 1.0 and True are equal dict keys, as are 0.0 and -0.0, and (1,) and
+    # (True,); json writes each its own way
+    kind = type(v)
+    return kind, v.hex() if kind is float else repr(v) if kind is tuple else v
+
+
+def _label_texts(scenarios) -> np.ndarray:
+    """The json texts of the labels of ``scenarios``, one row each.
+
+    Each distinct label is rendered once.
+    """
+    flat = list(itertools.chain.from_iterable(s.labels for s in scenarios))
+    keys = list(map(_label_key, flat))
+    texts = {key: _label(v) for key, v in dict(zip(keys, flat)).items()}
+    return np.array(list(map(texts.__getitem__, keys)), dtype=object).reshape(len(scenarios), -1)
+
+
+# scenario entries rendered, formatted and written per write call
+_CHUNK = 128
+
+
 def _write_solution(path: str, tree: ScenarioTree, sol: Solution, header: dict, arrays: dict):
     """Write the run's status, ``header``, then one entry per scenario.
 
     ``arrays`` maps a key to an (N, d) array; each scenario entry holds its
     labels, its probability and its row of every array.  The text is that
-    of ``json.dump(doc, fh, indent=2)`` plus a newline.  It is written one
-    scenario entry at a time, so the whole text is never held in memory.
+    of ``json.dump(doc, fh, indent=2)`` plus a newline.  It is made and
+    written ``_CHUNK`` scenarios at a time, so the whole text is never held
+    in memory: within a chunk each distinct value and label is rendered
+    once, and each entry is filled into one template.
     """
     head = {
         "status": sol.status.value,
@@ -326,26 +365,24 @@ def _write_solution(path: str, tree: ScenarioTree, sol: Solution, header: dict, 
         "residual": float(sol.residual),
         **header,
     }
-    probs = [float(s.probability) for s in tree.scenarios]
-    prob = _float_renderer(probs)
-    columns = [
-        (json.dumps(key) + ": ", arr.tolist(), _float_renderer(arr))
-        for key, arr in arrays.items()
-    ]
-    fields = [f"{json.dumps(k)}: {json.dumps(v)}" for k, v in head.items()]
+    fields = ['"labels": ' + _json_block(["%s"], 3), '"probability": %s']
+    for key, arr in arrays.items():
+        name = json.dumps(key).replace("%", "%%")
+        fields.append(f"{name}: " + _json_block(["%s"] if arr.shape[1] else [], 3))
+    entry = ("\n    " + _json_block(fields, 2, "{}")).__mod__
+    floats = [tree.probabilities[:, None], *(arr for arr in arrays.values() if arr.shape[1])]
+    # a list's items, as _json_block separates them at depth 3
+    sep = ",\n        "
+    # the head's values are scalars, so each field is one line at depth 1
+    top = json.dumps(head, separators=(",\n  ", ": "))[1:-1]
     with open(path, "w", encoding="utf-8") as fh:
         # a tree has at least one scenario, so the list is never empty
-        fh.write("{\n  " + ",\n  ".join([*fields, '"scenarios": [']))
-        for i, (s, p) in enumerate(zip(tree.scenarios, probs)):
-            entry = [
-                '"labels": ' + _json_block([_label(v) for v in s.labels], 3),
-                '"probability": ' + prob(p),
-                *(
-                    name + _json_block(list(map(render, rows[s.index])), 3)
-                    for name, rows, render in columns
-                ),
-            ]
-            fh.write(("," if i else "") + "\n    " + _json_block(entry, 2, "{}"))
+        fh.write("{\n  " + top + ',\n  "scenarios": [')
+        for lo in range(0, tree.num_scenarios, _CHUNK):
+            part = slice(lo, lo + _CHUNK)
+            columns = [_label_texts(tree.scenarios[part]), *_entry_texts([a[part] for a in floats])]
+            rows = [map(sep.join, col.tolist()) for col in columns]
+            fh.write(("," if lo else "") + ",".join(map(entry, zip(*rows))))
         fh.write("\n  ]\n}\n")
 
 

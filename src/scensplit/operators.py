@@ -85,14 +85,17 @@ def _is_integer(value) -> bool:
 def number_list(values: list, refuse, fill=None) -> np.ndarray:
     """The flat list ``values`` as one float array, once each entry is a number.
 
-    A number is an :func:`_is_integer` integer or a float, numpy's included.
-    The first other entry j, or an integer beyond float range, raises
-    ``refuse(j, got)``.  ``None`` entries become ``fill`` when it is given.
+    A number is an :func:`_is_integer` integer or a float, numpy's included,
+    or a 0-d array of one.  The first other entry j, or an integer beyond
+    float range, raises ``refuse(j, got)``.  ``None`` entries become
+    ``fill`` when it is given.
     """
     plain = {int, float} if fill is None else {int, float, type(None)}  # json's number types
     kinds = set(map(type, values))
     if not kinds <= plain:
         for j, v in enumerate(values):
+            if isinstance(v, np.ndarray) and v.ndim == 0 and v.dtype.kind in "iuf":
+                continue
             if type(v) not in plain and not (_is_integer(v) or isinstance(v, np.floating)):
                 raise refuse(j, f"got {v!r}")
     if type(None) in kinds:

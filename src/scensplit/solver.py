@@ -243,14 +243,30 @@ def _step(config: SolverConfig, name: str, n: int, rows=None):
     """Step ``name`` of iteration n: a float, or a (k, 1) column for the k ``rows``.
 
     Lambda (``rows`` None) is one float.  Only a callable's values are read
-    here, by ``check_step`` in the step's window; see ``SolverConfig``.
+    here, by ``check_step`` in the step's window; see ``SolverConfig``.  A
+    refused value is named by the callable, the iteration and the scenario.
     """
     rule, lo, hi = config._steps[name]
     if not callable(rule):
         return rule if isinstance(rule, float) else rule[rows, None]
     if rows is None:
-        return check_step(name, rule(n), 0, (lo, hi))
-    return check_step(name, [rule(int(i), n) for i in rows], 1, (lo, hi))[:, None]
+        return _called(name, rule(n), f"iteration {n}", lo, hi)
+    values = [rule(int(i), n) for i in rows]
+    try:
+        return check_step(name, values, 1, (lo, hi))[:, None]
+    except ConfigError:
+        # the block's values are refused together; name the first one refused on its own
+        for i, value in zip(rows, values):
+            _called(name, value, f"iteration {n}, scenario {i}", lo, hi)
+        raise
+
+
+def _called(name: str, value, where: str, lo: float, hi: float) -> float:
+    """One value of the ``name`` callable, read by ``check_step``; a refusal names ``where``."""
+    try:
+        return check_step(name, value, 0, (lo, hi))
+    except ConfigError as e:
+        raise ConfigError(f"{e}, from the {name} callable at {where}") from None
 
 
 @dataclass

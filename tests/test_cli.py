@@ -796,6 +796,7 @@ def test_solve_cvar_rejects_equilibrium_file(tmp_path, capsys):
 
 def encoder_solution_text(tree, sol, header, arrays):
     # the document the writers encode, through json.dumps with indent=2
+    rows = {key: arr.tolist() for key, arr in arrays.items()}
     doc = {
         "status": sol.status.value,
         "iterations": sol.iterations,
@@ -805,7 +806,7 @@ def encoder_solution_text(tree, sol, header, arrays):
             {
                 "labels": list(s.labels),
                 "probability": float(s.probability),
-                **{key: arr.tolist()[s.index] for key, arr in arrays.items()},
+                **{key: values[s.index] for key, values in rows.items()},
             }
             for s in tree.scenarios
         ],
@@ -925,6 +926,118 @@ def test_written_cvar_solution_matches_encoder(tmp_path):
     want = encoder_solution_text(cp.tree, csol.inner, header, {"x": csol.x_bar})
     assert path.read_bytes() == want.encode("utf-8")
     assert_trace_bytes(tmp_path, csol.inner.trace)
+
+
+# --- the solution writer renders each distinct value and label once ---
+
+def made_solution(x, v):
+    return Solution(
+        x_bar=np.asarray(x, dtype=float),
+        v_star_bar=np.asarray(v, dtype=float),
+        status=SolveStatus.MAX_ITER,
+        iterations=3,
+        residual=0.5,
+        trace=(),
+    )
+
+
+def two_scenario_tree():
+    return build_tree([((0, 0), 0.25), ((1, 0), 0.75)], stage_dims=[1, 2])
+
+
+def test_written_signed_zeros_stay_apart(tmp_path):
+    # -0.0 and 0.0 are equal floats with other bits; each keeps its own text
+    x = [[0.0, -0.0, 0.0], [-0.0, -0.0, 0.0]]
+    assert_solution_bytes(tmp_path, two_scenario_tree(), made_solution(x, np.negative(x)))
+    assert "-0.0" in (tmp_path / "sol.json").read_text()
+
+
+def test_written_nan_payloads_and_infinities_match_encoder(tmp_path):
+    quiet, payload = np.array([0x7FF8000000000000, 0x7FF8000000000001]).view(float)
+    assert np.isnan([quiet, payload]).all()
+    x = [[quiet, payload, np.inf], [payload, -np.inf, -payload]]
+    assert len(set(np.asarray(x).view(np.int64).ravel().tolist())) == 5
+    assert_solution_bytes(tmp_path, two_scenario_tree(), made_solution(x, [[0.5] * 3] * 2))
+
+
+def test_written_values_repeated_across_rows_and_arrays_match_encoder(tmp_path):
+    x = [[0.1, 0.2, 0.1], [0.1, 0.25, 1e300]]
+    v = [[0.25, 0.1, 0.1], [1e300, 0.2, 0.75]]  # 0.75 and 0.25 are probabilities too
+    assert_solution_bytes(tmp_path, two_scenario_tree(), made_solution(x, v))
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [[1, 1.0, True, 0.0, -0.0, (1,), (True,), (1.0, "a")], [1, True, "1", 0, False]],
+    ids=["with floats and tuples", "ints, bools and strings"],
+)
+def test_written_labels_of_equal_value_and_other_type_stay_apart(tmp_path, labels):
+    # 1 == 1.0 == True, 0.0 == -0.0 and (1,) == (True,), but json writes each its own way
+    n = len(labels)
+    x = np.arange(2.0 * n).reshape(n, 2)
+    for stage in (0, 1):
+        paths = [(lab, k) if stage == 0 else (k, lab) for k, lab in enumerate(labels)]
+        tree = build_tree([(p, 1 / n) for p in paths], stage_dims=[1, 1])
+        assert_solution_bytes(tmp_path, tree, made_solution(x, -x))
+        assert "true" in (tmp_path / "sol.json").read_text()
+
+
+def test_written_non_contiguous_arrays_match_encoder(tmp_path):
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((3, 2)).T  # transposed: Fortran order
+    v = rng.standard_normal((2, 7))[:, ::2]  # strided columns
+    assert not x.flags.c_contiguous and not v.flags.c_contiguous
+    assert_solution_bytes(tmp_path, two_scenario_tree(), made_solution(x, v))
+
+
+def test_written_one_scenario_tree_matches_encoder(tmp_path):
+    tree = build_tree([(("only",), 1.0)], stage_dims=[2])
+    assert_solution_bytes(tmp_path, tree, made_solution([[0.5, -1.5]], [[0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 6])
+def test_written_entries_match_encoder_at_any_chunk_size(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    tree = build_tree([((k % 2, k), 0.2) for k in range(5)], stage_dims=[1, 1])
+    x = np.repeat([[0.5, 1.5], [2.5, 3.5]], [3, 2], axis=0)
+    assert_solution_bytes(tmp_path, tree, made_solution(x, x[::-1] * 3))
+
+
+def grouped_doc(n: int, groups: int, seed: int) -> dict:
+    # a 3-stage tree: stage 1 shared, stage 2 shared within a group, stage 3 per scenario
+    rng = np.random.default_rng(seed)
+    stages = [1, 2, 1]
+    d = sum(stages)
+    return {
+        "stages": stages,
+        "scenarios": [{"labels": [0, i % groups, i], "probability": 1 / n} for i in range(n)],
+        "operators": [
+            {
+                "type": "grad_separable_quadratic",
+                "q": rng.uniform(0.5, 2.0, d).tolist(),
+                "c": rng.uniform(-1.5, 1.5, d).tolist(),
+            }
+            for _ in range(n)
+        ],
+        "constraints": [{"type": "box", "lo": [-1.0] * d, "hi": [1.0] * d}] * n,
+    }
+
+
+def test_written_solution_of_many_chunks_reads_back_bit_for_bit(tmp_path):
+    n = 8 * cli._CHUNK + 1
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(grouped_doc(n, 16, seed=4)), encoding="utf-8")
+    out = tmp_path / "sol.json"
+    assert main(["solve", str(path), "--tol", "1e-3", "--solution-out", str(out)]) == 0
+    bundle = load_problem_file(path)
+    sol = solve(bundle.problem, SolverConfig(tol=1e-3))
+    arrays = {"x": sol.x_bar, "v_star": sol.v_star_bar}
+    assert out.read_bytes() == encoder_solution_text(bundle.tree, sol, {}, arrays).encode("utf-8")
+    with open(out, encoding="utf-8") as fh:
+        scenarios = json.load(fh)["scenarios"]
+    for key, arr in arrays.items():
+        back = np.array([s[key] for s in scenarios])
+        assert_array_equal(back.view(np.int64), arr.view(np.int64))
 
 
 @pytest.mark.parametrize(

@@ -70,7 +70,9 @@ def _solve(**steps):
 
 
 # entry point -> (call with a step, kind): "one" takes one number, "rows" one
-# value per row (2 here) and "config" one per scenario (2 here), windowed
+# value per row (2 here), "config" one per scenario (2 here) and "lambda" one
+# number, both windowed.  A SolverConfig step is given as one value, as a list
+# of it per scenario, or as a callable that returns it each time it is read.
 STEP_ENTRIES = {
     "resolvent": (lambda g: resolvent(_OP, g, [1.0]), "one"),
     "cost_prox": (lambda g: cost_prox(_COST, g, [1.0]), "one"),
@@ -84,13 +86,24 @@ STEP_ENTRIES = {
     "scenario_update mu": (lambda g: _update(mu=g), "rows"),
     "SolverConfig gamma": (lambda g: _solve(gamma=g), "config"),
     "SolverConfig mu": (lambda g: _solve(mu=g), "config"),
+    "SolverConfig gamma list": (lambda g: _solve(gamma=[g, g]), "config"),
+    "SolverConfig mu list": (lambda g: _solve(mu=[g, g]), "config"),
+    "SolverConfig gamma callable": (lambda g: _solve(gamma=lambda i, n: g), "config"),
+    "SolverConfig mu callable": (lambda g: _solve(mu=lambda i, n: g), "config"),
+    "SolverConfig lambda": (lambda g: _solve(lambda_rule=g), "lambda"),
+    # the pair problem's nonzero targets give tau > 0, so the first iteration reads lambda
+    "SolverConfig lambda callable": (lambda g: _solve(lambda_rule=lambda n: g), "lambda"),
 }
 NOT_NUMBERS = {"True": True, "np.True_": np.True_, "'1'": "1", "None": None, "2**1100": 2**1100}
 OUT_OF_RANGE = {"nan": np.nan, "-inf": -np.inf, "0.0": 0.0}
+# numbers in every form: a numpy float and a 0-d array, also inside a list
+NUMBERS = {"np.float64(0.5)": np.float64(0.5), "np.array(0.5)": np.array(0.5)}
 
 
 def _expected(entry: str, kind: str, probe: str):
     """The contract's class for a probe, None where the step is accepted."""
+    if probe in NUMBERS:
+        return None
     if probe in NOT_NUMBERS or probe in ("+inf", "[1.0]", "np.array([1.0])", "3 entries"):
         return ConfigError
     if entry == "cost_prox" and probe == "0.0":
@@ -101,8 +114,8 @@ def _expected(entry: str, kind: str, probe: str):
 
 def _cases():
     for entry, (call, kind) in STEP_ENTRIES.items():
-        probes = {**NOT_NUMBERS, **OUT_OF_RANGE, "+inf": np.inf}
-        if kind == "one":
+        probes = {**NOT_NUMBERS, **OUT_OF_RANGE, "+inf": np.inf, **NUMBERS}
+        if kind in ("one", "lambda"):
             probes.update({"[1.0]": [1.0], "np.array([1.0])": np.array([1.0])})
         else:
             probes["3 entries"] = [1.0, 1.0, 1.0]

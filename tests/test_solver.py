@@ -388,6 +388,37 @@ def test_callable_step_values_go_through_the_step_rule(name, steps):
         solve(prob, cfg)
 
 
+@pytest.mark.parametrize(
+    "steps, message",
+    [
+        (
+            dict(gamma=lambda i, n: [1.0, 2.0]),
+            "gamma must be a number, got [1.0, 2.0], from the gamma callable at iteration 0, "
+            "scenario 0",
+        ),
+        (
+            dict(mu=lambda i, n: 5000.0 if i == 1 else 1.0),
+            "mu value 5000.0 outside [0.001, 1000.0], from the mu callable at iteration 0, "
+            "scenario 1",
+        ),
+        (
+            dict(gamma=lambda i, n: True if n == 2 and i == 1 else 1.0),
+            "gamma must be a number, got True, from the gamma callable at iteration 2, scenario 1",
+        ),
+        (
+            dict(lambda_rule=lambda n: "x"),
+            "lambda must be a number, got 'x', from the lambda callable at iteration 0",
+        ),
+    ],
+    ids=["gamma-list", "mu-window", "gamma-later", "lambda-string"],
+)
+def test_a_refused_callable_value_is_named_by_its_call(steps, message):
+    # the message holds the one refused value, not the block's values
+    with pytest.raises(ConfigError) as caught:
+        solve(pair_problem(), SolverConfig(**steps))
+    assert str(caught.value) == message
+
+
 # --- init_state ---
 
 def test_init_state_projects_inputs():
