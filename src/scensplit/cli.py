@@ -327,24 +327,6 @@ def _label(v) -> str:
     return json.dumps(v, indent=2).replace("\n", "\n        ")
 
 
-def _label_key(v):
-    # 1, 1.0 and True are equal dict keys, as are 0.0 and -0.0, and (1,) and
-    # (True,); json writes each its own way
-    kind = type(v)
-    return kind, v.hex() if kind is float else repr(v) if kind is tuple else v
-
-
-def _label_texts(scenarios) -> np.ndarray:
-    """The json texts of the labels of ``scenarios``, one row each.
-
-    Each distinct label is rendered once.
-    """
-    flat = list(itertools.chain.from_iterable(s.labels for s in scenarios))
-    keys = list(map(_label_key, flat))
-    texts = {key: _label(v) for key, v in dict(zip(keys, flat)).items()}
-    return np.array(list(map(texts.__getitem__, keys)), dtype=object).reshape(len(scenarios), -1)
-
-
 # scenario entries rendered, formatted and written per write call
 _CHUNK = 128
 
@@ -356,8 +338,8 @@ def _write_solution(path: str, tree: ScenarioTree, sol: Solution, header: dict, 
     labels, its probability and its row of every array.  The text is that
     of ``json.dump(doc, fh, indent=2)`` plus a newline.  It is made and
     written ``_CHUNK`` scenarios at a time, so the whole text is never held
-    in memory: within a chunk each distinct value and label is rendered
-    once, and each entry is filled into one template.
+    in memory: within a chunk each distinct value is rendered once, and
+    each entry is filled into one template.
     """
     head = {
         "status": sol.status.value,
@@ -380,8 +362,9 @@ def _write_solution(path: str, tree: ScenarioTree, sol: Solution, header: dict, 
         fh.write("{\n  " + top + ',\n  "scenarios": [')
         for lo in range(0, tree.num_scenarios, _CHUNK):
             part = slice(lo, lo + _CHUNK)
-            columns = [_label_texts(tree.scenarios[part]), *_entry_texts([a[part] for a in floats])]
-            rows = [map(sep.join, col.tolist()) for col in columns]
+            columns = _entry_texts([a[part] for a in floats])
+            labels = (sep.join(map(_label, s.labels)) for s in tree.scenarios[part])
+            rows = [labels, *(map(sep.join, col.tolist()) for col in columns)]
             fh.write(("," if lo else "") + ",".join(map(entry, zip(*rows))))
         fh.write("\n  ]\n}\n")
 

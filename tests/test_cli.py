@@ -928,7 +928,7 @@ def test_written_cvar_solution_matches_encoder(tmp_path):
     assert_trace_bytes(tmp_path, csol.inner.trace)
 
 
-# --- the solution writer renders each distinct value and label once ---
+# --- the solution writer renders each distinct value once ---
 
 def made_solution(x, v):
     return Solution(
@@ -968,11 +968,15 @@ def test_written_values_repeated_across_rows_and_arrays_match_encoder(tmp_path):
 
 @pytest.mark.parametrize(
     "labels",
-    [[1, 1.0, True, 0.0, -0.0, (1,), (True,), (1.0, "a")], [1, True, "1", 0, False]],
+    [
+        [1, 1.0, True, 0.0, -0.0, np.float64(0.0), np.float64(-0.0), (1,), (True,), (1.0, "a")],
+        [1, True, "1", 0, False],
+    ],
     ids=["with floats and tuples", "ints, bools and strings"],
 )
 def test_written_labels_of_equal_value_and_other_type_stay_apart(tmp_path, labels):
-    # 1 == 1.0 == True, 0.0 == -0.0 and (1,) == (True,), but json writes each its own way
+    # 1 == 1.0 == True, 0.0 == -0.0 (also as np.float64) and (1,) == (True,),
+    # but json writes each its own way
     n = len(labels)
     x = np.arange(2.0 * n).reshape(n, 2)
     for stage in (0, 1):
