@@ -481,9 +481,7 @@ def cmd_solve_cvar(args: argparse.Namespace) -> int:
             raise ValidationError("file has no 'cvar' section; use solve")
         cp = bundle.cvar
         if args.alpha is not None:
-            cp = CvarProblem(
-                tree=cp.tree, alpha=args.alpha, costs=cp.costs, constraints=cp.constraints
-            )
+            cp = dataclasses.replace(cp, alpha=args.alpha)
         csol = solve_cvar(cp, _config(args, bundle.tree.num_scenarios))
         if args.trace_out:
             write_trace_csv(args.trace_out, csol.inner.trace)

@@ -54,18 +54,6 @@ class CvarProblem:
 
 
 @dataclass(frozen=True)
-class AugmentedProblem:
-    """Equilibrium form of a CvarProblem.
-
-    Column 0 of the augmented policies is the shared threshold; columns
-    1.. map one-to-one onto the original coordinates.
-    """
-
-    base: Problem
-    source: CvarProblem
-
-
-@dataclass(frozen=True)
 class CvarSolution:
     x_bar: np.ndarray
     y_bar: float
@@ -95,52 +83,40 @@ def cvar_value(tree: ScenarioTree, alpha: float, losses) -> float:
     return threshold + float(tree.probabilities @ excess) / (1.0 - alpha)
 
 
-def augment(cp: CvarProblem) -> AugmentedProblem:
-    """Lift a risk problem into the scenario-equilibrium form."""
+def augment(cp: CvarProblem) -> Problem:
+    """Lift a risk problem into the scenario-equilibrium form.
+
+    Column 0 of the lifted policies is the shared threshold; columns 1..
+    map one-to-one onto the original coordinates.
+    """
     tree = cp.tree
     dims = (tree.stage_dims[0] + 1,) + tree.stage_dims[1:]
-    lifted = build_tree(
-        [(s.labels, s.probability) for s in tree.scenarios], dims
-    )
-    n = tree.num_scenarios
-    base = Problem(
-        tree=lifted,
+    return Problem(
+        tree=build_tree([(s.labels, s.probability) for s in tree.scenarios], dims),
         operators=tuple(CvarAugmented(f=f, alpha=cp.alpha) for f in cp.costs),
         constraints=tuple(RealCross(base=cs) for cs in cp.constraints),
-        subspaces=(Full(),) * n,
+        subspaces=(Full(),) * tree.num_scenarios,
     )
-    return AugmentedProblem(base=base, source=cp)
 
 
-def split_augmented(values) -> tuple[np.ndarray, np.ndarray]:
-    """Split augmented policy values into (thresholds, original policy)."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2 or values.shape[1] < 2:
-        raise ShapeMismatch(f"augmented policy shape {values.shape} too small to split")
-    return values[:, 0].copy(), values[:, 1:].copy()
-
-
-def extract_solution(aug: AugmentedProblem, sol: Solution) -> CvarSolution:
-    """Strip the threshold coordinate and recompute the objective."""
-    source = aug.source
-    tree = source.tree
+def extract_solution(cp: CvarProblem, sol: Solution) -> CvarSolution:
+    """Strip the threshold from a solve of ``augment(cp)`` and recompute the objective."""
+    tree = cp.tree
     expected = (tree.num_scenarios, tree.total_dim + 1)
     if sol.x_bar.shape != expected:
         raise ShapeMismatch(f"solution shape {sol.x_bar.shape}, expected {expected}")
-    thresholds, x = split_augmented(sol.x_bar)
+    thresholds, x = sol.x_bar[:, 0].copy(), sol.x_bar[:, 1:].copy()
     y_bar = float(tree.probabilities @ thresholds)
-    spread = float(np.max(np.abs(thresholds - y_bar))) if thresholds.size else 0.0
+    spread = float(np.max(np.abs(thresholds - y_bar)))
     if spread > THRESHOLD_TOL:
         raise NonConstantThreshold(
             f"threshold varies across scenarios by {spread:.3e}"
         )
-    losses = _cost_rows(_pack_costs(source.costs), x)[:, 0]
-    objective = cvar_value(tree, source.alpha, losses)
+    losses = _cost_rows(_pack_costs(cp.costs), x)[:, 0]
+    objective = cvar_value(tree, cp.alpha, losses)
     return CvarSolution(x_bar=x, y_bar=y_bar, objective=objective, inner=sol)
 
 
 def solve_cvar(cp: CvarProblem, config: Optional[SolverConfig] = None) -> CvarSolution:
     """Lift, solve the equilibrium problem, and strip the threshold."""
-    aug = augment(cp)
-    sol = solve(aug.base, config)
-    return extract_solution(aug, sol)
+    return extract_solution(cp, solve(augment(cp), config))

@@ -25,6 +25,7 @@ from .operators import (
     RealCross,
     SeparableQuadratic,
     WholeSpace,
+    _number,
     check_step,
     integers,
 )
@@ -34,7 +35,10 @@ from .tree import ScenarioTree
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Search box, points per axis, and number of 10x refinement rounds."""
+    """Search box, points per axis, and number of 10x refinement rounds.
+
+    The bounds are numbers or sequences of numbers (ConfigError otherwise).
+    """
 
     lower: np.ndarray
     upper: np.ndarray
@@ -42,8 +46,8 @@ class GridSpec:
     rounds: int = 3
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
+        lo = np.atleast_1d(_number("grid lower", self.lower, np.inf, "numbers"))
+        hi = np.atleast_1d(_number("grid upper", self.upper, np.inf, "numbers"))
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
         if lo.shape != hi.shape or lo.ndim != 1:
@@ -119,11 +123,11 @@ def _eval_cost_many(f, pts: np.ndarray) -> np.ndarray:
 
 
 def oracle_prox_grid(f, gamma: float, x: float, grid: GridSpec, positive_part: bool = True) -> float:
-    """Grid minimizer of gamma*max{f,0} + 0.5(.-x)^2 (or gamma*f + ...)."""
+    """Grid minimizer of gamma*max{f,0} + 0.5(.-x)^2 (or gamma*f + ...); ``x`` is a number."""
     gamma = check_step("gamma", gamma)
+    x = float(_number("x", x))
     if f.dim != 1 or grid.dim != 1:
         raise UnsupportedInstance("the prox oracle handles one-dimensional costs")
-    x = float(x)
 
     def objective(axes):
         pts = _mesh_rows(axes)
@@ -136,14 +140,16 @@ def oracle_prox_grid(f, gamma: float, x: float, grid: GridSpec, positive_part: b
 
 
 def oracle_prox_cvar_grid(f, alpha: float, gamma: float, y: float, x: float, grid: GridSpec):
-    """Grid minimizer over (threshold, decision) of the augmented prox objective."""
+    """Grid minimizer over (threshold, decision) of the augmented prox objective.
+
+    ``alpha``, ``y`` and ``x`` are numbers (ConfigError otherwise).
+    """
     gamma = check_step("gamma", gamma)
+    alpha, y, x = (float(_number(name, v)) for name, v in (("alpha", alpha), ("y", y), ("x", x)))
     if not 0.0 < alpha < 1.0:
         raise UnsupportedInstance(f"alpha must lie in (0, 1), got {alpha}")
     if f.dim != 1 or grid.dim != 2:
         raise UnsupportedInstance("the augmented prox oracle is two-dimensional")
-    y = float(y)
-    x = float(x)
     scale = 1.0 / (1.0 - alpha)
 
     def objective(thr, dec, fv):

@@ -109,7 +109,7 @@ def make_problem(tree, operators, constraints=None, subspaces=None) -> Problem:
 
 @dataclass(frozen=True)
 class FullActivation:
-    """Every scenario, every iteration."""
+    """Every scenario, every iteration, the first sweep (n = 0) included."""
 
     def cover_window(self, num_scenarios: int) -> int:
         return 0
@@ -120,7 +120,10 @@ class FullActivation:
 
 @dataclass(frozen=True)
 class RoundRobin:
-    """Cyclic contiguous blocks of a fixed size, an integer >= 1."""
+    """Cyclic contiguous blocks of a fixed size, an integer >= 1.
+
+    The first sweep (n = 0) takes every scenario: it must see them all.
+    """
 
     block_size: int = 1
 
@@ -145,8 +148,9 @@ class SeededRandom:
 
     A scenario inactive for ``cover_window`` iterations is put into the
     block first; the remaining slots are filled uniformly without
-    replacement.  Fully deterministic for a fixed seed.  All three settings
-    are integers.
+    replacement.  The first sweep (n = 0) must see every scenario: it
+    takes them all and draws nothing from the rng.  Fully deterministic
+    for a fixed seed.  All three settings are integers.
     """
 
     block_size: int = 1
@@ -485,12 +489,9 @@ def iterate(state: SolverState, problem: Problem, config: SolverConfig, points=N
     """
     n = state.iteration
     num = problem.tree.num_scenarios
-    if n == 0:
-        active = np.arange(num)  # the first sweep must see every scenario
-    else:
-        active = np.asarray(
-            config.schedule.select(n, num, state.last_activated, state.rng), dtype=int
-        )
+    active = np.asarray(
+        config.schedule.select(n, num, state.last_activated, state.rng), dtype=int
+    )
     gamma = _step(config, "gamma", n, active)
     mu = _step(config, "mu", n, active)
     rows = None if active.size == num else active

@@ -9,6 +9,7 @@ computation in this package.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,9 @@ from .operators import _frozen, integers, number_list
 
 # total probability mass must match 1 within this tolerance
 MASS_TOL = 1e-12
+
+# the label types json writes as they are
+_LABEL_TYPES = frozenset((str, int, float, bool, type(None)))
 
 
 @dataclass(frozen=True)
@@ -84,12 +88,29 @@ def check_stage_dims(stage_dims) -> tuple[int, ...]:
     return stage_dims
 
 
+def _json_label(i: int, label):
+    """``label`` as json writes it: a numpy bool, integer or float reads as its Python value."""
+    if isinstance(label, tuple):
+        return tuple(_json_label(i, v) for v in label)
+    for kind, python in ((np.bool_, bool), (np.integer, int), (np.floating, float)):
+        if isinstance(label, kind):
+            return python(label)
+    if not (isinstance(label, (str, int, float)) or label is None):
+        raise ValidationError(
+            f"scenario {i} has label {label!r}; a label is a string, number, bool, None "
+            "or a tuple of them"
+        )
+    return label
+
+
 def build_tree(scenarios, stage_dims) -> ScenarioTree:
     """Build an immutable tree from ``(labels, probability)`` pairs.
 
     ``stage_dims`` fixes the per-stage decision dimensions, as
     :func:`check_stage_dims` takes them.  Label sequences
-    must be pairwise distinct.  Probabilities must be numbers (ConfigError
+    must be pairwise distinct.  A label is a string, number, bool, None or
+    a tuple of them, numpy's read as their Python values; any other label
+    raises ValidationError.  Probabilities must be numbers (ConfigError
     otherwise), positive and sum to 1 within ``MASS_TOL``.
     """
     stage_dims = check_stage_dims(stage_dims)
@@ -101,9 +122,11 @@ def build_tree(scenarios, stage_dims) -> ScenarioTree:
 
     probs = [prob for _, prob in items]
     probs = number_list(probs, lambda j, got: ConfigError(f"probabilities must be numbers, {got}"))
+    paths = [tuple(labels) for labels, _ in items]
+    if not _LABEL_TYPES.issuperset(map(type, itertools.chain.from_iterable(paths))):
+        paths = [_json_label(i, labels) for i, labels in enumerate(paths)]
     built = []
-    for i, ((labels, _), prob) in enumerate(zip(items, probs.tolist())):
-        labels = tuple(labels)
+    for i, (labels, prob) in enumerate(zip(paths, probs.tolist())):
         if len(labels) != n_stages:
             raise ValidationError(
                 f"scenario {i} has {len(labels)} labels, expected {n_stages}"

@@ -479,8 +479,8 @@ def test_bulk_parse_matches_specs_built_one_at_a_time(tmp_path, make):
         cp = bundle.cvar
         costs = tuple(map(spec_of, doc["cvar"]["costs"]))
         pairs = zip(cp.costs + cp.constraints, costs + constraints)
-        got = augment(cp).base
-        want = augment(CvarProblem(cp.tree, cp.alpha, costs, constraints)).base
+        got = augment(cp)
+        want = augment(CvarProblem(cp.tree, cp.alpha, costs, constraints))
     for g, w in pairs:
         assert_same_spec(g, w)
         for f in dataclasses.fields(g):
@@ -778,12 +778,16 @@ def test_solve_cvar_writes_trace(tmp_path):
     assert [int(r[0]) for r in rows[1:]] == list(range(iterations))
 
 
-def test_solve_cvar_alpha_override(tmp_path):
+def test_solve_cvar_alpha_override(tmp_path, capsys):
     path = write_json(tmp_path / "c.json", cvar_doc())
     sol_path = tmp_path / "sol.json"
     assert main(["solve-cvar", path, "--alpha", "0.9", "--solution-out", str(sol_path)]) == 0
     doc = json.loads(sol_path.read_text(encoding="utf-8"))
     assert doc["alpha"] == 0.9
+    # the override goes through the problem's own alpha check
+    capsys.readouterr()
+    assert main(["solve-cvar", path, "--alpha", "1.5"]) == 1
+    assert "BadAlpha: alpha must lie in (0, 1), got 1.5" in capsys.readouterr().err
 
 
 def test_solve_cvar_rejects_equilibrium_file(tmp_path, capsys):
@@ -984,6 +988,25 @@ def test_written_labels_of_equal_value_and_other_type_stay_apart(tmp_path, label
         tree = build_tree([(p, 1 / n) for p in paths], stage_dims=[1, 1])
         assert_solution_bytes(tmp_path, tree, made_solution(x, -x))
         assert "true" in (tmp_path / "sol.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "labels, plain",
+    [
+        ([np.int64(0), np.int64(1)], [0, 1]),
+        ([np.bool_(False), (np.bool_(True), np.int32(2))], [False, (True, 2)]),
+    ],
+    ids=["int64", "bool_"],
+)
+def test_written_numpy_labels_are_their_python_values(tmp_path, labels, plain):
+    # numpy scalars are read as Python values when the tree is built, so the
+    # file is whole and equal to the one of the plain labels
+    x = np.arange(4.0).reshape(2, 2)
+    sol = made_solution(x, -x)
+    assert_solution_bytes(tmp_path, build_tree([((lab,), 0.5) for lab in plain], [2]), sol)
+    want = (tmp_path / "sol.json").read_bytes()
+    assert_solution_bytes(tmp_path, build_tree([((lab,), 0.5) for lab in labels], [2]), sol)
+    assert (tmp_path / "sol.json").read_bytes() == want
 
 
 def test_written_non_contiguous_arrays_match_encoder(tmp_path):

@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from scensplit import operators, policy
 from scensplit.cvar import (
-    AugmentedProblem,
     CvarProblem,
     CvarSolution,
     augment,
     cvar_value,
     extract_solution,
     solve_cvar,
-    split_augmented,
 )
 from scensplit.errors import (
     BadAlpha,
@@ -32,7 +30,15 @@ from scensplit.operators import (
     cost_value,
     prox_cvar_augmented,
 )
-from scensplit.solver import RoundRobin, SolveStatus, Solution, SolverConfig
+from scensplit.solver import (
+    Problem,
+    RoundRobin,
+    SeededRandom,
+    SolveStatus,
+    Solution,
+    SolverConfig,
+    solve,
+)
 from scensplit.tree import build_tree
 
 
@@ -175,16 +181,16 @@ def test_augment_structure():
     )
     cp = CvarProblem(tree, 0.5, costs, (Box(lo=[0.0, 0.0], hi=[1.0, 1.0]),) * 2)
     aug = augment(cp)
-    lifted = aug.base.tree
+    assert isinstance(aug, Problem)
+    lifted = aug.tree
     assert lifted.stage_dims == (2, 1)
     assert lifted.total_dim == 3
     assert lifted.classes == tree.classes  # information structure untouched
     assert_allclose(lifted.probabilities, tree.probabilities)
-    for op, cs, us in zip(aug.base.operators, aug.base.constraints, aug.base.subspaces):
+    for op, cs, us in zip(aug.operators, aug.constraints, aug.subspaces):
         assert isinstance(op, CvarAugmented) and op.dim == 3
         assert isinstance(cs, RealCross) and cs.dim == 3  # threshold axis is free
         assert isinstance(us, Full)
-    assert aug.source is cp
 
 
 def test_augmented_projection_factorizes():
@@ -193,21 +199,11 @@ def test_augmented_projection_factorizes():
     aug = augment(CvarProblem(tree, 0.5, costs, (WholeSpace(),) * 2))
     rng = np.random.default_rng(43)
     z = rng.standard_normal((2, 3))
-    proj = policy.project_nonanticipative(aug.base.tree, z)
+    proj = policy.project_nonanticipative(aug.tree, z)
     # threshold column averages over the shared first-stage class
     shared = float(tree.probabilities @ z[:, 0])
     assert_allclose(proj[:, 0], [shared, shared])
     assert_allclose(proj[:, 1:], policy.project_nonanticipative(tree, z[:, 1:]))
-
-
-def test_split_augmented():
-    y, x = split_augmented([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    assert_allclose(y, [1.0, 4.0])
-    assert_allclose(x, [[2.0, 3.0], [5.0, 6.0]])
-    with pytest.raises(ShapeMismatch):
-        split_augmented([[1.0], [2.0]])
-    with pytest.raises(ShapeMismatch):
-        split_augmented([1.0, 2.0])
 
 
 # --- the full pipeline ---
@@ -298,29 +294,59 @@ def test_solve_cvar_objective_is_recomputed():
     assert sol.objective == pytest.approx(cvar_value(tree, 0.7, losses), abs=1e-12)
 
 
-def test_extract_solution_rejects_split_threshold():
-    tree = skew_tree()
-    costs = (Affine(c=[1.0]),) * 2
-    aug = augment(CvarProblem(tree, 0.5, costs, (WholeSpace(),) * 2))
-    fake = Solution(
-        x_bar=np.array([[1.0, 0.5], [0.0, 0.5]]),
-        v_star_bar=np.zeros((2, 2)),
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def trace_bits(trace):
+    return bits([[r.residual, r.kappa, r.tau, r.theta, r.wall_ms] for r in trace])
+
+
+@pytest.mark.parametrize(
+    "config",
+    [SolverConfig(tol=1e-6), SolverConfig(tol=1e-6, schedule=SeededRandom(3, 2, seed=4))],
+    ids=["full", "seeded"],
+)
+def test_lift_solve_strip_is_solve_cvar_bitwise(config):
+    cp = _risk_problem(2)
+    got = extract_solution(cp, solve(augment(cp), config))
+    want = solve_cvar(cp, config)
+    assert_array_equal(bits(got.x_bar), bits(want.x_bar))
+    assert_array_equal(bits([got.y_bar, got.objective]), bits([want.y_bar, want.objective]))
+    assert got.inner.iterations == want.inner.iterations > 0
+    assert [(r.n, r.active) for r in got.inner.trace] == [(r.n, r.active) for r in want.inner.trace]
+    assert_array_equal(trace_bits(got.inner.trace), trace_bits(want.inner.trace))
+
+
+def made_solution(x_bar):
+    x_bar = np.asarray(x_bar, dtype=float)
+    return Solution(
+        x_bar=x_bar,
+        v_star_bar=np.zeros_like(x_bar),
         status=SolveStatus.CONVERGED,
         iterations=0,
         residual=0.0,
         trace=(),
     )
+
+
+def test_extract_solution_rejects_split_threshold():
+    tree = skew_tree()
+    costs = (Affine(c=[1.0]),) * 2
+    cp = CvarProblem(tree, 0.5, costs, (WholeSpace(),) * 2)
     with pytest.raises(NonConstantThreshold):
-        extract_solution(aug, fake)
-    with pytest.raises(ShapeMismatch):
-        extract_solution(aug, Solution(
-            x_bar=np.zeros((2, 3)),
-            v_star_bar=np.zeros((2, 3)),
-            status=SolveStatus.CONVERGED,
-            iterations=0,
-            residual=0.0,
-            trace=(),
-        ))
+        extract_solution(cp, made_solution([[1.0, 0.5], [0.0, 0.5]]))
+    # a solution that does not have the lifted (N, d + 1) shape: one column
+    # too many, the threshold column alone, or a 1-d array
+    for x_bar in (np.zeros((2, 3)), [[1.0], [1.0]], [1.0, 1.0]):
+        with pytest.raises(ShapeMismatch):
+            extract_solution(cp, made_solution(x_bar))
+    # the split is copied out of the lifted solution, threshold first
+    sol = made_solution([[0.5, 2.0], [0.5, 3.0]])
+    csol = extract_solution(cp, sol)
+    assert csol.y_bar == 0.5
+    assert_array_equal(csol.x_bar, [[2.0], [3.0]])
+    assert not np.shares_memory(csol.x_bar, sol.x_bar)
 
 
 @pytest.mark.parametrize("d", [1, 3, 17])
@@ -333,18 +359,11 @@ def test_extract_solution_objective_matches_per_cost_values(d):
         else Affine(c=rng.normal(size=d), r=rng.normal())
         for i in range(9)
     )
-    aug = augment(CvarProblem(tree, 0.8, costs, (WholeSpace(),) * 9))
+    cp = CvarProblem(tree, 0.8, costs, (WholeSpace(),) * 9)
     x = rng.normal(size=(9, d))
-    sol = Solution(
-        x_bar=np.hstack([np.full((9, 1), 0.25), x]),
-        v_star_bar=np.zeros((9, d + 1)),
-        status=SolveStatus.CONVERGED,
-        iterations=0,
-        residual=0.0,
-        trace=(),
-    )
+    sol = made_solution(np.hstack([np.full((9, 1), 0.25), x]))
     losses = [cost_value(f, xi) for f, xi in zip(costs, x)]
-    assert extract_solution(aug, sol).objective == cvar_value(tree, 0.8, losses)
+    assert extract_solution(cp, sol).objective == cvar_value(tree, 0.8, losses)
 
 
 def test_cvar_solution_container():

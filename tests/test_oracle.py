@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from scensplit.cvar import CvarProblem, cvar_value, solve_cvar
 from scensplit.errors import (
     BadGrid,
+    ConfigError,
     NonPositiveGamma,
     TooManyFreeCoordinates,
     UnsupportedInstance,
@@ -57,6 +58,44 @@ def test_grid_spec_validation():
         GridSpec(lower=[0.0], upper=[1.0], points=2)
     with pytest.raises(BadGrid):
         GridSpec(lower=[0.0], upper=[1.0], rounds=-1)
+
+
+_LINE = GridSpec(lower=[-1.0], upper=[1.0], points=11, rounds=0)
+_PLANE = GridSpec(lower=[-1.0, -1.0], upper=[1.0, 1.0], points=11, rounds=0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: GridSpec(lower="0", upper="1"),
+        lambda: GridSpec([0.0], ["1"]),
+        lambda: GridSpec([True], [2.0]),
+        lambda: GridSpec(None, [1.0]),
+        lambda: oracle_prox_grid(Affine(c=[1.0]), 1.0, "0.5", _LINE),
+        lambda: oracle_prox_grid(Affine(c=[1.0]), 1.0, True, _LINE),
+        lambda: oracle_prox_grid(Affine(c=[1.0]), 1.0, [0.5], _LINE),
+        lambda: oracle_prox_cvar_grid(Affine(c=[1.0]), 0.5, 1.0, "1", 0.0, _PLANE),
+        lambda: oracle_prox_cvar_grid(Affine(c=[1.0]), 0.5, 1.0, 0.0, None, _PLANE),
+        lambda: oracle_prox_cvar_grid(Affine(c=[1.0]), "0.5", 1.0, 0.0, 0.0, _PLANE),
+        lambda: oracle_prox_cvar_grid(Affine(c=[1.0]), True, 1.0, 0.0, 0.0, _PLANE),
+    ],
+    ids=[
+        "grid-str", "grid-str-entry", "grid-bool", "grid-none", "prox-x-str", "prox-x-bool",
+        "prox-x-list", "cvar-y-str", "cvar-x-none", "cvar-alpha-str", "cvar-alpha-bool",
+    ],
+)
+def test_oracle_numbers_that_are_not_numbers_are_refused(call):
+    with pytest.raises(ConfigError, match="must be"):
+        call()
+
+
+def test_oracle_numbers_take_numpy_numbers():
+    grid = GridSpec(np.float32(-1.0), np.array([1.0]), points=11, rounds=0)
+    assert_allclose(grid.lower, [-1.0])
+    f = Affine(c=[1.0])
+    assert oracle_prox_grid(f, 1.0, np.float64(0.5), _LINE) == oracle_prox_grid(f, 1.0, 0.5, _LINE)
+    want = oracle_prox_cvar_grid(f, 0.5, 1.0, 0.0, 0.0, _PLANE)
+    assert oracle_prox_cvar_grid(f, np.float64(0.5), 1.0, np.int64(0), np.array(0.0), _PLANE) == want
 
 
 # --- scalar prox oracle ---

@@ -142,7 +142,7 @@ def test_projection_bitwise_on_lifted_cvar_tree():
     d = tree.total_dim
     costs = tuple(SeparableQuadratic(q=rng.uniform(0.5, 1.5, d), c=rng.standard_normal(d))
                   for _ in range(tree.num_scenarios))
-    lifted = augment(CvarProblem(tree, 0.8, costs, (WholeSpace(),) * tree.num_scenarios)).base.tree
+    lifted = augment(CvarProblem(tree, 0.8, costs, (WholeSpace(),) * tree.num_scenarios)).tree
     x = random_policy(rng, lifted)
     assert np.array_equal(policy.project_nonanticipative(lifted, x), add_at_projection(lifted, x))
 

@@ -134,6 +134,22 @@ def test_label_length_mismatch():
         build_tree([(("a",), 1.0)], [1, 1])
 
 
+def test_numpy_labels_read_as_their_python_values():
+    paths = [(np.int64(0), (np.bool_(True), np.float32(0.5))), (np.uint8(1), np.float64(-0.0))]
+    tree = build_tree([(p, 0.5) for p in paths], [1, 1])
+    labels = [s.labels for s in tree.scenarios]
+    assert labels == [(0, (True, 0.5)), (1, -0.0)]
+    flat = [labels[0][0], *labels[0][1], *labels[1]]
+    assert list(map(type, flat)) == [int, bool, float, int, float]
+    assert np.signbit(labels[1][1])
+
+
+@pytest.mark.parametrize("label", [frozenset({1}), [1], np.array(1), 1j, b"1", (0, {1})])
+def test_a_label_json_cannot_write_is_refused(label):
+    with pytest.raises(ValidationError, match=r"scenario 1 has label .*a label is a string"):
+        build_tree([(("a",), 0.5), ((label,), 0.5)], [1])
+
+
 def test_bad_stage_dims():
     with pytest.raises(ValidationError):
         build_tree([(("a",), 1.0)], [])
