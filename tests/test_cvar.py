@@ -341,11 +341,17 @@ def test_extract_solution_rejects_split_threshold():
     for x_bar in (np.zeros((2, 3)), [[1.0], [1.0]], [1.0, 1.0]):
         with pytest.raises(ShapeMismatch):
             extract_solution(cp, made_solution(x_bar))
-    # the split is copied out of the lifted solution, threshold first
-    sol = made_solution([[0.5, 2.0], [0.5, 3.0]])
+
+
+def test_split_augmented():
+    # extract_solution copies the split out of the lifted solution:
+    # column 0 is the shared threshold, columns 1.. the decisions
+    tree = build_tree([((0,), 0.7), ((1,), 0.3)], stage_dims=[2])
+    cp = CvarProblem(tree, 0.5, (Affine(c=[1.0, 1.0]),) * 2, (WholeSpace(),) * 2)
+    sol = made_solution([[1.0, 2.0, 3.0], [1.0, 5.0, 6.0]])
     csol = extract_solution(cp, sol)
-    assert csol.y_bar == 0.5
-    assert_array_equal(csol.x_bar, [[2.0], [3.0]])
+    assert csol.y_bar == 1.0
+    assert_array_equal(csol.x_bar, [[2.0, 3.0], [5.0, 6.0]])
     assert not np.shares_memory(csol.x_bar, sol.x_bar)
 
 
