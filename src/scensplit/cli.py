@@ -139,12 +139,13 @@ def _record_keys(cls) -> tuple:
 _RECORD_KEYS = {cls: _record_keys(cls) for kinds in CATALOG.values() for cls in kinds.values()}
 
 
-def _parse_group(cls, recs: list, label, width: int, mismatch) -> list:
-    """The specs of the ``cls`` records ``recs``; ``label(r)`` names record r."""
+def _parse_group(cls, recs: list, label, width: int, mismatch) -> dict:
+    """The settled fields of the ``cls`` records ``recs``; ``label(r)`` names record r."""
     if cls is ops.Coordinates:
-        return [_coordinates(rec["indices"], f"{label(r)}.indices") for r, rec in enumerate(recs)]
+        indices = [_coordinates(rec["indices"], f"{label(r)}.indices").indices for r, rec in enumerate(recs)]
+        return {"indices": indices}
     if cls not in ops.RULES:
-        return [cls()] * len(recs)
+        return {}
     vectors, scalars, _ = ops.RULES[cls]
     fields = {
         name: _stacked(
@@ -160,14 +161,15 @@ def _parse_group(cls, recs: list, label, width: int, mismatch) -> list:
     for name in scalars:
         values = [rec.get(name, defaults[name]) for rec in recs]
         fields[name] = _numbers(values, lambda r: f"{label(r)}.{name}").reshape(-1, 1)
-    return ops.specs_from_rows(cls, fields, label)
+    return ops.settle_rows(cls, fields, label)
 
 
-def _parse_section(what: str, seq, section: str, n: int, width: int, mismatch) -> tuple:
-    """The specs of one per-scenario section, parsed one group of a type at a time.
+def _parse_section(what: str, seq, section: str, n: int, width: int, mismatch) -> list:
+    """The ``(cls, members, fields)`` groups of one per-scenario section, one per type.
 
     Each record's keys are checked on their own; each group's fields are
     checked and stacked field by field, and its catalog rules run once.
+    The groups come in order of their first member, members ascending.
     """
     if not isinstance(seq, list) or len(seq) != n:
         raise ValidationError(f"{section}: expected a list with {n} entries")
@@ -184,16 +186,15 @@ def _parse_section(what: str, seq, section: str, n: int, width: int, mismatch) -
         if not required <= rec.keys() <= allowed:
             _record(rec, f"{section}[{i}]", required, allowed)
         groups.setdefault(kind, []).append(i)
-    specs = [None] * n
+    out = []
     for kind, members in groups.items():
-        recs = [seq[i] for i in members]
 
         def label(r, members=members):
             return f"{section}[{members[r]}]"
 
-        for i, spec in zip(members, _parse_group(catalog[kind], recs, label, width, mismatch)):
-            specs[i] = spec
-    return tuple(specs)
+        fields = _parse_group(catalog[kind], [seq[i] for i in members], label, width, mismatch)
+        out.append((catalog[kind], np.array(members), fields))
+    return out
 
 
 def load_problem_file(path: str) -> ProblemBundle:
@@ -240,21 +241,22 @@ def load_problem_file(path: str) -> ProblemBundle:
 
     def per_scenario(key, what, default):
         if key not in doc:
-            return (default,) * n
+            return [(default, np.arange(n), {})]
         return _parse_section(what, doc[key], key, n, width, mismatch)
 
-    constraints = per_scenario("constraints", "constraint", ops.WholeSpace())
-    subspaces = per_scenario("subspaces", "subspace", ops.Full())
+    constraints = per_scenario("constraints", "constraint", ops.WholeSpace)
+    subspaces = per_scenario("subspaces", "subspace", ops.Full)
     if has_ops:
         operators = _parse_section("operator", doc["operators"], "operators", n, width, mismatch)
     else:
         rec = _record(doc["cvar"], "cvar", ["alpha", "costs"])
         alpha = _numbers([rec["alpha"]], lambda j: "cvar.alpha").tolist()[0]
         costs = _parse_section("cost", rec["costs"], "cvar.costs", n, width, mismatch)
-    tree = build_tree(zip((tuple(rec["labels"]) for rec in raw), probabilities.tolist()), stages)
+    tree = build_tree(zip((rec["labels"] for rec in raw), probabilities.tolist()), stages)
     if has_ops:
-        return ProblemBundle(tree, Problem(tree, operators, constraints, subspaces), None)
-    cp = CvarProblem(tree=tree, alpha=alpha, costs=costs, constraints=constraints)
+        stacks = map(ops.Stack.from_groups, (operators, constraints, subspaces))
+        return ProblemBundle(tree, Problem.from_stacks(tree, *stacks), None)
+    cp = CvarProblem(tree=tree, alpha=alpha, costs=ops.specs_of(costs), constraints=ops.specs_of(constraints))
     return ProblemBundle(tree=tree, problem=None, cvar=cp)
 
 
@@ -438,9 +440,7 @@ def cmd_validate(path: str) -> int:
     print("class counts: " + " ".join(str(c) for c in counts))
     if bundle.cvar is not None:
         print(f"cvar: alpha={bundle.cvar.alpha!r}")
-        pairs = len(bundle.cvar.constraints)
-    else:
-        pairs = len(bundle.problem.constraints)
+    pairs = tree.num_scenarios
     print(f"range condition: ok ({pairs}/{pairs} pairs)")
     print("valid")
     return 0

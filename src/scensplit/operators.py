@@ -17,6 +17,8 @@ once.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Union, get_args
@@ -37,8 +39,7 @@ from .errors import (
 UNBOUNDED = float(np.finfo(np.float64).max)
 
 
-def _setfield(obj, name, value):
-    object.__setattr__(obj, name, value)
+_setfield = object.__setattr__
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -217,7 +218,7 @@ class _Numeric:
         fields = {f: _vec(getattr(self, f), f"{name}.{f}")[None] for f in vectors}
         for f in scalars:
             fields[f] = np.array([[float(_number(f"{name}.{f}", getattr(self, f)))]])
-        fields = _settle_rows(cls, fields, lambda row: name)
+        fields = settle_rows(cls, fields, lambda row: name)
         for f in vectors:
             _setfield(self, f, fields[f][0])
         for f in scalars:
@@ -248,26 +249,24 @@ class SeparableQuadratic(_Numeric):
 CostSpec = Union[Affine, SeparableQuadratic]
 
 
-def _pack_costs(costs) -> tuple:
-    """(q, c, l, r, b, curved), one row per cost, of f(x) = 0.5*sum q (x - c)^2 + <l, x> + r.
+def _cost_pack(cls, fields: dict) -> tuple:
+    """(q, c, l, r, b, curved) rows of ``cls`` costs, f(x) = 0.5*sum q (x - c)^2 + <l, x> + r.
 
-    q, c, l and b are (k, d) arrays, r a (k, 1) column and curved a (k, 1)
-    bool column.  Affine has q = 0, c = 0 and l = c; SeparableQuadratic has
-    l = 0.  The prox of s*f is the diagonal-affine resolvent with a = q and
-    b = l - q*c; curved marks the rows with some q > 0, the only ones whose
-    prox root search takes more than one step.
+    Affine has q = 0, c = 0 and l = c; SeparableQuadratic has l = 0.  The
+    prox of s*f is the diagonal-affine resolvent with a = q and b = l - q*c;
+    curved marks the rows with some q > 0, whose prox root search takes
+    more than one step.
     """
-    rows = []
-    for f in costs:
-        if isinstance(f, Affine):
-            zero = np.zeros_like(f.c)
-            rows.append((zero, zero, f.c, f.r))
-        elif isinstance(f, SeparableQuadratic):
-            rows.append((f.q, f.c, np.zeros_like(f.c), f.r))
-        else:
-            raise TypeError(f"unknown cost spec {type(f).__name__}")
-    q, c, l, r = (np.array(col, dtype=float) for col in zip(*rows))
-    return q, c, l, r.reshape(-1, 1), l - q * c, q.any(axis=1, keepdims=True)
+    if cls not in (Affine, SeparableQuadratic):
+        raise TypeError(f"unknown cost spec {_kind_name(cls)}")
+    zero = np.zeros_like(fields["c"])
+    q, c, l = (zero, zero, fields["c"]) if cls is Affine else (fields["q"], fields["c"], zero)
+    return q, c, l, fields["r"], l - q * c, q.any(axis=1, keepdims=True)
+
+
+def _pack_costs(costs) -> tuple:
+    """The :func:`_cost_pack` of ``costs``, one row each."""
+    return _merge([(members, _cost_pack(cls, fields)) for cls, members, fields in _spec_groups(costs)])[1]
 
 
 def _cost_rows(cost, x) -> np.ndarray:
@@ -449,7 +448,7 @@ def _nonnegative(name: str, message: str) -> tuple:
 
 
 def _packs_finite(name: str, message: str, packed) -> tuple:
-    """A rule on the rows whose ``packed(fields)``, computed as _pack computes it, is not finite."""
+    """A rule on the rows whose ``packed(fields)``, computed as the stack computes it, is not finite."""
     def test(f):
         with np.errstate(over="ignore", invalid="ignore"):
             return ~np.isfinite(packed(f)).all(axis=1)
@@ -497,7 +496,7 @@ for _cls, (_vectors, _, _) in RULES.items():
     _cls.dim = property(attrgetter(_vectors[0] + ".size"))
 
 
-def _settle_rows(cls, fields: dict, label) -> dict:
+def settle_rows(cls, fields: dict, label) -> dict:
     """The stacked ``fields`` of a group of ``cls`` specs, once every row passes the rules.
 
     ``fields`` maps each field of ``cls`` in :data:`RULES` to its stacked
@@ -525,56 +524,22 @@ def _settle_rows(cls, fields: dict, label) -> dict:
     return fields
 
 
-def specs_from_rows(cls, fields: dict, label) -> list:
-    """One ``cls`` spec per row of the stacked ``fields``, the rows checked once as a group.
+def specs_of(groups) -> tuple:
+    """One spec per scenario from settled ``(cls, members, fields)`` groups, not checked again.
 
-    ``fields`` and ``label`` are as for :func:`_settle_rows`.  The arrays are
-    frozen: each spec holds read-only row views for its vectors and floats
-    for its scalars, and is not checked again on its own.
+    A spec holds read-only row views for its vectors, floats for its scalars.
     """
-    fields = _settle_rows(cls, fields, label)
-    vectors, scalars, _ = RULES[cls]
-    columns = [_frozen(fields[name]) for name in vectors]
-    columns += [fields[name][:, 0].tolist() for name in scalars]
-    names = vectors + scalars
-    specs = []
-    for values in zip(*columns):
-        spec = object.__new__(cls)
-        for name, value in zip(names, values):
-            _setfield(spec, name, value)
-        specs.append(spec)
-    return specs
-
-
-def validate_range_condition(cs: ConstraintSpec, us: SubspaceSpec) -> bool:
-    """Check that every point moved by the projector moves inside ``us``.
-
-    Conservative catalog test: it returns True only when the geometry
-    guarantees ran(Id - proj) is contained in the subspace, False otherwise.
-    """
-    if isinstance(us, Full):
-        return True
-    if isinstance(cs, WholeSpace):
-        # the projector is the identity, its displacement range is {0}
-        return True
-    if isinstance(cs, RealCross) and isinstance(cs.base, WholeSpace):
-        return True
-    if isinstance(us, Zero):
-        return False
-    if isinstance(us, Coordinates):
-        sel = set(us.indices)
-        if isinstance(cs, Box):
-            free = {
-                i
-                for i in range(cs.dim)
-                if cs.lo[i] <= -UNBOUNDED and cs.hi[i] >= UNBOUNDED
-            }
-            return sel <= set(range(cs.dim)) and free == set(range(cs.dim)) - sel
-        if isinstance(cs, (Halfspace, Hyperplane)):
-            # displacements are multiples of the normal
-            support = {i for i in range(cs.dim) if cs.normal[i] != 0}
-            return support <= sel and sel <= set(range(cs.dim))
-    return False
+    specs = [None] * sum(len(members) for _, members, _ in groups)
+    for cls, members, fields in groups:
+        vectors, scalars, _ = RULES.get(cls, ((), (), ()))
+        columns = {name: _frozen(fields[name]) for name in vectors}
+        columns.update({name: fields[name][:, 0].tolist() for name in scalars})
+        made = list(map(object.__new__, itertools.repeat(cls, len(members))))
+        for name, column in (columns or fields).items():  # Coordinates: their index tuples
+            list(map(_setfield, made, itertools.repeat(name), column))
+        for i, spec in zip(members.tolist(), made):
+            specs[i] = spec
+    return tuple(specs)
 
 
 # ---------------------------------------------------------------------------
@@ -586,17 +551,22 @@ def validate_range_condition(cs: ConstraintSpec, us: SubspaceSpec) -> bool:
 # into (k, d) arrays, scalars into (k, 1) columns; a step size is a float
 # or such a column.
 
-def _kind(spec):
-    """Group key of a spec: its type, or (RealCross, key of the base).
-
-    GradSeparableQuadratic is the diagonal-affine map with a = q and
-    b = -q * c, so it groups with DiagonalAffine.
-    """
+def _key(spec):
+    """A spec's class; for a RealCross or CvarAugmented, (that class, key of what it wraps)."""
     if isinstance(spec, RealCross):
-        return (RealCross, _kind(spec.base))
-    if isinstance(spec, GradSeparableQuadratic):
-        return DiagonalAffine
-    return type(spec)
+        return (RealCross, _key(spec.base))
+    return (CvarAugmented, type(spec.f)) if isinstance(spec, CvarAugmented) else type(spec)
+
+
+def _kind(key):
+    """The group of a class key.
+
+    GradSeparableQuadratic groups with DiagonalAffine (a = q, b = -q * c), a
+    RealCross by its base, and a CvarAugmented whatever its cost.
+    """
+    if isinstance(key, tuple):
+        return (RealCross, _kind(key[1])) if key[0] is RealCross else CvarAugmented
+    return DiagonalAffine if key is GradSeparableQuadratic else key
 
 
 def _kind_name(kind) -> str:
@@ -607,8 +577,26 @@ def _rows(specs, name: str) -> np.ndarray:
     return np.array([getattr(s, name) for s in specs], dtype=float)
 
 
-def _scalars(specs, name: str) -> np.ndarray:
-    return _rows(specs, name).reshape(-1, 1)
+def _fields(key, specs) -> dict:
+    """The stacked fields of specs of one class key, a wrapper's those of what it wraps."""
+    if isinstance(key, tuple):
+        wrapper, inner = key
+        fields = _fields(inner, [s.base if wrapper is RealCross else s.f for s in specs])
+        if wrapper is CvarAugmented:
+            fields["alpha"] = _rows(specs, "alpha")[:, None]
+        return fields
+    if key is Coordinates:
+        return {"indices": [s.indices for s in specs]}
+    vectors, scalars, _ = RULES.get(key, ((), (), ()))
+    return {**{f: _rows(specs, f) for f in vectors}, **{f: _rows(specs, f)[:, None] for f in scalars}}
+
+
+def _spec_groups(specs) -> list:
+    """``(key, members, fields)`` per class key of ``specs``, in order of first appearance."""
+    by_key: dict = {}
+    for i, spec in enumerate(specs):
+        by_key.setdefault(_key(spec), []).append(i)
+    return [(key, np.array(m), _fields(key, [specs[i] for i in m])) for key, m in by_key.items()]
 
 
 def step_column(value, rows: int) -> np.ndarray:
@@ -626,26 +614,30 @@ def step_column(value, rows: int) -> np.ndarray:
     return np.full((rows, 1), column[0, 0])
 
 
-def _pack(kind, specs) -> tuple:
-    """Stacked coefficient arrays of specs that share one kind."""
-    if isinstance(kind, tuple):
-        return _pack(kind[1], [s.base for s in specs])
-    if kind is DiagonalAffine:
-        quad = np.array([isinstance(s, GradSeparableQuadratic) for s in specs])
-        a = np.array([s.q if g else s.a for s, g in zip(specs, quad)])
-        b = np.array([s.c if g else s.b for s, g in zip(specs, quad)])
-        b[quad] *= -a[quad]  # q * (x - c) has b = -q * c
-        return a, b
-    if kind is CvarAugmented:
-        return (_scalars(specs, "alpha"),) + _pack_costs([s.f for s in specs])
-    if kind not in RULES:
-        return ()
-    vectors, scalars, _ = RULES[kind]
-    coef = tuple(_rows(specs, name) for name in vectors)
-    coef += tuple(_scalars(specs, name) for name in scalars)
-    if kind in (Halfspace, Hyperplane):
+def _coef(key, fields) -> tuple:
+    """The coefficient rows of a class group, as the kernel of its group reads them."""
+    if isinstance(key, tuple):
+        wrapper, inner = key
+        if wrapper is RealCross:
+            return _coef(inner, fields)
+        return (fields["alpha"],) + _cost_pack(inner, fields)
+    if key is GradSeparableQuadratic:
+        return fields["q"], fields["c"] * -fields["q"]  # q * (x - c) has b = -q * c
+    vectors, scalars, _ = RULES.get(key, ((), (), ()))
+    coef = tuple(fields[name] for name in vectors + scalars)
+    if key in (Halfspace, Hyperplane):
         coef += (_row_dot(coef[0], coef[0]),)  # the squared normals, as _NORMAL_SQUARE reads them
     return coef
+
+
+def _merge(parts) -> tuple:
+    """``(members, coef)`` parts as one, rows by ascending member."""
+    if len(parts) == 1:
+        return parts[0]
+    members = np.concatenate([m for m, _ in parts])
+    order = members.argsort(kind="stable")
+    columns = zip(*(coef for _, coef in parts))
+    return members[order], tuple(np.concatenate(c)[order] for c in columns)
 
 
 def _resolvent_kernel(kind, coef, z, gamma, start=0.0, tol=1e-12):
@@ -712,24 +704,43 @@ def _take(coef: tuple, slots) -> tuple:
 class Stack:
     """Per-scenario specs grouped by catalog type, coefficients stacked.
 
-    Built once per problem.  ``groups`` lists ``(kind, members, coef)`` in
-    order of first appearance: the kind (the spec type; RealCross groups by
-    its base too), the member scenarios ascending, and the coefficient
-    arrays with one row per member.
+    Built once per problem from one spec per scenario, or from the class
+    groups of :meth:`from_groups`, which ``sources`` keeps.  ``groups`` lists
+    ``(kind, members, coef)`` in order of first appearance: the kind (the
+    spec type; RealCross groups by its base too), the member scenarios
+    ascending, and the coefficient arrays with one row per member.
     """
 
     def __init__(self, specs):
+        self.specs = tuple(specs)
+        self._settle(_spec_groups(self.specs))
+
+    @classmethod
+    def from_groups(cls, groups) -> "Stack":
+        """The stack of settled ``(cls, members, fields)`` groups that hold each scenario once."""
+        stack = cls.__new__(cls)
+        stack._settle(groups)
+        return stack
+
+    def _settle(self, groups):
+        self.sources = groups
         by_kind: dict = {}
-        for i, spec in enumerate(specs):
-            by_kind.setdefault(_kind(spec), []).append(i)
-        self.group_of = np.empty(len(specs), dtype=int)
-        self.slot_of = np.empty(len(specs), dtype=int)
+        for key, members, fields in groups:
+            by_kind.setdefault(_kind(key), []).append((members, _coef(key, fields)))
+        n = sum(len(members) for _, members, _ in groups)
+        self.group_of = np.empty(n, dtype=int)
+        self.slot_of = np.empty(n, dtype=int)
         self.groups = []
-        for g, (kind, members) in enumerate(by_kind.items()):
-            members = np.array(members)
+        for g, (kind, parts) in enumerate(by_kind.items()):
+            members, coef = _merge(parts)
             self.group_of[members] = g
             self.slot_of[members] = np.arange(members.size)
-            self.groups.append((kind, members, _pack(kind, [specs[i] for i in members])))
+            self.groups.append((kind, members, coef))
+
+    @functools.cached_property
+    def specs(self) -> tuple:
+        """The spec tuple, built from ``sources`` when first read."""
+        return specs_of(self.sources)
 
     def parts(self, rows=None):
         """Yield ``(kind, pos, coef)`` for each group that ``rows`` touches.
@@ -801,26 +812,69 @@ def project_constraint_rows(stack: Stack, z, rows=None) -> np.ndarray:
     return _by_group(_project_kernel, stack, rows, z)
 
 
-def subspace_mask(us: SubspaceSpec, dim: int) -> np.ndarray:
-    """Boolean mask of the coordinate axes that span ``us`` in R^dim.
+def axis_mask(subspaces: Stack, dim: int) -> np.ndarray:
+    """(N, dim) mask of the axes that span each subspace, which its projector keeps.
 
-    Every catalog subspace is spanned by axes, so its projector keeps the
-    masked entries of a row and zeroes the rest.
+    The lowest scenario with an index past ``dim`` raises DimensionMismatch.
     """
-    if isinstance(us, Full):
-        return np.ones(dim, dtype=bool)
-    if isinstance(us, Zero):
-        return np.zeros(dim, dtype=bool)
-    if isinstance(us, Coordinates):
-        mask = np.zeros(dim, dtype=bool)
-        mask[integers("coordinate indices", us.indices, 0, dim, DimensionMismatch)] = True
-        return mask
-    raise TypeError(f"unknown subspace spec {type(us).__name__}")
+    mask = np.empty((len(subspaces.group_of), dim), dtype=bool)
+    for key, members, fields in subspaces.sources:
+        if key not in (Full, Zero, Coordinates):
+            raise TypeError(f"unknown subspace spec {_kind_name(key)}")
+        mask[members] = key is Full
+        if key is Coordinates:
+            indices = fields["indices"]
+            flat = np.fromiter(itertools.chain.from_iterable(indices), dtype=int)
+            flat = integers("coordinate indices", flat, 0, dim, DimensionMismatch)
+            mask[np.repeat(members, list(map(len, indices))), flat] = True
+    return _frozen(mask)
+
+
+def broken_range_conditions(constraints: Stack, subspaces: Stack, mask) -> np.ndarray:
+    """(N,) bool: the scenarios whose projector may move a point out of their subspace.
+
+    A conservative test per group: ran(Id - proj) lies in the subspace when
+    it is Full, the set the whole space (also as RealCross's base), a Box's
+    unbounded axes those the Coordinates leave out, or a Halfspace's or
+    Hyperplane's normal in their span.
+    """
+    shapes = np.array([(kind is Full, kind is Coordinates) for kind, _, _ in subspaces.groups])
+    full, coordinates = shapes[subspaces.group_of].T
+    broken = np.zeros(len(full), dtype=bool)
+    for kind, members, coef in constraints.groups:
+        slots = np.flatnonzero(~full[members])
+        if kind in (WholeSpace, (RealCross, WholeSpace)) or not slots.size:
+            continue
+        rows = members[slots]
+        ok = coordinates[rows]
+        if kind is Box:
+            lo, hi = (c[slots] for c in coef)
+            ok &= (((lo <= -UNBOUNDED) & (hi >= UNBOUNDED)) != mask[rows]).all(axis=1)
+        elif kind in (Halfspace, Hyperplane):
+            ok &= ~((coef[0][slots] != 0) & ~mask[rows]).any(axis=1)
+        else:
+            ok[:] = False
+        broken[rows] = ~ok
+    return broken
+
+
+def validate_range_condition(cs: ConstraintSpec, us: SubspaceSpec) -> bool:
+    """Whether the geometry guarantees that the projector moves points inside ``us``.
+
+    The test of :func:`broken_range_conditions` on one pair; an axis past
+    the set's dimension fails it.
+    """
+    if cs.dim is None:  # the whole space, also as RealCross's base
+        return True
+    if isinstance(us, Coordinates) and max(us.indices, default=-1) >= cs.dim:
+        return False
+    subspaces = Stack([us])
+    return not broken_range_conditions(Stack([cs]), subspaces, axis_mask(subspaces, cs.dim))[0]
 
 
 def _one_row(kernel, spec, z, *args) -> np.ndarray:
-    kind = _kind(spec)
-    out = kernel(kind, _pack(kind, [spec]), z[None], *args)
+    [(kind, _, coef)] = Stack([spec]).groups
+    out = kernel(kind, coef, z[None], *args)
     return (out[0] if isinstance(out, tuple) else out)[0]
 
 
@@ -853,7 +907,7 @@ def project_constraint(cs: ConstraintSpec, z) -> np.ndarray:
 def project_subspace(us: SubspaceSpec, z) -> np.ndarray:
     """Orthogonal projection onto the activation subspace."""
     z = _number("point", z, np.inf, "an array of numbers")
-    return np.where(subspace_mask(us, z.size), z, 0.0)
+    return np.where(axis_mask(Stack([us]), z.size)[0], z, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -948,5 +1002,5 @@ def require_composite(op_kinds, cs_kinds):
 def composite_resolvent(op: OperatorSpec, cs: ConstraintSpec, gamma: float, z) -> np.ndarray:
     """Resolvent of gamma*(A + normal cone of C) for separable pairs."""
     gamma = check_step("gamma", gamma)
-    require_composite([_kind(op)], [_kind(cs)])
+    require_composite([_kind(_key(op))], [_kind(_key(cs))])
     return project_constraint(cs, resolvent(op, gamma, z))

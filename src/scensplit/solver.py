@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional, Sequence, Union, get_args
 
 import numpy as np
@@ -27,7 +27,10 @@ from .operators import (
     SubspaceSpec,
     WholeSpace,
     Zero,
+    _kind_name,
     _number,
+    axis_mask,
+    broken_range_conditions,
     check_specs,
     check_step,
     forward_rows,
@@ -36,8 +39,6 @@ from .operators import (
     require_composite,
     resolvent_rows,
     step_column,
-    subspace_mask,
-    validate_range_condition,
 )
 from .tree import ScenarioTree
 
@@ -46,51 +47,54 @@ from .tree import ScenarioTree
 # problem container
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Problem:
     """One operator, constraint set and activation subspace per scenario.
 
     Each spec must be one of its role's catalog types; a misfit raises
-    ``ValidationError`` naming its index.  Construction also groups the
-    operators and the constraint sets by catalog type into stacks, and the
-    subspaces into one (N, d) axis mask; every per-scenario computation of
-    the solvers runs on these.  ``full_mask`` is True when that mask is
-    all True, so no subspace zeroes an entry.
+    ``ValidationError`` naming its index.  The problem holds each role as a
+    :class:`Stack` of per-type groups, on which every per-scenario
+    computation of the solvers runs, and builds the ``operators``,
+    ``constraints`` and ``subspaces`` tuples from them when first read.
+    ``subspace_mask`` is the subspaces as one (N, d) axis mask, and
+    ``full_mask`` is True when it is all True, so no subspace zeroes an entry.
     """
 
     tree: ScenarioTree
-    operators: tuple[OperatorSpec, ...]
-    constraints: tuple[ConstraintSpec, ...]
-    subspaces: tuple[SubspaceSpec, ...]
-    operator_stack: Stack = field(init=False, repr=False, compare=False)
-    constraint_stack: Stack = field(init=False, repr=False, compare=False)
-    subspace_mask: np.ndarray = field(init=False, repr=False, compare=False)
-    full_mask: bool = field(init=False, repr=False, compare=False)
+    operator_stack: Stack = field(repr=False)
+    constraint_stack: Stack = field(repr=False)
+    subspace_stack: Stack = field(repr=False)
+    subspace_mask: np.ndarray = field(repr=False)
+    full_mask: bool = field(repr=False)
 
-    def __post_init__(self):
-        n = self.tree.num_scenarios
-        d = self.tree.total_dim
-        object.__setattr__(self, "operators", tuple(self.operators))
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-        object.__setattr__(self, "subspaces", tuple(self.subspaces))
-        check_specs(self.operators, OperatorSpec, "operator", n, d, DimensionMismatch)
-        check_specs(self.constraints, ConstraintSpec, "constraint", n, d, DimensionMismatch)
-        check_specs(self.subspaces, SubspaceSpec, "subspace", n, d, DimensionMismatch)
-        by_spec: dict = {}
-        for i, us in enumerate(self.subspaces):
-            by_spec.setdefault(us, []).append(i)
-        mask = np.empty((n, d), dtype=bool)
-        for us, rows in by_spec.items():
-            # before the range conditions: an index past d raises DimensionMismatch here
-            mask[rows] = subspace_mask(us, d)
-        mask.flags.writeable = False
-        for i, (cs, us) in enumerate(zip(self.constraints, self.subspaces)):
-            if not validate_range_condition(cs, us):
-                raise ValidationError(f"range condition violated for scenario {i}")
-        object.__setattr__(self, "operator_stack", Stack(self.operators))
-        object.__setattr__(self, "constraint_stack", Stack(self.constraints))
-        object.__setattr__(self, "subspace_mask", mask)
-        object.__setattr__(self, "full_mask", bool(mask.all()))
+    def __init__(self, tree, operators, constraints, subspaces):
+        specs = tuple(map(tuple, (operators, constraints, subspaces)))
+        roles = (OperatorSpec, ConstraintSpec, SubspaceSpec), ("operator", "constraint", "subspace")
+        for given, role, name in zip(specs, *roles):
+            check_specs(given, role, name, tree.num_scenarios, tree.total_dim, DimensionMismatch)
+        self._settle(tree, *map(Stack, specs))
+
+    @classmethod
+    def from_stacks(cls, tree, operators: Stack, constraints: Stack, subspaces: Stack) -> "Problem":
+        """The problem of stacks whose specs have their roles and the tree's width."""
+        problem = object.__new__(cls)
+        problem._settle(tree, operators, constraints, subspaces)
+        return problem
+
+    def _settle(self, tree, operators: Stack, constraints: Stack, subspaces: Stack):
+        # before the range conditions: an index past d raises DimensionMismatch here
+        mask = axis_mask(subspaces, tree.total_dim)
+        broken = broken_range_conditions(constraints, subspaces, mask)
+        if broken.any():
+            raise ValidationError(f"range condition violated for scenario {int(broken.argmax())}")
+        values = (tree, operators, constraints, subspaces, mask, bool(mask.all()))
+        for f, value in zip(fields(self), values):
+            object.__setattr__(self, f.name, value)
+
+    # the spec tuples, built from the stacks when first read
+    operators = property(lambda self: self.operator_stack.specs)
+    constraints = property(lambda self: self.constraint_stack.specs)
+    subspaces = property(lambda self: self.subspace_stack.specs)
 
 
 def make_problem(tree, operators, constraints=None, subspaces=None) -> Problem:
@@ -682,20 +686,18 @@ def solve_reduced(
     multiplier and the subspace gap stay exactly zero along the run, which
     is asserted, and the iteration reduces to its operator half.
     """
-    for i, cs in enumerate(problem.constraints):
-        if not isinstance(cs, WholeSpace):
+    for kind, members, _ in problem.constraint_stack.groups:
+        # groups come in order of their first member, so this one names the lowest scenario
+        if kind is not WholeSpace:
             raise NonTrivialConstraint(
-                f"scenario {i} has constraint {type(cs).__name__}; the reduced "
+                f"scenario {members[0]} has constraint {_kind_name(kind)}; the reduced "
                 "variant needs unconstrained instances"
             )
     if config is None:
         config = SolverConfig()
-    reduced = Problem(
-        tree=problem.tree,
-        operators=problem.operators,
-        constraints=problem.constraints,
-        subspaces=(Zero(),) * problem.tree.num_scenarios,
-    )
+    n = problem.tree.num_scenarios
+    zero = Stack.from_groups([(Zero, np.arange(n), {})])
+    reduced = Problem.from_stacks(problem.tree, problem.operator_stack, problem.constraint_stack, zero)
     config = replace(config, mu=1.0)
 
     def guard(state: SolverState):

@@ -110,8 +110,9 @@ def build_tree(scenarios, stage_dims) -> ScenarioTree:
     :func:`check_stage_dims` takes them.  Label sequences
     must be pairwise distinct.  A label is a string, number, bool, None or
     a tuple of them, numpy's read as their Python values; any other label
-    raises ValidationError.  Probabilities must be numbers (ConfigError
-    otherwise), positive and sum to 1 within ``MASS_TOL``.
+    raises ValidationError.  Labels that Python holds equal, such as 0,
+    0.0 and False, are one label.  Probabilities must be numbers
+    (ConfigError otherwise), positive and sum to 1 within ``MASS_TOL``.
     """
     stage_dims = check_stage_dims(stage_dims)
     n_stages = len(stage_dims)
@@ -119,69 +120,78 @@ def build_tree(scenarios, stage_dims) -> ScenarioTree:
     items = list(scenarios)
     if not items:
         raise EmptyTree("a scenario tree needs at least one scenario")
+    n = len(items)
 
     probs = [prob for _, prob in items]
     probs = number_list(probs, lambda j, got: ConfigError(f"probabilities must be numbers, {got}"))
     paths = [tuple(labels) for labels, _ in items]
     if not _LABEL_TYPES.issuperset(map(type, itertools.chain.from_iterable(paths))):
         paths = [_json_label(i, labels) for i, labels in enumerate(paths)]
-    built = []
-    for i, (labels, prob) in enumerate(zip(paths, probs.tolist())):
-        if len(labels) != n_stages:
-            raise ValidationError(
-                f"scenario {i} has {len(labels)} labels, expected {n_stages}"
-            )
-        if not prob > 0.0:  # NaN included
-            raise NonPositiveProbability(f"scenario {i} has probability {prob}")
-        built.append(Scenario(index=i, labels=labels, probability=prob))
+    if set(map(len, paths)) != {n_stages} or not (probs > 0.0).all():  # NaN included
+        # the first scenario with a wrong label count or a probability that is not positive
+        wrong = np.fromiter(map(len, paths), int, n) != n_stages
+        i = int((wrong | ~(probs > 0.0)).argmax())
+        if wrong[i]:
+            raise ValidationError(f"scenario {i} has {len(paths[i])} labels, expected {n_stages}")
+        raise NonPositiveProbability(f"scenario {i} has probability {probs[i].item()}")
 
-    seen = {}
-    for s in built:
-        if s.labels in seen:
-            raise DuplicateScenario(
-                f"scenarios {seen[s.labels]} and {s.index} share labels {s.labels}"
-            )
-        seen[s.labels] = s.index
+    # ids[k] numbers each scenario's label prefix of length k by first
+    # appearance, from one code per distinct label of each stage; labels
+    # equal as dict keys, such as 0, 0.0 and False, share one
+    ids = [np.zeros(n, dtype=np.int64)]
+    for column in zip(*paths):
+        codes = dict(zip(dict.fromkeys(column), itertools.count()))
+        keys = ids[-1] * len(codes) + np.fromiter(map(codes.__getitem__, column), np.int64, n)
+        if len(codes) > 1 and ids[-1].any():  # else numbered by first appearance already
+            first = dict(zip(dict.fromkeys(keys.tolist()), itertools.count()))
+            keys = np.fromiter(map(first.__getitem__, keys.tolist()), np.int64, n)
+        ids.append(keys)
+    path_ids = ids.pop()
+    if path_ids.max() < n - 1:
+        first = np.unique(path_ids, return_index=True)[1]
+        j = int((first[path_ids] != np.arange(n)).argmax())
+        raise DuplicateScenario(f"scenarios {first[path_ids[j]]} and {j} share labels {paths[j]}")
 
     with np.errstate(over="ignore"):  # an overflowing sum is a bad mass, not a warning
         mass = float(probs.sum())
     if abs(mass - 1.0) > MASS_TOL:
         raise BadProbabilityMass(f"probabilities sum to {mass!r}, expected 1")
 
-    # the classes of stage k+1 group scenarios by their label prefix of
-    # length k; first-seen order equals order by smallest member
-    classes = []
-    bins = []
-    bin_mass = []
-    offset = 0
-    for k, dim in enumerate(stage_dims):
-        groups: dict[tuple, list[int]] = {}
-        for s in built:
-            groups.setdefault(s.labels[:k], []).append(s.index)
-        parts = tuple(tuple(g) for g in groups.values())
-        classes.append(parts)
-        idx = [0] * len(built)
-        for j, members in enumerate(parts):
-            for m in members:
-                idx[m] = j
-        idx = np.array(idx)
-        # a singleton's mass is its probability; skip the numpy sum for it
-        mass = np.array([probs[m[0]] if len(m) == 1 else probs[list(m)].sum() for m in parts])
-        bins.append(offset + idx[:, None] * dim + np.arange(dim))
-        bin_mass.append(np.repeat(mass[idx, None], dim, axis=1))
-        offset += len(parts) * dim
-
-    offsets = np.concatenate(([0], np.cumsum(stage_dims)))
-    slices = tuple(slice(int(offsets[k]), int(offsets[k + 1])) for k in range(n_stages))
+    # the classes of stage k+1 are the prefixes of length k, ordered by
+    # smallest member and numbered over all stages, stage by stage
+    ids = np.array(ids)
+    sizes = ids.max(axis=1) + 1
+    firsts = sizes.cumsum() - sizes
+    owner = (ids + firsts[:, None]).ravel()
+    counts = np.bincount(owner)
+    order = owner.argsort(kind="stable") % n
+    ends = counts.cumsum()
+    members = order.tolist()
+    # each class's members sliced out of the list, without a Python-level loop
+    flat = tuple(map(tuple, map(members.__getitem__, map(slice, (ends - counts).tolist(), ends.tolist()))))
+    classes = tuple(flat[first : first + size] for first, size in zip(firsts.tolist(), sizes.tolist()))
+    # bincount adds in scenario order, as numpy sums fewer than 8 values;
+    # larger classes take numpy's pairwise sum
+    mass = np.bincount(owner, weights=np.broadcast_to(probs, ids.shape).ravel())
+    for j in (counts >= 8).nonzero()[0]:
+        mass[j] = probs[order[ends[j] - counts[j] : ends[j]]].sum()
+    # entry (s, j), j the i-th column of stage k, falls in bin i of the d_k
+    # bins of the stage-k class of s
+    dims = np.array(stage_dims)
+    starts = dims.cumsum() - dims
+    stage = np.arange(n_stages).repeat(dims)
+    entry = owner.reshape(ids.shape)[stage].T
+    width = dims.repeat(sizes)
+    bins = (width.cumsum() - width)[entry] + (np.arange(stage.size) - starts[stage])
 
     return ScenarioTree(
-        scenarios=tuple(built),
+        scenarios=tuple(map(Scenario, range(n), paths, probs.tolist())),
         stage_dims=stage_dims,
-        classes=tuple(classes),
+        classes=classes,
         probabilities=_frozen(probs),
-        stage_slices=slices,
-        bins=_frozen(np.hstack(bins).ravel()),
-        bin_mass=_frozen(np.hstack(bin_mass).ravel()),
+        stage_slices=tuple(map(slice, starts.tolist(), (starts + dims).tolist())),
+        bins=_frozen(bins.ravel()),
+        bin_mass=_frozen(mass[entry].ravel()),
         weights=_frozen(np.repeat(probs, sum(stage_dims))),
     )
 

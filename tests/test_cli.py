@@ -22,15 +22,17 @@ from scensplit.cli import (
     write_trace_csv,
 )
 from scensplit.cvar import CvarProblem, augment, solve_cvar
-from scensplit.errors import DimensionMismatch, ShapeMismatch, ValidationError
+from scensplit.errors import DimensionMismatch, ScensplitError, ShapeMismatch, ValidationError
 from scensplit.solver import (
     Problem,
     SeededRandom,
     Solution,
     SolverConfig,
     SolveStatus,
+    kkt_residual,
     progressive_hedging_solve,
     solve,
+    solve_reduced,
 )
 from scensplit.tree import build_tree
 
@@ -291,7 +293,11 @@ def assert_same_spec(got, want):
     for f in dataclasses.fields(want):
         g, w = getattr(got, f.name), getattr(want, f.name)
         assert type(g) is type(w), f.name
-        assert_array_equal(g, w, err_msg=f.name)
+        if isinstance(w, np.ndarray):
+            assert g.dtype == w.dtype and g.shape == w.shape, f.name
+            assert_array_equal(_bits(g), _bits(w), err_msg=f.name)
+        else:
+            assert repr(g) == repr(w), f.name
 
 
 def test_parse_every_catalog_type(tmp_path):
@@ -451,20 +457,89 @@ def interleaved_doc(seed, risk=False, n=300):
     return doc
 
 
+def every_shape_doc(seed, n=60):
+    """A seeded equilibrium file whose groups hold every shape the loader settles.
+
+    Grad-separable-quadratic and diagonal-affine rows share one operator
+    group; boxes have null sides; every subspace type appears, each with a
+    constraint that meets the range condition: whole-space for Zero, and
+    for Coordinates a box unbounded off them or a normal inside them.
+    """
+    rng = np.random.default_rng(seed)
+    d = 3
+
+    def vec(lo, hi, where=range(d)):
+        return [float(rng.uniform(lo, hi)) if j in where else 0 for j in range(d)]
+
+    operators, constraints, subspaces = [], [], []
+    for _ in range(n):
+        first = "a" if rng.random() < 0.5 else "q"
+        kind = "diagonal_affine" if first == "a" else "grad_separable_quadratic"
+        operators.append({"type": kind, first: vec(0.0, 2.0), "b" if first == "a" else "c": vec(-1.0, 1.0)})
+        shape = ("full", "zero", "coordinates")[int(rng.choice(3, p=[0.5, 0.15, 0.35]))]
+        if shape == "zero":
+            subspaces.append({"type": "zero"})
+            constraints.append({"type": "whole_space"})
+            continue
+        picks = ["whole_space", "box", "halfspace", "hyperplane"] + (["ball"] if shape == "full" else [])
+        kind = picks[int(rng.integers(len(picks)))]
+        sel = sorted(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False).tolist())
+        if shape == "full":
+            subspaces.append({"type": "full"})
+            sel = range(d)
+        else:
+            subspaces.append({"type": "coordinates", "indices": rng.permutation(sel).tolist()})
+        if kind == "box":
+            lo = [float(rng.uniform(-2.0, -1.0)) if j in sel else None for j in range(d)]
+            hi = [float(rng.uniform(1.0, 2.0)) if j in sel else None for j in range(d)]
+            if shape == "full":  # some null sides on a full subspace too
+                lo = [None if rng.random() < 0.3 else v for v in lo]
+            constraints.append({"type": "box", "lo": lo, "hi": hi})
+        elif kind in ("halfspace", "hyperplane"):
+            normal = vec(0.5, 2.0, sel)
+            constraints.append({"type": kind, "normal": normal, "offset": float(rng.uniform(-1.0, 1.0))})
+        elif kind == "ball":
+            radius = float(rng.uniform(0.5, 2.0))
+            constraints.append({"type": "ball", "center": vec(-1.0, 1.0), "radius": radius})
+        else:
+            constraints.append({"type": "whole_space"})
+    return {
+        "stages": [2, 1],
+        "scenarios": [{"labels": [i // 6, i], "probability": 1.0 / n} for i in range(n)],
+        "operators": operators,
+        "constraints": constraints,
+        "subspaces": subspaces,
+    }
+
+
+def _bits(array):
+    """The entries as unsigned integers of their width: float64 as uint64, bool as uint8."""
+    return np.ascontiguousarray(array).view(f"u{array.itemsize}")
+
+
 def assert_same_stack(got, want):
-    assert len(got.groups) == len(want.groups)
-    for (gk, gm, gc), (wk, wm, wc) in zip(got.groups, want.groups):
-        assert gk == wk
-        assert_array_equal(gm, wm)
+    assert [g[0] for g in got.groups] == [g[0] for g in want.groups]
+    assert_array_equal(got.group_of, want.group_of, strict=True)
+    assert_array_equal(got.slot_of, want.slot_of, strict=True)
+    for (_, gm, gc), (_, wm, wc) in zip(got.groups, want.groups):
+        assert_array_equal(gm, wm, strict=True)
         assert len(gc) == len(wc)
         for g, w in zip(gc, wc):
-            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.flags.c_contiguous and w.flags.c_contiguous
+            assert_array_equal(_bits(g), _bits(w))
 
 
 @pytest.mark.parametrize(
     "make",
-    [every_type_doc, risk_every_type_doc, lambda: interleaved_doc(7), lambda: interleaved_doc(8, risk=True)],
-    ids=["every_type", "risk_every_type", "interleaved", "risk_interleaved"],
+    [
+        every_type_doc,
+        risk_every_type_doc,
+        lambda: interleaved_doc(7),
+        lambda: interleaved_doc(8, risk=True),
+        lambda: every_shape_doc(31),
+    ],
+    ids=["every_type", "risk_every_type", "interleaved", "risk_interleaved", "every_shape"],
 )
 def test_bulk_parse_matches_specs_built_one_at_a_time(tmp_path, make):
     doc = make()
@@ -472,8 +547,14 @@ def test_bulk_parse_matches_specs_built_one_at_a_time(tmp_path, make):
     constraints = tuple(map(spec_of, doc["constraints"]))
     if bundle.problem is not None:
         got = bundle.problem
+        stacks = (got.operator_stack, got.constraint_stack, got.subspace_stack)
+        # loading builds no spec tuple; reading one builds it from the groups
+        assert not any("specs" in vars(stack) for stack in stacks)
         ops_, subs = (tuple(map(spec_of, doc[k])) for k in ("operators", "subspaces"))
         want = Problem(got.tree, ops_, constraints, subs)
+        assert_same_stack(got.subspace_stack, want.subspace_stack)
+        assert_array_equal(got.subspace_mask, want.subspace_mask, strict=True)
+        assert got.full_mask == want.full_mask
         pairs = zip(got.operators + got.constraints + got.subspaces, ops_ + constraints + subs)
     else:
         cp = bundle.cvar
@@ -488,6 +569,68 @@ def test_bulk_parse_matches_specs_built_one_at_a_time(tmp_path, make):
             assert not isinstance(value, np.ndarray) or not value.flags.writeable
     assert_same_stack(got.operator_stack, want.operator_stack)
     assert_same_stack(got.constraint_stack, want.constraint_stack)
+
+
+def _two_bad_entries(doc):
+    # one in the second type group (grad_separable_quadratic), one later in the first
+    doc["operators"][1]["q"] = [2, "x"]
+    doc["operators"][4]["a"] = [4.0, "y"]
+
+
+def _range_broken_outside_the_first_group(doc):
+    # the box group {0, 3} comes first and breaks at 3; the ball group breaks at 2
+    box = {"type": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]}
+    ball = {"type": "ball", "center": [0.0, 0.0], "radius": 1.0}
+    doc["constraints"] = [box, ball, ball, box, {"type": "whole_space"}]
+    doc["subspaces"] = [{"type": t} for t in ("full", "full", "zero", "zero", "full")]
+
+
+@pytest.mark.parametrize(
+    "edit, error, message",
+    [
+        (_two_bad_entries, ValidationError, "operators[4].a: expected a number, got 'y'"),
+        (
+            lambda doc: doc["operators"][3].__setitem__("c", [0.0, None]),
+            ValidationError,
+            "operators[3].c: expected a number, got None",
+        ),
+        (
+            lambda doc: doc["constraints"][2].__setitem__("center", [0.5, -0.5, 1.0]),
+            DimensionMismatch,
+            "constraints[2].center: got 3 entries, the tree needs 2",
+        ),
+        (
+            lambda doc: doc["operators"][3].__setitem__("q", [1.0, -1.0]),
+            ValidationError,
+            "operators[3].q: quadratic weights must be nonnegative",
+        ),
+        (_range_broken_outside_the_first_group, ValidationError, "range condition violated for scenario 2"),
+    ],
+    ids=["second_group_and_first", "second_group", "width", "rule", "range"],
+)
+def test_load_errors_keep_their_order_across_groups(tmp_path, edit, error, message):
+    doc = every_type_doc()
+    edit(doc)
+    with pytest.raises(ScensplitError) as info:
+        load_problem_file(write_json(tmp_path / "p.json", doc))
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_solves_and_writers_build_no_spec_tuples(tmp_path):
+    bundle = load_problem_file(write_json(tmp_path / "p.json", uniform_doc(16)))
+    problem = bundle.problem
+    config = SolverConfig(schedule=SeededRandom(block_size=4, cover_window=16, seed=3), tol=1e-6)
+    sol = solve(problem, config)
+    progressive_hedging_solve(problem, tol=1e-6)
+    kkt_residual(problem, sol.x_bar, np.zeros_like(sol.x_bar), sol.v_star_bar)
+    write_solution_file(str(tmp_path / "s.json"), bundle.tree, sol)
+    write_trace_csv(str(tmp_path / "t.csv"), sol.trace)
+    unconstrained = load_problem_file(write_json(tmp_path / "u.json", unconstrained_doc())).problem
+    solve_reduced(unconstrained, SolverConfig(tol=1e-6))
+    for p in (problem, unconstrained):
+        stacks = (p.operator_stack, p.constraint_stack, p.subspace_stack)
+        assert not any("specs" in vars(stack) for stack in stacks)
 
 
 def uniform_doc(n):

@@ -981,6 +981,16 @@ def test_solve_reduced_rejects_constraints():
         solve_reduced(prob)
 
 
+def test_solve_reduced_names_the_first_constrained_scenario():
+    # the WholeSpace group comes first; the lowest constrained scenario is a Ball
+    tree = build_tree([((i,), 0.25) for i in range(4)], [2])
+    ops = (DiagonalAffine(a=[1.0, 1.0], b=[0.0, 0.0]),) * 4
+    box = Box(lo=[0.0, 0.0], hi=[1.0, 1.0])
+    cons = (WholeSpace(), Ball(center=[0.0, 0.0], radius=1.0), box, box)
+    with pytest.raises(NonTrivialConstraint, match="^scenario 1 has constraint Ball;"):
+        solve_reduced(Problem(tree, ops, cons, (Full(),) * 4))
+
+
 def test_solution_is_frozen():
     sol = solve(pair_problem(), SolverConfig(tol=1e-8))
     assert isinstance(sol, Solution)

@@ -1,8 +1,13 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
 from scensplit import build_tree, equivalence_classes
+from scensplit.operators import _frozen, number_list
+from scensplit.tree import Scenario, ScenarioTree, _json_label, check_stage_dims
 from scensplit.errors import (
     BadProbabilityMass,
     ConfigError,
@@ -176,3 +181,105 @@ def test_stage_out_of_range():
         equivalence_classes(tree, 0)
     with pytest.raises(StageOutOfRange):
         equivalence_classes(tree, 2)
+
+
+# --- bulk classes against the per-scenario reference ---
+
+def per_scenario_tree(scenarios, stage_dims):
+    """The tree of valid ``(labels, probability)`` pairs as build_tree made it scenario by scenario.
+
+    Each stage's classes come from a dict keyed by label prefix, the
+    reference for the bulk label codes of :func:`build_tree`.
+    """
+    stage_dims = check_stage_dims(stage_dims)
+    items = list(scenarios)
+    probs = number_list([p for _, p in items], lambda j, got: AssertionError(got))
+    built = [
+        Scenario(index=i, labels=_json_label(i, tuple(labels)), probability=p)
+        for i, ((labels, _), p) in enumerate(zip(items, probs.tolist()))
+    ]
+    classes, bins, bin_mass, offset = [], [], [], 0
+    for k, dim in enumerate(stage_dims):
+        groups = {}
+        for s in built:
+            groups.setdefault(s.labels[:k], []).append(s.index)
+        parts = tuple(tuple(g) for g in groups.values())
+        classes.append(parts)
+        idx = [0] * len(built)
+        for j, members in enumerate(parts):
+            for m in members:
+                idx[m] = j
+        idx = np.array(idx)
+        mass = np.array([probs[m[0]] if len(m) == 1 else probs[list(m)].sum() for m in parts])
+        bins.append(offset + idx[:, None] * dim + np.arange(dim))
+        bin_mass.append(np.repeat(mass[idx, None], dim, axis=1))
+        offset += len(parts) * dim
+    offsets = np.concatenate(([0], np.cumsum(stage_dims)))
+    return ScenarioTree(
+        scenarios=tuple(built),
+        stage_dims=stage_dims,
+        classes=tuple(classes),
+        probabilities=_frozen(probs),
+        stage_slices=tuple(slice(int(offsets[k]), int(offsets[k + 1])) for k in range(len(stage_dims))),
+        bins=_frozen(np.hstack(bins).ravel()),
+        bin_mass=_frozen(np.hstack(bin_mass).ravel()),
+        weights=_frozen(np.repeat(probs, sum(stage_dims))),
+    )
+
+
+NAN = json.loads("NaN")  # json reads every NaN as this one object
+LABELS = {
+    "strings": ["a", "b", "c", "0", "x y", ""],
+    "tuples": [(0, "a"), (1,), ("b", (2, 3)), (), (0.5, None), ("a", 0)],
+    # 0, 0.0, False and -0.0 are one label, as are 1, 1.0 and True
+    "mixed": [0, 0.0, False, -0.0, 1, 1.0, True, "a", None, NAN, (1, "x"), 2.5, -7],
+}
+
+
+def seeded_pairs(rng, labels, stages):
+    """Distinct label paths over a few labels per stage, so classes have unequal sizes."""
+    n = int(rng.integers(1, 60))
+    per_stage = [rng.choice(len(labels), size=int(rng.integers(1, len(labels) + 1)), replace=False)
+                 for _ in range(stages)]
+    paths = []
+    for _ in range(4 * n):
+        path = tuple(labels[int(rng.choice(pick))] for pick in per_stage)
+        if path not in paths:  # tuple equality: 0 and False are one label, NAN equals itself
+            paths.append(path)
+        if len(paths) == n:
+            break
+    probs = rng.uniform(0.1, 1.0, len(paths))
+    return list(zip(paths, (probs / probs.sum()).tolist()))
+
+
+@pytest.mark.parametrize("kind", sorted(LABELS))
+@pytest.mark.parametrize("stages", [1, 2, 3, 4, 5])
+def test_bulk_classes_match_the_per_scenario_reference(kind, stages):
+    rng = np.random.default_rng(100 * stages + len(kind))
+    for _ in range(12):
+        pairs = seeded_pairs(rng, LABELS[kind], stages)
+        dims = rng.integers(1, 4, stages).tolist()
+        got, want = build_tree(pairs, dims), per_scenario_tree(pairs, dims)
+        for f in dataclasses.fields(want):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if isinstance(b, np.ndarray):
+                assert a.dtype == b.dtype and a.shape == b.shape, f.name
+                assert a.flags.c_contiguous and not a.flags.writeable, f.name
+                assert a.tobytes() == b.tobytes(), f.name
+            elif f.name == "scenarios":
+                # each scenario keeps its own labels, 0.0 and False included
+                assert [(s.index, repr(s.labels), s.probability) for s in a] == [
+                    (s.index, repr(s.labels), s.probability) for s in b
+                ]
+            else:
+                assert a == b, f.name
+        assert all(type(m) is int for parts in got.classes for c in parts for m in c)
+
+
+def test_equal_labels_share_a_class():
+    pairs = [((0, "u"), 0.25), ((0.0, "v"), 0.25), ((False, "w"), 0.25), ((NAN, "x"), 0.25)]
+    tree = build_tree(pairs, [1, 1])
+    assert equivalence_classes(tree, 2) == ((0, 1, 2), (3,))
+    assert [s.labels[0] for s in tree.scenarios][:3] == [0, 0.0, False]
+    with pytest.raises(DuplicateScenario, match="scenarios 0 and 2 share labels"):
+        build_tree([((0, "u"), 0.25), ((1, "u"), 0.5), ((False, "u"), 0.25)], [1, 1])
