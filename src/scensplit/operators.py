@@ -149,7 +149,7 @@ def integers(name: str, values, least: int, below=np.inf, error=ConfigError, kin
         low, high = min(values, default=least), max(values, default=least)
     else:
         raise error(f"{name} must be {kinds}, got {values!r}")
-    if not least <= low <= high < below:
+    if len(values) and not least <= low <= high < below:
         v = next(v for v in values if not least <= v < below)
         raise error(f"{name} must be {kinds} in [{least}, {below}), got {v}")
     return values
@@ -266,7 +266,8 @@ def _cost_pack(cls, fields: dict) -> tuple:
 
 def _pack_costs(costs) -> tuple:
     """The :func:`_cost_pack` of ``costs``, one row each."""
-    return _merge([(members, _cost_pack(cls, fields)) for cls, members, fields in _spec_groups(costs)])[1]
+    parts = [(members, _cost_pack(cls, fields)) for cls, members, fields in _spec_groups(costs)]
+    return _merge(parts)[1]
 
 
 def _cost_rows(cost, x) -> np.ndarray:
@@ -824,8 +825,9 @@ def axis_mask(subspaces: Stack, dim: int) -> np.ndarray:
         mask[members] = key is Full
         if key is Coordinates:
             indices = fields["indices"]
-            flat = np.fromiter(itertools.chain.from_iterable(indices), dtype=int)
-            flat = integers("coordinate indices", flat, 0, dim, DimensionMismatch)
+            # Python ints: an index past int64 is refused, not overflowed
+            flat = list(itertools.chain.from_iterable(indices))
+            integers("coordinate indices", flat, 0, dim, DimensionMismatch)
             mask[np.repeat(members, list(map(len, indices))), flat] = True
     return _frozen(mask)
 
@@ -861,12 +863,14 @@ def broken_range_conditions(constraints: Stack, subspaces: Stack, mask) -> np.nd
 def validate_range_condition(cs: ConstraintSpec, us: SubspaceSpec) -> bool:
     """Whether the geometry guarantees that the projector moves points inside ``us``.
 
-    The test of :func:`broken_range_conditions` on one pair; an axis past
-    the set's dimension fails it.
+    The test of :func:`broken_range_conditions` on one pair.  A pair of
+    other roles, or an axis past the set's dimension, fails it unless the
+    subspace is Full or the set the whole space.
     """
-    if cs.dim is None:  # the whole space, also as RealCross's base
+    if _kind(_key(cs)) in (WholeSpace, (RealCross, WholeSpace)) or isinstance(us, Full):
         return True
-    if isinstance(us, Coordinates) and max(us.indices, default=-1) >= cs.dim:
+    indices = getattr(us, "indices", ())
+    if cs.dim is None or not isinstance(us, (Zero, Coordinates)) or max(indices, default=-1) >= cs.dim:
         return False
     subspaces = Stack([us])
     return not broken_range_conditions(Stack([cs]), subspaces, axis_mask(subspaces, cs.dim))[0]

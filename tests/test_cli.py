@@ -617,6 +617,14 @@ def test_load_errors_keep_their_order_across_groups(tmp_path, edit, error, messa
     assert str(info.value) == message
 
 
+def test_coordinate_index_beyond_int64_is_a_dimension_mismatch(tmp_path):
+    # the per-group mask must read the index as a Python int, not overflow a C long
+    doc = every_type_doc()
+    doc["subspaces"][3]["indices"] = [2**70]
+    with pytest.raises(DimensionMismatch, match=rf"^coordinate indices must be integers in \[0, 2\), got {2**70}$"):
+        load_problem_file(write_json(tmp_path / "p.json", doc))
+
+
 def test_solves_and_writers_build_no_spec_tuples(tmp_path):
     bundle = load_problem_file(write_json(tmp_path / "p.json", uniform_doc(16)))
     problem = bundle.problem

@@ -212,6 +212,8 @@ def test_project_subspace():
         project_subspace(Coordinates(indices=(3,)), [1.0, 2.0])
     with pytest.raises(ValidationError):
         Coordinates(indices=(0, 0))
+    # no indices in no dimensions: an empty point, not a StopIteration
+    assert project_subspace(Coordinates(indices=()), []).shape == (0,)
 
 
 # --- range condition catalog ---
@@ -248,6 +250,13 @@ def test_range_condition_catalog():
     assert not validate_range_condition(Ball(center=[0.0], radius=1.0), Zero())
     assert validate_range_condition(RealCross(base=WholeSpace()), Zero())
     assert not validate_range_condition(RealCross(base=Box(lo=[0.0], hi=[1.0])), Zero())
+    # an axis past the set's dimension, a set of no width, and specs of other roles
+    assert not validate_range_condition(part, Coordinates(indices=(0, 5)))
+    assert validate_range_condition(WholeSpace(), Coordinates(indices=(5,)))
+    assert validate_range_condition(Box(lo=[], hi=[]), Coordinates(indices=()))
+    assert not validate_range_condition(Full(), Zero())
+    assert not validate_range_condition(d2_box, WholeSpace())
+    assert validate_range_condition(WholeSpace(), d2_box)
 
 
 # --- prox of the positive part ---
