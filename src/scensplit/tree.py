@@ -143,8 +143,8 @@ def build_tree(scenarios, stage_dims) -> ScenarioTree:
         codes = dict(zip(dict.fromkeys(column), itertools.count()))
         keys = ids[-1] * len(codes) + np.fromiter(map(codes.__getitem__, column), np.int64, n)
         if len(codes) > 1 and ids[-1].any():  # else numbered by first appearance already
-            first = dict(zip(dict.fromkeys(keys.tolist()), itertools.count()))
-            keys = np.fromiter(map(first.__getitem__, keys.tolist()), np.int64, n)
+            numbers = dict(zip(dict.fromkeys(keys.tolist()), itertools.count()))
+            keys = np.fromiter(map(numbers.__getitem__, keys.tolist()), np.int64, n)
         ids.append(keys)
     path_ids = ids.pop()
     if path_ids.max() < n - 1:
