@@ -155,27 +155,25 @@ def integers(name: str, values, least: int, below=np.inf, error=ConfigError, kin
     return values
 
 
-def check_step(name: str, value, max_ndim: int = 0, window=None, zero: bool = False):
-    """``value`` as a step: a float, or with ``max_ndim=1`` a float or a 1-d float array.
+def check_step(name: str, value, window=None, zero: bool = False) -> float:
+    """``value`` as a step: one number, read by :func:`_number`, as a float.
 
-    Entries are read by :func:`_number`.  An entry outside ``window`` (lo, hi),
-    when one is given, raises ConfigError.  Otherwise an entry that is not
-    > 0 (>= 0 with ``zero``), NaN included, raises NonPositiveGamma for
-    ``gamma`` and ConfigError for other steps, and +inf raises ConfigError.
+    A step outside ``window`` (lo, hi), when one is given, raises
+    ConfigError.  Otherwise a step that is not > 0 (>= 0 with ``zero``), NaN
+    included, raises NonPositiveGamma for ``gamma`` and ConfigError for other
+    steps, and +inf raises ConfigError.
     """
-    kinds = "a number or a 1-d sequence of numbers" if max_ndim else "a number"
-    step = _number(name, value, max_ndim, kinds)
+    step = float(_number(name, value))
     if window is not None:
         lo, hi = window
-        bad = step[~((lo <= step) & (step <= hi))]
-        if bad.size:
-            raise ConfigError(f"{name} value {float(bad[0])} outside [{lo}, {hi}]")
-    elif not (step >= 0 if zero else step > 0).all():
+        if not lo <= step <= hi:
+            raise ConfigError(f"{name} value {step} outside [{lo}, {hi}]")
+    elif not (step >= 0 if zero else step > 0):
         error = NonPositiveGamma if name == "gamma" else ConfigError
-        raise error(f"{name} must be {'nonnegative' if zero else 'positive'}, got {step.min()}")
-    elif (step == np.inf).any():
+        raise error(f"{name} must be {'nonnegative' if zero else 'positive'}, got {step}")
+    elif step == np.inf:
         raise ConfigError(f"{name} must be finite, got inf")
-    return float(step) if step.ndim == 0 else step
+    return step
 
 
 def _root_tol(tol) -> float:
@@ -785,19 +783,16 @@ def _by_group(kernel, stack: Stack, rows, z, *columns):
     return out if more is None else (out, more)
 
 
-def resolvent_rows(stack: Stack, gamma, z, rows=None, start=None):
-    """Resolvents of the scenarios ``rows`` at the rows of z.
+def resolvent_rows(stack: Stack, gamma: float, z, rows=None, start=None):
+    """Resolvents of the scenarios ``rows`` at the rows of z, all at the step ``gamma``.
 
-    ``gamma`` is a number or one positive step per row.  The prox root
-    search of a CvarAugmented row starts at t = 0, or at its entry of
-    ``start``, a number or a (k, 1) column in [0, 1].  Given a ``start``,
-    the return value is (points, roots), the roots of the other rows being
-    their starts.
+    The prox root search of a CvarAugmented row starts at t = 0, or at its
+    entry of ``start``, a number or a (k, 1) column in [0, 1].  Given a
+    ``start``, the return value is (points, roots), the roots of the other
+    rows being their starts.
     """
     starts = step_column(0.0 if start is None else start, len(z))
-    # a float step multiplies as a column holding it does, without the broadcast
-    step = gamma if isinstance(gamma, float) else step_column(gamma, len(z))
-    out = _by_group(_resolvent_kernel, stack, rows, z, step, starts)
+    out = _by_group(_resolvent_kernel, stack, rows, z, gamma, starts)
     # an empty block of a mixed stack runs no kernel, so no pair comes back
     points, roots = out if isinstance(out, tuple) else (out, starts)
     return points if start is None else (points, roots)

@@ -13,7 +13,7 @@ import enum
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Optional, Sequence, Union, get_args
+from typing import Optional, Union, get_args
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .operators import (
     project_constraint_rows,
     require_composite,
     resolvent_rows,
-    step_column,
 )
 from .tree import ScenarioTree
 
@@ -186,33 +185,28 @@ ActivationSchedule = Union[FullActivation, RoundRobin, SeededRandom]
 # configuration, state, results
 # ---------------------------------------------------------------------------
 
-StepRule = Union[float, Sequence[float], Callable]
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Step sizes, activation schedule and stopping rules.
 
-    ``gamma`` and ``mu`` accept a number, a 1-d per-scenario sequence or a
-    callable ``(scenario, iteration) -> float``; ``lambda_rule`` accepts a
-    number or a callable ``iteration -> float``.  Numbers and integers are
-    read by the input rules of :mod:`operators`; anything else raises
-    ``ConfigError``, as do step values outside their windows: numbers and
-    sequences here, a callable's values each time it is called.
-    ``record_timing`` must be a bool (``np.bool_`` included) and
-    ``schedule`` one of the three schedules.
+    ``gamma``, ``mu`` and ``lambda_rule`` are one number each, read by the
+    step rule of :mod:`operators` and stored as a Python float: ``gamma``
+    and ``mu`` in [``epsilon``, 1/``epsilon``], ``lambda_rule`` in
+    [``epsilon``, 2 - ``epsilon``].  Anything else, a sequence or a callable
+    included, raises ``ConfigError``, as do the other numbers and integers
+    when the input rules refuse them.  ``record_timing`` must be a bool
+    (``np.bool_`` included) and ``schedule`` one of the three schedules.
     """
 
     epsilon: float = 1e-3
-    gamma: StepRule = 1.0
-    mu: StepRule = 1.0
-    lambda_rule: Union[float, Callable] = 1.0
+    gamma: float = 1.0
+    mu: float = 1.0
+    lambda_rule: float = 1.0
     schedule: ActivationSchedule = field(default_factory=FullActivation)
     tol: float = 1e-8
     max_iter: int = 100000
     trace_every: int = 1
     record_timing: bool = False
-    _steps: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < _number("epsilon", self.epsilon) < 1.0:
@@ -223,13 +217,11 @@ class SolverConfig:
                 f"got {self.schedule!r}"
             )
         _check_stopping(self.tol, self.max_iter, self.trace_every, self.record_timing)
-        lo, hi = self.epsilon, 1.0 / self.epsilon
-        steps = {
-            "gamma": _settle_step("gamma", self.gamma, lo, hi, 1),
-            "mu": _settle_step("mu", self.mu, lo, hi, 1),
-            "lambda": _settle_step("lambda", self.lambda_rule, lo, 2.0 - lo, 0),
-        }
-        object.__setattr__(self, "_steps", steps)
+        lo = self.epsilon
+        for name, hi in (("gamma", 1.0 / lo), ("mu", 1.0 / lo), ("lambda_rule", 2.0 - lo)):
+            # lambda_rule's messages say lambda, as the CLI's --lambda does
+            step = check_step(name.removesuffix("_rule"), getattr(self, name), window=(lo, hi))
+            object.__setattr__(self, name, step)
 
 
 def _check_stopping(tol: float, max_iter: int, trace_every: int, record_timing: bool):
@@ -240,41 +232,6 @@ def _check_stopping(tol: float, max_iter: int, trace_every: int, record_timing: 
     integers("trace_every", [trace_every], 1, kinds="an integer")
     if not isinstance(record_timing, (bool, np.bool_)):
         raise ConfigError(f"record_timing must be a bool, got {record_timing!r}")
-
-
-def _settle_step(name: str, rule, lo: float, hi: float, max_ndim: int) -> tuple:
-    """``(rule, lo, hi)``: a callable as is, else a float or 1-d float array in [lo, hi]."""
-    return (rule if callable(rule) else check_step(name, rule, max_ndim, (lo, hi))), lo, hi
-
-
-def _step(config: SolverConfig, name: str, n: int, rows=None):
-    """Step ``name`` of iteration n: a float, or a (k, 1) column for the k ``rows``.
-
-    Lambda (``rows`` None) is one float.  Only a callable's values are read
-    here, by ``check_step`` in the step's window; see ``SolverConfig``.  A
-    refused value is named by the callable, the iteration and the scenario.
-    """
-    rule, lo, hi = config._steps[name]
-    if not callable(rule):
-        return rule if isinstance(rule, float) else rule[rows, None]
-    if rows is None:
-        return _called(name, rule(n), f"iteration {n}", lo, hi)
-    values = [rule(int(i), n) for i in rows]
-    try:
-        return check_step(name, values, 1, (lo, hi))[:, None]
-    except ConfigError:
-        # the block's values are refused together; name the first one refused on its own
-        for i, value in zip(rows, values):
-            _called(name, value, f"iteration {n}, scenario {i}", lo, hi)
-        raise
-
-
-def _called(name: str, value, where: str, lo: float, hi: float) -> float:
-    """One value of the ``name`` callable, read by ``check_step``; a refusal names ``where``."""
-    try:
-        return check_step(name, value, 0, (lo, hi))
-    except ConfigError as e:
-        raise ConfigError(f"{e}, from the {name} callable at {where}") from None
 
 
 @dataclass
@@ -349,10 +306,6 @@ def init_state(problem: Problem, config: SolverConfig, x0=None, x0_star=None, v0
     """Feasible starting state: x in the subspace, duals in their ranges."""
     tree = problem.tree
     n, d = tree.num_scenarios, tree.total_dim
-    for name in ("gamma", "mu"):
-        rule = config._steps[name][0]
-        if isinstance(rule, np.ndarray) and rule.size != n:
-            raise ConfigError(f"{name}: got {rule.size} entries for {n} scenarios")
     x, xs, vs = (
         policy.zeros(tree) if v is None else policy.check_policy(tree, v)
         for v in (x0, x0_star, v0_star)
@@ -369,11 +322,11 @@ def init_state(problem: Problem, config: SolverConfig, x0=None, x0_star=None, v0
     return SolverState(0, stack, np.full(n, -1, dtype=int), np.zeros((n, 1)), rng)
 
 
-def scenario_update(state: SolverState, problem: Problem, scenarios, gamma, mu):
+def scenario_update(state: SolverState, problem: Problem, scenarios, gamma: float, mu: float):
     """Refresh the intermediates of a block of scenarios at the current iterate.
 
     ``scenarios`` is one index or an index array in any order; ``gamma``
-    and ``mu`` are a finite positive number or one such value per scenario.  Returns
+    and ``mu`` are one finite positive number each, for every row.  Returns
     ``op_point``, ``op_dual``, ``set_point``, ``set_dual`` and ``gap`` as
     one (5, k, d) array, one row per scenario (a (5, d) array for a single
     index); op_dual lies in the operator's graph at op_point, set_dual in
@@ -382,8 +335,7 @@ def scenario_update(state: SolverState, problem: Problem, scenarios, gamma, mu):
     many = np.ndim(scenarios)
     n = problem.tree.num_scenarios
     rows = np.asarray(integers("scenarios", scenarios if many else [scenarios], 0, n), dtype=int)
-    gamma = step_column(check_step("gamma", gamma, 1), rows.size)
-    mu = step_column(check_step("mu", mu, 1), rows.size)
+    gamma, mu = check_step("gamma", gamma), check_step("mu", mu)
     block = state.stack[:3].take(rows, axis=1)
     op_point, set_point, _ = _points(problem, *block, gamma, mu, rows)
     out = _intermediates(block, problem, rows, gamma, mu, op_point, set_point)
@@ -414,8 +366,8 @@ def _intermediates(block, problem, rows, gamma, mu, op_point, set_point, out=Non
     ``set_point``, ``set_dual = x* + (x - set_point) / mu`` and ``gap``, the
     subspace's entries of ``set_point - op_point`` (0 elsewhere), are
     written into ``out``, a (5, k, d) array, new when None, which is
-    returned.  A step that is 1.0, or a column of 1.0, is not divided by,
-    as ``v / 1.0 == v``.
+    returned.  ``gamma`` and ``mu`` are floats; one that is 1.0 is not
+    divided by, as ``v / 1.0 == v``.
     """
     x, xs, vs = block
     if out is None:
@@ -425,11 +377,11 @@ def _intermediates(block, problem, rows, gamma, mu, op_point, set_point, out=Non
     np.copyto(b, set_point)
     np.add(xs, vs, out=u)
     np.subtract(x, op_point, out=a_star)
-    if not _is_one(gamma):
+    if gamma != 1.0:
         a_star /= gamma
     a_star -= u
     np.subtract(x, set_point, out=b_star)
-    if not _is_one(mu):
+    if mu != 1.0:
         b_star /= mu
     b_star += xs  # float addition commutes, so this is x* + (x - set_point) / mu
     np.subtract(set_point, op_point, out=u)
@@ -437,10 +389,6 @@ def _intermediates(block, problem, rows, gamma, mu, op_point, set_point, out=Non
         mask = problem.subspace_mask if rows is None else problem.subspace_mask.take(rows, axis=0)
         np.copyto(u, 0.0, where=~mask)
     return out
-
-
-def _is_one(step) -> bool:
-    return step == 1.0 if isinstance(step, float) else bool((step == 1.0).all())
 
 
 def _fixed_point_sq(probabilities, x, points) -> float:
@@ -467,7 +415,7 @@ def coordination_step(state: SolverState, problem: Problem, config: SolverConfig
             + policy._inner(probs, u, xs)
             + policy._inner(probs, anti, vs)
         )
-        theta = _step(config, "lambda", state.iteration) * max(kappa, 0.0) / tau
+        theta = config.lambda_rule * max(kappa, 0.0) / tau
     else:
         kappa = 0.0
         theta = 0.0
@@ -488,20 +436,19 @@ def iterate(state: SolverState, problem: Problem, config: SolverConfig, points=N
     ``state.stack[:3]`` at full activation, else one ``take``), gets its
     points and writes its five layers: into ``state.stack[3:]`` at full
     activation, else scattered back once.  The points are ``points``, the
-    stopping test's unit-step points of every row, when all of the
-    iteration's steps are 1.0, else ``_points`` of the block at its steps.
+    stopping test's unit-step points of every row, when ``gamma`` and
+    ``mu`` are 1.0, else ``_points`` of the block at those steps.
     """
     n = state.iteration
     num = problem.tree.num_scenarios
     active = np.asarray(
         config.schedule.select(n, num, state.last_activated, state.rng), dtype=int
     )
-    gamma = _step(config, "gamma", n, active)
-    mu = _step(config, "mu", n, active)
+    gamma, mu = config.gamma, config.mu
     rows = None if active.size == num else active
     # take keeps each layer C-ordered; stack[:3, rows] interleaves the layers' rows
     block = state.stack[:3] if rows is None else state.stack[:3].take(rows, axis=1)
-    if points is None or not (_is_one(gamma) and _is_one(mu)):
+    if points is None or not (gamma == 1.0 and mu == 1.0):
         op_point, set_point, _ = _points(problem, *block, gamma, mu, rows)
     else:
         op_point, set_point = (p if rows is None else p.take(rows, axis=0) for p in points[:2])

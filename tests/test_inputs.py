@@ -69,10 +69,9 @@ def _solve(**steps):
     return solve(_pair_problem(), SolverConfig(max_iter=1, **steps))
 
 
-# entry point -> (call with a step, kind): "one" takes one number, "rows" one
-# value per row (2 here), "config" one per scenario (2 here) and "lambda" one
-# number, both windowed.  A SolverConfig step is given as one value, as a list
-# of it per scenario, or as a callable that returns it each time it is read.
+# entry point -> (call with a step, kind): "one" takes one number, "window" one
+# number in its epsilon-window, checked first, and "refused" is a form that is
+# not a number (a list or a callable of the probe), refused whatever it holds
 STEP_ENTRIES = {
     "resolvent": (lambda g: resolvent(_OP, g, [1.0]), "one"),
     "cost_prox": (lambda g: cost_prox(_COST, g, [1.0]), "one"),
@@ -82,19 +81,26 @@ STEP_ENTRIES = {
     "progressive_hedging_solve": (
         lambda g: progressive_hedging_solve(_pair_problem(), gamma=g, max_iter=1), "one"
     ),
-    "scenario_update gamma": (lambda g: _update(gamma=g), "rows"),
-    "scenario_update mu": (lambda g: _update(mu=g), "rows"),
-    "SolverConfig gamma": (lambda g: _solve(gamma=g), "config"),
-    "SolverConfig mu": (lambda g: _solve(mu=g), "config"),
-    "SolverConfig gamma list": (lambda g: _solve(gamma=[g, g]), "config"),
-    "SolverConfig mu list": (lambda g: _solve(mu=[g, g]), "config"),
-    "SolverConfig gamma callable": (lambda g: _solve(gamma=lambda i, n: g), "config"),
-    "SolverConfig mu callable": (lambda g: _solve(mu=lambda i, n: g), "config"),
-    "SolverConfig lambda": (lambda g: _solve(lambda_rule=g), "lambda"),
+    "scenario_update gamma": (lambda g: _update(gamma=g), "one"),
+    "scenario_update mu": (lambda g: _update(mu=g), "one"),
+    "SolverConfig gamma": (lambda g: _solve(gamma=g), "window"),
+    "SolverConfig mu": (lambda g: _solve(mu=g), "window"),
     # the pair problem's nonzero targets give tau > 0, so the first iteration reads lambda
-    "SolverConfig lambda callable": (lambda g: _solve(lambda_rule=lambda n: g), "lambda"),
+    "SolverConfig lambda": (lambda g: _solve(lambda_rule=g), "window"),
+    "SolverConfig gamma list": (lambda g: _solve(gamma=[g, g]), "refused"),
+    "SolverConfig mu list": (lambda g: _solve(mu=[g, g]), "refused"),
+    "SolverConfig gamma callable": (lambda g: _solve(gamma=lambda i, n: g), "refused"),
+    "SolverConfig mu callable": (lambda g: _solve(mu=lambda i, n: g), "refused"),
+    "SolverConfig lambda callable": (lambda g: _solve(lambda_rule=lambda n: g), "refused"),
 }
 NOT_NUMBERS = {"True": True, "np.True_": np.True_, "'1'": "1", "None": None, "2**1100": 2**1100}
+# sequences and one-entry arrays: every step is one number
+NOT_ONE_NUMBER = {
+    "[1.0]": [1.0],
+    "np.array([1.0])": np.array([1.0]),
+    "2 entries": [1.0, 1.0],
+    "3 entries": [1.0, 1.0, 1.0],
+}
 OUT_OF_RANGE = {"nan": np.nan, "-inf": -np.inf, "0.0": 0.0}
 # numbers in every form: a numpy float and a 0-d array, also inside a list
 NUMBERS = {"np.float64(0.5)": np.float64(0.5), "np.array(0.5)": np.array(0.5)}
@@ -102,23 +108,16 @@ NUMBERS = {"np.float64(0.5)": np.float64(0.5), "np.array(0.5)": np.array(0.5)}
 
 def _expected(entry: str, kind: str, probe: str):
     """The contract's class for a probe, None where the step is accepted."""
-    if probe in NUMBERS:
-        return None
-    if probe in NOT_NUMBERS or probe in ("+inf", "[1.0]", "np.array([1.0])", "3 entries"):
+    if kind == "refused" or probe in NOT_NUMBERS or probe in NOT_ONE_NUMBER or probe == "+inf":
         return ConfigError
-    if entry == "cost_prox" and probe == "0.0":
+    if probe in NUMBERS or (entry == "cost_prox" and probe == "0.0"):
         return None
-    gamma = entry.endswith("gamma") or kind == "one"
-    return NonPositiveGamma if gamma and kind != "config" else ConfigError
+    return NonPositiveGamma if kind == "one" and not entry.endswith("mu") else ConfigError
 
 
 def _cases():
+    probes = {**NOT_NUMBERS, **NOT_ONE_NUMBER, **OUT_OF_RANGE, "+inf": np.inf, **NUMBERS}
     for entry, (call, kind) in STEP_ENTRIES.items():
-        probes = {**NOT_NUMBERS, **OUT_OF_RANGE, "+inf": np.inf, **NUMBERS}
-        if kind in ("one", "lambda"):
-            probes.update({"[1.0]": [1.0], "np.array([1.0])": np.array([1.0])})
-        else:
-            probes["3 entries"] = [1.0, 1.0, 1.0]
         for probe, value in probes.items():
             yield pytest.param(call, value, _expected(entry, kind, probe), id=f"{entry}-{probe}")
 

@@ -95,6 +95,11 @@ BLOCKS = (
 )
 
 
+def _bits(a) -> np.ndarray:
+    # the raw float64 bit patterns: -0.0 and 0.0 differ here
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
 @pytest.fixture(scope="module")
 def problem():
     return mixed_problem(np.random.default_rng(71))
@@ -108,17 +113,18 @@ def test_groups_follow_catalog_types(problem):
         assert np.all(np.diff(members) > 0)
 
 
+# float steps of the bitwise kernel checks, the unit step among them
+STEPS = (0.2, 0.7, 1.0, 3.0)
+
+
 @pytest.mark.parametrize("rows", BLOCKS)
 def test_resolvent_rows_match_single_rows(problem, rows):
     rng = np.random.default_rng(72)
     z = 2.0 * rng.standard_normal((rows.size, D))
-    gamma = rng.uniform(0.2, 3.0, rows.size)
-    got = resolvent_rows(problem.operator_stack, gamma, z, rows)
-    want = [resolvent(problem.operators[i], g, zi) for i, g, zi in zip(rows, gamma, z)]
-    assert_array_equal(got, want)
-    # a number stands for one step on every row
-    got = resolvent_rows(problem.operator_stack, 0.7, z, rows)
-    assert_array_equal(got, [resolvent(problem.operators[i], 0.7, zi) for i, zi in zip(rows, z)])
+    for gamma in STEPS:
+        got = resolvent_rows(problem.operator_stack, gamma, z, rows)
+        want = [resolvent(problem.operators[i], gamma, zi) for i, zi in zip(rows, z)]
+        assert_array_equal(_bits(got), _bits(want))
 
 
 @pytest.mark.parametrize("rows", [None, BLOCKS[2]])
@@ -128,17 +134,21 @@ def test_resolvent_rows_hand_back_the_roots(problem, rows):
     ids = np.arange(N) if rows is None else rows
     k = ids.size
     z = 2.0 * rng.standard_normal((k, D))
-    gamma = rng.uniform(0.2, 3.0, k)
     start = rng.uniform(0.0, 1.0, (k, 1))
-    got, roots = resolvent_rows(problem.operator_stack, gamma, z, rows, start)
-    assert_allclose(got, resolvent_rows(problem.operator_stack, gamma, z, rows), rtol=0, atol=1e-12)
     risk = ids % 4 >= 2  # mixed_problem's CvarAugmented rows
-    assert_array_equal(roots[~risk], start[~risk])
-    assert np.all(roots[risk] != start[risk]) and np.all((0.0 <= roots) & (roots <= 1.0))
-    # started at its own roots, the search stays there
-    again, same = resolvent_rows(problem.operator_stack, gamma, z, rows, roots)
-    assert_allclose(same, roots, rtol=0, atol=1e-12)
-    assert_allclose(again, got, rtol=0, atol=1e-12)
+    for gamma in STEPS:
+        got, roots = resolvent_rows(problem.operator_stack, gamma, z, rows, start)
+        cold = resolvent_rows(problem.operator_stack, gamma, z, rows)
+        want = [resolvent(problem.operators[i], gamma, zi) for i, zi in zip(ids, z)]
+        assert_array_equal(_bits(cold), _bits(want))
+        assert_allclose(got, cold, rtol=0, atol=1e-12)
+        assert_array_equal(_bits(got[~risk]), _bits(cold[~risk]))
+        assert_array_equal(roots[~risk], start[~risk])
+        assert np.all(roots[risk] != start[risk]) and np.all((0.0 <= roots) & (roots <= 1.0))
+        # started at its own roots, the search stays there
+        again, same = resolvent_rows(problem.operator_stack, gamma, z, rows, roots)
+        assert_allclose(same, roots, rtol=0, atol=1e-12)
+        assert_allclose(again, got, rtol=0, atol=1e-12)
 
 
 def _risk_only(problem):
@@ -190,23 +200,23 @@ def test_cvar_rows_match_one_row_prox():
     stack = Stack(ops)
     rows = rng.permutation(len(ops))[: k - 4]
     z = 2.0 * rng.standard_normal((rows.size, D))
-    gamma = rng.uniform(0.2, 3.0, rows.size)
-    got = resolvent_rows(stack, gamma, z, rows)
-    regimes = set()
-    for i, g, zi, out in zip(rows, gamma, z, got):
-        if i >= k:
-            assert_array_equal(out, resolvent(ops[i], g, zi))
-            continue
-        y, x = prox_cvar_augmented(costs[i], alphas[i], g, zi[0], zi[1:])
-        assert_array_equal(out, np.concatenate([[y], x]))
-        tau = g / (1.0 - alphas[i])
-        if y == zi[0] - g:
-            regimes.add("below")
-        elif y == zi[0] - g + tau:
-            regimes.add("full")
-        else:
-            regimes.add("root")
-    assert regimes == {"below", "full", "root"}
+    for g in STEPS:
+        got = resolvent_rows(stack, g, z, rows)
+        regimes = set()
+        for i, zi, out in zip(rows, z, got):
+            if i >= k:
+                assert_array_equal(_bits(out), _bits(resolvent(ops[i], g, zi)))
+                continue
+            y, x = prox_cvar_augmented(costs[i], alphas[i], g, zi[0], zi[1:])
+            assert_array_equal(_bits(out), _bits(np.concatenate([[y], x])))
+            tau = g / (1.0 - alphas[i])
+            if y == zi[0] - g:
+                regimes.add("below")
+            elif y == zi[0] - g + tau:
+                regimes.add("full")
+            else:
+                regimes.add("root")
+        assert regimes == {"below", "full", "root"}, g
 
 
 @pytest.mark.parametrize("d", [1, 2, 5, 12])
@@ -267,38 +277,28 @@ def test_subspace_mask_matches_single_rows(problem):
 def _refresh_by_rows(problem, state, rows, gamma, mu):
     """The block refresh written out with the one-row functions."""
     out = []
-    for i, g, m in zip(rows, gamma, mu):
+    for i in rows:
         x, xs, vs = state.x[i], state.x_star[i], state.v_star[i]
-        a = resolvent(problem.operators[i], g, x - g * (xs + vs))
-        b = project_constraint(problem.constraints[i], x + m * xs)
+        a = resolvent(problem.operators[i], gamma, x - gamma * (xs + vs))
+        b = project_constraint(problem.constraints[i], x + mu * xs)
         gap = project_subspace(problem.subspaces[i], b - a)
-        out.append((a, (x - a) / g - (xs + vs), b, xs + (x - b) / m, gap))
+        out.append((a, (x - a) / gamma - (xs + vs), b, xs + (x - b) / mu, gap))
     return [np.array(col) for col in zip(*out)]
 
 
-@pytest.mark.parametrize("rule", ["sequence", "callable"])
-def test_block_refresh_matches_single_rows(problem, rule):
-    gammas = np.linspace(0.5, 2.0, N)
-    mus = np.linspace(1.5, 0.8, N)
-    if rule == "sequence":
-        config = SolverConfig(gamma=tuple(gammas), mu=list(mus), schedule=RoundRobin(block_size=5))
-    else:
-        config = SolverConfig(
-            gamma=lambda i, n: gammas[i] * (1.0 + 0.01 * n),
-            mu=lambda i, n: mus[i],
-            schedule=RoundRobin(block_size=5),
-        )
+@pytest.mark.parametrize("gamma, mu", [(0.5, 1.5), (1.7, 0.8), (1.0, 1.3), (0.6, 1.0)])
+def test_block_refresh_matches_single_rows(problem, gamma, mu):
+    config = SolverConfig(gamma=gamma, mu=mu, schedule=RoundRobin(block_size=5))
     rng = np.random.default_rng(77)
     x0, v0 = rng.standard_normal((2, N, D))
     state = init_state(problem, config, x0=x0, v0_star=v0)
     for _ in range(5):
         n = state.iteration
         rows = np.arange(N) if n == 0 else config.schedule.select(n, N, state.last_activated, None)
-        step = 1.0 + 0.01 * n if rule == "callable" else 1.0
-        want = _refresh_by_rows(problem, state, rows, gammas[rows] * step, mus[rows])
+        want = _refresh_by_rows(problem, state, rows, gamma, mu)
         iterate(state, problem, config)
         for name, col in zip(("op_point", "op_dual", "set_point", "set_dual", "gap"), want):
-            assert_array_equal(getattr(state, name)[rows], col)
+            assert_array_equal(_bits(getattr(state, name)[rows]), _bits(col))
 
 
 def test_scenario_update_unsorted_block(problem):
@@ -307,36 +307,11 @@ def test_scenario_update_unsorted_block(problem):
     x0, xs0, v0 = rng.standard_normal((3, N, D))
     state = init_state(problem, config, x0=x0, x0_star=xs0, v0_star=v0)
     rows = np.array([10, 3, 7, 0])
-    gamma, mu = rng.uniform(0.5, 2.0, (2, rows.size))
-    got = scenario_update(state, problem, rows, gamma, mu)
-    for col, want in zip(got, _refresh_by_rows(problem, state, rows, gamma, mu)):
-        assert_array_equal(col, want)
+    got = scenario_update(state, problem, rows, 1.4, 0.7)
+    for col, want in zip(got, _refresh_by_rows(problem, state, rows, 1.4, 0.7)):
+        assert_array_equal(_bits(col), _bits(want))
     empty = scenario_update(state, problem, np.array([], dtype=int), 1.0, 1.0)
     assert all(col.shape == (0, D) for col in empty)
-
-
-def _bits(a) -> np.ndarray:
-    # the raw float64 bit patterns: -0.0 and 0.0 differ here
-    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
-
-
-@pytest.mark.parametrize("rows", [None, BLOCKS[2]], ids=["all", "unsorted"])
-@pytest.mark.parametrize("gamma", [1.0, 0.7, 1.3])
-def test_float_step_matches_a_column_of_it_bitwise(problem, rows, gamma):
-    # a float step and a (k, 1) column holding it give the same points and roots
-    rng = np.random.default_rng(81)
-    k = N if rows is None else rows.size
-    z = 2.0 * rng.standard_normal((k, D))
-    column = np.full((k, 1), gamma)
-    ops = problem.operator_stack
-    assert_array_equal(
-        _bits(resolvent_rows(ops, gamma, z, rows)), _bits(resolvent_rows(ops, column, z, rows))
-    )
-    start = rng.uniform(0.0, 1.0, (k, 1))
-    got = resolvent_rows(ops, gamma, z, rows, start)
-    want = resolvent_rows(ops, column, z, rows, start)
-    for a, b in zip(got, want):
-        assert_array_equal(_bits(a), _bits(b))
 
 
 def test_box_kernel_matches_np_clip_bitwise():
