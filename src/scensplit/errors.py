@@ -41,10 +41,6 @@ class NonPositiveGamma(ScensplitError):
     pass
 
 
-class ToleranceError(ScensplitError):
-    pass
-
-
 class BadAlpha(ScensplitError):
     pass
 

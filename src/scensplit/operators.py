@@ -30,13 +30,14 @@ from .errors import (
     ConfigError,
     DimensionMismatch,
     NonPositiveGamma,
-    ToleranceError,
     UnsupportedComposite,
     ValidationError,
 )
 
 # sentinel for an unbounded box side; clamping against it is a no-op
 UNBOUNDED = float(np.finfo(np.float64).max)
+# the prox root search stops once a Newton step is no larger than this
+ROOT_TOL = 1e-12
 
 
 _setfield = object.__setattr__
@@ -176,14 +177,6 @@ def check_step(name: str, value, window=None, zero: bool = False) -> float:
     return step
 
 
-def _root_tol(tol) -> float:
-    """``tol`` as a float, once it is a number (ConfigError) > 0 (ToleranceError)."""
-    tol = float(_number("tol", tol))
-    if not tol > 0:
-        raise ToleranceError(f"root tolerance {tol} must be positive")
-    return tol
-
-
 def check_alpha(alpha) -> float:
     """alpha as a float, once it is a number (ConfigError) in (0, 1) (BadAlpha)."""
     alpha = float(_number("alpha", alpha))
@@ -275,14 +268,16 @@ def _cost_rows(cost, x) -> np.ndarray:
 
 
 def cost_value(f: CostSpec, x) -> float:
-    return float(_cost_rows(_pack_costs([f]), _checked(f, x)[None])[0, 0])
+    x = _checked(f, x, CostSpec, "f")
+    return float(_cost_rows(_pack_costs([f]), x[None])[0, 0])
 
 
 def cost_prox(f: CostSpec, gamma: float, x) -> np.ndarray:
     """argmin_p gamma*f(p) + 0.5*||p - x||^2; gamma = 0 gives x back."""
     gamma = check_step("gamma", gamma, zero=True)
+    x = _checked(f, x, CostSpec, "f")
     q, *_, b, _ = _pack_costs([f])
-    return _resolvent_kernel(DiagonalAffine, (q, b), _checked(f, x)[None], gamma)[0][0]
+    return _resolvent_kernel(DiagonalAffine, (q, b), x[None], gamma)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +542,9 @@ def specs_of(groups) -> tuple:
 #
 # Each kernel takes a group kind, the stacked coefficients of the group's
 # rows and a (k, d) block of points, one row per member.  Vectors stack
-# into (k, d) arrays, scalars into (k, 1) columns; a step size is a float
-# or such a column.
+# into (k, d) arrays, scalars into (k, 1) columns.  A step size is a
+# float; inside the CVaR root search it is such a column, which numpy
+# broadcasts the same way.
 
 def _key(spec):
     """A spec's class; for a RealCross or CvarAugmented, (that class, key of what it wraps)."""
@@ -598,21 +594,6 @@ def _spec_groups(specs) -> list:
     return [(key, np.array(m), _fields(key, [specs[i] for i in m])) for key, m in by_key.items()]
 
 
-def step_column(value, rows: int) -> np.ndarray:
-    """A number or one value per row, as a (rows, 1) float column.
-
-    One value per row comes back as a (rows, 1) view of ``value`` when it
-    is a float array already, a single value as a new column filled with it.
-    Callers read the column and never write to it.
-    """
-    column = np.asarray(value, dtype=float).reshape(-1, 1)
-    if len(column) == rows:
-        return column
-    if len(column) != 1:
-        raise ConfigError(f"got {len(column)} step values for {rows} rows")
-    return np.full((rows, 1), column[0, 0])
-
-
 def _coef(key, fields) -> tuple:
     """The coefficient rows of a class group, as the kernel of its group reads them."""
     if isinstance(key, tuple):
@@ -639,10 +620,10 @@ def _merge(parts) -> tuple:
     return members[order], tuple(np.concatenate(c)[order] for c in columns)
 
 
-def _resolvent_kernel(kind, coef, z, gamma, start=0.0, tol=1e-12):
+def _resolvent_kernel(kind, coef, z, gamma, start=0.0):
     """Resolvent points of the rows and their CVaR prox roots, as a pair.
 
-    Each CvarAugmented row's root search starts at ``start``, a number or a
+    Each CvarAugmented row's root search starts at its entry of ``start``, a
     (k, 1) column in [0, 1]; the other rows hand their start back as root.
     """
     if kind is DiagonalAffine:
@@ -654,7 +635,7 @@ def _resolvent_kernel(kind, coef, z, gamma, start=0.0, tol=1e-12):
         alpha, *cost = coef
         tau = gamma / (1.0 - alpha)
         shift = z[:, :1] - gamma
-        t, p = _prox_root(cost, z[:, 1:], tau, shift, tau, tol, start)
+        t, p = _prox_root(cost, z[:, 1:], tau, shift, tau, ROOT_TOL, start)
         return np.concatenate([shift + t * tau, p], axis=1), t
     raise TypeError(f"unknown operator spec {_kind_name(kind)}")
 
@@ -741,37 +722,28 @@ class Stack:
         """The spec tuple, built from ``sources`` when first read."""
         return specs_of(self.sources)
 
-    def parts(self, rows=None):
-        """Yield ``(kind, pos, coef)`` for each group that ``rows`` touches.
-
-        ``rows`` holds scenario indices in any order, None meaning all of
-        them in order; ``pos`` picks the group's entries out of it and
-        ``coef`` has one coefficient row per picked entry.
-        """
-        if rows is None:
-            yield from self.groups
-        else:
-            group = self.group_of[rows]
-            for g, (kind, _, coef) in enumerate(self.groups):
-                pos = np.flatnonzero(group == g)
-                if pos.size:
-                    yield kind, pos, _take(coef, self.slot_of[rows[pos]])
-
 
 def _by_group(kernel, stack: Stack, rows, z, *columns):
     """Run ``kernel`` on each group's rows of z and of the per-row columns.
 
-    A kernel may return a pair, its rows and one more per-row block; both
-    are then assembled in the order of z's rows.  A stack of one group
-    hands z and the columns to its kernel whole; a float column (one value
-    for every row) goes whole to every group.
+    ``rows`` holds the scenarios of z's rows in any order, None meaning all
+    of them in order.  A kernel may return a pair, its rows and one more
+    per-row block; both are then assembled in the order of z's rows.  A
+    stack of one group hands z and the columns to its kernel whole; a float
+    goes whole to every group.
     """
     z = np.asarray(z, dtype=float)
     if len(stack.groups) == 1:
         kind, _, coef = stack.groups[0]
         return kernel(kind, _take(coef, rows), z, *columns)
     out, more = np.empty_like(z), None
-    for kind, pos, coef in stack.parts(rows):
+    group = None if rows is None else stack.group_of[rows]
+    for g, (kind, pos, coef) in enumerate(stack.groups):
+        if rows is not None:
+            pos = np.flatnonzero(group == g)
+            if not pos.size:
+                continue
+            coef = _take(coef, stack.slot_of[rows[pos]])
         picked = (c if isinstance(c, float) else c.take(pos, axis=0) for c in columns)
         part = kernel(kind, coef, z.take(pos, axis=0), *picked)
         if isinstance(part, tuple):
@@ -783,19 +755,17 @@ def _by_group(kernel, stack: Stack, rows, z, *columns):
     return out if more is None else (out, more)
 
 
-def resolvent_rows(stack: Stack, gamma: float, z, rows=None, start=None):
+def resolvent_rows(stack: Stack, gamma: float, z, rows=None, start=0.0) -> tuple:
     """Resolvents of the scenarios ``rows`` at the rows of z, all at the step ``gamma``.
 
-    The prox root search of a CvarAugmented row starts at t = 0, or at its
-    entry of ``start``, a number or a (k, 1) column in [0, 1].  Given a
-    ``start``, the return value is (points, roots), the roots of the other
-    rows being their starts.
+    Returns (points, roots).  The prox root search of a CvarAugmented row
+    starts at its entry of ``start``, a number or a (k, 1) column in
+    [0, 1]; the roots of the other rows are their starts.
     """
-    starts = step_column(0.0 if start is None else start, len(z))
+    starts = start if isinstance(start, np.ndarray) else np.full((len(z), 1), float(start))
     out = _by_group(_resolvent_kernel, stack, rows, z, gamma, starts)
     # an empty block of a mixed stack runs no kernel, so no pair comes back
-    points, roots = out if isinstance(out, tuple) else (out, starts)
-    return points if start is None else (points, roots)
+    return out if isinstance(out, tuple) else (out, starts)
 
 
 def forward_rows(stack: Stack, x, rows=None) -> np.ndarray:
@@ -871,25 +841,22 @@ def validate_range_condition(cs: ConstraintSpec, us: SubspaceSpec) -> bool:
     return not broken_range_conditions(Stack([cs]), subspaces, axis_mask(subspaces, cs.dim))[0]
 
 
-def _one_row(kernel, spec, z, *args) -> np.ndarray:
-    [(kind, _, coef)] = Stack([spec]).groups
-    out = kernel(kind, coef, z[None], *args)
-    return (out[0] if isinstance(out, tuple) else out)[0]
-
-
 def apply_operator(op: OperatorSpec, x) -> np.ndarray:
     """Forward evaluation, defined for the single-valued catalog entries."""
-    return _one_row(_forward_kernel, op, _checked(op, x))
+    x = _checked(op, x, Union[DiagonalAffine, GradSeparableQuadratic], "op")
+    return forward_rows(Stack([op]), x[None])[0]
 
 
 def resolvent(op: OperatorSpec, gamma: float, z) -> np.ndarray:
     """Solve p + gamma*A(p) = z for the catalog operator A."""
     gamma = check_step("gamma", gamma)
-    return _one_row(_resolvent_kernel, op, _checked(op, z), gamma)
+    z = _checked(op, z, OperatorSpec, "op")
+    return resolvent_rows(Stack([op]), gamma, z[None])[0][0]
 
 
-def _checked(spec, z) -> np.ndarray:
-    """z as a float array, once it holds numbers and its size fits the spec."""
+def _checked(spec, z, role, name: str) -> np.ndarray:
+    """z as a float array, once ``spec`` (named ``name``) is a ``role`` and z holds numbers that fit it."""
+    check_roles((spec,), role, name)
     z = _number("point", z, np.inf, "an array of numbers")
     if spec.dim is not None and z.size != spec.dim:
         raise DimensionMismatch(f"{type(spec).__name__} expects dim {spec.dim}, got {z.size}")
@@ -900,12 +867,12 @@ def _checked(spec, z) -> np.ndarray:
 
 def project_constraint(cs: ConstraintSpec, z) -> np.ndarray:
     """Euclidean projection onto the constraint set."""
-    return _one_row(_project_kernel, cs, _checked(cs, z))
+    return project_constraint_rows(Stack([cs]), _checked(cs, z, ConstraintSpec, "cs")[None])[0]
 
 
 def project_subspace(us: SubspaceSpec, z) -> np.ndarray:
     """Orthogonal projection onto the activation subspace."""
-    z = _number("point", z, np.inf, "an array of numbers")
+    z = _checked(us, z, SubspaceSpec, "us")
     return np.where(axis_mask(Stack([us]), z.size)[0], z, 0.0)
 
 
@@ -913,7 +880,7 @@ def project_subspace(us: SubspaceSpec, z) -> np.ndarray:
 # proximity operators for the risk-averse pipeline
 # ---------------------------------------------------------------------------
 
-def _prox_root(cost, x, scale, shift, slope, tol, start=0.0):
+def _prox_root(cost, x, scale, shift, slope, tol=ROOT_TOL, start=0.0):
     """Root t in [0, 1] of h(t) = f(prox_{t*scale*f} x) - shift - t*slope, per row.
 
     ``cost`` is a :func:`_pack_costs` pack.  With a = q, b = l - q*c and
@@ -929,12 +896,13 @@ def _prox_root(cost, x, scale, shift, slope, tol, start=0.0):
     step while |step| > ``tol``, after a later one while step > ``tol`` (from
     the left, a step back is roundoff around the root, where |step| could
     oscillate), and only while its t moved, 200 steps at most; a linear row
-    (a = 0) stops after its first, exact step.  ``scale``, ``shift``,
-    ``slope`` and ``start`` are numbers or (k, 1) columns.  Returns t and the
-    prox points at t.
+    (a = 0) stops after its first, exact step.  ``scale``, ``shift`` and
+    ``slope`` are numbers or (k, 1) columns, which numpy broadcasts;
+    ``start``, a number or a (k, 1) column, becomes the column t.  Returns
+    t and the prox points at t.
     """
     q, *_, b, curved = cost
-    scale, shift, slope, t = (step_column(v, len(x)) for v in (scale, shift, slope, start))
+    t = start if isinstance(start, np.ndarray) else np.full((len(x), 1), float(start))
     live, gx = np.ones_like(t, dtype=bool), q * x + b
     for i in range(200):
         ts = t * scale
@@ -950,20 +918,18 @@ def _prox_root(cost, x, scale, shift, slope, tol, start=0.0):
     return t, _resolvent_kernel(DiagonalAffine, (q, b), x, t * scale)[0]
 
 
-def prox_max_nonneg(f: CostSpec, gamma: float, x, tol: float = 1e-12) -> np.ndarray:
+def prox_max_nonneg(f: CostSpec, gamma: float, x) -> np.ndarray:
     """Prox of ``gamma * max{f(.), 0}`` for a catalog cost f.
 
     x itself where f(x) < 0, else the prox of gamma*f where f stays positive
     there, else the prox of theta*gamma*f for the theta at which f vanishes.
     """
     gamma = check_step("gamma", gamma)
-    tol = _root_tol(tol)
-    return _prox_root(_pack_costs([f]), _checked(f, x)[None], gamma, 0.0, 0.0, tol)[1][0]
+    x = _checked(f, x, CostSpec, "f")
+    return _prox_root(_pack_costs([f]), x[None], gamma, 0.0, 0.0)[1][0]
 
 
-def prox_cvar_augmented(
-    f: CostSpec, alpha: float, gamma: float, y: float, x, tol: float = 1e-12
-):
+def prox_cvar_augmented(f: CostSpec, alpha: float, gamma: float, y: float, x):
     """Prox of gamma * [y + max{f(x) - y, 0} / (1 - alpha)] at (y, x).
 
     Returns the pair (threshold, decisions): with tau = gamma/(1 - alpha),
@@ -973,9 +939,8 @@ def prox_cvar_augmented(
     """
     op = CvarAugmented(f=f, alpha=alpha)
     gamma = check_step("gamma", gamma)
-    tol = _root_tol(tol)
-    z = np.concatenate(([float(_number("y", y))], _checked(f, x)))
-    out = _one_row(_resolvent_kernel, op, z, gamma, 0.0, tol)
+    z = np.concatenate(([float(_number("y", y))], _checked(f, x, CostSpec, "f")))
+    out = resolvent_rows(Stack([op]), gamma, z[None])[0][0]
     return float(out[0]), out[1:]
 
 

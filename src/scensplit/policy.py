@@ -68,7 +68,8 @@ def project_nonanticipative_complement(tree: ScenarioTree, x) -> np.ndarray:
 
 
 def is_nonanticipative(tree: ScenarioTree, x, tol: float = 1e-12) -> bool:
-    """True when x is within ``tol * (1 + ||x||)`` of its projection."""
+    """True when x is within ``tol * (1 + ||x||)`` of its projection; ``tol`` is a number (ConfigError)."""
+    tol = float(_number("tol", tol))
     x = check_policy(tree, x)
     gap = norm(tree, x - project_nonanticipative(tree, x))
     return gap <= tol * (1.0 + norm(tree, x))

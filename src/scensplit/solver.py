@@ -612,7 +612,7 @@ def progressive_hedging_solve(
         return recorder.solution(x, vs, _status(residual, tol, 0, 0), 0, residual)
     n = 0
     while True:
-        sub = project_constraint_rows(cons, resolvent_rows(ops, gamma, x - gamma * vs))
+        sub = project_constraint_rows(cons, resolvent_rows(ops, gamma, x - gamma * vs)[0])
         implied = (x - sub) / gamma - vs - forward_rows(ops, sub)
         x = policy.project_nonanticipative(tree, sub)
         vs = vs + policy.project_nonanticipative_complement(tree, sub) / gamma

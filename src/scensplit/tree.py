@@ -23,7 +23,7 @@ from .errors import (
     StageOutOfRange,
     ValidationError,
 )
-from .operators import _frozen, integers, number_list
+from .operators import _frozen, _is_integer, integers, number_list
 
 # total probability mass must match 1 within this tolerance
 MASS_TOL = 1e-12
@@ -197,7 +197,9 @@ def build_tree(scenarios, stage_dims) -> ScenarioTree:
 
 
 def equivalence_classes(tree: ScenarioTree, stage: int):
-    """Return the information partition at a 1-based decision stage."""
+    """Return the information partition at a 1-based decision stage, an integer (ConfigError)."""
+    if not _is_integer(stage):
+        raise ConfigError(f"stage must be an integer, got {stage!r}")
     if not 1 <= stage <= tree.num_stages:
         raise StageOutOfRange(f"stage {stage} outside 1..{tree.num_stages}")
     return tree.classes[stage - 1]

@@ -5,11 +5,12 @@
 | not a number (str, None, bool, complex, ragged, sequence | ConfigError       |
 | where one number is wanted), integer beyond float range  | (problem files:   |
 |                                                          | ValidationError)  |
+| not an integer where one is wanted (a stage)             | ConfigError       |
 | gamma <= 0 or NaN (cost_prox accepts gamma = 0)          | NonPositiveGamma  |
 | mu <= 0 or NaN, any step of +inf                         | ConfigError       |
 | a SolverConfig step outside its [epsilon, 1/epsilon]     | ConfigError       |
 | alpha outside (0, 1)                                     | BadAlpha          |
-| root tol not > 0                                         | ToleranceError    |
+| a spec of another role at a one-row function            | ValidationError   |
 """
 import json
 import warnings
@@ -18,21 +19,27 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from scensplit import policy
 from scensplit.cli import load_problem_file, main
-from scensplit.errors import ConfigError, NonPositiveGamma, ValidationError
+from scensplit.errors import BadAlpha, ConfigError, NonPositiveGamma, ValidationError
 from scensplit.operators import (
     Affine,
     Box,
     Coordinates,
+    CvarAugmented,
     DiagonalAffine,
+    Full,
     GradSeparableQuadratic,
     Halfspace,
     Hyperplane,
     SeparableQuadratic,
     WholeSpace,
+    apply_operator,
     composite_resolvent,
     cost_prox,
+    cost_value,
     project_constraint,
+    project_subspace,
     prox_cvar_augmented,
     prox_max_nonneg,
     resolvent,
@@ -213,15 +220,52 @@ def test_points_that_are_not_numbers_are_refused(call):
         call()
 
 
-@pytest.mark.parametrize("tol", ["1", None, [1e-12]])
-def test_root_tolerance_that_is_not_a_number_is_refused(tol):
-    # a string used to reach a raw comparison and raise TypeError
-    for call in (
-        lambda: prox_max_nonneg(_COST, 1.0, [1.0], tol=tol),
-        lambda: prox_cvar_augmented(_COST, 0.5, 1.0, 0.0, [1.0], tol=tol),
-    ):
-        with pytest.raises(ConfigError, match="tol must be a number"):
-            call()
+@pytest.mark.parametrize("tol", [True, np.True_, "1", None, [1e-3]])
+def test_nonanticipativity_tolerance_is_a_number(tol):
+    # True used to be read as 1, the others to raise a raw TypeError
+    tree = _pair_problem().tree
+    with pytest.raises(ConfigError, match="tol must be a number"):
+        policy.is_nonanticipative(tree, np.zeros((2, 2)), tol)
+    assert policy.is_nonanticipative(tree, np.zeros((2, 2)), np.float32(1e-3))
+
+
+# --- specs of another role at the one-row functions ---
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: resolvent(_BOX, 1.0, [1.0]),
+        lambda: resolvent("x", 1.0, [1.0]),
+        lambda: apply_operator(CvarAugmented(f=_COST, alpha=0.5), [0.0, 1.0]),
+        lambda: apply_operator(_BOX, [1.0]),
+        lambda: cost_value(_BOX, [1.0]),
+        lambda: cost_prox(_OP, 1.0, [1.0]),
+        lambda: prox_max_nonneg(_BOX, 1.0, [1.0]),
+        lambda: prox_cvar_augmented(_BOX, 0.5, 1.0, 0.0, [1.0]),
+        lambda: project_constraint(Full(), [1.0]),
+        lambda: project_constraint(None, [1.0]),
+        lambda: project_subspace(_BOX, [1.0]),
+    ],
+    ids=[
+        "resolvent-Box", "resolvent-str", "apply_operator-CvarAugmented", "apply_operator-Box",
+        "cost_value", "cost_prox", "prox_max_nonneg", "prox_cvar_augmented",
+        "project_constraint-Full", "project_constraint-None", "project_subspace",
+    ],
+)
+def test_a_spec_of_another_role_is_refused(call):
+    # these used to raise a raw TypeError or AttributeError
+    with pytest.raises(ValidationError, match="must be one of"):
+        call()
+
+
+def test_role_checks_come_after_the_step_checks():
+    with pytest.raises(NonPositiveGamma):
+        resolvent(_BOX, 0.0, [1.0])
+    with pytest.raises(ConfigError, match="gamma must be a number"):
+        prox_max_nonneg(_BOX, "1", [1.0])
+    with pytest.raises(BadAlpha):
+        prox_cvar_augmented(_COST, 1.5, 1.0, 0.0, [1.0])
 
 
 # --- a normal whose squared norm overflows ---

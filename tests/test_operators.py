@@ -10,7 +10,6 @@ from scensplit.errors import (
     ConfigError,
     DimensionMismatch,
     NonPositiveGamma,
-    ToleranceError,
     UnsupportedComposite,
     ValidationError,
 )
@@ -361,12 +360,8 @@ def test_prox_max_nonneg_errors():
     f = Affine(c=[1.0])
     with pytest.raises(NonPositiveGamma):
         prox_max_nonneg(f, 0.0, [1.0])
-    with pytest.raises(ToleranceError):
-        prox_max_nonneg(f, 1.0, [1.0], tol=0.0)
     with pytest.raises(NonPositiveGamma):
         prox_max_nonneg(f, float("nan"), [1.0])
-    with pytest.raises(ToleranceError):
-        prox_max_nonneg(f, 1.0, [1.0], tol=float("nan"))
     with pytest.raises(DimensionMismatch):
         prox_max_nonneg(f, 1.0, [1.0, 2.0])
 
@@ -444,12 +439,8 @@ def test_prox_cvar_errors():
         prox_cvar_augmented(f, 1.0, 1.0, 0.0, [0.0])
     with pytest.raises(NonPositiveGamma):
         prox_cvar_augmented(f, 0.5, -1.0, 0.0, [0.0])
-    with pytest.raises(ToleranceError):
-        prox_cvar_augmented(f, 0.5, 1.0, 0.0, [0.0], tol=-1.0)
     with pytest.raises(NonPositiveGamma):
         prox_cvar_augmented(f, 0.5, float("nan"), 0.0, [0.0])
-    with pytest.raises(ToleranceError):
-        prox_cvar_augmented(f, 0.5, 1.0, 0.0, [0.0], tol=float("nan"))
     with pytest.raises(BadAlpha):
         prox_cvar_augmented(f, float("nan"), 1.0, 0.0, [0.0])
     with pytest.raises(DimensionMismatch):
@@ -501,6 +492,12 @@ def test_composite_resolvent_unsupported():
             1.0,
             [0.0, 0.0],
         )
+    # a spec of another role is an unsupported pair too
+    box = Box(lo=[0.0], hi=[1.0])
+    with pytest.raises(UnsupportedComposite):
+        composite_resolvent(box, box, 1.0, [2.0])
+    with pytest.raises(UnsupportedComposite):
+        composite_resolvent(op, Full(), 1.0, [2.0])
 
 
 # --- non-finite data ---
@@ -778,23 +775,6 @@ def test_root_keeps_the_reference_bits(start):
         assert t.shape == want_t.shape == (k, 1) and p.shape == want_p.shape == (k, d)
         assert_array_equal(_bits(t), _bits(want_t))
         assert_array_equal(_bits(p), _bits(want_p))
-
-
-_PER_ROW = [0.5, 1.0, 1.5, 2.0, 2.5]
-
-
-@pytest.mark.parametrize(
-    "value",
-    [0.5, 2, np.float32(0.25), np.array(1.5), np.array([0.75]), _PER_ROW, np.array(_PER_ROW),
-     np.array(_PER_ROW).reshape(-1, 1)],
-)
-def test_step_column_is_a_column_of_the_values(value):
-    k = len(_PER_ROW)
-    column = operators.step_column(value, k)
-    assert column.shape == (k, 1) and column.dtype == np.float64
-    assert_array_equal(column, np.broadcast_to(np.reshape(np.asarray(value, float), (-1, 1)), (k, 1)))
-    with pytest.raises(ConfigError, match="step values for"):
-        operators.step_column(np.ones(k + 1), k)
 
 
 # --- catalog guards ---

@@ -122,7 +122,7 @@ def test_resolvent_rows_match_single_rows(problem, rows):
     rng = np.random.default_rng(72)
     z = 2.0 * rng.standard_normal((rows.size, D))
     for gamma in STEPS:
-        got = resolvent_rows(problem.operator_stack, gamma, z, rows)
+        got = resolvent_rows(problem.operator_stack, gamma, z, rows)[0]
         want = [resolvent(problem.operators[i], gamma, zi) for i, zi in zip(rows, z)]
         assert_array_equal(_bits(got), _bits(want))
 
@@ -138,7 +138,7 @@ def test_resolvent_rows_hand_back_the_roots(problem, rows):
     risk = ids % 4 >= 2  # mixed_problem's CvarAugmented rows
     for gamma in STEPS:
         got, roots = resolvent_rows(problem.operator_stack, gamma, z, rows, start)
-        cold = resolvent_rows(problem.operator_stack, gamma, z, rows)
+        cold = resolvent_rows(problem.operator_stack, gamma, z, rows)[0]
         want = [resolvent(problem.operators[i], gamma, zi) for i, zi in zip(ids, z)]
         assert_array_equal(_bits(cold), _bits(want))
         assert_allclose(got, cold, rtol=0, atol=1e-12)
@@ -201,7 +201,7 @@ def test_cvar_rows_match_one_row_prox():
     rows = rng.permutation(len(ops))[: k - 4]
     z = 2.0 * rng.standard_normal((rows.size, D))
     for g in STEPS:
-        got = resolvent_rows(stack, g, z, rows)
+        got = resolvent_rows(stack, g, z, rows)[0]
         regimes = set()
         for i, zi, out in zip(rows, z, got):
             if i >= k:

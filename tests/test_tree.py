@@ -183,6 +183,15 @@ def test_stage_out_of_range():
         equivalence_classes(tree, 2)
 
 
+@pytest.mark.parametrize("stage", [True, 1.0, np.float64(1.0), "1", None])
+def test_stage_that_is_not_an_integer_is_refused(stage):
+    # True used to be read as stage 1, the others to raise a raw TypeError
+    tree = build_tree([(("a",), 1.0)], [1])
+    with pytest.raises(ConfigError, match="stage must be an integer"):
+        equivalence_classes(tree, stage)
+    assert equivalence_classes(tree, np.int64(1)) == ((0,),)
+
+
 # --- bulk classes against the per-scenario reference ---
 
 def per_scenario_tree(scenarios, stage_dims):
