@@ -41,7 +41,7 @@ TRACE_HEADER = ["n", "residual", "kappa", "tau", "theta", "active_block_size", "
 
 @dataclass(frozen=True)
 class ProblemBundle:
-    """Parsed problem file: equilibrium form, risk form, or both views."""
+    """Parsed problem file: the tree and either ``problem`` or ``cvar``, never both."""
 
     tree: ScenarioTree
     problem: Optional[Problem]
@@ -407,7 +407,6 @@ def _config(args: argparse.Namespace, num_scenarios: int) -> SolverConfig:
     else:
         schedule = FullActivation()
     return SolverConfig(
-        epsilon=args.epsilon,
         gamma=args.gamma,
         mu=args.mu,
         lambda_rule=args.lambda_,
@@ -504,7 +503,6 @@ def _add_solver_flags(p: argparse.ArgumentParser, with_method: bool):
     p.add_argument("--block-size", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cover-window", type=int, default=None)
-    p.add_argument("--epsilon", type=float, default=1e-3)
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--mu", type=float, default=1.0)
     p.add_argument("--lambda", dest="lambda_", type=float, default=1.0)

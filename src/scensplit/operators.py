@@ -156,20 +156,15 @@ def integers(name: str, values, least: int, below=np.inf, error=ConfigError, kin
     return values
 
 
-def check_step(name: str, value, window=None, zero: bool = False) -> float:
+def check_step(name: str, value, zero: bool = False) -> float:
     """``value`` as a step: one number, read by :func:`_number`, as a float.
 
-    A step outside ``window`` (lo, hi), when one is given, raises
-    ConfigError.  Otherwise a step that is not > 0 (>= 0 with ``zero``), NaN
-    included, raises NonPositiveGamma for ``gamma`` and ConfigError for other
-    steps, and +inf raises ConfigError.
+    A step that is not > 0 (>= 0 with ``zero``), NaN included, raises
+    NonPositiveGamma for ``gamma`` and ConfigError for other steps, and
+    +inf raises ConfigError.
     """
     step = float(_number(name, value))
-    if window is not None:
-        lo, hi = window
-        if not lo <= step <= hi:
-            raise ConfigError(f"{name} value {step} outside [{lo}, {hi}]")
-    elif not (step >= 0 if zero else step > 0):
+    if not (step >= 0 if zero else step > 0):
         error = NonPositiveGamma if name == "gamma" else ConfigError
         raise error(f"{name} must be {'nonnegative' if zero else 'positive'}, got {step}")
     elif step == np.inf:

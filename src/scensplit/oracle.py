@@ -126,8 +126,8 @@ def oracle_prox_grid(f, gamma: float, x: float, grid: GridSpec, positive_part: b
     """Grid minimizer of gamma*max{f,0} + 0.5(.-x)^2 (or gamma*f + ...); ``x`` is a number."""
     gamma = check_step("gamma", gamma)
     x = float(_number("x", x))
-    if f.dim != 1 or grid.dim != 1:
-        raise UnsupportedInstance("the prox oracle handles one-dimensional costs")
+    if not isinstance(f, (Affine, SeparableQuadratic)) or f.dim != 1 or grid.dim != 1:
+        raise UnsupportedInstance("the prox oracle handles one-dimensional catalog costs")
 
     def objective(axes):
         pts = _mesh_rows(axes)
@@ -148,8 +148,8 @@ def oracle_prox_cvar_grid(f, alpha: float, gamma: float, y: float, x: float, gri
     alpha, y, x = (float(_number(name, v)) for name, v in (("alpha", alpha), ("y", y), ("x", x)))
     if not 0.0 < alpha < 1.0:
         raise UnsupportedInstance(f"alpha must lie in (0, 1), got {alpha}")
-    if f.dim != 1 or grid.dim != 2:
-        raise UnsupportedInstance("the augmented prox oracle is two-dimensional")
+    if not isinstance(f, (Affine, SeparableQuadratic)) or f.dim != 1 or grid.dim != 2:
+        raise UnsupportedInstance("the augmented prox oracle takes a 1-d catalog cost, a 2-d grid")
     scale = 1.0 / (1.0 - alpha)
 
     def objective(thr, dec, fv):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import ConfigError, ShapeMismatch
 from .operators import _number
 from .tree import ScenarioTree
 
@@ -68,8 +68,10 @@ def project_nonanticipative_complement(tree: ScenarioTree, x) -> np.ndarray:
 
 
 def is_nonanticipative(tree: ScenarioTree, x, tol: float = 1e-12) -> bool:
-    """True when x is within ``tol * (1 + ||x||)`` of its projection; ``tol`` is a number (ConfigError)."""
+    """True when x is within ``tol * (1 + ||x||)`` of its projection; ``tol`` >= 0 (ConfigError)."""
     tol = float(_number("tol", tol))
+    if not tol >= 0:
+        raise ConfigError(f"tol must be nonnegative, got {tol}")
     x = check_policy(tree, x)
     gap = norm(tree, x - project_nonanticipative(tree, x))
     return gap <= tol * (1.0 + norm(tree, x))

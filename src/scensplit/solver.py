@@ -114,9 +114,6 @@ def make_problem(tree, operators, constraints=None, subspaces=None) -> Problem:
 class FullActivation:
     """Every scenario, every iteration, the first sweep (n = 0) included."""
 
-    def cover_window(self, num_scenarios: int) -> int:
-        return 0
-
     def select(self, n, num_scenarios, last_activated, rng) -> np.ndarray:
         return np.arange(num_scenarios)
 
@@ -132,9 +129,6 @@ class RoundRobin:
 
     def __post_init__(self):
         integers("block_size", [self.block_size], 1, kinds="an integer")
-
-    def cover_window(self, num_scenarios: int) -> int:
-        return math.ceil(num_scenarios / self.block_size) - 1
 
     def select(self, n, num_scenarios, last_activated, rng) -> np.ndarray:
         if n == 0:
@@ -190,15 +184,13 @@ class SolverConfig:
     """Step sizes, activation schedule and stopping rules.
 
     ``gamma``, ``mu`` and ``lambda_rule`` are one number each, read by the
-    step rule of :mod:`operators` and stored as a Python float: ``gamma``
-    and ``mu`` in [``epsilon``, 1/``epsilon``], ``lambda_rule`` in
-    [``epsilon``, 2 - ``epsilon``].  Anything else, a sequence or a callable
-    included, raises ``ConfigError``, as do the other numbers and integers
-    when the input rules refuse them.  ``record_timing`` must be a bool
-    (``np.bool_`` included) and ``schedule`` one of the three schedules.
+    step rule of :mod:`operators` as every solver's steps are, and stored as
+    a Python float; ``lambda_rule`` must also be below 2 (``ConfigError``).
+    The other settings follow the input rules; ``record_timing`` must be a
+    bool (``np.bool_`` included) and ``schedule`` one of the three schedules.
+    The checks run in the order schedule, stopping settings, steps.
     """
 
-    epsilon: float = 1e-3
     gamma: float = 1.0
     mu: float = 1.0
     lambda_rule: float = 1.0
@@ -209,29 +201,23 @@ class SolverConfig:
     record_timing: bool = False
 
     def __post_init__(self):
-        if not 0.0 < _number("epsilon", self.epsilon) < 1.0:
-            raise ConfigError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if not isinstance(self.schedule, get_args(ActivationSchedule)):
             raise ConfigError(
                 "schedule must be a FullActivation, RoundRobin or SeededRandom, "
                 f"got {self.schedule!r}"
             )
-        _check_stopping(self.tol, self.max_iter, self.trace_every, self.record_timing)
-        lo = self.epsilon
-        for name, hi in (("gamma", 1.0 / lo), ("mu", 1.0 / lo), ("lambda_rule", 2.0 - lo)):
-            # lambda_rule's messages say lambda, as the CLI's --lambda does
-            step = check_step(name.removesuffix("_rule"), getattr(self, name), window=(lo, hi))
-            object.__setattr__(self, name, step)
-
-
-def _check_stopping(tol: float, max_iter: int, trace_every: int, record_timing: bool):
-    """Raise unless the stopping and tracing settings every solver takes are usable."""
-    if not _number("tol", tol) >= 0:
-        raise ConfigError(f"tol must be nonnegative, got {tol}")
-    integers("max_iter", [max_iter], 0, kinds="an integer")
-    integers("trace_every", [trace_every], 1, kinds="an integer")
-    if not isinstance(record_timing, (bool, np.bool_)):
-        raise ConfigError(f"record_timing must be a bool, got {record_timing!r}")
+        if not _number("tol", self.tol) >= 0:
+            raise ConfigError(f"tol must be nonnegative, got {self.tol}")
+        integers("max_iter", [self.max_iter], 0, kinds="an integer")
+        integers("trace_every", [self.trace_every], 1, kinds="an integer")
+        if not isinstance(self.record_timing, (bool, np.bool_)):
+            raise ConfigError(f"record_timing must be a bool, got {self.record_timing!r}")
+        object.__setattr__(self, "gamma", check_step("gamma", self.gamma))
+        object.__setattr__(self, "mu", check_step("mu", self.mu))
+        lam = check_step("lambda", self.lambda_rule)  # named as the CLI's --lambda
+        if lam >= 2.0:
+            raise ConfigError(f"lambda must be below 2, got {lam}")
+        object.__setattr__(self, "lambda_rule", lam)
 
 
 @dataclass
@@ -594,12 +580,12 @@ def progressive_hedging_solve(
     ``solve``, with the constraint multiplier recovered from the resolvent
     identity.  The test runs after each step, so trace row n holds the
     residual after step n; ``max_iter=0`` takes no step and tests the start,
-    x = v* = 0 with x* = 0.  ``gamma`` is one step, as ``check_step`` reads
-    it, with no ``epsilon`` window; the other settings are checked as in
-    ``SolverConfig``.
+    x = v* = 0 with x* = 0.  ``SolverConfig`` checks the settings, by its
+    rules and in its order (the stopping settings before ``gamma``).
     """
-    gamma = check_step("gamma", gamma)
-    _check_stopping(tol, max_iter, trace_every, record_timing)
+    gamma = SolverConfig(
+        gamma=gamma, tol=tol, max_iter=max_iter, trace_every=trace_every, record_timing=record_timing
+    ).gamma
     tree = problem.tree
     ops, cons = problem.operator_stack, problem.constraint_stack
     require_composite([g[0] for g in ops.groups], [g[0] for g in cons.groups])

@@ -827,9 +827,9 @@ def test_solve_ph_method(tmp_path, capsys):
         ["--tol", "nan"],
         ["--max-iter", "-3"],
         ["--tol", "-1"],
-        ["--epsilon", "5"],
+        ["--lambda", "0"],
         ["--schedule", "round-robin", "--block-size", "0"],
-        ["--gamma", "5000"],
+        ["--gamma", "inf"],
         ["--mu", "0"],
         ["--lambda", "2"],
     ],
@@ -870,8 +870,18 @@ def test_solve_rejects_cvar_file(tmp_path, capsys):
 
 def test_solve_bad_config_exit(tmp_path, capsys):
     path = write_json(tmp_path / "p.json", quad_box_doc())
-    assert main(["solve", path, "--gamma", "1e9"]) == 1
-    assert "ConfigError" in capsys.readouterr().err
+    assert main(["solve", path, "--mu", "0"]) == 1
+    assert "error: ConfigError: mu must be positive" in capsys.readouterr().err
+    assert main(["solve", path, "--gamma", "0"]) == 1
+    assert "error: NonPositiveGamma: gamma must be positive" in capsys.readouterr().err
+
+
+def test_the_steps_have_no_window_flag(tmp_path, capsys):
+    path = write_json(tmp_path / "p.json", quad_box_doc())
+    with pytest.raises(SystemExit) as caught:
+        main(["solve", path, "--epsilon", "0.1"])
+    assert caught.value.code == 2
+    assert "unrecognized arguments: --epsilon" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("indices", [0, "0", None, {"0": 0}])

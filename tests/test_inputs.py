@@ -8,7 +8,7 @@
 | not an integer where one is wanted (a stage)             | ConfigError       |
 | gamma <= 0 or NaN (cost_prox accepts gamma = 0)          | NonPositiveGamma  |
 | mu <= 0 or NaN, any step of +inf                         | ConfigError       |
-| a SolverConfig step outside its [epsilon, 1/epsilon]     | ConfigError       |
+| SolverConfig lambda_rule >= 2                            | ConfigError       |
 | alpha outside (0, 1)                                     | BadAlpha          |
 | a spec of another role at a one-row function            | ValidationError   |
 """
@@ -21,7 +21,7 @@ from numpy.testing import assert_array_equal
 
 from scensplit import policy
 from scensplit.cli import load_problem_file, main
-from scensplit.errors import BadAlpha, ConfigError, NonPositiveGamma, ValidationError
+from scensplit.errors import BadAlpha, ConfigError, DimensionMismatch, NonPositiveGamma, ValidationError
 from scensplit.operators import (
     Affine,
     Box,
@@ -32,6 +32,7 @@ from scensplit.operators import (
     GradSeparableQuadratic,
     Halfspace,
     Hyperplane,
+    RealCross,
     SeparableQuadratic,
     WholeSpace,
     apply_operator,
@@ -76,9 +77,9 @@ def _solve(**steps):
     return solve(_pair_problem(), SolverConfig(max_iter=1, **steps))
 
 
-# entry point -> (call with a step, kind): "one" takes one number, "window" one
-# number in its epsilon-window, checked first, and "refused" is a form that is
-# not a number (a list or a callable of the probe), refused whatever it holds
+# entry point -> (call with a step, kind): "one" takes one number, by the one
+# step rule, and "refused" is a form that is not a number (a list or a
+# callable of the probe), refused whatever it holds
 STEP_ENTRIES = {
     "resolvent": (lambda g: resolvent(_OP, g, [1.0]), "one"),
     "cost_prox": (lambda g: cost_prox(_COST, g, [1.0]), "one"),
@@ -90,10 +91,10 @@ STEP_ENTRIES = {
     ),
     "scenario_update gamma": (lambda g: _update(gamma=g), "one"),
     "scenario_update mu": (lambda g: _update(mu=g), "one"),
-    "SolverConfig gamma": (lambda g: _solve(gamma=g), "window"),
-    "SolverConfig mu": (lambda g: _solve(mu=g), "window"),
+    "SolverConfig gamma": (lambda g: _solve(gamma=g), "one"),
+    "SolverConfig mu": (lambda g: _solve(mu=g), "one"),
     # the pair problem's nonzero targets give tau > 0, so the first iteration reads lambda
-    "SolverConfig lambda": (lambda g: _solve(lambda_rule=g), "window"),
+    "SolverConfig lambda": (lambda g: _solve(lambda_rule=g), "one"),
     "SolverConfig gamma list": (lambda g: _solve(gamma=[g, g]), "refused"),
     "SolverConfig mu list": (lambda g: _solve(mu=[g, g]), "refused"),
     "SolverConfig gamma callable": (lambda g: _solve(gamma=lambda i, n: g), "refused"),
@@ -119,7 +120,7 @@ def _expected(entry: str, kind: str, probe: str):
         return ConfigError
     if probe in NUMBERS or (entry == "cost_prox" and probe == "0.0"):
         return None
-    return NonPositiveGamma if kind == "one" and not entry.endswith("mu") else ConfigError
+    return ConfigError if entry.endswith(("mu", "lambda")) else NonPositiveGamma
 
 
 def _cases():
@@ -220,13 +221,34 @@ def test_points_that_are_not_numbers_are_refused(call):
         call()
 
 
-@pytest.mark.parametrize("tol", [True, np.True_, "1", None, [1e-3]])
+@pytest.mark.parametrize("tol", [True, np.True_, "1", None, [1e-3], -1.0, np.nan])
 def test_nonanticipativity_tolerance_is_a_number(tol):
-    # True used to be read as 1, the others to raise a raw TypeError
+    # True used to be read as 1, the others but the floats to raise a raw
+    # TypeError, and a negative or NaN tol to answer False for every policy
     tree = _pair_problem().tree
-    with pytest.raises(ConfigError, match="tol must be a number"):
+    fault = "nonnegative" if type(tol) is float else "a number"
+    with pytest.raises(ConfigError, match=f"tol must be {fault}"):
         policy.is_nonanticipative(tree, np.zeros((2, 2)), tol)
     assert policy.is_nonanticipative(tree, np.zeros((2, 2)), np.float32(1e-3))
+    assert policy.is_nonanticipative(tree, np.arange(4.0).reshape(2, 2), np.inf)
+
+
+def test_zero_dimensional_arrays_inside_a_list_are_numbers():
+    box = Box(lo=[np.array(0.0), np.array(-1)], hi=[1.0, np.array(2**40)])
+    assert_array_equal(box.lo, [0.0, -1.0])
+    assert_array_equal(box.hi, [1.0, 2.0**40])
+    assert box.lo.dtype == box.hi.dtype == float
+
+
+@pytest.mark.parametrize("entry", [np.array(True), np.array(1 + 0j), np.array("1")])
+def test_zero_dimensional_arrays_of_other_kinds_inside_a_list_are_refused(entry):
+    with pytest.raises(ConfigError, match="Box.lo must be an array of numbers"):
+        Box(lo=[0.0, entry], hi=[1.0, 2.0])
+
+
+def test_real_cross_needs_a_coordinate():
+    with pytest.raises(DimensionMismatch, match="RealCross needs at least one coordinate"):
+        project_constraint(RealCross(WholeSpace()), [])
 
 
 # --- specs of another role at the one-row functions ---

@@ -234,6 +234,16 @@ def test_oracle_prox_cvar_errors():
         oracle_prox_cvar_grid(f, 0.5, 1.0, 0.0, 0.0, line_grid(points=11, rounds=0))
 
 
+@pytest.mark.parametrize("f", ["x", None, Box(lo=[0.0], hi=[1.0])], ids=["str", "None", "box"])
+def test_prox_oracles_refuse_a_cost_outside_the_catalog(f):
+    # a string or None used to raise a raw AttributeError at f.dim
+    with pytest.raises(UnsupportedInstance):
+        oracle_prox_grid(f, 1.0, 0.0, line_grid(points=11, rounds=0))
+    plane = GridSpec(lower=[-1.0, -1.0], upper=[1.0, 1.0], points=11, rounds=0)
+    with pytest.raises(UnsupportedInstance):
+        oracle_prox_cvar_grid(f, 0.5, 1.0, 0.0, 0.0, plane)
+
+
 # --- quadratic box oracle ---
 
 def test_oracle_quadratic_box_pair():

@@ -114,17 +114,14 @@ def test_make_problem_defaults():
 
 def test_full_activation_schedule():
     sched = FullActivation()
-    assert sched.cover_window(7) == 0
     assert_allclose(sched.select(13, 4, None, None), [0, 1, 2, 3])
 
 
 def test_round_robin_pattern():
     sched = RoundRobin(block_size=1)
-    assert sched.cover_window(3) == 2
     got = [list(sched.select(n, 3, None, None)) for n in range(5)]
     assert got == [[0, 1, 2], [0], [1], [2], [0]]
     wide = RoundRobin(block_size=2)
-    assert wide.cover_window(3) == 1
     got = [list(wide.select(n, 3, None, None)) for n in range(4)]
     assert got == [[0, 1, 2], [0, 1], [2], [0, 1]]
 
@@ -219,17 +216,11 @@ def test_schedules_take_numpy_integers():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        SolverConfig(epsilon=0.0)
-    with pytest.raises(ConfigError):
-        SolverConfig(epsilon=1.5)
-    with pytest.raises(ConfigError):
-        SolverConfig(gamma=1e-6)  # below epsilon
-    with pytest.raises(ConfigError):
         SolverConfig(gamma=[1.0, 5000.0])
     with pytest.raises(ConfigError):
         SolverConfig(mu=0.0)
     with pytest.raises(ConfigError):
-        SolverConfig(lambda_rule=2.0)  # above 2 - epsilon
+        SolverConfig(lambda_rule=2.0)
     with pytest.raises(ConfigError):
         SolverConfig(lambda_rule="fast")
     with pytest.raises(ConfigError):
@@ -242,9 +233,7 @@ def test_config_validation():
         SolverConfig(trace_every=0)
     with pytest.raises(ConfigError):
         SolverConfig(tol=float("nan"))
-    with pytest.raises(ConfigError):
-        SolverConfig(epsilon=float("nan"))
-    SolverConfig(gamma=0.5, mu=2.0, lambda_rule=1.9, epsilon=0.05)
+    SolverConfig(gamma=0.5, mu=2.0, lambda_rule=1.9)
 
 
 @pytest.mark.parametrize("schedule", ["round-robin", None, RoundRobin, [FullActivation()]])
@@ -314,16 +303,60 @@ def test_step_rules_reject_other_values(name, value):
 
 def test_steps_are_python_floats():
     # numpy numbers are stored as the floats they hold, so a config equals and
-    # hashes like its plain-float twin, and replace checks the window again
+    # hashes like its plain-float twin, and replace checks the steps again
     cfg = SolverConfig(gamma=np.float32(0.5), mu=np.int64(1), lambda_rule=np.array(1.25))
     assert [type(v) for v in (cfg.gamma, cfg.mu, cfg.lambda_rule)] == [float] * 3
     twin = SolverConfig(gamma=0.5, mu=1.0, lambda_rule=1.25)
     assert cfg == twin and hash(cfg) == hash(twin)
     assert type(replace(cfg, mu=np.float64(2.0)).mu) is float
-    with pytest.raises(ConfigError, match=r"mu value 2000.0 outside \[0.001, 1000.0\]"):
-        replace(cfg, mu=2000.0)
-    with pytest.raises(ConfigError, match=r"lambda value 2.0 outside"):
+    with pytest.raises(ConfigError, match="mu must be positive, got 0.0"):
+        replace(cfg, mu=0.0)
+    with pytest.raises(ConfigError, match="lambda must be below 2, got 2.0"):
         replace(cfg, lambda_rule=2.0)
+
+
+def test_config_takes_every_step_the_theorem_admits():
+    # each step is one constant, so any gamma, mu > 0 and lambda in (0, 2)
+    # lies in some window [eps, 1/eps], [eps, 2 - eps] of the convergence theorem
+    cfg = SolverConfig(gamma=1e-6, mu=5e3, lambda_rule=1.9999)
+    assert (cfg.gamma, cfg.mu, cfg.lambda_rule) == (1e-6, 5e3, 1.9999)
+
+
+@pytest.mark.parametrize(
+    "gamma, error",
+    [
+        (1e-6, None),
+        (5e3, None),
+        (np.float32(0.5), None),
+        (0.0, NonPositiveGamma),
+        (-1.0, NonPositiveGamma),
+        (np.nan, NonPositiveGamma),
+        (np.inf, ConfigError),
+        (True, ConfigError),
+        ("1", ConfigError),
+        ([1.0], ConfigError),
+    ],
+)
+def test_config_and_hedging_read_gamma_alike(gamma, error):
+    calls = (
+        lambda: SolverConfig(gamma=gamma),
+        lambda: progressive_hedging_solve(pair_problem(), gamma=gamma, max_iter=1),
+    )
+    for call in calls:
+        if error is None:
+            call()
+            continue
+        with pytest.raises(error) as caught:
+            call()
+        assert type(caught.value) is error
+
+
+def test_hedging_reports_faults_in_the_config_order():
+    # the stopping settings are checked before the steps, as in SolverConfig
+    with pytest.raises(ConfigError, match="tol must be nonnegative"):
+        SolverConfig(gamma=0.0, tol=-1.0)
+    with pytest.raises(ConfigError, match="tol must be nonnegative"):
+        progressive_hedging_solve(pair_problem(), gamma=0.0, tol=-1.0)
 
 
 @pytest.mark.parametrize("name", ["gamma", "mu"])
@@ -835,12 +868,6 @@ def test_progressive_hedging_checks_settings_like_config(settings):
         SolverConfig(**settings)
     with pytest.raises(ConfigError):
         progressive_hedging_solve(pair_problem(), **settings)
-
-
-@pytest.mark.parametrize("epsilon", ["0.1", None, np.array([0.1, 0.1]), True])
-def test_config_refuses_epsilon_that_is_not_a_number(epsilon):
-    with pytest.raises(ConfigError, match="epsilon must be a number"):
-        SolverConfig(epsilon=epsilon)
 
 
 @pytest.mark.parametrize("gamma", [True, np.True_, "1", None, [1.0], np.array([1.0]), np.inf])
