@@ -399,11 +399,13 @@ EXIT_CODES = {SolveStatus.CONVERGED: 0, SolveStatus.NON_FINITE: 1, SolveStatus.M
 
 def _config(args: argparse.Namespace, num_scenarios: int) -> SolverConfig:
     """The solver settings that the parsed solver flags describe."""
+    window = num_scenarios if args.cover_window is None else args.cover_window
+    # built whatever the schedule, so a bad --block-size, --cover-window or --seed fails under each
+    seeded = SeededRandom(block_size=args.block_size, cover_window=window, seed=args.seed)
     if args.schedule == "round-robin":
         schedule = RoundRobin(block_size=args.block_size)
     elif args.schedule == "seeded-random":
-        window = num_scenarios if args.cover_window is None else args.cover_window
-        schedule = SeededRandom(block_size=args.block_size, cover_window=window, seed=args.seed)
+        schedule = seeded
     else:
         schedule = FullActivation()
     return SolverConfig(

@@ -615,6 +615,11 @@ def _merge(parts) -> tuple:
     return members[order], tuple(np.concatenate(c)[order] for c in columns)
 
 
+def _scaled(step, v):
+    """``step * v``, or v itself at a unit float step, where the product is v bit for bit."""
+    return v if isinstance(step, float) and step == 1.0 else step * v
+
+
 def _resolvent_kernel(kind, coef, z, gamma, start=0.0):
     """Resolvent points of the rows and their CVaR prox roots, as a pair.
 
@@ -623,7 +628,7 @@ def _resolvent_kernel(kind, coef, z, gamma, start=0.0):
     """
     if kind is DiagonalAffine:
         a, b = coef
-        return (z - gamma * b) / (1.0 + gamma * a), start
+        return (z - _scaled(gamma, b)) / (1.0 + _scaled(gamma, a)), start
     if kind is CvarAugmented:
         # with tau = gamma/(1 - alpha), the prox at (y, x) is (y - gamma + t*tau,
         # prox_{t*tau*f} x) for the root t of f(prox_{t*tau*f} x) - (y - gamma) - t*tau

@@ -30,12 +30,16 @@ def zeros(tree: ScenarioTree) -> np.ndarray:
 
 def inner(tree: ScenarioTree, x, y) -> float:
     """Expectation scalar product: sum over scenarios of pi * <x, y>."""
-    return _inner(tree.probabilities, check_policy(tree, x), check_policy(tree, y))
+    return _inner(tree, check_policy(tree, x), check_policy(tree, y))
 
 
-def _inner(probabilities, x, y) -> float:
-    """``inner`` without the shape checks, for arrays the solvers built."""
-    return float(np.einsum("s,si,si->", probabilities, x, y))
+def _inner(tree: ScenarioTree, x, y) -> float:
+    """``inner`` without the shape checks, for arrays the solvers built.
+
+    One contiguous ``einsum`` over the tree's per-entry weights: broadcast
+    (N,) probabilities would split it into one short loop per scenario.
+    """
+    return float(np.einsum("si,si,si->", tree.weights.reshape(x.shape), x, y))
 
 
 def norm(tree: ScenarioTree, x) -> float:

@@ -29,6 +29,7 @@ from .operators import (
     Zero,
     _kind_name,
     _number,
+    _scaled,
     axis_mask,
     broken_range_conditions,
     check_specs,
@@ -336,10 +337,10 @@ def _points(
     ``J_A(x - gamma (x* + v*))`` and ``P_C(x + mu x*)``; at unit steps they
     give the two fixed-point terms of ``kkt_residual``.  The rows' CVaR prox
     root searches start at ``start``, a number or one root per row, and the
-    roots found follow as a third entry.
+    roots found follow as a third entry.  A unit step is not multiplied by.
     """
-    z = x - gamma * (x_star + v_star)
-    projected = project_constraint_rows(problem.constraint_stack, x + mu * x_star, rows)
+    z = x - _scaled(gamma, x_star + v_star)
+    projected = project_constraint_rows(problem.constraint_stack, x + _scaled(mu, x_star), rows)
     resolved, roots = resolvent_rows(problem.operator_stack, gamma, z, rows, start)
     return resolved, projected, roots
 
@@ -377,29 +378,28 @@ def _intermediates(block, problem, rows, gamma, mu, op_point, set_point, out=Non
     return out
 
 
-def _fixed_point_sq(probabilities, x, points) -> float:
+def _fixed_point_sq(tree, x, points) -> float:
     """Squared operator and constraint fixed-point gaps of x at ``points``."""
-    return sum(policy._inner(probabilities, u, u) for u in (x - points[0], x - points[1]))
+    return sum(policy._inner(tree, u, u) for u in (x - points[0], x - points[1]))
 
 
 def coordination_step(state: SolverState, problem: Problem, config: SolverConfig) -> SolverState:
     """Project the iterate onto the separating half-space and advance n."""
     tree = problem.tree
-    probs = tree.probabilities
     x, xs, vs, a, a_star, b, b_star, u = state.stack
     dual_avg = policy._average(tree, a_star + b_star)
     anti = -(a - policy._average(tree, a))
-    tau = sum(policy._inner(probs, w, w) for w in (dual_avg, u, anti))
+    tau = sum(policy._inner(tree, w, w) for w in (dual_avg, u, anti))
     if tau > 0.0:
         # x lies in the nonanticipative subspace throughout, so pairing it
         # with the averaged dual equals pairing it with the raw duals; the
         # grouped form below avoids cancellation between O(1) inner products
         # once the gaps are tiny
         kappa = (
-            policy._inner(probs, x - a, a_star)
-            + policy._inner(probs, x - b, b_star)
-            + policy._inner(probs, u, xs)
-            + policy._inner(probs, anti, vs)
+            policy._inner(tree, x - a, a_star)
+            + policy._inner(tree, x - b, b_star)
+            + policy._inner(tree, u, xs)
+            + policy._inner(tree, anti, vs)
         )
         theta = config.lambda_rule * max(kappa, 0.0) / tau
     else:
@@ -460,13 +460,12 @@ def kkt_residual(problem: Problem, x, x_star, v_star) -> float:
     x = policy.check_policy(tree, x)
     xs = policy.check_policy(tree, x_star)
     vs = policy.check_policy(tree, v_star)
-    probs = tree.probabilities
     anti = policy.project_nonanticipative_complement(tree, x)
     dual = policy.project_nonanticipative(tree, vs)
     total = (
-        _fixed_point_sq(probs, x, _points(problem, x, xs, vs))
-        + policy._inner(probs, anti, anti)
-        + policy._inner(probs, dual, dual)
+        _fixed_point_sq(tree, x, _points(problem, x, xs, vs))
+        + policy._inner(tree, anti, anti)
+        + policy._inner(tree, dual, dual)
     )
     return float(np.sqrt(max(total, 0.0)))
 
@@ -483,7 +482,7 @@ def _stop_residual(problem: Problem, x, x_star, v_star, start=0.0) -> tuple:
     are the three entries of ``_points``, CVaR roots started at ``start``.
     """
     points = _points(problem, x, x_star, v_star, start=start)
-    total = _fixed_point_sq(problem.tree.probabilities, x, points)
+    total = _fixed_point_sq(problem.tree, x, points)
     return float(np.sqrt(max(total, 0.0))), points
 
 

@@ -832,6 +832,7 @@ def test_solve_ph_method(tmp_path, capsys):
         ["--gamma", "inf"],
         ["--mu", "0"],
         ["--lambda", "2"],
+        ["--cover-window", "-1"],
     ],
 )
 def test_solve_ph_rejects_bad_settings(tmp_path, capsys, flags):
@@ -839,6 +840,26 @@ def test_solve_ph_rejects_bad_settings(tmp_path, capsys, flags):
     assert main(["solve", path, "--method", "ph", *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ConfigError:")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--block-size", "0"],
+        ["--cover-window", "-1", "--seed", "-5"],
+        ["--seed", "-1"],
+        ["--schedule", "round-robin", "--cover-window", "-1"],
+        ["--schedule", "round-robin", "--seed", "-2"],
+        ["--schedule", "seeded-random", "--cover-window", "-1"],
+    ],
+)
+def test_schedule_flags_checked_whatever_the_schedule(tmp_path, capsys, flags):
+    path = write_json(tmp_path / "p.json", quad_box_doc())
+    assert main(["solve", path, *flags]) == 1
+    assert capsys.readouterr().err.startswith("error: ConfigError:")
+    cvar = write_json(tmp_path / "c.json", cvar_doc())
+    assert main(["solve-cvar", cvar, *flags]) == 1
+    assert capsys.readouterr().err.startswith("error: ConfigError:")
 
 
 def test_solve_ph_reads_its_settings(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -22,6 +24,58 @@ def test_inner_weights_by_probability():
     # 0.25*(1+2) + 0.75*(3+4)
     assert policy.inner(tree, x, y) == pytest.approx(6.0)
     assert policy.norm(tree, y) == pytest.approx(np.sqrt(2.0))
+
+
+def shaped_tree(rng, num_scenarios, dim):
+    """One stage of ``dim`` coordinates over distinct scenarios with random probabilities."""
+    probs = rng.uniform(0.1, 1.0, num_scenarios)
+    return build_tree([((s,), p) for s, p in enumerate(probs / probs.sum())], (dim,))
+
+
+def spread_policy(rng, tree):
+    """Random signs and magnitudes from 1e-8 to 1e8, about one entry in ten zero."""
+    shape = (tree.num_scenarios, tree.total_dim)
+    x = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+    x[rng.random(shape) < 0.1] = 0.0
+    return x
+
+
+# N*d on both sides of 8192, the size of numpy's einsum buffer
+@pytest.mark.parametrize("num_scenarios, dim", [(16, 7), (1024, 6), (1366, 6), (2048, 6)])
+def test_inner_matches_exact_sum(num_scenarios, dim):
+    rng = np.random.default_rng(num_scenarios + dim)
+    tree = shaped_tree(rng, num_scenarios, dim)
+    probs = tree.probabilities.tolist()
+    # a sum of n rounded terms is within 4 sqrt(n) eps * sum|t| of exact here: the
+    # probabilistic bound of Higham & Mary (SIAM J. Sci. Comput. 41, 2019); the
+    # worst of these cases sits near 12 eps * sum|t|, for x = y
+    slack = 4.0 * math.sqrt(num_scenarios * dim) * np.finfo(float).eps
+    for x, y in (
+        (spread_policy(rng, tree), spread_policy(rng, tree)),
+        (random_policy(rng, tree), random_policy(rng, tree)),
+    ):
+        for u, v in ((x, y), (x, x), (np.ascontiguousarray(x.T).T, np.ascontiguousarray(y.T).T)):
+            terms = [
+                p * a * b for p, row, col in zip(probs, u.tolist(), v.tolist()) for a, b in zip(row, col)
+            ]
+            exact = math.fsum(terms)
+            assert abs(policy.inner(tree, u, v) - exact) <= slack * math.fsum(map(abs, terms))
+
+
+@pytest.mark.parametrize("num_scenarios, dim", [(16, 7), (256, 6), (1024, 6)])
+def test_inner_bitwise_equals_broadcast_probabilities(num_scenarios, dim):
+    # the benchmark workloads' shapes, where per-entry weights round as the
+    # (N,) probabilities broadcast over the columns did
+    rng = np.random.default_rng(3 * num_scenarios + dim)
+    tree = shaped_tree(rng, num_scenarios, dim)
+    for _ in range(5):
+        for x, y in (
+            (spread_policy(rng, tree), spread_policy(rng, tree)),
+            (random_policy(rng, tree), random_policy(rng, tree)),
+        ):
+            for u, v in ((x, y), (x, x)):
+                old = float(np.einsum("s,si,si->", tree.probabilities, u, v))
+                assert policy._inner(tree, u, v) == old
 
 
 def test_projection_averages_shared_block(pair_tree):
