@@ -5,7 +5,8 @@ The tail risk of a random loss is expressed through a scalar threshold:
 tail risk of per-scenario costs therefore fits the equilibrium solver after
 one surgery: prepend a shared threshold coordinate to the first decision
 stage, wrap each cost into the threshold-plus-excess operator and leave the
-new coordinate unconstrained.
+new coordinate unconstrained.  The lift also rescales the decisions by a
+power of two fixed from the number of scenarios (see :func:`decision_scale`).
 """
 from __future__ import annotations
 
@@ -16,14 +17,23 @@ import numpy as np
 
 from .errors import NonConstantThreshold, ShapeMismatch
 from .operators import (
+    UNBOUNDED,
+    Affine,
+    Ball,
+    Box,
     ConstraintSpec,
     CostSpec,
     CvarAugmented,
     Full,
+    Halfspace,
+    Hyperplane,
     RealCross,
+    SeparableQuadratic,
+    Stack,
     _cost_rows,
     _number,
     _pack_costs,
+    _spec_groups,
     check_alpha,
     check_specs,
 )
@@ -83,29 +93,65 @@ def cvar_value(tree: ScenarioTree, alpha: float, losses) -> float:
     return threshold + float(tree.probabilities @ excess) / (1.0 - alpha)
 
 
+# field -> the power of the decision scale s it is multiplied by when the
+# decisions x become x / s: a cost f becomes f(s *), a set C becomes C / s
+_LIFT = {
+    Affine: {"c": 1},
+    SeparableQuadratic: {"q": 2, "c": -1},
+    Box: {"lo": -1, "hi": -1},
+    Ball: {"center": -1, "radius": -1},
+    Halfspace: {"offset": -1},
+    Hyperplane: {"offset": -1},
+}
+
+
+def decision_scale(num_scenarios: int) -> float:
+    """The scale s of the lifted decisions, 0.5 ** floor(log2(num_scenarios) / 4).
+
+    s = 1 below 16 scenarios, 1/2 below 256, 1/4 below 4096.  In the lifted
+    coordinates (y, x / s) a unit step moves the threshold 1/s^2 times as
+    far, relative to the decisions, as in (y, x).
+    """
+    return 0.5 ** ((num_scenarios.bit_length() - 1) // 4)
+
+
+def _lifted(wrapper, specs, s: float, **columns) -> Stack:
+    """The stack of ``wrapper`` around ``specs`` in the decisions x / s, plus one-value ``columns``."""
+    groups = []
+    for cls, members, fields in _spec_groups(specs):
+        if cls is Box:  # so that an unbounded side lands on +-UNBOUNDED, not past it
+            fields = {f: side.clip(-UNBOUNDED * s, UNBOUNDED * s) for f, side in fields.items()}
+        fields |= {f: fields[f] * s**p for f, p in _LIFT.get(cls, {}).items()}
+        fields |= {f: np.full((len(members), 1), value) for f, value in columns.items()}
+        groups.append(((wrapper, cls), members, fields))
+    return Stack.from_groups(groups)
+
+
 def augment(cp: CvarProblem) -> Problem:
     """Lift a risk problem into the scenario-equilibrium form.
 
     Column 0 of the lifted policies is the shared threshold; columns 1..
-    map one-to-one onto the original coordinates.
+    map one-to-one onto the original coordinates divided by
+    ``decision_scale(N)``, the costs and sets rescaled to match.
     """
     tree = cp.tree
+    s = decision_scale(tree.num_scenarios)
     dims = (tree.stage_dims[0] + 1,) + tree.stage_dims[1:]
-    return Problem(
-        tree=build_tree([(s.labels, s.probability) for s in tree.scenarios], dims),
-        operators=tuple(CvarAugmented(f=f, alpha=cp.alpha) for f in cp.costs),
-        constraints=tuple(RealCross(base=cs) for cs in cp.constraints),
-        subspaces=(Full(),) * tree.num_scenarios,
+    return Problem.from_stacks(
+        build_tree([(sc.labels, sc.probability) for sc in tree.scenarios], dims),
+        _lifted(CvarAugmented, cp.costs, s, alpha=cp.alpha),
+        _lifted(RealCross, cp.constraints, s),
+        Stack.from_groups([(Full, np.arange(tree.num_scenarios), {})]),
     )
 
 
 def extract_solution(cp: CvarProblem, sol: Solution) -> CvarSolution:
-    """Strip the threshold from a solve of ``augment(cp)`` and recompute the objective."""
+    """Strip the threshold from a solve of ``augment(cp)``, rescale the decisions, recompute the objective."""
     tree = cp.tree
     expected = (tree.num_scenarios, tree.total_dim + 1)
     if sol.x_bar.shape != expected:
         raise ShapeMismatch(f"solution shape {sol.x_bar.shape}, expected {expected}")
-    thresholds, x = sol.x_bar[:, 0].copy(), sol.x_bar[:, 1:].copy()
+    thresholds, x = sol.x_bar[:, 0].copy(), sol.x_bar[:, 1:] * decision_scale(tree.num_scenarios)
     y_bar = float(tree.probabilities @ thresholds)
     spread = float(np.max(np.abs(thresholds - y_bar)))
     if spread > THRESHOLD_TOL:

@@ -514,15 +514,22 @@ def settle_rows(cls, fields: dict, label) -> dict:
 
 
 def specs_of(groups) -> tuple:
-    """One spec per scenario from settled ``(cls, members, fields)`` groups, not checked again.
+    """One spec per scenario from settled ``(key, members, fields)`` groups, not checked again.
 
-    A spec holds read-only row views for its vectors, floats for its scalars.
+    A spec holds read-only row views for its vectors, floats for its scalars;
+    a RealCross or CvarAugmented key's wrapper holds the spec its fields make.
     """
     specs = [None] * sum(len(members) for _, members, _ in groups)
     for cls, members, fields in groups:
-        vectors, scalars, _ = RULES.get(cls, ((), (), ()))
-        columns = {name: _frozen(fields[name]) for name in vectors}
-        columns.update({name: fields[name][:, 0].tolist() for name in scalars})
+        if isinstance(cls, tuple):
+            cls, inner = cls
+            columns = {"base" if cls is RealCross else "f": specs_of([(inner, np.arange(len(members)), fields)])}
+            if cls is CvarAugmented:
+                columns["alpha"] = fields["alpha"][:, 0].tolist()
+        else:
+            vectors, scalars, _ = RULES.get(cls, ((), (), ()))
+            columns = {name: _frozen(fields[name]) for name in vectors}
+            columns.update({name: fields[name][:, 0].tolist() for name in scalars})
         made = list(map(object.__new__, itertools.repeat(cls, len(members))))
         for name, column in (columns or fields).items():  # Coordinates: their index tuples
             list(map(_setfield, made, itertools.repeat(name), column))

@@ -8,6 +8,7 @@ from scensplit.cvar import (
     CvarSolution,
     augment,
     cvar_value,
+    decision_scale,
     extract_solution,
     solve_cvar,
 )
@@ -19,16 +20,24 @@ from scensplit.errors import (
     ValidationError,
 )
 from scensplit.operators import (
+    UNBOUNDED,
     Affine,
+    Ball,
     Box,
     CvarAugmented,
     DiagonalAffine,
     Full,
+    Halfspace,
+    Hyperplane,
     RealCross,
     SeparableQuadratic,
     WholeSpace,
+    cost_prox,
     cost_value,
+    project_constraint,
+    project_constraint_rows,
     prox_cvar_augmented,
+    resolvent_rows,
 )
 from scensplit.solver import (
     Problem,
@@ -234,7 +243,7 @@ def test_solve_cvar_affine_boundary_solution():
     assert sol.objective == pytest.approx(-0.1, abs=1e-4)
 
 
-def _risk_problem(seed, n=8, d=2):
+def _risk_problem(seed, n=8, d=2, alpha=0.8):
     # two stages of d decisions, one shared first-stage class, every 4th cost affine
     rng = np.random.default_rng(seed)
     probs = rng.uniform(0.5, 1.5, n)
@@ -250,7 +259,7 @@ def _risk_problem(seed, n=8, d=2):
         )
         for i in range(n)
     ]
-    return CvarProblem(tree, 0.8, costs, (Box(lo=[-1.0] * 2 * d, hi=[1.0] * 2 * d),) * n)
+    return CvarProblem(tree, alpha, costs, (Box(lo=[-1.0] * 2 * d, hi=[1.0] * 2 * d),) * n)
 
 
 @pytest.mark.parametrize(
@@ -328,6 +337,146 @@ def made_solution(x_bar):
         residual=0.0,
         trace=(),
     )
+
+
+# --- the decision scale of the lift ---
+
+@pytest.mark.parametrize(
+    "n, s",
+    [(1, 1.0), (8, 1.0), (15, 1.0), (16, 0.5), (255, 0.5), (256, 0.25), (4095, 0.25), (4096, 0.125)],
+)
+def test_decision_scale_halves_at_every_fourth_power_of_two(n, s):
+    assert decision_scale(n) == s
+
+
+def _lifted_spec(spec, s):
+    """The spec of the lift in (y, x / s), built and checked on its own: f(s *) or C / s."""
+    if isinstance(spec, Affine):
+        return Affine(c=spec.c * s, r=spec.r)
+    if isinstance(spec, SeparableQuadratic):
+        return SeparableQuadratic(q=spec.q * s * s, c=spec.c / s, r=spec.r)
+    if isinstance(spec, Box):
+        with np.errstate(over="ignore"):  # UNBOUNDED / s is inf, which Box stores as UNBOUNDED
+            return Box(lo=spec.lo / s, hi=spec.hi / s)
+    if isinstance(spec, Ball):
+        return Ball(center=spec.center / s, radius=spec.radius / s)
+    if isinstance(spec, (Halfspace, Hyperplane)):
+        return type(spec)(normal=spec.normal, offset=spec.offset / s)
+    return spec
+
+
+def hand_lift(cp, s):
+    """The lifted problem at the decision scale ``s``, built spec by spec."""
+    t, n = cp.tree, cp.tree.num_scenarios
+    tree = build_tree([(sc.labels, sc.probability) for sc in t.scenarios], (t.stage_dims[0] + 1,) + t.stage_dims[1:])
+    operators = [CvarAugmented(f=_lifted_spec(f, s), alpha=cp.alpha) for f in cp.costs]
+    constraints = [RealCross(base=_lifted_spec(c, s)) for c in cp.constraints]
+    return Problem(tree, operators, constraints, (Full(),) * n)
+
+
+def assert_same_problem(got, want):
+    assert got.tree.classes == want.tree.classes and got.tree.stage_dims == want.tree.stage_dims
+    for role in ("operator_stack", "constraint_stack", "subspace_stack"):
+        g, w = getattr(got, role), getattr(want, role)
+        assert [k for k, _, _ in g.groups] == [k for k, _, _ in w.groups]
+        for (_, gm, gc), (_, wm, wc) in zip(g.groups, w.groups):
+            assert_array_equal(gm, wm)
+            assert [c.shape for c in gc] == [c.shape for c in wc]
+            for a, b in zip(gc, wc):
+                assert_array_equal(bits(a), bits(b))
+    for g, w in zip(got.operators + got.constraints, want.operators + want.constraints):
+        g, w = (g.f, w.f) if isinstance(g, CvarAugmented) else (g.base, w.base)
+        assert type(g) is type(w)
+        for name in vars(w):
+            assert_array_equal(bits(getattr(g, name)), bits(getattr(w, name)))
+
+
+def every_type_risk_problem(seed, n, alpha=0.9):
+    """Both cost types and all five constraint types, on decisions of two stages (1 + 2)."""
+    rng = np.random.default_rng(seed)
+    probs = rng.uniform(0.5, 1.5, n)
+    tree = build_tree([((0, i), float(p)) for i, p in enumerate(probs / probs.sum())], stage_dims=[1, 2])
+    costs = [
+        Affine(c=rng.normal(size=3), r=rng.normal())
+        if i % 2
+        else SeparableQuadratic(q=rng.uniform(0.5, 2, 3), c=rng.normal(size=3), r=rng.normal())
+        for i in range(n)
+    ]
+    sets = [
+        lambda: WholeSpace(),
+        lambda: Box(lo=[-np.inf, -1.0, -0.5], hi=[1.0, np.inf, 0.5]),
+        lambda: Ball(center=rng.normal(size=3), radius=rng.uniform(0.5, 2)),
+        lambda: Halfspace(normal=rng.normal(size=3), offset=rng.normal()),
+        lambda: Hyperplane(normal=rng.normal(size=3), offset=rng.normal()),
+    ]
+    return CvarProblem(tree, alpha, costs, [sets[i % 5]() for i in range(n)])
+
+
+@pytest.mark.parametrize("n", [16, 256], ids=["s=1/2", "s=1/4"])
+def test_lift_is_exact(n):
+    cp = every_type_risk_problem(60 + n, n)
+    s = decision_scale(n)
+    aug = augment(cp)
+    # the lift built from the grouped fields is the one built spec by spec
+    assert_same_problem(aug, hand_lift(cp, s))
+    # an unbounded box side stays unbounded
+    (lo, hi), = (coef for kind, _, coef in aug.constraint_stack.groups if kind == (RealCross, Box))
+    assert (lo[:, 0] == -UNBOUNDED).all() and (hi[:, 1] == UNBOUNDED).all()
+    assert np.isfinite(lo).all() and np.isfinite(hi).all()
+    rng = np.random.default_rng(n)
+    z = rng.uniform(-3, 3, (n, 4))
+    # sets: P_{C/s}(z) = P_C(s z) / s, the threshold untouched
+    got = project_constraint_rows(aug.constraint_stack, z)
+    assert_array_equal(bits(got[:, 0]), bits(z[:, 0]))
+    for i, cs in enumerate(cp.constraints):
+        assert_array_equal(bits(got[i, 1:]), bits(project_constraint(cs, s * z[i, 1:]) / s))
+    # costs: f(s *) has value f(s z) and prox prox_{gamma s^2 f}(s z) / s
+    gamma = 0.7
+    for f, op, zi in zip(cp.costs, aug.operators, z[:, 1:]):
+        assert cost_value(op.f, zi) == cost_value(f, s * zi)
+        assert_array_equal(bits(cost_prox(op.f, gamma, zi)), bits(cost_prox(f, gamma * s * s, s * zi) / s))
+    # the risk prox is the root search of the unscaled cost in that metric
+    got, roots = resolvent_rows(aug.operator_stack, gamma, z)
+    tau = gamma / (1.0 - cp.alpha)
+    for i, f in enumerate(cp.costs):
+        pack = operators._pack_costs([f])
+        t, p = operators._prox_root(pack, s * z[None, i, 1:], tau * s * s, z[i, 0] - gamma, tau)
+        assert_array_equal(bits(got[i]), bits(np.concatenate([z[i, 0] - gamma + t[0] * tau, p[0] / s])))
+        assert roots[i, 0] == t[0, 0]
+    # the strip returns exactly s x'
+    x = rng.uniform(-3, 3, (n, 3))
+    csol = extract_solution(cp, made_solution(np.hstack([np.full((n, 1), 0.25), x])))
+    assert_array_equal(bits(csol.x_bar), bits(s * x))
+    losses = [cost_value(f, xi) for f, xi in zip(cp.costs, s * x)]
+    assert csol.objective == cvar_value(cp.tree, cp.alpha, losses)
+
+
+@pytest.mark.parametrize("n", [2, 8, 15])
+def test_lift_below_16_scenarios_is_unscaled(n):
+    cp = every_type_risk_problem(70 + n, n)
+    aug = augment(cp)
+    # the unscaled lift wraps the source specs themselves
+    want = Problem(aug.tree, [CvarAugmented(f, cp.alpha) for f in cp.costs], map(RealCross, cp.constraints), (Full(),) * n)
+    assert_same_problem(aug, want)
+    x = np.random.default_rng(n).uniform(-3, 3, (n, 3))
+    assert_array_equal(bits(extract_solution(cp, made_solution(np.hstack([np.zeros((n, 1)), x]))).x_bar), bits(x))
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("alpha", [0.5, 0.9, 0.99])
+def test_scaled_lift_converges_no_slower_and_to_the_optimum(n, alpha):
+    tol = 1e-4
+    cp = _risk_problem(3, n, alpha=alpha)
+    got = solve_cvar(cp, SolverConfig(tol=tol))
+    unscaled = solve(hand_lift(cp, 1.0), SolverConfig(tol=tol))
+    assert got.inner.status is unscaled.status is SolveStatus.CONVERGED
+    assert got.inner.iterations <= unscaled.iterations
+    # the averaged policy meets the boxes up to tol
+    assert (np.abs(got.x_bar) <= 1.0 + tol).all()
+    assert policy.is_nonanticipative(cp.tree, got.x_bar, 1e-9)
+    reference = solve_cvar(cp, SolverConfig(tol=1e-10, max_iter=100000))
+    assert reference.inner.status is SolveStatus.CONVERGED
+    assert abs(got.objective - reference.objective) <= 10 * tol
 
 
 def test_extract_solution_rejects_split_threshold():
