@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import NonConstantThreshold, ShapeMismatch
 from .operators import (
-    UNBOUNDED,
     Affine,
     Ball,
     Box,
@@ -36,6 +35,7 @@ from .operators import (
     _spec_groups,
     check_alpha,
     check_specs,
+    settle_rows,
 )
 from .solver import Problem, Solution, SolverConfig, solve
 from .tree import ScenarioTree, build_tree
@@ -106,24 +106,34 @@ _LIFT = {
 
 
 def decision_scale(num_scenarios: int) -> float:
-    """The scale s of the lifted decisions, 0.5 ** floor(log2(num_scenarios) / 4).
+    """The scale s of the lifted decisions, 0.5 ** min(floor(log2(num_scenarios) / 4), 2).
 
-    s = 1 below 16 scenarios, 1/2 below 256, 1/4 below 4096.  In the lifted
+    s = 1 below 16 scenarios, 1/2 below 256 and 1/4 from 256 on: the rule
+    was measured up to N = 1024, so it stops halving there.  In the lifted
     coordinates (y, x / s) a unit step moves the threshold 1/s^2 times as
     far, relative to the decisions, as in (y, x).
     """
-    return 0.5 ** ((num_scenarios.bit_length() - 1) // 4)
+    return 0.5 ** min((num_scenarios.bit_length() - 1) // 4, 2)
 
 
-def _lifted(wrapper, specs, s: float, **columns) -> Stack:
-    """The stack of ``wrapper`` around ``specs`` in the decisions x / s, plus one-value ``columns``."""
+def _lifted(wrapper, specs, name: str, s: float, **columns) -> Stack:
+    """The stack of ``wrapper`` around ``specs`` in the decisions x / s, plus one-value ``columns``.
+
+    The rescaled fields pass the rules again: dividing by s can overflow a
+    finite entry, which raises ValidationError.  A box side past
+    +-UNBOUNDED lands on it, so an unbounded side stays unbounded.
+    """
     groups = []
-    for cls, members, fields in _spec_groups(specs):
-        if cls is Box:  # so that an unbounded side lands on +-UNBOUNDED, not past it
-            fields = {f: side.clip(-UNBOUNDED * s, UNBOUNDED * s) for f, side in fields.items()}
-        fields |= {f: fields[f] * s**p for f, p in _LIFT.get(cls, {}).items()}
+    for key, members, fields in _spec_groups(specs):
+        cls = key
+        while isinstance(cls, tuple):  # a RealCross lifts what it wraps
+            cls = cls[1]
+        if cls in _LIFT:
+            with np.errstate(over="ignore"):
+                fields = fields | {f: fields[f] * s**p for f, p in _LIFT[cls].items()}
+            fields = settle_rows(cls, fields, lambda row: f"lifted {name} {members[row]}")
         fields |= {f: np.full((len(members), 1), value) for f, value in columns.items()}
-        groups.append(((wrapper, cls), members, fields))
+        groups.append(((wrapper, key), members, fields))
     return Stack.from_groups(groups)
 
 
@@ -139,8 +149,8 @@ def augment(cp: CvarProblem) -> Problem:
     dims = (tree.stage_dims[0] + 1,) + tree.stage_dims[1:]
     return Problem.from_stacks(
         build_tree([(sc.labels, sc.probability) for sc in tree.scenarios], dims),
-        _lifted(CvarAugmented, cp.costs, s, alpha=cp.alpha),
-        _lifted(RealCross, cp.constraints, s),
+        _lifted(CvarAugmented, cp.costs, "cost", s, alpha=cp.alpha),
+        _lifted(RealCross, cp.constraints, "constraint", s),
         Stack.from_groups([(Full, np.arange(tree.num_scenarios), {})]),
     )
 

@@ -343,9 +343,9 @@ def made_solution(x_bar):
 
 @pytest.mark.parametrize(
     "n, s",
-    [(1, 1.0), (8, 1.0), (15, 1.0), (16, 0.5), (255, 0.5), (256, 0.25), (4095, 0.25), (4096, 0.125)],
+    [(1, 1.0), (8, 1.0), (15, 1.0), (16, 0.5), (255, 0.5), (256, 0.25), (4095, 0.25), (4096, 0.25), (2**40, 0.25)],
 )
-def test_decision_scale_halves_at_every_fourth_power_of_two(n, s):
+def test_decision_scale_halves_at_every_fourth_power_of_two_up_to_a_quarter(n, s):
     assert decision_scale(n) == s
 
 
@@ -362,6 +362,8 @@ def _lifted_spec(spec, s):
         return Ball(center=spec.center / s, radius=spec.radius / s)
     if isinstance(spec, (Halfspace, Hyperplane)):
         return type(spec)(normal=spec.normal, offset=spec.offset / s)
+    if isinstance(spec, RealCross):
+        return RealCross(base=_lifted_spec(spec.base, s))
     return spec
 
 
@@ -386,13 +388,16 @@ def assert_same_problem(got, want):
                 assert_array_equal(bits(a), bits(b))
     for g, w in zip(got.operators + got.constraints, want.operators + want.constraints):
         g, w = (g.f, w.f) if isinstance(g, CvarAugmented) else (g.base, w.base)
+        while isinstance(w, RealCross):
+            assert type(g) is RealCross
+            g, w = g.base, w.base
         assert type(g) is type(w)
         for name in vars(w):
             assert_array_equal(bits(getattr(g, name)), bits(getattr(w, name)))
 
 
 def every_type_risk_problem(seed, n, alpha=0.9):
-    """Both cost types and all five constraint types, on decisions of two stages (1 + 2)."""
+    """Both cost types and all six constraint types, on decisions of two stages (1 + 2)."""
     rng = np.random.default_rng(seed)
     probs = rng.uniform(0.5, 1.5, n)
     tree = build_tree([((0, i), float(p)) for i, p in enumerate(probs / probs.sum())], stage_dims=[1, 2])
@@ -408,8 +413,9 @@ def every_type_risk_problem(seed, n, alpha=0.9):
         lambda: Ball(center=rng.normal(size=3), radius=rng.uniform(0.5, 2)),
         lambda: Halfspace(normal=rng.normal(size=3), offset=rng.normal()),
         lambda: Hyperplane(normal=rng.normal(size=3), offset=rng.normal()),
+        lambda: RealCross(Box(lo=[-1.0, -np.inf], hi=[0.5, 2.0])),
     ]
-    return CvarProblem(tree, alpha, costs, [sets[i % 5]() for i in range(n)])
+    return CvarProblem(tree, alpha, costs, [sets[i % 6]() for i in range(n)])
 
 
 @pytest.mark.parametrize("n", [16, 256], ids=["s=1/2", "s=1/4"])
@@ -460,6 +466,33 @@ def test_lift_below_16_scenarios_is_unscaled(n):
     assert_same_problem(aug, want)
     x = np.random.default_rng(n).uniform(-3, 3, (n, 3))
     assert_array_equal(bits(extract_solution(cp, made_solution(np.hstack([np.zeros((n, 1)), x]))).x_bar), bits(x))
+
+
+@pytest.mark.parametrize(
+    "cost, constraint, field",
+    [
+        (SeparableQuadratic(q=[1e-300] * 3, c=[1.5e308] * 3), WholeSpace(), "cost 5.c"),
+        (Affine(c=[1.0] * 3), Ball(center=[0.0] * 3, radius=1.5e308), "constraint 5.radius"),
+        (Affine(c=[1.0] * 3), Halfspace(normal=[1.0, 0.0, 0.0], offset=-1.5e308), "constraint 5.offset"),
+        (Affine(c=[1.0] * 3), RealCross(Hyperplane(normal=[1.0, 1.0], offset=1.5e308)), "constraint 5.offset"),
+    ],
+)
+def test_lift_refuses_a_coefficient_that_overflows(cost, constraint, field):
+    # finite in the source, past the largest float once divided by s = 1/2
+    cp = every_type_risk_problem(80, 16)
+    costs, constraints = list(cp.costs), list(cp.constraints)
+    costs[5], constraints[5] = cost, constraint
+    with pytest.raises(ValidationError, match=f"lifted {field}: expected finite entries"):
+        augment(CvarProblem(cp.tree, cp.alpha, costs, constraints))
+
+
+def test_lift_moves_a_box_side_past_the_largest_float_onto_unbounded():
+    cp = every_type_risk_problem(81, 16)
+    constraints = list(cp.constraints)
+    constraints[1] = Box(lo=[-1.5e308, -1.0, -1.0], hi=[1.0, 1.5e308, 1.0])
+    aug = augment(CvarProblem(cp.tree, cp.alpha, cp.costs, constraints))
+    (lo, hi), = (coef for kind, _, coef in aug.constraint_stack.groups if kind == (RealCross, Box))
+    assert lo[0, 0] == -UNBOUNDED and hi[0, 1] == UNBOUNDED
 
 
 @pytest.mark.parametrize("n", [16, 64])
