@@ -36,7 +36,9 @@ from .solver import (
 )
 from .tree import ScenarioTree, build_tree, check_stage_dims, equivalence_classes
 
-TRACE_HEADER = ["n", "residual", "kappa", "tau", "theta", "active_block_size", "wall_time_ms"]
+TRACE_HEADER = [
+    "n", "residual", "kappa", "tau", "theta", "active_block_size", "wall_time_ms", "tested"
+]
 
 
 @dataclass(frozen=True)
@@ -268,7 +270,7 @@ def _trace_row(r) -> str:
     """One trace record as a CSV line, fields in ``TRACE_HEADER`` order."""
     return (
         f"{r.n},{float(r.residual)!r},{float(r.kappa)!r},{float(r.tau)!r},"
-        f"{float(r.theta)!r},{r.active_block_size},{float(r.wall_ms)!r}\r\n"
+        f"{float(r.theta)!r},{r.active_block_size},{float(r.wall_ms)!r},{int(r.tested)}\r\n"
     )
 
 

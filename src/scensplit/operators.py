@@ -723,6 +723,9 @@ class Stack:
             self.group_of[members] = g
             self.slot_of[members] = np.arange(members.size)
             self.groups.append((kind, members, coef))
+        # every scenario sorted by group, as _by_group sorts a block, and each group's end
+        self.order = self.group_of.argsort(kind="stable")
+        self.ends = np.bincount(self.group_of, minlength=len(self.groups)).cumsum()
 
     @functools.cached_property
     def specs(self) -> tuple:
@@ -734,32 +737,49 @@ def _by_group(kernel, stack: Stack, rows, z, *columns):
     """Run ``kernel`` on each group's rows of z and of the per-row columns.
 
     ``rows`` holds the scenarios of z's rows in any order, None meaning all
-    of them in order.  A kernel may return a pair, its rows and one more
-    per-row block; both are then assembled in the order of z's rows.  A
-    stack of one group hands z and the columns to its kernel whole; a float
-    goes whole to every group.
+    of them in order.  A stable sort of the rows by group makes each
+    group's rows one contiguous slice: z and the columns are gathered in
+    that order once, each group's kernel runs on its slices, and its
+    results are scattered back to z's order once.  A kernel may return a
+    pair, its rows and one more per-row block; both are then assembled in
+    the order of z's rows.  A stack of one group hands z and the columns to
+    its kernel whole; a float goes whole to every group.
     """
     z = np.asarray(z, dtype=float)
     if len(stack.groups) == 1:
         kind, _, coef = stack.groups[0]
         return kernel(kind, _take(coef, rows), z, *columns)
-    out, more = np.empty_like(z), None
-    group = None if rows is None else stack.group_of[rows]
-    for g, (kind, pos, coef) in enumerate(stack.groups):
-        if rows is not None:
-            pos = np.flatnonzero(group == g)
-            if not pos.size:
-                continue
-            coef = _take(coef, stack.slot_of[rows[pos]])
-        picked = (c if isinstance(c, float) else c.take(pos, axis=0) for c in columns)
-        part = kernel(kind, coef, z.take(pos, axis=0), *picked)
-        if isinstance(part, tuple):
-            part, extra = part
-            if more is None:
-                more = np.empty((len(z),) + extra.shape[1:])
-            more[pos] = extra
-        out[pos] = part
-    return out if more is None else (out, more)
+    if rows is None:
+        # each group's run is its members ascending, its coefficients whole
+        order, ends, slots = stack.order, stack.ends, None
+    else:
+        group = stack.group_of.take(rows)
+        order = group.argsort(kind="stable")
+        ends = np.bincount(group, minlength=len(stack.groups)).cumsum()
+        slots = stack.slot_of.take(np.take(rows, order))
+    z = z.take(order, axis=0)
+    columns = [c if isinstance(c, float) else c.take(order, axis=0) for c in columns]
+    parts, extras, lo = np.empty_like(z), None, 0
+    for (kind, _, coef), hi in zip(stack.groups, ends.tolist()):
+        if lo == hi:
+            continue
+        part = slice(lo, hi)
+        coef = coef if slots is None else _take(coef, slots[part])
+        got = kernel(kind, coef, z[part], *(c if isinstance(c, float) else c[part] for c in columns))
+        if isinstance(got, tuple):
+            got, extra = got
+            if extras is None:
+                extras = np.empty((len(z),) + extra.shape[1:])
+            extras[part] = extra
+        parts[part] = got
+        lo = hi
+    out = np.empty_like(parts)
+    out[order] = parts
+    if extras is None:
+        return out
+    more = np.empty_like(extras)
+    more[order] = extras
+    return out, more
 
 
 def resolvent_rows(stack: Stack, gamma: float, z, rows=None, start=0.0) -> tuple:

@@ -164,12 +164,14 @@ class SeededRandom:
         if n == 0:
             return np.arange(num_scenarios)
         waited = last_activated <= n - self.cover_window - 1
+        if not waited.any():
+            # a choice from range(num_scenarios) draws what one from its index array draws
+            size = min(self.block_size, num_scenarios)
+            return np.sort(rng.choice(num_scenarios, size=size, replace=False))
         overdue = np.flatnonzero(waited)
         rest = np.flatnonzero(~waited)
         slots = min(max(self.block_size - overdue.size, 0), rest.size)
         picked = rng.choice(rest, size=slots, replace=False) if slots else rest[:0]
-        if not overdue.size:
-            return np.sort(picked)
         return np.sort(np.concatenate([overdue, picked]))
 
 
@@ -232,10 +234,14 @@ class SolverState:
     resolvent, ``set_point``/``set_dual`` from the constraint projection,
     ``gap`` is the activation subspace's view of their mismatch.  Rows of
     inactive scenarios are kept bitwise unchanged between activations.
-    ``root`` is an (N, 1) column holding each scenario's CVaR prox root
-    from the last stopping test of ``solve``, where the next test's root
-    search of a ``CvarAugmented`` scenario starts (other scenarios ignore
-    theirs); every other root search starts at t = 0.
+    ``root`` is an (N, 1) column holding each scenario's last CVaR prox
+    root at unit steps, from the stopping test of ``solve`` or a refresh at
+    ``gamma = mu = 1``.  The root searches of a ``CvarAugmented`` scenario
+    in that test and in ``iterate``'s own refresh start there (other
+    scenarios ignore theirs); every other root search starts at t = 0.
+    ``kappa``, ``tau`` and ``theta`` are the last coordination step's, and
+    ``decrement`` is its bound on how far that step lowered the stopping
+    test's residual.
     """
 
     iteration: int
@@ -247,6 +253,7 @@ class SolverState:
     kappa: float = 0.0
     tau: float = 0.0
     theta: float = 0.0
+    decrement: float = 0.0
 
     x, x_star, v_star, op_point, op_dual, set_point, set_dual, gap = (
         property(lambda self, i=i: self.stack[i]) for i in range(8)
@@ -269,6 +276,8 @@ class TraceRecord:
     theta: float
     active: tuple[int, ...]
     wall_ms: float = 0.0
+    # whether ``residual`` is the stopping test's value, else a lower bound on it
+    tested: bool = True
 
     @property
     def active_block_size(self) -> int:
@@ -389,7 +398,8 @@ def coordination_step(state: SolverState, problem: Problem, config: SolverConfig
     x, xs, vs, a, a_star, b, b_star, u = state.stack
     dual_avg = policy._average(tree, a_star + b_star)
     anti = -(a - policy._average(tree, a))
-    tau = sum(policy._inner(tree, w, w) for w in (dual_avg, u, anti))
+    dd, uu, aa = (policy._inner(tree, w, w) for w in (dual_avg, u, anti))
+    tau = dd + uu + aa
     if tau > 0.0:
         # x lies in the nonanticipative subspace throughout, so pairing it
         # with the averaged dual equals pairing it with the raw duals; the
@@ -411,6 +421,13 @@ def coordination_step(state: SolverState, problem: Problem, config: SolverConfig
     state.kappa = kappa
     state.tau = tau
     state.theta = theta
+    # the step moves x, x* and v* by -theta (D, u, anti), D = dual_avg being
+    # orthogonal to anti; resolvents and projectors are nonexpansive, so the
+    # operator gap moves by at most theta (|D| + |D - u - anti|) and the
+    # constraint gap by at most theta (|D| + |D + u|): the stopping test's
+    # residual falls by at most the hypot of the two
+    d, u_norm = math.sqrt(dd), math.sqrt(uu)
+    state.decrement = theta * math.hypot(d + math.sqrt(dd + aa) + u_norm, 2.0 * d + u_norm)
     state.iteration += 1
     return state
 
@@ -422,8 +439,10 @@ def iterate(state: SolverState, problem: Problem, config: SolverConfig, points=N
     ``state.stack[:3]`` at full activation, else one ``take``), gets its
     points and writes its five layers: into ``state.stack[3:]`` at full
     activation, else scattered back once.  The points are ``points``, the
-    stopping test's unit-step points of every row, when ``gamma`` and
-    ``mu`` are 1.0, else ``_points`` of the block at those steps.
+    stopping test's unit-step points of every row, when given and
+    ``gamma`` and ``mu`` are 1.0, else ``_points`` of the block at those
+    steps.  The block's CVaR root searches then start from its rows of
+    ``state.root``, and at unit steps the roots found are kept there.
     """
     n = state.iteration
     num = problem.tree.num_scenarios
@@ -431,13 +450,17 @@ def iterate(state: SolverState, problem: Problem, config: SolverConfig, points=N
         config.schedule.select(n, num, state.last_activated, state.rng), dtype=int
     )
     gamma, mu = config.gamma, config.mu
+    unit = gamma == 1.0 and mu == 1.0
     rows = None if active.size == num else active
     # take keeps each layer C-ordered; stack[:3, rows] interleaves the layers' rows
     block = state.stack[:3] if rows is None else state.stack[:3].take(rows, axis=1)
-    if points is None or not (gamma == 1.0 and mu == 1.0):
-        op_point, set_point, _ = _points(problem, *block, gamma, mu, rows)
-    else:
+    if points is not None and unit:
         op_point, set_point = (p if rows is None else p.take(rows, axis=0) for p in points[:2])
+    else:
+        start = state.root if rows is None else state.root.take(rows, axis=0)
+        op_point, set_point, roots = _points(problem, *block, gamma, mu, rows, start)
+        if unit:
+            state.root[slice(None) if rows is None else rows] = roots
     if rows is None:
         _intermediates(block, problem, None, gamma, mu, op_point, set_point, state.stack[3:])
     else:
@@ -486,6 +509,14 @@ def _stop_residual(problem: Problem, x, x_star, v_star, start=0.0) -> tuple:
     return float(np.sqrt(max(total, 0.0))), points
 
 
+# roundoff allowance of the residual bound of ``solve``, relative to the
+# starting residual: the test runs once the bound is this close to tol.  A
+# residual is computed to within roundoff of the iterates' scale, not of its
+# own size (a CVaR root moves by an ulp with its start), so the allowance
+# is scaled by the start's residual, not the last one
+BOUND_MARGIN = 1e-9
+
+
 def _status(residual: float, tol: float, n: int, max_iter: int) -> Optional[SolveStatus]:
     """Why a run with this residual after n iterations stops, or None to go on."""
     if residual <= tol:
@@ -509,13 +540,13 @@ class _Recorder:
         self.trace = []
         self.block, self.active = None, ()
 
-    def record(self, n, residual, active, kappa=math.nan, tau=math.nan, theta=math.nan):
+    def record(self, n, residual, active, kappa=math.nan, tau=math.nan, theta=math.nan, tested=True):
         if n % self.every:
             return
         wall = 0.0 if self.start is None else (time.perf_counter() - self.start) * 1e3
         if not np.array_equal(self.block, active):
             self.block, self.active = active, tuple(active.tolist())
-        self.trace.append(TraceRecord(n, residual, kappa, tau, theta, self.active, wall))
+        self.trace.append(TraceRecord(n, residual, kappa, tau, theta, self.active, wall, tested))
 
     def solution(self, x, v_star, status, iterations, residual) -> Solution:
         return Solution(x.copy(), v_star.copy(), status, iterations, residual, tuple(self.trace))
@@ -533,33 +564,49 @@ def solve(
 
     The stopping test is ``kkt_residual`` without its two subspace terms
     (``init_state`` puts x and v* in their subspaces, every update keeps
-    them there).  It runs before each step, so trace row n holds the
-    residual tested before step n, and its unit-step points of every row
-    are passed on to ``iterate``.  Its CVaR prox roots start from
-    ``state.root`` and are kept there as the next starts.  A step whose
-    kappa, tau or theta is not finite ends the run with ``NON_FINITE``,
-    the residual being the one tested before that step.
+    them there).  Each coordination step lowers it by at most its
+    ``decrement``, so the last tested residual less the decrements since
+    is a lower bound on the residual before each step.  The test runs
+    before step n only when that bound is at most ``tol`` plus
+    ``BOUND_MARGIN`` times the starting residual, when it is not finite,
+    or when n is ``max_iter``: a skipped test could not have stopped the
+    run.  A test's unit-step points of every row are passed on
+    to ``iterate``, and its CVaR prox roots start from ``state.root`` and
+    are kept there as the next starts.  Trace row n holds the residual
+    tested before step n (``tested``), else the bound, which is above
+    ``tol``.  The solution's residual is always a tested one.  A step whose
+    kappa, tau or theta is not finite ends the run with ``NON_FINITE``, the
+    residual being the last one tested.
     """
     if config is None:
         config = SolverConfig()
     state = init_state(problem, config, x0, x0_star, v0_star)
     recorder = _Recorder(config.trace_every, config.record_timing)
+    tol, max_iter = config.tol, config.max_iter
+    residual = bound = slack = math.nan
     while True:
-        residual, points = _stop_residual(
-            problem, state.x, state.x_star, state.v_star, state.root
-        )
-        state.root = points[2]
-        status = _status(residual, config.tol, state.iteration, config.max_iter)
-        if status is not None:
-            return recorder.solution(state.x, state.v_star, status, state.iteration, residual)
         n = state.iteration
+        points = None
+        if not bound > tol + slack or n >= max_iter:
+            residual, points = _stop_residual(
+                problem, state.x, state.x_star, state.v_star, state.root
+            )
+            state.root = points[2]
+            status = _status(residual, tol, n, max_iter)
+            if status is not None:
+                return recorder.solution(state.x, state.v_star, status, n, residual)
+            bound = residual
+            if n == 0:
+                slack = BOUND_MARGIN * residual
         iterate(state, problem, config, points)
-        recorder.record(n, residual, state.active, state.kappa, state.tau, state.theta)
+        tested = points is not None
+        recorder.record(n, bound, state.active, state.kappa, state.tau, state.theta, tested)
         if callback is not None:
             callback(state)
         if not all(map(math.isfinite, (state.kappa, state.tau, state.theta))):
             status = SolveStatus.NON_FINITE
             return recorder.solution(state.x, state.v_star, status, state.iteration, residual)
+        bound -= state.decrement
 
 
 def progressive_hedging_solve(

@@ -1,4 +1,6 @@
 """Shared random-instance builders and independent check utilities."""
+import math
+
 import numpy as np
 
 from scensplit import (
@@ -17,6 +19,7 @@ from scensplit import (
 )
 from scensplit import policy
 from scensplit.operators import apply_operator, project_constraint, project_subspace
+from scensplit.solver import SolveStatus, _status, _stop_residual, init_state, iterate
 
 
 def random_tree(rng, num_scenarios, num_stages, max_dim=3):
@@ -203,3 +206,23 @@ def implementability_violation(problem, state):
         ),
     )
     return worst
+
+
+def solve_testing_every_step(problem, config, callback=None):
+    """``solve`` with its stopping test run before every step, never skipped.
+
+    Returns the status, the iterations, the last residual, x and v*.
+    """
+    state = init_state(problem, config)
+    while True:
+        residual, points = _stop_residual(problem, state.x, state.x_star, state.v_star, state.root)
+        state.root = points[2]
+        status = _status(residual, config.tol, state.iteration, config.max_iter)
+        if status is not None:
+            return status, state.iteration, residual, state.x.copy(), state.v_star.copy()
+        iterate(state, problem, config, points)
+        if callback is not None:
+            callback(state)
+        if not all(map(math.isfinite, (state.kappa, state.tau, state.theta))):
+            status = SolveStatus.NON_FINITE
+            return status, state.iteration, residual, state.x.copy(), state.v_star.copy()

@@ -872,6 +872,8 @@ def test_solve_ph_reads_its_settings(tmp_path, capsys):
     with open(trace, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [int(r["n"]) for r in rows] == list(range(0, sol.iterations, 3))
+    # hedging tests after every step
+    assert all(r["tested"] == "1" for r in rows)
 
 
 def test_solve_reduced_method(tmp_path, capsys):
@@ -1014,6 +1016,7 @@ def encoder_trace_text(trace):
                 repr(float(r.theta)),
                 r.active_block_size,
                 repr(float(r.wall_ms)),
+                int(r.tested),
             ]
         )
     return buf.getvalue()

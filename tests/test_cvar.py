@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from helpers import solve_testing_every_step
 from scensplit import operators, policy
 from scensplit.cvar import (
     CvarProblem,
@@ -266,7 +267,7 @@ def _risk_problem(seed, n=8, d=2, alpha=0.8):
     "config, iterations, saved",
     [
         (SolverConfig(tol=1e-6), 117, 0.5),
-        # steps of 0.7 refresh the block cold, only the stopping test starts warm
+        # at steps of 0.7 the refresh starts from the stopping test's roots
         (SolverConfig(tol=1e-6, gamma=0.7, schedule=RoundRobin(block_size=3)), 291, 0.6),
     ],
 )
@@ -289,6 +290,20 @@ def test_solve_cvar_warm_root_keeps_the_cold_solve(monkeypatch, config, iteratio
     assert warm.inner.iterations == cold.inner.iterations == iterations
     assert_allclose(warm.x_bar, cold.x_bar, rtol=0, atol=1e-12)
     assert warm_calls <= saved * len(calls)
+
+
+@pytest.mark.parametrize("block_size", [2, 3, 4])
+def test_skipped_tests_keep_the_risk_run_that_tests_every_step(block_size):
+    # a skipped test leaves the idle rows' warm roots older, so the bits may
+    # move, but the iterations and the status stay
+    lifted = augment(_risk_problem(1))
+    cfg = SolverConfig(tol=1e-6, schedule=RoundRobin(block_size=block_size))
+    sol = solve(lifted, cfg)
+    status, iterations, _, x, _ = solve_testing_every_step(lifted, cfg)
+    assert (sol.status, sol.iterations) == (status, iterations)
+    assert status is SolveStatus.CONVERGED
+    assert not all(r.tested for r in sol.trace)
+    assert_allclose(sol.x_bar, x, rtol=0, atol=1e-12)
 
 
 def test_solve_cvar_objective_is_recomputed():

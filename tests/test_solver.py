@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import mixed_instance, quadratic_box_instance, random_tree, unconstrained_instance
+from helpers import (
+    mixed_instance,
+    quadratic_box_instance,
+    random_tree,
+    solve_testing_every_step,
+    unconstrained_instance,
+)
 
 from scensplit import policy
 from scensplit.errors import (
@@ -28,6 +34,7 @@ from scensplit.operators import (
     Zero,
 )
 from scensplit.solver import (
+    BOUND_MARGIN,
     _points,
     FullActivation,
     Problem,
@@ -621,7 +628,9 @@ def test_mixed_instance_iteration_counts_off_unit_steps(steps, iterations):
 )
 def test_stopping_test_matches_kkt_residual(schedule):
     # the stopping test drops the two subspace terms of kkt_residual; they
-    # stay at roundoff only while x and v* keep to their subspaces
+    # stay at roundoff only while x and v* keep to their subspaces.  A row
+    # whose test was skipped holds the bound, above tol and at most the
+    # residual, within the roundoff margin of the starting residual
     rng = np.random.default_rng(63)
     prob = mixed_instance(rng, random_tree(rng, 10, 3))
     cfg = SolverConfig(schedule=schedule, tol=1e-6)
@@ -631,9 +640,16 @@ def test_stopping_test_matches_kkt_residual(schedule):
         prob, cfg, callback=lambda st: public.append(kkt_residual(prob, st.x, st.x_star, st.v_star))
     )
     assert len(sol.trace) == sol.iterations
+    assert sol.trace[0].tested
+    margin = BOUND_MARGIN * sol.trace[0].residual
     for r in sol.trace:
-        assert r.residual == pytest.approx(public[r.n], rel=1e-12, abs=0.0)
+        if r.tested:
+            assert r.residual == pytest.approx(public[r.n], rel=1e-12, abs=0.0)
+        else:
+            assert cfg.tol < r.residual <= public[r.n] + margin
     assert sol.residual == pytest.approx(public[-1], rel=1e-12, abs=0.0)
+    if not isinstance(schedule, FullActivation):
+        assert not all(r.tested for r in sol.trace)
 
 
 # step forms of the bitwise guards, as config settings: the default 1.0,
@@ -986,3 +1002,79 @@ def test_solve_stops_when_a_coordination_step_overflows():
     sol = solve(prob, SolverConfig(max_iter=2000), x0_star=[[1e100]])
     assert sol.status is SolveStatus.CONVERGED
     assert sol.iterations == 1
+
+
+def _as_tested_every_step(prob, cfg, callback=None):
+    """``solve``, once its status, iterations, residual, x and v* are checked
+    against the loop that tests before every step, bit for bit."""
+    sol = solve(prob, cfg, callback=callback)
+    status, iterations, residual, x, v_star = solve_testing_every_step(prob, cfg)
+    assert (sol.status, sol.iterations) == (status, iterations)
+    assert np.array_equal(np.float64(sol.residual).view(np.uint64), np.float64(residual).view(np.uint64))
+    assert np.array_equal(sol.x_bar.view(np.uint64), x.view(np.uint64))
+    assert np.array_equal(sol.v_star_bar.view(np.uint64), v_star.view(np.uint64))
+    return sol
+
+
+@pytest.mark.parametrize("steps", [{}, dict(gamma=0.7, mu=1.3)], ids=["unit", "non-unit"])
+@pytest.mark.parametrize("schedule", SCHEDULES, ids=SCHEDULE_IDS)
+@pytest.mark.parametrize(
+    "instance", [mixed_instance, quadratic_box_instance], ids=["mixed", "qbox"]
+)
+def test_skipped_tests_keep_the_run_that_tests_every_step(instance, schedule, steps):
+    # a test is skipped only while a lower bound on its residual is above
+    # tol, and the refresh of a skipped test computes the points the test
+    # would have passed on
+    skipped = 0
+    for stages in range(2, 7):
+        rng = np.random.default_rng(90 + stages)
+        prob = instance(rng, random_tree(rng, 8, stages))
+        sol = _as_tested_every_step(prob, SolverConfig(schedule=schedule, tol=1e-7, max_iter=600, **steps))
+        skipped += sum(not r.tested for r in sol.trace)
+    if not isinstance(schedule, FullActivation):
+        assert skipped > 0
+
+
+def _block_run():
+    rng = np.random.default_rng(63)
+    prob = mixed_instance(rng, random_tree(rng, 10, 3))
+    cfg = SolverConfig(schedule=RoundRobin(block_size=3), tol=1e-6)
+    # the first step whose test is skipped
+    return prob, cfg, next(r.n for r in solve(prob, cfg).trace if not r.tested)
+
+
+def test_max_iter_ends_on_a_tested_residual():
+    # the budget ends where the unbounded run skips its test
+    prob, cfg, n = _block_run()
+    final = []
+    sol = _as_tested_every_step(prob, replace(cfg, max_iter=n), callback=final.append)
+    assert sol.status is SolveStatus.MAX_ITER and sol.iterations == n
+    last = final[-1]
+    assert sol.residual == pytest.approx(
+        kkt_residual(prob, last.x, last.x_star, last.v_star), rel=1e-12, abs=0.0
+    )
+
+
+def test_zero_tol_runs_to_max_iter():
+    prob, cfg, _ = _block_run()
+    sol = _as_tested_every_step(prob, replace(cfg, tol=0.0, max_iter=400))
+    assert sol.status is SolveStatus.MAX_ITER and sol.iterations == 400
+    assert any(not r.tested for r in sol.trace)
+
+
+def test_block_run_that_turns_non_finite_stops():
+    # x turns NaN right before a step whose test is skipped: that step's
+    # kappa and tau are NaN, which ends the run, with the last tested residual
+    prob, cfg, n = _block_run()
+
+    def poison(state):
+        if state.iteration == n:
+            state.x[:] = np.nan
+
+    sol = solve(prob, cfg, callback=poison)
+    assert sol.status is SolveStatus.NON_FINITE and sol.iterations == n + 1
+    assert not sol.trace[n].tested and np.isnan(sol.trace[n].tau)
+    tested = [r.residual for r in sol.trace if r.tested]
+    assert np.isfinite(sol.residual) and sol.residual == tested[-1]
+    status, iterations, *_ = solve_testing_every_step(prob, cfg, poison)
+    assert status is SolveStatus.NON_FINITE and iterations == n

@@ -39,6 +39,8 @@ from scensplit.operators import (
 )
 from scensplit.solver import (
     Problem,
+    _intermediates,
+    _points,
     RoundRobin,
     SolverConfig,
     init_state,
@@ -299,6 +301,14 @@ def test_block_refresh_matches_single_rows(problem, gamma, mu):
         iterate(state, problem, config)
         for name, col in zip(("op_point", "op_dual", "set_point", "set_dual", "gap"), want):
             assert_array_equal(_bits(getattr(state, name)[rows]), _bits(col))
+    # shuffled orders, one-row blocks and blocks that miss whole groups get
+    # the rows of the all-row kernels, bit for bit
+    block = state.stack[:3]
+    everyone = _intermediates(block, problem, None, gamma, mu, *_points(problem, *block, gamma, mu)[:2])
+    blocks = [rng.permutation(N), rng.permutation(N)[:7], np.array([8, 0, 4]), np.array([6, 2])]
+    for rows in blocks + list(rng.permutation(N)[:, None]):
+        got = scenario_update(state, problem, rows, gamma, mu)
+        assert_array_equal(_bits(got), _bits(everyone[:, rows]))
 
 
 def test_scenario_update_unsorted_block(problem):
