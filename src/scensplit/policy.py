@@ -34,12 +34,19 @@ def inner(tree: ScenarioTree, x, y) -> float:
 
 
 def _inner(tree: ScenarioTree, x, y) -> float:
-    """``inner`` without the shape checks, for arrays the solvers built.
+    """``inner`` without the shape checks, for arrays the solvers built."""
+    return _inners(tree, x[None], y[None])[0]
 
-    One contiguous ``einsum`` over the tree's per-entry weights: broadcast
-    (N,) probabilities would split it into one short loop per scenario.
+
+def _inners(tree: ScenarioTree, left, right) -> list:
+    """The K inner products of the layers of two (K, N, d) arrays, as floats.
+
+    One ``einsum`` over the tree's per-entry weights: broadcast (N,)
+    probabilities would split it into one short loop per scenario.  Each
+    layer's sum is reduced on its own, so it rounds as a call for that
+    one pair would, bit for bit, on strided views of layers too.
     """
-    return float(np.einsum("si,si,si->", tree.weights.reshape(x.shape), x, y))
+    return np.einsum("si,ksi,ksi->k", tree.weights.reshape(left.shape[1:]), left, right).tolist()
 
 
 def norm(tree: ScenarioTree, x) -> float:
@@ -55,14 +62,17 @@ def project_nonanticipative(tree: ScenarioTree, x) -> np.ndarray:
     return _average(tree, check_policy(tree, x))
 
 
-def _average(tree: ScenarioTree, x: np.ndarray) -> np.ndarray:
+def _average(tree: ScenarioTree, x: np.ndarray, out=None) -> np.ndarray:
     """``project_nonanticipative`` without the shape check.
 
     One weighted ``bincount`` over the tree's bins sums every class block
-    in scenario order, then one gather and one divide spread the averages.
+    in scenario order, then one gather and one divide spread the averages,
+    into ``out`` when given (a C-ordered array of x's shape, x itself
+    allowed).
     """
     sums = np.bincount(tree.bins, tree.weights * x.ravel())
-    return (sums[tree.bins] / tree.bin_mass).reshape(x.shape)
+    flat = None if out is None else out.reshape(-1)
+    return np.divide(sums[tree.bins], tree.bin_mass, out=flat).reshape(x.shape)
 
 
 def project_nonanticipative_complement(tree: ScenarioTree, x) -> np.ndarray:

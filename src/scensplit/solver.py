@@ -241,13 +241,16 @@ class SolverState:
     scenarios ignore theirs); every other root search starts at t = 0.
     ``kappa``, ``tau`` and ``theta`` are the last coordination step's, and
     ``decrement`` is its bound on how far that step lowered the stopping
-    test's residual.
+    test's residual.  ``work`` is this state's (3, N, d) workspace,
+    into which each coordination step writes its direction (D, u, anti);
+    nothing reads it between two steps.
     """
 
     iteration: int
     stack: np.ndarray
     last_activated: np.ndarray
     root: np.ndarray
+    work: np.ndarray = field(repr=False)
     rng: Optional[np.random.Generator] = None
     active: np.ndarray = field(default_factory=lambda: np.arange(0))
     kappa: float = 0.0
@@ -315,7 +318,8 @@ def init_state(problem: Problem, config: SolverConfig, x0=None, x0_star=None, v0
     rng = None
     if isinstance(config.schedule, SeededRandom):
         rng = np.random.default_rng(config.schedule.seed)
-    return SolverState(0, stack, np.full(n, -1, dtype=int), np.zeros((n, 1)), rng)
+    last = np.full(n, -1, dtype=int)
+    return SolverState(0, stack, last, np.zeros((n, 1)), np.empty((3, n, d)), rng)
 
 
 def scenario_update(state: SolverState, problem: Problem, scenarios, gamma: float, mu: float):
@@ -389,35 +393,46 @@ def _intermediates(block, problem, rows, gamma, mu, op_point, set_point, out=Non
 
 def _fixed_point_sq(tree, x, points) -> float:
     """Squared operator and constraint fixed-point gaps of x at ``points``."""
-    return sum(policy._inner(tree, u, u) for u in (x - points[0], x - points[1]))
+    gaps = np.empty((2,) + x.shape)
+    np.subtract(x, points[0], out=gaps[0])
+    np.subtract(x, points[1], out=gaps[1])
+    return sum(policy._inners(tree, gaps, gaps))
 
 
 def coordination_step(state: SolverState, problem: Problem, config: SolverConfig) -> SolverState:
-    """Project the iterate onto the separating half-space and advance n."""
+    """Project the iterate onto the separating half-space and advance n.
+
+    The direction (D, u, anti) is written into ``state.work`` and its
+    three squared norms come from one batched inner product; the four
+    terms of kappa from two more, against views of the stack.
+    """
     tree = problem.tree
-    x, xs, vs, a, a_star, b, b_star, u = state.stack
-    dual_avg = policy._average(tree, a_star + b_star)
-    anti = -(a - policy._average(tree, a))
-    dd, uu, aa = (policy._inner(tree, w, w) for w in (dual_avg, u, anti))
+    stack, work = state.stack, state.work
+    x, xs, vs, a, a_star, b, b_star, u = stack
+    dual_avg, u_copy, anti = work
+    np.add(a_star, b_star, out=dual_avg)
+    policy._average(tree, dual_avg, out=dual_avg)
+    policy._average(tree, a, out=anti)
+    np.subtract(a, anti, out=anti)
+    np.negative(anti, out=anti)
+    np.copyto(u_copy, u)
+    dd, uu, aa = policy._inners(tree, work, work)
     tau = dd + uu + aa
     if tau > 0.0:
         # x lies in the nonanticipative subspace throughout, so pairing it
         # with the averaged dual equals pairing it with the raw duals; the
         # grouped form below avoids cancellation between O(1) inner products
-        # once the gaps are tiny
-        kappa = (
-            policy._inner(tree, x - a, a_star)
-            + policy._inner(tree, x - b, b_star)
-            + policy._inner(tree, u, xs)
-            + policy._inner(tree, anti, vs)
-        )
+        # once the gaps are tiny: (x - a, a*), (x - b, b*), (u, x*), (anti, v*)
+        terms = policy._inners(tree, x - stack[3:6:2], stack[4:7:2])
+        terms += policy._inners(tree, work[1:], stack[1:3])
+        kappa = terms[0] + terms[1] + terms[2] + terms[3]
         theta = config.lambda_rule * max(kappa, 0.0) / tau
     else:
         kappa = 0.0
         theta = 0.0
-    x -= theta * dual_avg
-    xs -= theta * u
-    vs -= theta * anti
+    # in place, with no (3, N, d) temporary
+    work *= theta
+    stack[:3] -= work
     state.kappa = kappa
     state.tau = tau
     state.theta = theta
@@ -531,22 +546,23 @@ def _status(residual: float, tol: float, n: int, max_iter: int) -> Optional[Solv
 class _Recorder:
     """Every ``trace_every``-th trace record of a run, then its Solution.
 
-    Records of a repeated block share one ``active`` tuple.
+    A block of all ``num_scenarios`` scenarios is ``range(num_scenarios)``
+    under every schedule, so records of full blocks share one ``active``
+    tuple; any other block gets its own.
     """
 
-    def __init__(self, trace_every: int, record_timing: bool):
+    def __init__(self, trace_every: int, record_timing: bool, num_scenarios: int):
         self.every = trace_every
         self.start = time.perf_counter() if record_timing else None
         self.trace = []
-        self.block, self.active = None, ()
+        self.full = tuple(range(num_scenarios))
 
     def record(self, n, residual, active, kappa=math.nan, tau=math.nan, theta=math.nan, tested=True):
         if n % self.every:
             return
         wall = 0.0 if self.start is None else (time.perf_counter() - self.start) * 1e3
-        if not np.array_equal(self.block, active):
-            self.block, self.active = active, tuple(active.tolist())
-        self.trace.append(TraceRecord(n, residual, kappa, tau, theta, self.active, wall, tested))
+        block = self.full if len(active) == len(self.full) else tuple(active.tolist())
+        self.trace.append(TraceRecord(n, residual, kappa, tau, theta, block, wall, tested))
 
     def solution(self, x, v_star, status, iterations, residual) -> Solution:
         return Solution(x.copy(), v_star.copy(), status, iterations, residual, tuple(self.trace))
@@ -581,7 +597,7 @@ def solve(
     if config is None:
         config = SolverConfig()
     state = init_state(problem, config, x0, x0_star, v0_star)
-    recorder = _Recorder(config.trace_every, config.record_timing)
+    recorder = _Recorder(config.trace_every, config.record_timing, problem.tree.num_scenarios)
     tol, max_iter = config.tol, config.max_iter
     residual = bound = slack = math.nan
     while True:
@@ -638,7 +654,7 @@ def progressive_hedging_solve(
     x = policy.zeros(tree)
     vs = policy.zeros(tree)
     everyone = np.arange(tree.num_scenarios)
-    recorder = _Recorder(trace_every, record_timing)
+    recorder = _Recorder(trace_every, record_timing, tree.num_scenarios)
     if max_iter == 0:
         residual, _ = _stop_residual(problem, x, policy.zeros(tree), vs)
         return recorder.solution(x, vs, _status(residual, tol, 0, 0), 0, residual)

@@ -78,6 +78,37 @@ def test_inner_bitwise_equals_broadcast_probabilities(num_scenarios, dim):
                 assert policy._inner(tree, u, v) == old
 
 
+# N*d below and above 8192, the size of numpy's einsum buffer
+@pytest.mark.parametrize(
+    "num_scenarios, dim", [(16, 7), (256, 6), (1024, 6), (1365, 6), (2048, 6), (4096, 6)]
+)
+def test_batched_inners_equal_one_pair_sums_bitwise(num_scenarios, dim):
+    rng = np.random.default_rng(7 * num_scenarios + dim)
+    tree = shaped_tree(rng, num_scenarios, dim)
+    weights = tree.weights.reshape(num_scenarios, dim)
+
+    def one_pair(x, y):
+        return float(np.einsum("si,si,si->", weights, x, y))
+
+    for _ in range(3):
+        stack = np.stack([spread_policy(rng, tree) for _ in range(4)] + [random_policy(rng, tree) for _ in range(4)])
+        # the coordination step's pairings: contiguous layers, layers two
+        # apart and a pair of a layer with itself
+        for left, right in (
+            (stack[:3], stack[:3]),
+            (stack[3:5], stack[4:7:2]),
+            (stack[1:3], stack[1:3]),
+            (stack[5:7], stack[1:3]),
+            (stack[:1], stack[7:]),
+        ):
+            got = policy._inners(tree, left, right)
+            assert all(type(v) is float for v in got)
+            want = [one_pair(x, y) for x, y in zip(left, right)]
+            assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+            for x, y, value in zip(left, right, got):
+                assert policy._inner(tree, x, y) == value
+
+
 def test_projection_averages_shared_block(pair_tree):
     x = np.array([[1.0, 3.0], [3.0, 5.0]])
     p = policy.project_nonanticipative(pair_tree, x)

@@ -1,4 +1,5 @@
 import copy
+import math
 import warnings
 from dataclasses import replace
 
@@ -14,6 +15,7 @@ from helpers import (
     unconstrained_instance,
 )
 
+import scensplit.solver as solver_module
 from scensplit import policy
 from scensplit.errors import (
     ConfigError,
@@ -730,6 +732,94 @@ def test_state_names_are_views_of_one_stack():
         state.gap = np.zeros_like(state.gap)
 
 
+def seven_inner_products_step(state, problem, config):
+    """The coordination step with one single-pair ``einsum`` per inner product."""
+    tree = problem.tree
+    weights = tree.weights.reshape(state.x.shape)
+
+    def inner(x, y):
+        return float(np.einsum("si,si,si->", weights, x, y))
+
+    x, xs, vs, a, a_star, b, b_star, u = state.stack
+    dual_avg = policy._average(tree, a_star + b_star)
+    anti = -(a - policy._average(tree, a))
+    dd, uu, aa = (inner(w, w) for w in (dual_avg, u, anti))
+    tau = dd + uu + aa
+    if tau > 0.0:
+        kappa = inner(x - a, a_star) + inner(x - b, b_star) + inner(u, xs) + inner(anti, vs)
+        theta = config.lambda_rule * max(kappa, 0.0) / tau
+    else:
+        kappa = theta = 0.0
+    x -= theta * dual_avg
+    xs -= theta * u
+    vs -= theta * anti
+    state.kappa, state.tau, state.theta = kappa, tau, theta
+    d, u_norm = math.sqrt(dd), math.sqrt(uu)
+    state.decrement = theta * math.hypot(d + math.sqrt(dd + aa) + u_norm, 2.0 * d + u_norm)
+    state.iteration += 1
+    return state
+
+
+SCHEDULES = [FullActivation(), RoundRobin(block_size=3), SeededRandom(block_size=2, cover_window=4, seed=5)]
+
+
+@pytest.mark.parametrize("stages", [2, 3, 4, 5])
+@pytest.mark.parametrize("schedule", SCHEDULES, ids=["full", "round-robin", "seeded"])
+@pytest.mark.parametrize("steps", [(1.0, 1.0, 1.0), (0.7, 1.3, 1.5)], ids=["unit", "non-unit"])
+@pytest.mark.parametrize("build", [quadratic_box_instance, mixed_instance], ids=["full-mask", "masked"])
+def test_batched_coordination_matches_seven_inner_products(stages, schedule, steps, build, monkeypatch):
+    rng = np.random.default_rng(10 * stages + len(steps))
+    prob = build(rng, random_tree(rng, 7, stages))
+    assert prob.full_mask == (build is quadratic_box_instance)
+    gamma, mu, lam = steps
+    cfg = SolverConfig(gamma=gamma, mu=mu, lambda_rule=lam, schedule=schedule)
+    x0, xs0, v0 = rng.standard_normal((3, 7, prob.tree.total_dim))
+    state = init_state(prob, cfg, x0, xs0, v0)
+    twin = copy.deepcopy(state)
+    thetas = []
+    for _ in range(12):
+        iterate(state, prob, cfg)
+        thetas.append(state.theta)
+        with monkeypatch.context() as m:
+            m.setattr(solver_module, "coordination_step", seven_inner_products_step)
+            iterate(twin, prob, cfg)
+        got = (state.kappa, state.tau, state.theta, state.decrement)
+        want = (twin.kappa, twin.tau, twin.theta, twin.decrement)
+        assert all(type(v) is float for v in got)
+        assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+        assert np.array_equal(state.stack.view(np.uint64), twin.stack.view(np.uint64))
+        assert state.iteration == twin.iteration
+    assert max(thetas) > 0.0
+
+
+def test_each_state_has_its_own_workspace():
+    rng = np.random.default_rng(67)
+    prob = mixed_instance(rng, random_tree(rng, 6, 3))
+    cfg = SolverConfig(schedule=SeededRandom(block_size=2, cover_window=3, seed=4))
+    n, d = 6, prob.tree.total_dim
+    starts = [rng.standard_normal((3, n, d)) for _ in range(2)]
+    first, second = (init_state(prob, cfg, *s) for s in starts)
+    assert first.work.shape == (3, n, d) and first.stack.shape == (8, n, d)
+    assert not np.shares_memory(first.work, second.work)
+    assert not np.shares_memory(first.work, first.stack)
+    twin = copy.deepcopy(first)
+    assert not np.shares_memory(twin.work, first.work)
+    # the two states iterated in turn, then each alone from its start
+    for _ in range(10):
+        iterate(first, prob, cfg)
+        iterate(second, prob, cfg)
+    for state, start in zip((first, second), starts):
+        alone = init_state(prob, cfg, *start)
+        for _ in range(10):
+            iterate(alone, prob, cfg)
+        assert np.array_equal(alone.stack.view(np.uint64), state.stack.view(np.uint64))
+        assert (alone.kappa, alone.tau, alone.theta) == (state.kappa, state.tau, state.theta)
+    # the copy, iterated after its original moved on, gives what the original gave
+    for _ in range(10):
+        iterate(twin, prob, cfg)
+    assert np.array_equal(twin.stack.view(np.uint64), first.stack.view(np.uint64))
+
+
 def test_full_blocks_share_one_active_tuple():
     rng = np.random.default_rng(65)
     prob = quadratic_box_instance(rng, random_tree(rng, 6, 3))
@@ -737,6 +827,13 @@ def test_full_blocks_share_one_active_tuple():
         assert len(sol.trace) >= 2
         assert sol.trace[0].active == tuple(range(6))
         assert all(r.active is sol.trace[0].active for r in sol.trace)
+    # a block run records each block as its own tuple of ints, the first sweep as the full one
+    blocks = []
+    cfg = SolverConfig(tol=1e-10, schedule=SeededRandom(block_size=2, cover_window=6, seed=3))
+    sol = solve(prob, cfg, callback=lambda st: blocks.append(st.active.tolist()))
+    assert [list(r.active) for r in sol.trace] == blocks
+    assert all(type(i) is int for r in sol.trace for i in r.active)
+    assert sol.trace[0].active == tuple(range(6)) and len(sol.trace[1].active) == 2
 
 
 def test_solve_outputs_live_in_subspaces():
