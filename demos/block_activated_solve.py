@@ -8,13 +8,12 @@ import numpy as np
 
 from scensplit import (
     Box,
-    Full,
     FullActivation,
     GradSeparableQuadratic,
+    Problem,
     RoundRobin,
     SeededRandom,
     build_tree,
-    make_problem,
     solve,
     SolverConfig,
 )
@@ -30,7 +29,7 @@ operators = tuple(
     for _ in range(n)
 )
 constraints = tuple(Box(lo=[0.0, 0.0], hi=[1.0, 1.0]) for _ in range(n))
-problem = make_problem(tree, operators, constraints, tuple(Full() for _ in range(n)))
+problem = Problem(tree, operators, constraints)
 
 reference = oracle_solve_quadratic_box(problem)
 

@@ -7,11 +7,9 @@ import numpy as np
 
 from scensplit import (
     Box,
-    Full,
     GradSeparableQuadratic,
-    WholeSpace,
+    Problem,
     build_tree,
-    make_problem,
     progressive_hedging_solve,
     solve,
     solve_reduced,
@@ -26,12 +24,7 @@ operators = tuple(
     for _ in range(n)
 )
 
-boxed = make_problem(
-    tree,
-    operators,
-    tuple(Box(lo=[0.0, 0.0], hi=[1.0, 1.0]) for _ in range(n)),
-    tuple(Full() for _ in range(n)),
-)
+boxed = Problem(tree, operators, tuple(Box(lo=[0.0, 0.0], hi=[1.0, 1.0]) for _ in range(n)))
 
 block = solve(boxed, SolverConfig(tol=1e-9))
 hedge = progressive_hedging_solve(boxed, gamma=1.0, tol=1e-9)
@@ -42,12 +35,7 @@ print(f"  max policy gap: {np.max(np.abs(block.x_bar - hedge.x_bar)):.2e}")
 
 # dropping the boxes opens up the reduced variant, which carries no
 # multiplier for the (now trivial) constraints
-free = make_problem(
-    tree,
-    operators,
-    tuple(WholeSpace() for _ in range(n)),
-    tuple(Full() for _ in range(n)),
-)
+free = Problem(tree, operators)
 full = solve(free, SolverConfig(tol=1e-9))
 reduced = solve_reduced(free, SolverConfig(tol=1e-9))
 print("\nunconstrained instance")

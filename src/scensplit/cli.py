@@ -34,7 +34,7 @@ from .solver import (
     solve,
     solve_reduced,
 )
-from .tree import ScenarioTree, build_tree, check_stage_dims, equivalence_classes
+from .tree import _LABEL_TYPES, ScenarioTree, build_tree, check_stage_dims, equivalence_classes
 
 TRACE_HEADER = [
     "n", "residual", "kappa", "tau", "theta", "active_block_size", "wall_time_ms", "tested"
@@ -66,7 +66,6 @@ def _record(obj, context: str, required, optional=()):
     return obj
 
 
-_LABEL_TYPES = frozenset((str, int, float, bool))
 _SCENARIO_KEYS = frozenset(("labels", "probability"))
 
 
@@ -223,7 +222,7 @@ def load_problem_file(path: str) -> ProblemBundle:
             _record(rec, f"scenarios[{i}]", _SCENARIO_KEYS)
         labels = rec["labels"]
         if type(labels) is not list or not _LABEL_TYPES.issuperset(map(type, labels)):
-            raise ValidationError(f"scenarios[{i}].labels: expected a list of strings and numbers")
+            raise ValidationError(f"scenarios[{i}].labels: expected a list of strings, numbers, bools and nulls")
     probabilities = _numbers(
         [rec["probability"] for rec in raw], lambda i: f"scenarios[{i}].probability"
     )
@@ -367,7 +366,7 @@ def _write_solution(path: str, tree: ScenarioTree, sol: Solution, header: dict, 
         for lo in range(0, tree.num_scenarios, _CHUNK):
             part = slice(lo, lo + _CHUNK)
             columns = _entry_texts([a[part] for a in floats])
-            labels = (sep.join(map(_label, s.labels)) for s in tree.scenarios[part])
+            labels = (sep.join(map(_label, path)) for path in tree.labels[part])
             rows = [labels, *(map(sep.join, col.tolist()) for col in columns)]
             fh.write(("," if lo else "") + ",".join(map(entry, zip(*rows))))
         fh.write("\n  ]\n}\n")

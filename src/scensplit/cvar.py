@@ -148,7 +148,7 @@ def augment(cp: CvarProblem) -> Problem:
     s = decision_scale(tree.num_scenarios)
     dims = (tree.stage_dims[0] + 1,) + tree.stage_dims[1:]
     return Problem.from_stacks(
-        build_tree([(sc.labels, sc.probability) for sc in tree.scenarios], dims),
+        build_tree(zip(tree.labels, tree.probabilities.tolist()), dims),
         _lifted(CvarAugmented, cp.costs, "cost", s, alpha=cp.alpha),
         _lifted(RealCross, cp.constraints, "constraint", s),
         Stack.from_groups([(Full, np.arange(tree.num_scenarios), {})]),

@@ -52,8 +52,9 @@ class Problem:
     """One operator, constraint set and activation subspace per scenario.
 
     Each spec must be one of its role's catalog types; a misfit raises
-    ``ValidationError`` naming its index.  The problem holds each role as a
-    :class:`Stack` of per-type groups, on which every per-scenario
+    ``ValidationError`` naming its index.  ``constraints`` default to
+    ``WholeSpace()`` and ``subspaces`` to ``Full()``.  The problem holds each
+    role as a :class:`Stack` of per-type groups, on which every per-scenario
     computation of the solvers runs, and builds the ``operators``,
     ``constraints`` and ``subspaces`` tuples from them when first read.
     ``subspace_mask`` is the subspaces as one (N, d) axis mask, and
@@ -67,7 +68,10 @@ class Problem:
     subspace_mask: np.ndarray = field(repr=False)
     full_mask: bool = field(repr=False)
 
-    def __init__(self, tree, operators, constraints, subspaces):
+    def __init__(self, tree, operators, constraints=None, subspaces=None):
+        n = tree.num_scenarios
+        constraints = (WholeSpace(),) * n if constraints is None else constraints
+        subspaces = (Full(),) * n if subspaces is None else subspaces
         specs = tuple(map(tuple, (operators, constraints, subspaces)))
         roles = (OperatorSpec, ConstraintSpec, SubspaceSpec), ("operator", "constraint", "subspace")
         for given, role, name in zip(specs, *roles):
@@ -95,16 +99,6 @@ class Problem:
     operators = property(lambda self: self.operator_stack.specs)
     constraints = property(lambda self: self.constraint_stack.specs)
     subspaces = property(lambda self: self.subspace_stack.specs)
-
-
-def make_problem(tree, operators, constraints=None, subspaces=None) -> Problem:
-    """Convenience constructor; defaults to no constraints, full subspaces."""
-    n = tree.num_scenarios
-    if constraints is None:
-        constraints = (WholeSpace(),) * n
-    if subspaces is None:
-        subspaces = (Full(),) * n
-    return Problem(tree, tuple(operators), tuple(constraints), tuple(subspaces))
 
 
 # ---------------------------------------------------------------------------

@@ -33,32 +33,23 @@ _LABEL_TYPES = frozenset((str, int, float, bool, type(None)))
 
 
 @dataclass(frozen=True)
-class Scenario:
-    """One realization of the stage-wise observation process."""
-
-    index: int
-    labels: tuple
-    probability: float
-
-
-@dataclass(frozen=True)
 class ScenarioTree:
     """Immutable scenario tree over a fixed set of decision stages.
 
-    ``classes[k-1]`` holds the stage-k information partition as a tuple of
-    index tuples, ordered by smallest member, members ascending.  ``bins``
-    and ``bin_mass`` are the same partitions flattened for one-pass
+    ``labels[s]`` and ``probabilities[s]`` are scenario s's labels and
+    probability.  ``classes[k-1]`` holds the stage-k information partition as
+    a tuple of index tuples, ordered by smallest member, members ascending.
+    ``bins`` and ``bin_mass`` are the same partitions flattened for one-pass
     averaging: entry ``(s, j)`` of a row-major (num_scenarios, total_dim)
-    policy, with j in stage k, falls in bin offset + class * d_k + column:
-    the offset counts the bins of the earlier stages, the class is the
-    stage-k class of scenario s and the column is j's place within the
-    stage.  ``bin_mass`` holds that class's probability for each entry and
-    ``weights`` the probability of the entry's scenario, so
-    ``weights * x.ravel()`` weights a policy x in one contiguous pass.  All
-    three are read-only.
+    policy, with j in stage k, falls in bin offset + class * d_k + column: the
+    offset counts the bins of the earlier stages, the class is the stage-k
+    class of scenario s and the column is j's place within the stage.
+    ``bin_mass`` holds that class's probability for each entry and ``weights``
+    the probability of the entry's scenario, so ``weights * x.ravel()``
+    weights a policy x in one contiguous pass.  All four arrays are read-only.
     """
 
-    scenarios: tuple[Scenario, ...]
+    labels: tuple[tuple, ...]
     stage_dims: tuple[int, ...]
     classes: tuple[tuple[tuple[int, ...], ...], ...] = field(repr=False)
     probabilities: np.ndarray = field(repr=False)
@@ -69,7 +60,7 @@ class ScenarioTree:
 
     @property
     def num_scenarios(self) -> int:
-        return len(self.scenarios)
+        return len(self.labels)
 
     @property
     def num_stages(self) -> int:
@@ -185,7 +176,7 @@ def build_tree(scenarios, stage_dims) -> ScenarioTree:
     bins = (width.cumsum() - width)[entry] + (np.arange(stage.size) - starts[stage])
 
     return ScenarioTree(
-        scenarios=tuple(map(Scenario, range(n), paths, probs.tolist())),
+        labels=tuple(paths),
         stage_dims=stage_dims,
         classes=classes,
         probabilities=_frozen(probs),

@@ -1,4 +1,5 @@
 """Shared random-instance builders and independent check utilities."""
+import itertools
 import math
 
 import numpy as np
@@ -53,6 +54,21 @@ def random_tree(rng, num_scenarios, num_stages, max_dim=3):
     probs = probs / probs.sum()
     dims = [int(rng.integers(1, max_dim + 1)) for _ in range(num_stages)]
     return build_tree(list(zip(labels, probs)), dims)
+
+
+def branching_tree(rng, branching, max_dim=3):
+    """Balanced tree: each class of stage k splits into ``branching[k-1]`` classes at stage k+1.
+
+    ``len(branching) + 1`` stages and ``prod(branching)`` scenarios.  Stage k
+    has ``prod(branching[:k-1])`` classes, so with every branching >= 2 each
+    stage above the leaves has a class of several scenarios.
+    """
+    paths = itertools.product(*map(range, branching))
+    n = math.prod(branching)
+    probs = rng.uniform(0.2, 1.0, n)
+    probs = probs / probs.sum()
+    dims = [int(rng.integers(1, max_dim + 1)) for _ in range(len(branching) + 1)]
+    return build_tree([(path + (0,), p) for path, p in zip(paths, probs.tolist())], dims)
 
 
 def random_policy(rng, tree, scale=1.0):

@@ -219,6 +219,31 @@ def test_validate_string_labels(tmp_path, capsys):
     assert "valid" in capsys.readouterr().out
 
 
+def test_null_labels_load_solve_and_write_back(tmp_path, capsys):
+    # the loader takes the labels build_tree takes, so a written null loads back
+    doc = quad_box_doc()
+    doc["scenarios"][0]["labels"] = [None, "a"]
+    doc["scenarios"][1]["labels"] = [1.5, None]
+    path = write_json(tmp_path / "p.json", doc)
+    assert load_problem_file(path).tree.labels == ((None, "a"), (1.5, None))
+    sol_path = tmp_path / "sol.json"
+    assert main(["solve", path, "--tol", "1e-9", "--solution-out", str(sol_path)]) == 0
+    assert "status: converged" in capsys.readouterr().out
+    text = sol_path.read_text(encoding="utf-8")
+    assert '"labels": [\n        null,\n        "a"\n      ]' in text
+    assert [rec["labels"] for rec in json.loads(text)["scenarios"]] == [[None, "a"], [1.5, None]]
+
+
+@pytest.mark.parametrize("label", [[0], {"stage": 0}], ids=["list", "object"])
+def test_list_and_object_labels_are_refused(tmp_path, capsys, label):
+    doc = quad_box_doc()
+    doc["scenarios"][1]["labels"] = [label, 0]
+    assert main(["validate", write_json(tmp_path / "p.json", doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValidationError: scenarios[1].labels: expected a list of")
+    assert "strings, numbers, bools and nulls" in err
+
+
 def test_box_null_bounds_parse(tmp_path):
     doc = quad_box_doc()
     doc["constraints"][0] = {"type": "box", "lo": [None, 0.0], "hi": [None, 1.0]}
@@ -992,11 +1017,11 @@ def encoder_solution_text(tree, sol, header, arrays):
         **header,
         "scenarios": [
             {
-                "labels": list(s.labels),
-                "probability": float(s.probability),
-                **{key: values[s.index] for key, values in rows.items()},
+                "labels": list(labels),
+                "probability": float(p),
+                **{key: values[i] for key, values in rows.items()},
             }
-            for s in tree.scenarios
+            for i, (labels, p) in enumerate(zip(tree.labels, tree.probabilities))
         ],
     }
     return json.dumps(doc, indent=2) + "\n"

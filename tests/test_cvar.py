@@ -385,7 +385,7 @@ def _lifted_spec(spec, s):
 def hand_lift(cp, s):
     """The lifted problem at the decision scale ``s``, built spec by spec."""
     t, n = cp.tree, cp.tree.num_scenarios
-    tree = build_tree([(sc.labels, sc.probability) for sc in t.scenarios], (t.stage_dims[0] + 1,) + t.stage_dims[1:])
+    tree = build_tree(zip(t.labels, t.probabilities.tolist()), (t.stage_dims[0] + 1,) + t.stage_dims[1:])
     operators = [CvarAugmented(f=_lifted_spec(f, s), alpha=cp.alpha) for f in cp.costs]
     constraints = [RealCross(base=_lifted_spec(c, s)) for c in cp.constraints]
     return Problem(tree, operators, constraints, (Full(),) * n)

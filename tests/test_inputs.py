@@ -46,10 +46,10 @@ from scensplit.operators import (
     resolvent,
 )
 from scensplit.solver import (
+    Problem,
     SolverConfig,
     init_state,
     kkt_residual,
-    make_problem,
     progressive_hedging_solve,
     scenario_update,
     solve,
@@ -65,7 +65,7 @@ def _pair_problem():
         GradSeparableQuadratic(q=[1.0, 1.0], c=[0.0, 0.2]),
         GradSeparableQuadratic(q=[1.0, 1.0], c=[1.0, 0.8]),
     )
-    return make_problem(tree, ops)
+    return Problem(tree, ops)
 
 
 def _update(gamma=1.0, mu=1.0, scenarios=(0, 1)):

@@ -49,7 +49,6 @@ from scensplit.solver import (
     init_state,
     iterate,
     kkt_residual,
-    make_problem,
     progressive_hedging_solve,
     scenario_update,
     solve,
@@ -73,7 +72,7 @@ def pair_problem():
         GradSeparableQuadratic(q=[1.0, 1.0], c=[0.0, 0.2]),
         GradSeparableQuadratic(q=[1.0, 1.0], c=[1.0, 0.8]),
     )
-    return make_problem(tree, ops)
+    return Problem(tree, ops)
 
 
 PAIR_X = np.array([[0.5, 0.2], [0.5, 0.8]])
@@ -106,17 +105,27 @@ def test_problem_checks_each_spec_role():
     ops = (DiagonalAffine(a=[1.0, 1.0], b=[0.0, 0.0]),) * 2
     box = Box(lo=[0.0, 0.0], hi=[1.0, 1.0])
     with pytest.raises(ValidationError, match="operator 0 must be one of"):
-        make_problem(tree, (box,) * 2)
+        Problem(tree, (box,) * 2)
     with pytest.raises(ValidationError, match="constraint 1 must be one of"):
-        make_problem(tree, ops, constraints=(WholeSpace(), Full()))
+        Problem(tree, ops, constraints=(WholeSpace(), Full()))
     with pytest.raises(ValidationError, match="subspace 0 must be one of"):
-        make_problem(tree, ops, subspaces=(box, Full()))
+        Problem(tree, ops, subspaces=(box, Full()))
 
 
-def test_make_problem_defaults():
+def test_problem_defaults():
+    # Problem(tree, ops) is Problem(tree, ops, whole spaces, full subspaces), group by group
     prob = pair_problem()
     assert all(isinstance(c, WholeSpace) for c in prob.constraints)
     assert all(isinstance(u, Full) for u in prob.subspaces)
+    want = Problem(prob.tree, prob.operators, (WholeSpace(),) * 2, (Full(),) * 2)
+    for role in ("operator_stack", "constraint_stack", "subspace_stack"):
+        got, wanted = getattr(prob, role).groups, getattr(want, role).groups
+        assert [kind for kind, _, _ in got] == [kind for kind, _, _ in wanted]
+        for (_, members, coef), (_, want_members, want_coef) in zip(got, wanted):
+            assert members.tolist() == want_members.tolist()
+            assert [(c.dtype, c.tobytes()) for c in coef] == [(c.dtype, c.tobytes()) for c in want_coef]
+    assert prob.subspace_mask.tolist() == want.subspace_mask.tolist()
+    assert prob.full_mask is want.full_mask is True
 
 
 # --- schedules ---
@@ -428,7 +437,7 @@ def test_init_state_projects_inputs():
 
 def test_scenario_update_known_values():
     tree = single_tree()
-    prob = make_problem(tree, (DiagonalAffine(a=[1.0], b=[0.0]),))
+    prob = Problem(tree, (DiagonalAffine(a=[1.0], b=[0.0]),))
     state = init_state(prob, SolverConfig())
     state.x[0, 0] = 2.0
     a, a_star, b, b_star, u = scenario_update(state, prob, 0, 1.0, 1.0)
@@ -441,7 +450,7 @@ def test_scenario_update_known_values():
 
 def test_coordination_step_known_values():
     tree = single_tree()
-    prob = make_problem(tree, (DiagonalAffine(a=[1.0], b=[0.0]),))
+    prob = Problem(tree, (DiagonalAffine(a=[1.0], b=[0.0]),))
     cfg = SolverConfig()
     state = init_state(prob, cfg)
     state.x[0, 0] = 2.0
@@ -464,7 +473,7 @@ def test_coordination_step_known_values():
 
 def test_coordination_noop_when_tau_zero():
     tree = single_tree()
-    prob = make_problem(tree, (DiagonalAffine(a=[1.0], b=[0.0]),))
+    prob = Problem(tree, (DiagonalAffine(a=[1.0], b=[0.0]),))
     cfg = SolverConfig()
     state = init_state(prob, cfg)  # all zeros is the exact solution here
     iterate(state, prob, cfg)
@@ -475,7 +484,7 @@ def test_coordination_noop_when_tau_zero():
 
 def test_coordination_noop_when_kappa_negative():
     tree = single_tree()
-    prob = make_problem(tree, (DiagonalAffine(a=[1.0], b=[0.0]),))
+    prob = Problem(tree, (DiagonalAffine(a=[1.0], b=[0.0]),))
     cfg = SolverConfig()
     state = init_state(prob, cfg)
     state.op_point[0, 0] = 1.0
@@ -519,7 +528,7 @@ def test_stale_rows_kept_bitwise():
 
 def test_kkt_residual_known_value():
     two = build_tree([((0,), 1.0)], stage_dims=[2])
-    prob = make_problem(two, (GradSeparableQuadratic(q=[1.0, 1.0], c=[0.6, -0.8]),))
+    prob = Problem(two, (GradSeparableQuadratic(q=[1.0, 1.0], c=[0.6, -0.8]),))
     z = np.zeros((1, 2))
     assert kkt_residual(prob, z, z, z) == pytest.approx(0.5)
     x = np.array([[0.6, -0.8]])
@@ -862,7 +871,7 @@ def test_seeded_random_runs_are_deterministic():
 
 def test_progressive_hedging_trivial_instance():
     tree = pair_tree()
-    prob = make_problem(tree, (DiagonalAffine(a=[0.0, 0.0], b=[0.0, 0.0]),) * 2)
+    prob = Problem(tree, (DiagonalAffine(a=[0.0, 0.0], b=[0.0, 0.0]),) * 2)
     sol = progressive_hedging_solve(prob)
     assert sol.status is SolveStatus.CONVERGED
     assert sol.iterations == 1
@@ -940,7 +949,7 @@ def test_progressive_hedging_trace_sampling_and_timing():
 
 def test_progressive_hedging_stops_on_non_finite_residual():
     # finite data whose resolvent overflows: the first step turns x infinite
-    prob = make_problem(pair_tree(), (DiagonalAffine(a=[0.0, 0.0], b=[1e308, 1e308]),) * 2)
+    prob = Problem(pair_tree(), (DiagonalAffine(a=[0.0, 0.0], b=[1e308, 1e308]),) * 2)
     with np.errstate(over="ignore", invalid="ignore"):
         sol = progressive_hedging_solve(prob, gamma=2.0, max_iter=50)
     assert sol.status is SolveStatus.NON_FINITE
@@ -1089,7 +1098,7 @@ def test_iterate_from_stopping_points_is_bitwise_on_every_layer(instance, schedu
 
 def test_solve_stops_when_a_coordination_step_overflows():
     # tau overflows to inf, so theta = 0 and the iterate would never move
-    prob = make_problem(build_tree([(("a",), 1.0)], (1,)), [DiagonalAffine(a=[0.0], b=[0.0])])
+    prob = Problem(build_tree([(("a",), 1.0)], (1,)), [DiagonalAffine(a=[0.0], b=[0.0])])
     sol = solve(prob, SolverConfig(max_iter=2000), x0_star=[[8e153]])
     assert sol.status is SolveStatus.NON_FINITE
     assert sol.iterations == 1

@@ -7,7 +7,7 @@ from numpy.testing import assert_array_equal
 
 from scensplit import build_tree, equivalence_classes
 from scensplit.operators import _frozen, number_list
-from scensplit.tree import Scenario, ScenarioTree, _json_label, check_stage_dims
+from scensplit.tree import ScenarioTree, _json_label, check_stage_dims
 from scensplit.errors import (
     BadProbabilityMass,
     ConfigError,
@@ -85,7 +85,8 @@ def test_rebuild_is_deterministic():
     t1 = build_tree(pairs, [2, 1])
     t2 = build_tree(pairs, [2, 1])
     assert t1.classes == t2.classes
-    assert t1.scenarios == t2.scenarios
+    assert t1.labels == t2.labels
+    assert_array_equal(t1.probabilities, t2.probabilities)
 
 
 def test_empty_tree():
@@ -115,9 +116,9 @@ def test_probability_that_is_not_a_number_is_refused(prob):
 
 def test_probabilities_take_integers_and_numpy_floats():
     tree = build_tree([(("a",), 1)], [1])
-    assert tree.scenarios[0].probability == 1.0
+    assert tree.probabilities.tolist() == [1.0]
     tree = build_tree([(("a",), np.float32(0.25)), (("b",), np.float64(0.75))], [1])
-    assert [type(s.probability) for s in tree.scenarios] == [float, float]
+    assert tree.probabilities.dtype == np.float64
     assert_array_equal(tree.probabilities, [0.25, 0.75])
 
 
@@ -142,7 +143,7 @@ def test_label_length_mismatch():
 def test_numpy_labels_read_as_their_python_values():
     paths = [(np.int64(0), (np.bool_(True), np.float32(0.5))), (np.uint8(1), np.float64(-0.0))]
     tree = build_tree([(p, 0.5) for p in paths], [1, 1])
-    labels = [s.labels for s in tree.scenarios]
+    labels = list(tree.labels)
     assert labels == [(0, (True, 0.5)), (1, -0.0)]
     flat = [labels[0][0], *labels[0][1], *labels[1]]
     assert list(map(type, flat)) == [int, bool, float, int, float]
@@ -203,15 +204,12 @@ def per_scenario_tree(scenarios, stage_dims):
     stage_dims = check_stage_dims(stage_dims)
     items = list(scenarios)
     probs = number_list([p for _, p in items], lambda j, got: AssertionError(got))
-    built = [
-        Scenario(index=i, labels=_json_label(i, tuple(labels)), probability=p)
-        for i, ((labels, _), p) in enumerate(zip(items, probs.tolist()))
-    ]
+    built = [_json_label(i, tuple(labels)) for i, (labels, _) in enumerate(items)]
     classes, bins, bin_mass, offset = [], [], [], 0
     for k, dim in enumerate(stage_dims):
         groups = {}
-        for s in built:
-            groups.setdefault(s.labels[:k], []).append(s.index)
+        for i, labels in enumerate(built):
+            groups.setdefault(labels[:k], []).append(i)
         parts = tuple(tuple(g) for g in groups.values())
         classes.append(parts)
         idx = [0] * len(built)
@@ -225,7 +223,7 @@ def per_scenario_tree(scenarios, stage_dims):
         offset += len(parts) * dim
     offsets = np.concatenate(([0], np.cumsum(stage_dims)))
     return ScenarioTree(
-        scenarios=tuple(built),
+        labels=tuple(built),
         stage_dims=stage_dims,
         classes=tuple(classes),
         probabilities=_frozen(probs),
@@ -275,11 +273,9 @@ def test_bulk_classes_match_the_per_scenario_reference(kind, stages):
                 assert a.dtype == b.dtype and a.shape == b.shape, f.name
                 assert a.flags.c_contiguous and not a.flags.writeable, f.name
                 assert a.tobytes() == b.tobytes(), f.name
-            elif f.name == "scenarios":
+            elif f.name == "labels":
                 # each scenario keeps its own labels, 0.0 and False included
-                assert [(s.index, repr(s.labels), s.probability) for s in a] == [
-                    (s.index, repr(s.labels), s.probability) for s in b
-                ]
+                assert list(map(repr, a)) == list(map(repr, b))
             else:
                 assert a == b, f.name
         assert all(type(m) is int for parts in got.classes for c in parts for m in c)
@@ -289,6 +285,6 @@ def test_equal_labels_share_a_class():
     pairs = [((0, "u"), 0.25), ((0.0, "v"), 0.25), ((False, "w"), 0.25), ((NAN, "x"), 0.25)]
     tree = build_tree(pairs, [1, 1])
     assert equivalence_classes(tree, 2) == ((0, 1, 2), (3,))
-    assert [s.labels[0] for s in tree.scenarios][:3] == [0, 0.0, False]
+    assert [labels[0] for labels in tree.labels][:3] == [0, 0.0, False]
     with pytest.raises(DuplicateScenario, match="scenarios 0 and 2 share labels"):
         build_tree([((0, "u"), 0.25), ((1, "u"), 0.5), ((False, "u"), 0.25)], [1, 1])
