@@ -259,7 +259,7 @@ def _pack_costs(costs) -> tuple:
 def _cost_rows(cost, x) -> np.ndarray:
     """Values of the packed costs at the rows of x, as a (k, 1) column."""
     q, c, l, r, *_ = cost
-    return (0.5 * (q * (x - c) ** 2).sum(axis=1, keepdims=True) + _row_dot(l, x)) + r
+    return (0.5 * np.add.reduce(q * (x - c) ** 2, axis=1, keepdims=True) + _row_dot(l, x)) + r
 
 
 def cost_value(f: CostSpec, x) -> float:
@@ -930,16 +930,21 @@ def _prox_root(cost, x, scale, shift, slope, tol=ROOT_TOL, start=0.0):
     """
     q, *_, b, curved = cost
     t = start if isinstance(start, np.ndarray) else np.full((len(x), 1), float(start))
-    live, gx = np.ones_like(t, dtype=bool), q * x + b
+    gx = q * x + b
     for i in range(200):
         ts = t * scale
         den = 1.0 + ts * q
         value = _cost_rows(cost, (x - ts * b) / den) - shift - t * slope
         g = gx / den
-        drop = scale * (g * g / den).sum(axis=1, keepdims=True) + slope  # -h'(t)
+        drop = scale * np.add.reduce(g * g / den, axis=1, keepdims=True) + slope  # -h'(t)
         step = np.divide(value, drop, out=np.sign(value), where=drop > 0.0)
-        t, last = np.where(live, (t + step).clip(0.0, 1.0), t), t
-        live &= ((np.abs(step) if i == 0 else step) > tol) & (t != last) & curved
+        if i == 0:
+            t, last = (t + step).clip(0.0, 1.0), t
+            live = (np.abs(step) > tol) & (t != last) & curved
+        else:
+            # a stopped row keeps its t, so t != last drops it again
+            t, last = np.where(live, (t + step).clip(0.0, 1.0), t), t
+            live = (step > tol) & (t != last)
         if not live.any():
             break
     return t, _resolvent_kernel(DiagonalAffine, (q, b), x, t * scale)[0]

@@ -1,11 +1,11 @@
 """Slow, independent reference solvers used to validate the fast paths.
 
-Everything here is brute force on purpose: dense grids with refinement for
-proximity operators, projected gradient descent on an explicit
-class-representative parametrization for quadratic box instances, and grid
-search over at most three free coordinates for tiny risk problems.  These
-routines share problem data with the main solvers but none of their
-computational code.
+Everything here is brute force or closed form on purpose: dense grids with
+refinement for proximity operators, the per-coordinate minimizers of an
+explicit class-representative parametrization for quadratic box instances,
+and grid search over at most three free coordinates for tiny risk
+problems.  These routines share problem data with the main solvers but
+none of their computational code.
 """
 from __future__ import annotations
 
@@ -199,11 +199,13 @@ def _expand(tree: ScenarioTree, fcs, z: np.ndarray) -> np.ndarray:
 
 
 def oracle_solve_quadratic_box(problem: Problem) -> np.ndarray:
-    """Projected gradient reference for quadratic costs over boxes.
+    """Closed-form reference for quadratic costs over boxes.
 
     Works on the free coordinates directly, so nonanticipativity holds by
     construction; the box of a free coordinate is the intersection of its
-    members' boxes.  Step 1/L with L the largest aggregated curvature.
+    members' boxes.  The problem is separable per free coordinate: with
+    lam and lin its members' probability-weighted q and q*c, the minimizer
+    is ``clip(lin / lam, lo, hi)``, and ``clip(0, lo, hi)`` where lam is 0.
     """
     tree = problem.tree
     for op in problem.operators:
@@ -229,18 +231,7 @@ def oracle_solve_quadratic_box(problem: Problem) -> np.ndarray:
         hi[j] = min(problem.constraints[i].hi[col] for i in members)
     if np.any(lo > hi):
         raise UnsupportedInstance("a free coordinate has empty box intersection")
-
-    big = float(lam.max(initial=0.0))
-    z = np.clip(np.zeros(m), lo, hi)
-    if big > 0.0:
-        step = 1.0 / big
-        for _ in range(1000000):
-            grad = lam * z - lin
-            z_new = np.clip(z - step * grad, lo, hi)
-            moved = float(np.linalg.norm(z - z_new)) * big
-            z = z_new
-            if moved <= 1e-12:
-                break
+    z = np.clip(np.divide(lin, lam, out=np.zeros(m), where=lam > 0.0), lo, hi)
     return _expand(tree, fcs, z)
 
 

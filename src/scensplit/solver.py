@@ -237,7 +237,9 @@ class SolverState:
     ``decrement`` is its bound on how far that step lowered the stopping
     test's residual.  ``work`` is this state's (3, N, d) workspace,
     into which each coordination step writes its direction (D, u, anti);
-    nothing reads it between two steps.
+    nothing reads it between two steps.  ``gaps`` is None, or the (2, N, d)
+    gaps x - op_point and x - set_point of a refresh that covered every
+    row, which the next coordination step reads for kappa and drops.
     """
 
     iteration: int
@@ -251,6 +253,7 @@ class SolverState:
     tau: float = 0.0
     theta: float = 0.0
     decrement: float = 0.0
+    gaps: Optional[np.ndarray] = field(default=None, repr=False)
 
     x, x_star, v_star, op_point, op_dual, set_point, set_dual, gap = (
         property(lambda self, i=i: self.stack[i]) for i in range(8)
@@ -331,53 +334,52 @@ def scenario_update(state: SolverState, problem: Problem, scenarios, gamma: floa
     rows = np.asarray(integers("scenarios", scenarios if many else [scenarios], 0, n), dtype=int)
     gamma, mu = check_step("gamma", gamma), check_step("mu", mu)
     block = state.stack[:3].take(rows, axis=1)
-    op_point, set_point, _ = _points(problem, *block, gamma, mu, rows)
-    out = _intermediates(block, problem, rows, gamma, mu, op_point, set_point)
+    out = _intermediates(problem, rows, gamma, mu, block[1], _points(problem, *block, gamma, mu, rows))
     return out if many else out[:, 0]
 
 
 def _points(
     problem: Problem, x, x_star, v_star, gamma=1.0, mu=1.0, rows=None, start=0.0
 ) -> tuple:
-    """The refresh's resolvent and projection points of ``rows`` (None: all).
+    """The refresh's resolvent and projection points of ``rows`` (None: all), and what they share.
 
-    ``J_A(x - gamma (x* + v*))`` and ``P_C(x + mu x*)``; at unit steps they
-    give the two fixed-point terms of ``kkt_residual``.  The rows' CVaR prox
-    root searches start at ``start``, a number or one root per row, and the
-    roots found follow as a third entry.  A unit step is not multiplied by.
+    Returns five entries: the points ``J_A(x - gamma (x* + v*))`` and
+    ``P_C(x + mu x*)``, the roots of the rows' CVaR prox root searches,
+    which start at ``start`` (a number or one root per row), the gaps
+    ``x - J`` and ``x - P`` as one (2, k, d) array, and the sum x* + v*.
+    At unit steps the gaps are the two fixed-point terms of ``kkt_residual``.
+    A unit step is not multiplied by.
     """
-    z = x - _scaled(gamma, x_star + v_star)
+    both = x_star + v_star
     projected = project_constraint_rows(problem.constraint_stack, x + _scaled(mu, x_star), rows)
-    resolved, roots = resolvent_rows(problem.operator_stack, gamma, z, rows, start)
-    return resolved, projected, roots
+    resolved, roots = resolvent_rows(problem.operator_stack, gamma, x - _scaled(gamma, both), rows, start)
+    gaps = np.empty((2,) + x.shape)
+    np.subtract(x, resolved, out=gaps[0])
+    np.subtract(x, projected, out=gaps[1])
+    return resolved, projected, roots, gaps, both
 
 
-def _intermediates(block, problem, rows, gamma, mu, op_point, set_point, out=None):
-    """The five refresh layers of ``rows`` (None: all) from their resolvent and projection points.
+def _intermediates(problem, rows, gamma, mu, x_star, points, out=None):
+    """The five refresh layers of ``rows`` (None: all) from their ``_points``.
 
-    ``block`` holds the rows' x, x* and v* as one (3, k, d) array.  The
-    layers ``op_point``, ``op_dual = (x - op_point) / gamma - (x* + v*)``,
-    ``set_point``, ``set_dual = x* + (x - set_point) / mu`` and ``gap``, the
-    subspace's entries of ``set_point - op_point`` (0 elsewhere), are
-    written into ``out``, a (5, k, d) array, new when None, which is
-    returned.  ``gamma`` and ``mu`` are floats; one that is 1.0 is not
-    divided by, as ``v / 1.0 == v``.
+    ``x_star`` holds the rows' x*.  The layers ``op_point``,
+    ``op_dual = (x - op_point) / gamma - (x* + v*)``, ``set_point``,
+    ``set_dual = x* + (x - set_point) / mu`` and ``gap``, the subspace's
+    entries of ``set_point - op_point`` (0 elsewhere), are written into
+    ``out``, a (5, k, d) array, new when None, which is returned.  The
+    points' gaps and sum give the duals, one op each at unit steps.
+    ``gamma`` and ``mu`` are floats; one that is 1.0 is not divided by, as
+    ``v / 1.0 == v``.
     """
-    x, xs, vs = block
+    op_point, set_point, _, gaps, both = points
     if out is None:
-        out = np.empty((5,) + x.shape)
+        out = np.empty((5,) + x_star.shape)
     a, a_star, b, b_star, u = out
     np.copyto(a, op_point)
     np.copyto(b, set_point)
-    np.add(xs, vs, out=u)
-    np.subtract(x, op_point, out=a_star)
-    if gamma != 1.0:
-        a_star /= gamma
-    a_star -= u
-    np.subtract(x, set_point, out=b_star)
-    if mu != 1.0:
-        b_star /= mu
-    b_star += xs  # float addition commutes, so this is x* + (x - set_point) / mu
+    np.subtract(gaps[0] if gamma == 1.0 else gaps[0] / gamma, both, out=a_star)
+    # float addition commutes, so this is x* + (x - set_point) / mu
+    np.add(gaps[1] if mu == 1.0 else gaps[1] / mu, x_star, out=b_star)
     np.subtract(set_point, op_point, out=u)
     if not problem.full_mask:
         mask = problem.subspace_mask if rows is None else problem.subspace_mask.take(rows, axis=0)
@@ -385,23 +387,19 @@ def _intermediates(block, problem, rows, gamma, mu, op_point, set_point, out=Non
     return out
 
 
-def _fixed_point_sq(tree, x, points) -> float:
-    """Squared operator and constraint fixed-point gaps of x at ``points``."""
-    gaps = np.empty((2,) + x.shape)
-    np.subtract(x, points[0], out=gaps[0])
-    np.subtract(x, points[1], out=gaps[1])
-    return sum(policy._inners(tree, gaps, gaps))
-
-
 def coordination_step(state: SolverState, problem: Problem, config: SolverConfig) -> SolverState:
     """Project the iterate onto the separating half-space and advance n.
 
     The direction (D, u, anti) is written into ``state.work`` and its
     three squared norms come from one batched inner product; the four
-    terms of kappa from two more, against views of the stack.
+    terms of kappa from two more, against views of the stack.  The pairs
+    (x - a, a*) and (x - b, b*) read ``state.gaps`` when the refresh left
+    them there, else form x - a and x - b: an idle row's a and b are older
+    than x.
     """
     tree = problem.tree
-    stack, work = state.stack, state.work
+    stack, work, gaps = state.stack, state.work, state.gaps
+    state.gaps = None
     x, xs, vs, a, a_star, b, b_star, u = stack
     dual_avg, u_copy, anti = work
     np.add(a_star, b_star, out=dual_avg)
@@ -417,7 +415,9 @@ def coordination_step(state: SolverState, problem: Problem, config: SolverConfig
         # with the averaged dual equals pairing it with the raw duals; the
         # grouped form below avoids cancellation between O(1) inner products
         # once the gaps are tiny: (x - a, a*), (x - b, b*), (u, x*), (anti, v*)
-        terms = policy._inners(tree, x - stack[3:6:2], stack[4:7:2])
+        if gaps is None:
+            gaps = x - stack[3:6:2]
+        terms = policy._inners(tree, gaps, stack[4:7:2])
         terms += policy._inners(tree, work[1:], stack[1:3])
         kappa = terms[0] + terms[1] + terms[2] + terms[3]
         theta = config.lambda_rule * max(kappa, 0.0) / tau
@@ -451,7 +451,9 @@ def iterate(state: SolverState, problem: Problem, config: SolverConfig, points=N
     stopping test's unit-step points of every row, when given and
     ``gamma`` and ``mu`` are 1.0, else ``_points`` of the block at those
     steps.  The block's CVaR root searches then start from its rows of
-    ``state.root``, and at unit steps the roots found are kept there.
+    ``state.root``, and at unit steps the roots found are kept there.  A
+    refresh of every row leaves its gaps in ``state.gaps`` for the
+    coordination step.
     """
     n = state.iteration
     num = problem.tree.num_scenarios
@@ -464,16 +466,19 @@ def iterate(state: SolverState, problem: Problem, config: SolverConfig, points=N
     # take keeps each layer C-ordered; stack[:3, rows] interleaves the layers' rows
     block = state.stack[:3] if rows is None else state.stack[:3].take(rows, axis=1)
     if points is not None and unit:
-        op_point, set_point = (p if rows is None else p.take(rows, axis=0) for p in points[:2])
+        if rows is not None:
+            # each entry's rows lie along its next-to-last axis
+            points = tuple(p.take(rows, axis=p.ndim - 2) for p in points)
     else:
         start = state.root if rows is None else state.root.take(rows, axis=0)
-        op_point, set_point, roots = _points(problem, *block, gamma, mu, rows, start)
+        points = _points(problem, *block, gamma, mu, rows, start)
         if unit:
-            state.root[slice(None) if rows is None else rows] = roots
+            state.root[slice(None) if rows is None else rows] = points[2]
     if rows is None:
-        _intermediates(block, problem, None, gamma, mu, op_point, set_point, state.stack[3:])
+        _intermediates(problem, None, gamma, mu, block[1], points, state.stack[3:])
     else:
-        state.stack[3:, rows] = _intermediates(block, problem, rows, gamma, mu, op_point, set_point)
+        state.stack[3:, rows] = _intermediates(problem, rows, gamma, mu, block[1], points)
+    state.gaps = points[3] if rows is None else None
     coordination_step(state, problem, config)
     state.last_activated[active] = n
     state.active = active
@@ -494,11 +499,9 @@ def kkt_residual(problem: Problem, x, x_star, v_star) -> float:
     vs = policy.check_policy(tree, v_star)
     anti = policy.project_nonanticipative_complement(tree, x)
     dual = policy.project_nonanticipative(tree, vs)
-    total = (
-        _fixed_point_sq(tree, x, _points(problem, x, xs, vs))
-        + policy._inner(tree, anti, anti)
-        + policy._inner(tree, dual, dual)
-    )
+    gaps = _points(problem, x, xs, vs)[3]
+    total = sum(policy._inners(tree, gaps, gaps)) + policy._inner(tree, anti, anti)
+    total += policy._inner(tree, dual, dual)
     return float(np.sqrt(max(total, 0.0)))
 
 
@@ -511,10 +514,10 @@ def _stop_residual(problem: Problem, x, x_star, v_star, start=0.0) -> tuple:
 
     ``solve`` and the hedging loop keep x in the nonanticipative subspace
     and v* in its complement, so the dropped terms are roundoff.  The points
-    are the three entries of ``_points``, CVaR roots started at ``start``.
+    are the five entries of ``_points``, CVaR roots started at ``start``.
     """
     points = _points(problem, x, x_star, v_star, start=start)
-    total = _fixed_point_sq(problem.tree, x, points)
+    total = sum(policy._inners(problem.tree, points[3], points[3]))
     return float(np.sqrt(max(total, 0.0))), points
 
 

@@ -34,7 +34,7 @@ from scensplit.oracle import (
     oracle_prox_grid,
     oracle_solve_quadratic_box,
 )
-from scensplit.solver import Problem, SolverConfig, SolveStatus
+from scensplit.solver import Problem, SolverConfig, SolveStatus, progressive_hedging_solve
 from scensplit.tree import build_tree
 
 
@@ -283,6 +283,40 @@ def test_oracle_quadratic_box_weighted_average():
     assert got[0, 0] == got[1, 0]
     assert got[0, 1] == pytest.approx(0.0, abs=1e-12)
     assert got[1, 1] == pytest.approx(0.9, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("origin", ["inside", "outside"])
+def test_closed_form_oracle_matches_hedging(seed, origin):
+    # three stages (2, 1, 2) over six scenarios: column 0 has q = 0 for every
+    # scenario, so any point of its box intersection is optimal and the oracle
+    # takes the clipped origin; column 1 is pinned at 0.4 by two members' boxes
+    rng = np.random.default_rng(seed)
+    n = 6
+    probs = rng.uniform(0.5, 1.5, n)
+    tree = build_tree([((0, i // 3, i), float(p)) for i, p in enumerate(probs / probs.sum())], [2, 1, 2])
+    d = tree.total_dim
+    ops, cons = [], []
+    for i in range(n):
+        q = rng.uniform(0.5, 2.0, d)
+        q[0] = 0.0
+        ops.append(GradSeparableQuadratic(q=q, c=rng.uniform(-0.3, 1.3, d)))
+        lo, hi = np.zeros(d), np.ones(d)
+        lo[0] = -rng.uniform(0.1, 0.4) if origin == "inside" else rng.uniform(0.1, 0.4)
+        hi[0] = rng.uniform(0.6, 2.0)
+        lo[1], hi[1] = (0.0, 0.4) if i == 0 else (0.4, 1.0) if i == 1 else (0.0, 1.0)
+        cons.append(Box(lo=lo, hi=hi))
+    got = oracle_solve_quadratic_box(Problem(tree, ops, cons))
+    hedge = progressive_hedging_solve(Problem(tree, ops, cons), tol=1e-11)
+    assert hedge.status is SolveStatus.CONVERGED
+    floor = max(c.lo[0] for c in cons)
+    assert np.all(got[:, 0] == max(floor, 0.0)) and np.all(got[:, 1] == 0.4)
+    assert_allclose(got[:, 1:], hedge.x_bar[:, 1:], rtol=0, atol=1e-9)
+    if origin == "inside":
+        # hedging starts at the origin, and a zero-curvature column never leaves it
+        assert_allclose(got, hedge.x_bar, rtol=0, atol=1e-9)
+    else:
+        assert np.all((floor <= hedge.x_bar[:, 0]) & (hedge.x_bar[:, 0] <= min(c.hi[0] for c in cons)))
 
 
 def test_oracle_quadratic_box_rejections():

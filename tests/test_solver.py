@@ -17,6 +17,7 @@ from helpers import (
 
 import scensplit.solver as solver_module
 from scensplit import policy
+from scensplit.cvar import CvarProblem, augment
 from scensplit.errors import (
     ConfigError,
     DimensionMismatch,
@@ -26,18 +27,21 @@ from scensplit.errors import (
     ValidationError,
 )
 from scensplit.operators import (
+    Affine,
     Ball,
     Box,
     Coordinates,
     DiagonalAffine,
     Full,
     GradSeparableQuadratic,
+    SeparableQuadratic,
     WholeSpace,
     Zero,
 )
 from scensplit.solver import (
     BOUND_MARGIN,
     _points,
+    _stop_residual,
     FullActivation,
     Problem,
     RoundRobin,
@@ -799,6 +803,64 @@ def test_batched_coordination_matches_seven_inner_products(stages, schedule, ste
         assert np.array_equal(state.stack.view(np.uint64), twin.stack.view(np.uint64))
         assert state.iteration == twin.iteration
     assert max(thetas) > 0.0
+
+
+def lifted_risk_instance(rng, tree):
+    """The lifted problem of a risk problem on the tree: CvarAugmented rows of both cost types."""
+    d, n = tree.total_dim, tree.num_scenarios
+    costs = [
+        Affine(c=rng.uniform(-1, 1, d), r=float(rng.uniform(-1, 1)))
+        if i % 3 == 2
+        else SeparableQuadratic(
+            q=rng.uniform(0.5, 2, d), c=rng.uniform(-1.5, 1.5, d), r=float(rng.uniform(-1, 1))
+        )
+        for i in range(n)
+    ]
+    return augment(CvarProblem(tree, 0.8, costs, (Box(lo=[-1.0] * d, hi=[1.0] * d),) * n))
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES, ids=["full", "round-robin", "seeded"])
+@pytest.mark.parametrize("steps", [(1.0, 1.0, 1.0), (0.7, 1.3, 1.5)], ids=["unit", "non-unit"])
+@pytest.mark.parametrize("build", [mixed_instance, lifted_risk_instance], ids=["no-cvar", "cvar"])
+def test_shared_gaps_keep_the_run_that_forms_them_afresh(schedule, steps, build, monkeypatch):
+    # a run whose coordination steps all form x - a and x - b themselves
+    # keeps every stack layer, root, kappa, tau, theta and decrement bit for
+    # bit; every other step hands the stopping test's points to the refresh
+    rng = np.random.default_rng(len(steps) + 40)
+    prob = build(rng, random_tree(rng, 7, 3))
+    gamma, mu, lam = steps
+    cfg = SolverConfig(gamma=gamma, mu=mu, lambda_rule=lam, schedule=schedule)
+    state = init_state(prob, cfg, *rng.standard_normal((3, 7, prob.tree.total_dim)))
+    twin = copy.deepcopy(state)
+    step, shared, full = solver_module.coordination_step, [], []
+
+    def spy(st, problem, config):
+        shared.append(st.gaps is not None)
+        return step(st, problem, config)
+
+    def afresh(st, problem, config):
+        st.gaps = None
+        return step(st, problem, config)
+
+    for k in range(12):
+        for st, swap in ((state, spy), (twin, afresh)):
+            points = None
+            if k % 2:
+                _, points = _stop_residual(prob, st.x, st.x_star, st.v_star, st.root)
+                st.root = points[2]
+            with monkeypatch.context() as m:
+                m.setattr(solver_module, "coordination_step", swap)
+                iterate(st, prob, cfg, points)
+            assert st.gaps is None
+        full.append(state.active.size == 7)
+        got = (state.kappa, state.tau, state.theta, state.decrement)
+        want = (twin.kappa, twin.tau, twin.theta, twin.decrement)
+        assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+        assert np.array_equal(state.stack.view(np.uint64), twin.stack.view(np.uint64))
+        assert np.array_equal(state.root.view(np.uint64), twin.root.view(np.uint64))
+    # a refresh of every row shares its gaps, a block refresh does not
+    assert shared == full and shared[0]
+    assert state.theta > 0.0
 
 
 def test_each_state_has_its_own_workspace():

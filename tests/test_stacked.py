@@ -304,11 +304,29 @@ def test_block_refresh_matches_single_rows(problem, gamma, mu):
     # shuffled orders, one-row blocks and blocks that miss whole groups get
     # the rows of the all-row kernels, bit for bit
     block = state.stack[:3]
-    everyone = _intermediates(block, problem, None, gamma, mu, *_points(problem, *block, gamma, mu)[:2])
+    everyone = _intermediates(problem, None, gamma, mu, block[1], _points(problem, *block, gamma, mu))
     blocks = [rng.permutation(N), rng.permutation(N)[:7], np.array([8, 0, 4]), np.array([6, 2])]
     for rows in blocks + list(rng.permutation(N)[:, None]):
         got = scenario_update(state, problem, rows, gamma, mu)
         assert_array_equal(_bits(got), _bits(everyone[:, rows]))
+
+
+# every row, then BLOCKS: shuffled blocks, two of which leave whole groups out
+@pytest.mark.parametrize("rows", (None,) + BLOCKS, ids=["all", "block0", "block1", "block2", "reversed"])
+@pytest.mark.parametrize("gamma, mu", [(1.0, 1.0), (0.7, 1.3)], ids=["unit", "non-unit"])
+def test_points_hand_on_their_gaps_and_sum(problem, rows, gamma, mu):
+    # the gaps x - J and x - P and the sum x* + v* that the refresh, the
+    # stopping test and kappa share are the ones formed afresh, bit for bit,
+    # on every operator and constraint type, CvarAugmented rows included
+    rng = np.random.default_rng(83)
+    k = N if rows is None else rows.size
+    x, xs, vs = 2.0 * rng.standard_normal((3, k, D))
+    start = rng.uniform(0.0, 1.0, (k, 1))
+    op_point, set_point, _, gaps, both = _points(problem, x, xs, vs, gamma, mu, rows, start)
+    assert gaps.shape == (2, k, D)
+    assert_array_equal(_bits(gaps[0]), _bits(x - op_point))
+    assert_array_equal(_bits(gaps[1]), _bits(x - set_point))
+    assert_array_equal(_bits(both), _bits(xs + vs))
 
 
 def test_scenario_update_unsorted_block(problem):
