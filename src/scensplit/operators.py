@@ -445,16 +445,23 @@ def _packs_finite(name: str, message: str, packed) -> tuple:
     return name, message, test
 
 
-def _nonzero_normal(kind: str) -> tuple:
-    return "normal", f"{kind} normal must be nonzero", lambda f: ~(f["normal"] != 0).any(axis=1)
+def _normal_rules(kind: str) -> tuple:
+    """A nonzero normal whose squared norm, as the stack packs it, is finite and positive."""
+    def square(f):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _row_dot(f["normal"], f["normal"])[:, 0]
+
+    return (
+        ("normal", f"{kind} normal must be nonzero", lambda f: ~(f["normal"] != 0).any(axis=1)),
+        ("normal", "squared norm must be finite", lambda f: ~np.isfinite(square(f))),
+        # a tiny nonzero normal's square can underflow to 0, which the projection divides by
+        ("normal", "squared norm must be positive", lambda f: square(f) == 0),
+    )
 
 
 _QUADRATIC = (
     _nonnegative("q", "quadratic weights must be nonnegative"),
     _packs_finite("c", "q * c must be finite", lambda f: f["q"] * f["c"]),
-)
-_NORMAL_SQUARE = _packs_finite(
-    "normal", "squared norm must be finite", lambda f: _row_dot(f["normal"], f["normal"])
 )
 
 # spec class -> (vector fields, scalar fields, rules).  Every entry must be
@@ -476,8 +483,8 @@ RULES = {
         ("radius",),
         (("radius", "ball radius must be positive", lambda f: f["radius"][:, 0] <= 0),),
     ),
-    Halfspace: (("normal",), ("offset",), (_nonzero_normal("halfspace"), _NORMAL_SQUARE)),
-    Hyperplane: (("normal",), ("offset",), (_nonzero_normal("hyperplane"), _NORMAL_SQUARE)),
+    Halfspace: (("normal",), ("offset",), _normal_rules("halfspace")),
+    Hyperplane: (("normal",), ("offset",), _normal_rules("hyperplane")),
 }
 
 # attrgetter reads the width in C: Problem checks every spec's dim
@@ -608,7 +615,7 @@ def _coef(key, fields) -> tuple:
     vectors, scalars, _ = RULES.get(key, ((), (), ()))
     coef = tuple(fields[name] for name in vectors + scalars)
     if key in (Halfspace, Hyperplane):
-        coef += (_row_dot(coef[0], coef[0]),)  # the squared normals, as _NORMAL_SQUARE reads them
+        coef += (_row_dot(coef[0], coef[0]),)  # the squared normals, as _normal_rules reads them
     return coef
 
 

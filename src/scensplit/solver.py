@@ -237,9 +237,7 @@ class SolverState:
     ``decrement`` is its bound on how far that step lowered the stopping
     test's residual.  ``work`` is this state's (3, N, d) workspace,
     into which each coordination step writes its direction (D, u, anti);
-    nothing reads it between two steps.  ``gaps`` is None, or the (2, N, d)
-    gaps x - op_point and x - set_point of a refresh that covered every
-    row, which the next coordination step reads for kappa and drops.
+    nothing reads it between two steps.
     """
 
     iteration: int
@@ -253,7 +251,6 @@ class SolverState:
     tau: float = 0.0
     theta: float = 0.0
     decrement: float = 0.0
-    gaps: Optional[np.ndarray] = field(default=None, repr=False)
 
     x, x_star, v_star, op_point, op_dual, set_point, set_dual, gap = (
         property(lambda self, i=i: self.stack[i]) for i in range(8)
@@ -319,25 +316,6 @@ def init_state(problem: Problem, config: SolverConfig, x0=None, x0_star=None, v0
     return SolverState(0, stack, last, np.zeros((n, 1)), np.empty((3, n, d)), rng)
 
 
-def scenario_update(state: SolverState, problem: Problem, scenarios, gamma: float, mu: float):
-    """Refresh the intermediates of a block of scenarios at the current iterate.
-
-    ``scenarios`` is one index or an index array in any order; ``gamma``
-    and ``mu`` are one finite positive number each, for every row.  Returns
-    ``op_point``, ``op_dual``, ``set_point``, ``set_dual`` and ``gap`` as
-    one (5, k, d) array, one row per scenario (a (5, d) array for a single
-    index); op_dual lies in the operator's graph at op_point, set_dual in
-    the normal cone of the constraint at set_point, by construction.
-    """
-    many = np.ndim(scenarios)
-    n = problem.tree.num_scenarios
-    rows = np.asarray(integers("scenarios", scenarios if many else [scenarios], 0, n), dtype=int)
-    gamma, mu = check_step("gamma", gamma), check_step("mu", mu)
-    block = state.stack[:3].take(rows, axis=1)
-    out = _intermediates(problem, rows, gamma, mu, block[1], _points(problem, *block, gamma, mu, rows))
-    return out if many else out[:, 0]
-
-
 def _points(
     problem: Problem, x, x_star, v_star, gamma=1.0, mu=1.0, rows=None, start=0.0
 ) -> tuple:
@@ -387,19 +365,18 @@ def _intermediates(problem, rows, gamma, mu, x_star, points, out=None):
     return out
 
 
-def coordination_step(state: SolverState, problem: Problem, config: SolverConfig) -> SolverState:
+def coordination_step(state: SolverState, problem: Problem, config: SolverConfig, gaps=None) -> SolverState:
     """Project the iterate onto the separating half-space and advance n.
 
     The direction (D, u, anti) is written into ``state.work`` and its
     three squared norms come from one batched inner product; the four
     terms of kappa from two more, against views of the stack.  The pairs
-    (x - a, a*) and (x - b, b*) read ``state.gaps`` when the refresh left
-    them there, else form x - a and x - b: an idle row's a and b are older
-    than x.
+    (x - a, a*) and (x - b, b*) read ``gaps``, the (2, N, d) gaps
+    x - op_point and x - set_point of a refresh of every row, when given,
+    else form x - a and x - b: an idle row's a and b are older than x.
     """
     tree = problem.tree
-    stack, work, gaps = state.stack, state.work, state.gaps
-    state.gaps = None
+    stack, work = state.stack, state.work
     x, xs, vs, a, a_star, b, b_star, u = stack
     dual_avg, u_copy, anti = work
     np.add(a_star, b_star, out=dual_avg)
@@ -452,8 +429,7 @@ def iterate(state: SolverState, problem: Problem, config: SolverConfig, points=N
     ``gamma`` and ``mu`` are 1.0, else ``_points`` of the block at those
     steps.  The block's CVaR root searches then start from its rows of
     ``state.root``, and at unit steps the roots found are kept there.  A
-    refresh of every row leaves its gaps in ``state.gaps`` for the
-    coordination step.
+    refresh of every row hands its gaps to the coordination step.
     """
     n = state.iteration
     num = problem.tree.num_scenarios
@@ -478,8 +454,7 @@ def iterate(state: SolverState, problem: Problem, config: SolverConfig, points=N
         _intermediates(problem, None, gamma, mu, block[1], points, state.stack[3:])
     else:
         state.stack[3:, rows] = _intermediates(problem, rows, gamma, mu, block[1], points)
-    state.gaps = points[3] if rows is None else None
-    coordination_step(state, problem, config)
+    coordination_step(state, problem, config, points[3] if rows is None else None)
     state.last_activated[active] = n
     state.active = active
     return state

@@ -19,7 +19,7 @@ from scensplit import (
     build_tree,
 )
 from scensplit import policy
-from scensplit.operators import apply_operator, project_constraint, project_subspace
+from scensplit.operators import apply_operator, project_constraint, project_subspace, resolvent
 from scensplit.solver import SolveStatus, _status, _stop_residual, init_state, iterate
 
 
@@ -153,6 +153,22 @@ def lsq_project_nonanticipative(tree, x):
     w = np.sqrt(np.repeat(tree.probabilities, d))
     z, *_ = np.linalg.lstsq(A * w[:, None], x.ravel() * w, rcond=None)
     return (A @ z).reshape(S, d)
+
+
+def refresh_by_rows(problem, state, rows, gamma, mu):
+    """The refresh of ``rows`` written out with the one-row functions.
+
+    Returns the five layers op_point, op_dual, set_point, set_dual and gap,
+    one (k, d) array each.  An independent reference for the stacked refresh.
+    """
+    out = []
+    for i in rows:
+        x, xs, vs = state.x[i], state.x_star[i], state.v_star[i]
+        a = resolvent(problem.operators[i], gamma, x - gamma * (xs + vs))
+        b = project_constraint(problem.constraints[i], x + mu * xs)
+        gap = project_subspace(problem.subspaces[i], b - a)
+        out.append((a, (x - a) / gamma - (xs + vs), b, xs + (x - b) / mu, gap))
+    return [np.array(col) for col in zip(*out)]
 
 
 def combined_norm(tree, x, x_star, v_star):

@@ -790,6 +790,23 @@ def test_solve_trace_every(tmp_path):
     assert [int(r[0]) for r in rows] == list(range(0, 5 * len(rows), 5))
 
 
+@pytest.mark.parametrize("timing", [True, False], ids=["timed", "untimed"])
+def test_solve_trace_timing_flag(tmp_path, timing):
+    # wall_time_ms is the time since the run started: it never falls, and
+    # it reads 0.0 on every row unless --trace-timing asks for it
+    path = write_json(tmp_path / "p.json", quad_box_doc())
+    trace_path = tmp_path / "t.csv"
+    flags = ["--tol", "1e-9", "--trace-out", str(trace_path)] + ["--trace-timing"] * timing
+    assert main(["solve", path] + flags) == 0
+    with open(trace_path, newline="", encoding="utf-8") as fh:
+        wall = [float(r["wall_time_ms"]) for r in csv.DictReader(fh)]
+    assert len(wall) > 1
+    if timing:
+        assert wall == sorted(wall) and max(wall) > 0.0
+    else:
+        assert all(w == 0.0 for w in wall)
+
+
 def test_solve_deterministic_outputs(tmp_path):
     path = write_json(tmp_path / "p.json", quad_box_doc())
     outs = []

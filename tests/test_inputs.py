@@ -48,10 +48,8 @@ from scensplit.operators import (
 from scensplit.solver import (
     Problem,
     SolverConfig,
-    init_state,
     kkt_residual,
     progressive_hedging_solve,
-    scenario_update,
     solve,
 )
 from scensplit.tree import build_tree
@@ -66,11 +64,6 @@ def _pair_problem():
         GradSeparableQuadratic(q=[1.0, 1.0], c=[1.0, 0.8]),
     )
     return Problem(tree, ops)
-
-
-def _update(gamma=1.0, mu=1.0, scenarios=(0, 1)):
-    prob = _pair_problem()
-    return scenario_update(init_state(prob, SolverConfig()), prob, scenarios, gamma, mu)
 
 
 def _solve(**steps):
@@ -89,8 +82,6 @@ STEP_ENTRIES = {
     "progressive_hedging_solve": (
         lambda g: progressive_hedging_solve(_pair_problem(), gamma=g, max_iter=1), "one"
     ),
-    "scenario_update gamma": (lambda g: _update(gamma=g), "one"),
-    "scenario_update mu": (lambda g: _update(mu=g), "one"),
     "SolverConfig gamma": (lambda g: _solve(gamma=g), "one"),
     "SolverConfig mu": (lambda g: _solve(mu=g), "one"),
     # the pair problem's nonzero targets give tau > 0, so the first iteration reads lambda
@@ -186,20 +177,6 @@ def test_coordinates_read_a_one_shot_iterable_once():
     message = r"coordinate indices must be integers in \[0, inf\), got -1"
     with pytest.raises(ValidationError, match=message):
         Coordinates(indices=(i for i in [0, -1]))
-
-
-@pytest.mark.parametrize("scenarios", [0.7, -1, 5, True, [0, 2], np.array([1.0]), "0"])
-def test_scenario_update_indices_are_integers_below_the_scenario_count(scenarios):
-    # 0.7 used to run as scenario 0, -1 as the last one and 5 as an IndexError
-    with pytest.raises(ConfigError, match="scenarios must be integers"):
-        _update(scenarios=scenarios)
-
-
-def test_scenario_update_takes_one_index_or_many():
-    both = _update(scenarios=np.array([1, 0]))
-    assert_array_equal(_update(scenarios=np.int64(1)), both[:, 0])
-    assert_array_equal(_update(scenarios=[0]), both[:, 1:])
-    assert _update(scenarios=[]).shape == (5, 0, 2)
 
 
 # --- other entry points ---
@@ -302,6 +279,45 @@ def test_normals_with_an_overflowing_squared_norm_are_refused(cls):
         with pytest.raises(ValidationError, match=message):
             cls(normal=[1e308], offset=0.0)
         cls(normal=[1e154, 1e-300], offset=0.0)
+
+
+# --- a nonzero normal whose squared norm underflows to 0 ---
+
+
+@pytest.mark.parametrize("cls", [Halfspace, Hyperplane])
+def test_normals_with_an_underflowing_squared_norm_are_refused(cls):
+    # the normal used to be accepted, and its projection divided by 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = rf"^{cls.__name__}.normal: squared norm must be positive"
+        with pytest.raises(ValidationError, match=message):
+            cls(normal=[1e-200, 0.0], offset=1.0)
+        cls(normal=[1e-150, 0.0], offset=1.0)
+
+
+@pytest.mark.parametrize("command", ["validate", "solve", "solve-cvar"])
+def test_problem_files_refuse_an_underflowing_squared_normal(tmp_path, capsys, command):
+    # a file holding such a hyperplane used to load as valid, and its
+    # solve, or the solve of its lifted risk problem, ended non_finite
+    doc = {
+        "stages": [1, 1],
+        "scenarios": [
+            {"labels": ["a", "a"], "probability": 0.5},
+            {"labels": ["a", "b"], "probability": 0.5},
+        ],
+        "constraints": [{"type": "hyperplane", "normal": [1e-200, 0.0], "offset": 1.0}] * 2,
+    }
+    if command == "solve-cvar":
+        doc["cvar"] = {"alpha": 0.5, "costs": [{"type": "affine", "c": [1.0, 1.0]}] * 2}
+    else:
+        doc["operators"] = [{"type": "grad_separable_quadratic", "q": [1.0, 1.0], "c": [0.0, 1.0]}] * 2
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, str(path)]) == 1
+    message = "error: ValidationError: constraints[0].normal: squared norm must be positive"
+    assert capsys.readouterr().err.startswith(message)
 
 
 def test_problem_files_refuse_overflowing_packed_coefficients(tmp_path, capsys):

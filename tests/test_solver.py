@@ -11,6 +11,7 @@ from helpers import (
     mixed_instance,
     quadratic_box_instance,
     random_tree,
+    refresh_by_rows,
     solve_testing_every_step,
     unconstrained_instance,
 )
@@ -54,7 +55,6 @@ from scensplit.solver import (
     iterate,
     kkt_residual,
     progressive_hedging_solve,
-    scenario_update,
     solve,
     solve_reduced,
 )
@@ -381,20 +381,6 @@ def test_hedging_reports_faults_in_the_config_order():
         progressive_hedging_solve(pair_problem(), gamma=0.0, tol=-1.0)
 
 
-@pytest.mark.parametrize("name", ["gamma", "mu"])
-@pytest.mark.parametrize("step", [np.inf, np.array(np.inf)])
-def test_scenario_update_refuses_infinite_steps(name, step):
-    # an infinite step used to give NaN rows, with a RuntimeWarning
-    rng = np.random.default_rng(38)
-    prob = quadratic_box_instance(rng, random_tree(rng, 4, 2))
-    state = init_state(prob, SolverConfig())
-    steps = {"gamma": 1.0, "mu": 1.0, name: step}
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ConfigError, match=f"{name} must be finite"):
-            scenario_update(state, prob, np.arange(3), steps["gamma"], steps["mu"])
-
-
 @pytest.mark.parametrize(
     "name, steps",
     [
@@ -440,11 +426,15 @@ def test_init_state_projects_inputs():
 # --- one scenario refresh, by hand ---
 
 def test_scenario_update_known_values():
+    # the scenario update of one iterate: J(2) = 1 for the operator x and
+    # P(2) = 2 for the whole space; the coordination step leaves the layers
     tree = single_tree()
     prob = Problem(tree, (DiagonalAffine(a=[1.0], b=[0.0]),))
-    state = init_state(prob, SolverConfig())
+    cfg = SolverConfig()
+    state = init_state(prob, cfg)
     state.x[0, 0] = 2.0
-    a, a_star, b, b_star, u = scenario_update(state, prob, 0, 1.0, 1.0)
+    iterate(state, prob, cfg)
+    a, a_star, b, b_star, u = state.stack[3:, 0]
     assert_allclose(a, [1.0])
     assert_allclose(a_star, [1.0])
     assert_allclose(b, [2.0])
@@ -458,13 +448,8 @@ def test_coordination_step_known_values():
     cfg = SolverConfig()
     state = init_state(prob, cfg)
     state.x[0, 0] = 2.0
-    (
-        state.op_point[0],
-        state.op_dual[0],
-        state.set_point[0],
-        state.set_dual[0],
-        state.gap[0],
-    ) = scenario_update(state, prob, 0, 1.0, 1.0)
+    # a = 1, a* = 1, b = 2, b* = 0, u = 1, as the refresh of this x gives them
+    state.stack[3:, 0, 0] = [1.0, 1.0, 2.0, 0.0, 1.0]
     coordination_step(state, prob, cfg)
     assert state.tau == pytest.approx(2.0)
     assert state.kappa == pytest.approx(1.0)
@@ -707,7 +692,8 @@ def test_iterate_with_unit_points_matches_plain_iterate(steps):
     "steps", [STEP_FORMS[i] for i in (1, 2, 3)], ids=["numbers", "unit-gamma", "unit-mu"]
 )
 def test_iterate_refresh_is_scenario_update_at_non_unit_steps(steps, schedule):
-    # the active rows get the bits of the public refresh, the idle rows keep theirs
+    # the active rows get the bits of the scenario update written out one
+    # row at a time, the idle rows keep theirs
     rng = np.random.default_rng(68)
     prob = mixed_instance(rng, random_tree(rng, 10, 3))
     n = prob.tree.num_scenarios
@@ -718,7 +704,7 @@ def test_iterate_refresh_is_scenario_update_at_non_unit_steps(steps, schedule):
         before = copy.deepcopy(state)
         iterate(state, prob, cfg, _points(prob, state.x, state.x_star, state.v_star))
         rows = state.active
-        want = scenario_update(before, prob, rows, cfg.gamma, cfg.mu)
+        want = np.array(refresh_by_rows(prob, before, rows, cfg.gamma, cfg.mu))
         assert np.array_equal(state.stack[3:, rows].view(np.uint64), want.view(np.uint64))
         idle = np.setdiff1d(np.arange(n), rows)
         kept = before.stack[3:, idle].view(np.uint64)
@@ -745,8 +731,8 @@ def test_state_names_are_views_of_one_stack():
         state.gap = np.zeros_like(state.gap)
 
 
-def seven_inner_products_step(state, problem, config):
-    """The coordination step with one single-pair ``einsum`` per inner product."""
+def seven_inner_products_step(state, problem, config, gaps=None):
+    """The coordination step with one single-pair ``einsum`` per inner product; forms its own gaps."""
     tree = problem.tree
     weights = tree.weights.reshape(state.x.shape)
 
@@ -834,12 +820,11 @@ def test_shared_gaps_keep_the_run_that_forms_them_afresh(schedule, steps, build,
     twin = copy.deepcopy(state)
     step, shared, full = solver_module.coordination_step, [], []
 
-    def spy(st, problem, config):
-        shared.append(st.gaps is not None)
-        return step(st, problem, config)
+    def spy(st, problem, config, gaps=None):
+        shared.append(gaps is not None)
+        return step(st, problem, config, gaps)
 
-    def afresh(st, problem, config):
-        st.gaps = None
+    def afresh(st, problem, config, gaps=None):
         return step(st, problem, config)
 
     for k in range(12):
@@ -851,7 +836,6 @@ def test_shared_gaps_keep_the_run_that_forms_them_afresh(schedule, steps, build,
             with monkeypatch.context() as m:
                 m.setattr(solver_module, "coordination_step", swap)
                 iterate(st, prob, cfg, points)
-            assert st.gaps is None
         full.append(state.active.size == 7)
         got = (state.kappa, state.tau, state.theta, state.decrement)
         want = (twin.kappa, twin.tau, twin.theta, twin.decrement)

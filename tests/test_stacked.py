@@ -45,10 +45,11 @@ from scensplit.solver import (
     SolverConfig,
     init_state,
     iterate,
-    scenario_update,
     solve,
 )
 from scensplit.tree import build_tree
+
+from helpers import refresh_by_rows
 
 D = 3
 N = 12
@@ -276,16 +277,10 @@ def test_subspace_mask_matches_single_rows(problem):
     assert_array_equal(got, [project_subspace(us, zi) for us, zi in zip(problem.subspaces, z)])
 
 
-def _refresh_by_rows(problem, state, rows, gamma, mu):
-    """The block refresh written out with the one-row functions."""
-    out = []
-    for i in rows:
-        x, xs, vs = state.x[i], state.x_star[i], state.v_star[i]
-        a = resolvent(problem.operators[i], gamma, x - gamma * (xs + vs))
-        b = project_constraint(problem.constraints[i], x + mu * xs)
-        gap = project_subspace(problem.subspaces[i], b - a)
-        out.append((a, (x - a) / gamma - (xs + vs), b, xs + (x - b) / mu, gap))
-    return [np.array(col) for col in zip(*out)]
+def _block_refresh(problem, state, rows, gamma, mu):
+    """The five refresh layers of ``rows``, as ``iterate`` forms them for a block."""
+    block = state.stack[:3].take(rows, axis=1)
+    return _intermediates(problem, rows, gamma, mu, block[1], _points(problem, *block, gamma, mu, rows))
 
 
 @pytest.mark.parametrize("gamma, mu", [(0.5, 1.5), (1.7, 0.8), (1.0, 1.3), (0.6, 1.0)])
@@ -297,7 +292,7 @@ def test_block_refresh_matches_single_rows(problem, gamma, mu):
     for _ in range(5):
         n = state.iteration
         rows = np.arange(N) if n == 0 else config.schedule.select(n, N, state.last_activated, None)
-        want = _refresh_by_rows(problem, state, rows, gamma, mu)
+        want = refresh_by_rows(problem, state, rows, gamma, mu)
         iterate(state, problem, config)
         for name, col in zip(("op_point", "op_dual", "set_point", "set_dual", "gap"), want):
             assert_array_equal(_bits(getattr(state, name)[rows]), _bits(col))
@@ -307,7 +302,7 @@ def test_block_refresh_matches_single_rows(problem, gamma, mu):
     everyone = _intermediates(problem, None, gamma, mu, block[1], _points(problem, *block, gamma, mu))
     blocks = [rng.permutation(N), rng.permutation(N)[:7], np.array([8, 0, 4]), np.array([6, 2])]
     for rows in blocks + list(rng.permutation(N)[:, None]):
-        got = scenario_update(state, problem, rows, gamma, mu)
+        got = _block_refresh(problem, state, rows, gamma, mu)
         assert_array_equal(_bits(got), _bits(everyone[:, rows]))
 
 
@@ -335,11 +330,10 @@ def test_scenario_update_unsorted_block(problem):
     x0, xs0, v0 = rng.standard_normal((3, N, D))
     state = init_state(problem, config, x0=x0, x0_star=xs0, v0_star=v0)
     rows = np.array([10, 3, 7, 0])
-    got = scenario_update(state, problem, rows, 1.4, 0.7)
-    for col, want in zip(got, _refresh_by_rows(problem, state, rows, 1.4, 0.7)):
+    got = _block_refresh(problem, state, rows, 1.4, 0.7)
+    for col, want in zip(got, refresh_by_rows(problem, state, rows, 1.4, 0.7)):
         assert_array_equal(_bits(col), _bits(want))
-    empty = scenario_update(state, problem, np.array([], dtype=int), 1.0, 1.0)
-    assert all(col.shape == (0, D) for col in empty)
+    assert _block_refresh(problem, state, np.array([], dtype=int), 1.0, 1.0).shape == (5, 0, D)
 
 
 def test_box_kernel_matches_np_clip_bitwise():
