@@ -398,11 +398,10 @@ def _fail(e: Exception) -> int:
 EXIT_CODES = {SolveStatus.CONVERGED: 0, SolveStatus.NON_FINITE: 1, SolveStatus.MAX_ITER: 2}
 
 
-def _config(args: argparse.Namespace, num_scenarios: int) -> SolverConfig:
+def _config(args: argparse.Namespace) -> SolverConfig:
     """The solver settings that the parsed solver flags describe."""
-    window = num_scenarios if args.cover_window is None else args.cover_window
     # built whatever the schedule, so a bad --block-size, --cover-window or --seed fails under each
-    seeded = SeededRandom(block_size=args.block_size, cover_window=window, seed=args.seed)
+    seeded = SeededRandom(block_size=args.block_size, cover_window=args.cover_window, seed=args.seed)
     if args.schedule == "round-robin":
         schedule = RoundRobin(block_size=args.block_size)
     elif args.schedule == "seeded-random":
@@ -412,7 +411,6 @@ def _config(args: argparse.Namespace, num_scenarios: int) -> SolverConfig:
     return SolverConfig(
         gamma=args.gamma,
         mu=args.mu,
-        lambda_rule=args.lambda_,
         schedule=schedule,
         tol=args.tol,
         max_iter=args.max_iter,
@@ -457,7 +455,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         bundle = load_problem_file(args.file)
         if bundle.problem is None:
             raise ValidationError("file declares a risk objective; use solve-cvar")
-        config = _config(args, bundle.tree.num_scenarios)
+        config = _config(args)
         if args.method == "ph":
             sol = progressive_hedging_solve(
                 bundle.problem, config.gamma, config.tol, config.max_iter, config.trace_every,
@@ -484,7 +482,7 @@ def cmd_solve_cvar(args: argparse.Namespace) -> int:
         cp = bundle.cvar
         if args.alpha is not None:
             cp = dataclasses.replace(cp, alpha=args.alpha)
-        csol = solve_cvar(cp, _config(args, bundle.tree.num_scenarios))
+        csol = solve_cvar(cp, _config(args))
         if args.trace_out:
             write_trace_csv(args.trace_out, csol.inner.trace)
         if args.solution_out:
@@ -508,7 +506,6 @@ def _add_solver_flags(p: argparse.ArgumentParser, with_method: bool):
     p.add_argument("--cover-window", type=int, default=None)
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--lambda", dest="lambda_", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iter", type=int, default=100000)
     p.add_argument("--trace-out", default=None)

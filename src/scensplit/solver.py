@@ -138,26 +138,28 @@ class RoundRobin:
 class SeededRandom:
     """Uniform random block, force-including scenarios that have waited.
 
-    A scenario inactive for ``cover_window`` iterations is put into the
-    block first; the remaining slots are filled uniformly without
-    replacement.  The first sweep (n = 0) must see every scenario: it
-    takes them all and draws nothing from the rng.  Fully deterministic
-    for a fixed seed.  All three settings are integers.
+    A scenario inactive for ``cover_window`` iterations (None: the
+    scenario count) is put into the block first; the remaining slots are
+    filled uniformly without replacement.  The first sweep (n = 0) must see
+    every scenario: it takes them all and draws nothing from the rng.
+    Fully deterministic for a fixed seed.  The settings are integers.
     """
 
     block_size: int = 1
-    cover_window: int = 1
+    cover_window: Optional[int] = None
     seed: int = 0
 
     def __post_init__(self):
         integers("block_size", [self.block_size], 1, kinds="an integer")
-        integers("cover_window", [self.cover_window], 0, kinds="an integer")
+        if self.cover_window is not None:
+            integers("cover_window", [self.cover_window], 0, kinds="an integer")
         integers("seed", [self.seed], 0, kinds="an integer")
 
     def select(self, n, num_scenarios, last_activated, rng) -> np.ndarray:
         if n == 0:
             return np.arange(num_scenarios)
-        waited = last_activated <= n - self.cover_window - 1
+        window = num_scenarios if self.cover_window is None else self.cover_window
+        waited = last_activated <= n - window - 1
         if not waited.any():
             # a choice from range(num_scenarios) draws what one from its index array draws
             size = min(self.block_size, num_scenarios)
@@ -180,17 +182,15 @@ ActivationSchedule = Union[FullActivation, RoundRobin, SeededRandom]
 class SolverConfig:
     """Step sizes, activation schedule and stopping rules.
 
-    ``gamma``, ``mu`` and ``lambda_rule`` are one number each, read by the
-    step rule of :mod:`operators` as every solver's steps are, and stored as
-    a Python float; ``lambda_rule`` must also be below 2 (``ConfigError``).
-    The other settings follow the input rules; ``record_timing`` must be a
-    bool (``np.bool_`` included) and ``schedule`` one of the three schedules.
-    The checks run in the order schedule, stopping settings, steps.
+    ``gamma`` and ``mu`` are one number each, read by the step rule of
+    :mod:`operators` as every solver's steps are, and stored as a Python
+    float.  The other settings follow the input rules; ``record_timing``
+    must be a bool (``np.bool_`` included) and ``schedule`` one of the three
+    schedules.  The checks run in the order schedule, stopping settings, steps.
     """
 
     gamma: float = 1.0
     mu: float = 1.0
-    lambda_rule: float = 1.0
     schedule: ActivationSchedule = field(default_factory=FullActivation)
     tol: float = 1e-8
     max_iter: int = 100000
@@ -211,10 +211,6 @@ class SolverConfig:
             raise ConfigError(f"record_timing must be a bool, got {self.record_timing!r}")
         object.__setattr__(self, "gamma", check_step("gamma", self.gamma))
         object.__setattr__(self, "mu", check_step("mu", self.mu))
-        lam = check_step("lambda", self.lambda_rule)  # named as the CLI's --lambda
-        if lam >= 2.0:
-            raise ConfigError(f"lambda must be below 2, got {lam}")
-        object.__setattr__(self, "lambda_rule", lam)
 
 
 @dataclass
@@ -365,7 +361,7 @@ def _intermediates(problem, rows, gamma, mu, x_star, points, out=None):
     return out
 
 
-def coordination_step(state: SolverState, problem: Problem, config: SolverConfig, gaps=None) -> SolverState:
+def coordination_step(state: SolverState, problem: Problem, gaps=None) -> SolverState:
     """Project the iterate onto the separating half-space and advance n.
 
     The direction (D, u, anti) is written into ``state.work`` and its
@@ -397,7 +393,7 @@ def coordination_step(state: SolverState, problem: Problem, config: SolverConfig
         terms = policy._inners(tree, gaps, stack[4:7:2])
         terms += policy._inners(tree, work[1:], stack[1:3])
         kappa = terms[0] + terms[1] + terms[2] + terms[3]
-        theta = config.lambda_rule * max(kappa, 0.0) / tau
+        theta = max(kappa, 0.0) / tau
     else:
         kappa = 0.0
         theta = 0.0
@@ -454,7 +450,7 @@ def iterate(state: SolverState, problem: Problem, config: SolverConfig, points=N
         _intermediates(problem, None, gamma, mu, block[1], points, state.stack[3:])
     else:
         state.stack[3:, rows] = _intermediates(problem, rows, gamma, mu, block[1], points)
-    coordination_step(state, problem, config, points[3] if rows is None else None)
+    coordination_step(state, problem, points[3] if rows is None else None)
     state.last_activated[active] = n
     state.active = active
     return state

@@ -25,6 +25,7 @@ from scensplit.cvar import CvarProblem, augment, solve_cvar
 from scensplit.errors import DimensionMismatch, ScensplitError, ShapeMismatch, ValidationError
 from scensplit.solver import (
     Problem,
+    RoundRobin,
     SeededRandom,
     Solution,
     SolverConfig,
@@ -869,11 +870,9 @@ def test_solve_ph_method(tmp_path, capsys):
         ["--tol", "nan"],
         ["--max-iter", "-3"],
         ["--tol", "-1"],
-        ["--lambda", "0"],
         ["--schedule", "round-robin", "--block-size", "0"],
         ["--gamma", "inf"],
         ["--mu", "0"],
-        ["--lambda", "2"],
         ["--cover-window", "-1"],
     ],
 )
@@ -942,11 +941,13 @@ def test_solve_bad_config_exit(tmp_path, capsys):
 
 
 def test_the_steps_have_no_window_flag(tmp_path, capsys):
+    # no step window (--epsilon), and no relaxation: the coordination step is the exact projection
     path = write_json(tmp_path / "p.json", quad_box_doc())
-    with pytest.raises(SystemExit) as caught:
-        main(["solve", path, "--epsilon", "0.1"])
-    assert caught.value.code == 2
-    assert "unrecognized arguments: --epsilon" in capsys.readouterr().err
+    for flag, value in (("--epsilon", "0.1"), ("--lambda", "1")):
+        with pytest.raises(SystemExit) as caught:
+            main(["solve", path, flag, value])
+        assert caught.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("indices", [0, "0", None, {"0": 0}])
@@ -1092,6 +1093,41 @@ def test_written_files_match_encoders(tmp_path):
     want = encoder_solution_text(bundle.tree, sol, {}, arrays)
     assert sol_path.read_bytes() == want.encode("utf-8")
     assert trace_path.read_bytes() == encoder_trace_text(sol.trace).encode("utf-8")
+
+
+def _cli_files(tmp_path, command, doc, *flags):
+    """The bytes of the solution and the trace that one CLI run writes, and its exit code."""
+    sol_path, trace_path = tmp_path / "cli.json", tmp_path / "cli.csv"
+    out = ["--solution-out", str(sol_path), "--trace-out", str(trace_path)]
+    code = main([command, write_json(tmp_path / "p.json", doc), *flags, *out])
+    return code, sol_path.read_bytes(), trace_path.read_bytes()
+
+
+ROUND_ROBIN_FLAGS = ["--schedule", "round-robin", "--block-size", "3", "--tol", "1e-6"]
+
+
+def test_round_robin_solve_writes_the_library_run(tmp_path):
+    code, solution, trace = _cli_files(tmp_path, "solve", every_type_doc(), *ROUND_ROBIN_FLAGS)
+    bundle = load_problem_file(str(tmp_path / "p.json"))
+    sol = solve(bundle.problem, SolverConfig(schedule=RoundRobin(3), tol=1e-6))
+    assert (code, sol.status) == (0, SolveStatus.CONVERGED)
+    assert [len(r.active) for r in sol.trace[:4]] == [5, 3, 2, 3]
+    write_solution_file(str(tmp_path / "lib.json"), bundle.tree, sol)
+    write_trace_csv(str(tmp_path / "lib.csv"), sol.trace)
+    assert solution == (tmp_path / "lib.json").read_bytes()
+    assert trace == (tmp_path / "lib.csv").read_bytes()
+
+
+def test_round_robin_solve_cvar_writes_the_library_run(tmp_path):
+    code, solution, trace = _cli_files(tmp_path, "solve-cvar", risk_every_type_doc(), *ROUND_ROBIN_FLAGS)
+    cp = load_problem_file(str(tmp_path / "p.json")).cvar
+    csol = solve_cvar(cp, SolverConfig(schedule=RoundRobin(3), tol=1e-6))
+    assert (code, csol.inner.status) == (0, SolveStatus.CONVERGED)
+    assert [len(r.active) for r in csol.inner.trace[:4]] == [4, 3, 1, 3]
+    write_cvar_solution_file(str(tmp_path / "lib.json"), cp, csol)
+    write_trace_csv(str(tmp_path / "lib.csv"), csol.inner.trace)
+    assert solution == (tmp_path / "lib.json").read_bytes()
+    assert trace == (tmp_path / "lib.csv").read_bytes()
 
 
 def test_written_non_finite_values_match_encoders(tmp_path):

@@ -8,7 +8,6 @@
 | not an integer where one is wanted (a stage)             | ConfigError       |
 | gamma <= 0 or NaN (cost_prox accepts gamma = 0)          | NonPositiveGamma  |
 | mu <= 0 or NaN, any step of +inf                         | ConfigError       |
-| SolverConfig lambda_rule >= 2                            | ConfigError       |
 | alpha outside (0, 1)                                     | BadAlpha          |
 | a spec of another role at a one-row function            | ValidationError   |
 """
@@ -84,13 +83,10 @@ STEP_ENTRIES = {
     ),
     "SolverConfig gamma": (lambda g: _solve(gamma=g), "one"),
     "SolverConfig mu": (lambda g: _solve(mu=g), "one"),
-    # the pair problem's nonzero targets give tau > 0, so the first iteration reads lambda
-    "SolverConfig lambda": (lambda g: _solve(lambda_rule=g), "one"),
     "SolverConfig gamma list": (lambda g: _solve(gamma=[g, g]), "refused"),
     "SolverConfig mu list": (lambda g: _solve(mu=[g, g]), "refused"),
     "SolverConfig gamma callable": (lambda g: _solve(gamma=lambda i, n: g), "refused"),
     "SolverConfig mu callable": (lambda g: _solve(mu=lambda i, n: g), "refused"),
-    "SolverConfig lambda callable": (lambda g: _solve(lambda_rule=lambda n: g), "refused"),
 }
 NOT_NUMBERS = {"True": True, "np.True_": np.True_, "'1'": "1", "None": None, "2**1100": 2**1100}
 # sequences and one-entry arrays: every step is one number
@@ -111,7 +107,7 @@ def _expected(entry: str, kind: str, probe: str):
         return ConfigError
     if probe in NUMBERS or (entry == "cost_prox" and probe == "0.0"):
         return None
-    return ConfigError if entry.endswith(("mu", "lambda")) else NonPositiveGamma
+    return ConfigError if entry.endswith("mu") else NonPositiveGamma
 
 
 def _cases():

@@ -164,6 +164,21 @@ def test_seeded_random_schedule():
     assert 4 in picked
 
 
+def test_seeded_random_blocks_hold_block_size_by_default():
+    # the cover window defaults to the scenario count, so no scenario is
+    # overdue before iteration 33 and every block draws 4 of the 32
+    rng = np.random.default_rng(41)
+    prob = quadratic_box_instance(rng, random_tree(rng, 32, 2))
+    runs = [
+        solve(prob, SolverConfig(schedule=schedule, tol=0.0, max_iter=13))
+        for schedule in (SeededRandom(block_size=4), SeededRandom(4, cover_window=32))
+    ]
+    blocks = [[r.active for r in sol.trace] for sol in runs]
+    assert [len(b) for b in blocks[0][1:]] == [4] * 12
+    assert blocks[0] == blocks[1]
+    assert np.array_equal(runs[0].x_bar.view(np.uint64), runs[1].x_bar.view(np.uint64))
+
+
 def _old_seeded_select(sched, n, num_scenarios, last_activated, rng):
     # the set-difference formula that SeededRandom.select replaced
     if n == 0:
@@ -242,12 +257,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         SolverConfig(mu=0.0)
     with pytest.raises(ConfigError):
-        SolverConfig(lambda_rule=2.0)
-    with pytest.raises(ConfigError):
-        SolverConfig(lambda_rule="fast")
-    with pytest.raises(ConfigError):
-        SolverConfig(lambda_rule=[1.0, 1.0])  # lambda has no per-scenario form
-    with pytest.raises(ConfigError):
         SolverConfig(tol=-1.0)
     with pytest.raises(ConfigError):
         SolverConfig(max_iter=-1)
@@ -255,7 +264,7 @@ def test_config_validation():
         SolverConfig(trace_every=0)
     with pytest.raises(ConfigError):
         SolverConfig(tol=float("nan"))
-    SolverConfig(gamma=0.5, mu=2.0, lambda_rule=1.9)
+    SolverConfig(gamma=0.5, mu=2.0)
 
 
 @pytest.mark.parametrize("schedule", ["round-robin", None, RoundRobin, [FullActivation()]])
@@ -295,7 +304,7 @@ def test_integer_settings_take_numpy_integers():
     assert [r.n for r in ph.trace] == [0, 3]
 
 
-@pytest.mark.parametrize("name", ["gamma", "mu", "lambda_rule"])
+@pytest.mark.parametrize("name", ["gamma", "mu"])
 @pytest.mark.parametrize(
     "value, plain",
     [
@@ -316,7 +325,7 @@ def test_numpy_scalar_steps_match_plain_floats(name, value, plain):
     assert np.array_equal(got.x_bar, want.x_bar)
 
 
-@pytest.mark.parametrize("name", ["gamma", "mu", "lambda_rule"])
+@pytest.mark.parametrize("name", ["gamma", "mu"])
 @pytest.mark.parametrize("value", ["fast", [[1.0]], np.ones((2, 2)), {"a": 1.0}, None])
 def test_step_rules_reject_other_values(name, value):
     with pytest.raises(ConfigError):
@@ -326,22 +335,20 @@ def test_step_rules_reject_other_values(name, value):
 def test_steps_are_python_floats():
     # numpy numbers are stored as the floats they hold, so a config equals and
     # hashes like its plain-float twin, and replace checks the steps again
-    cfg = SolverConfig(gamma=np.float32(0.5), mu=np.int64(1), lambda_rule=np.array(1.25))
-    assert [type(v) for v in (cfg.gamma, cfg.mu, cfg.lambda_rule)] == [float] * 3
-    twin = SolverConfig(gamma=0.5, mu=1.0, lambda_rule=1.25)
+    cfg = SolverConfig(gamma=np.float32(0.5), mu=np.int64(1))
+    assert [type(v) for v in (cfg.gamma, cfg.mu)] == [float] * 2
+    twin = SolverConfig(gamma=0.5, mu=1.0)
     assert cfg == twin and hash(cfg) == hash(twin)
     assert type(replace(cfg, mu=np.float64(2.0)).mu) is float
     with pytest.raises(ConfigError, match="mu must be positive, got 0.0"):
         replace(cfg, mu=0.0)
-    with pytest.raises(ConfigError, match="lambda must be below 2, got 2.0"):
-        replace(cfg, lambda_rule=2.0)
 
 
 def test_config_takes_every_step_the_theorem_admits():
-    # each step is one constant, so any gamma, mu > 0 and lambda in (0, 2)
-    # lies in some window [eps, 1/eps], [eps, 2 - eps] of the convergence theorem
-    cfg = SolverConfig(gamma=1e-6, mu=5e3, lambda_rule=1.9999)
-    assert (cfg.gamma, cfg.mu, cfg.lambda_rule) == (1e-6, 5e3, 1.9999)
+    # each step is one constant, so any gamma, mu > 0 lies in some window
+    # [eps, 1/eps] of the convergence theorem
+    cfg = SolverConfig(gamma=1e-6, mu=5e3)
+    assert (cfg.gamma, cfg.mu) == (1e-6, 5e3)
 
 
 @pytest.mark.parametrize(
@@ -384,11 +391,10 @@ def test_hedging_reports_faults_in_the_config_order():
 @pytest.mark.parametrize(
     "name, steps",
     [
-        ("lambda", dict(lambda_rule=lambda n: "x")),
         ("gamma", dict(gamma=lambda i, n: None)),
         ("mu", dict(mu=lambda i, n: [1.0, 2.0])),
     ],
-    ids=["lambda-string", "gamma-none", "mu-list"],
+    ids=["gamma-none", "mu-list"],
 )
 def test_callable_step_values_go_through_the_step_rule(name, steps):
     # a step is one number: a callable is read as a step is and refused at construction
@@ -450,7 +456,7 @@ def test_coordination_step_known_values():
     state.x[0, 0] = 2.0
     # a = 1, a* = 1, b = 2, b* = 0, u = 1, as the refresh of this x gives them
     state.stack[3:, 0, 0] = [1.0, 1.0, 2.0, 0.0, 1.0]
-    coordination_step(state, prob, cfg)
+    coordination_step(state, prob)
     assert state.tau == pytest.approx(2.0)
     assert state.kappa == pytest.approx(1.0)
     assert state.theta == pytest.approx(0.5)
@@ -478,7 +484,7 @@ def test_coordination_noop_when_kappa_negative():
     state = init_state(prob, cfg)
     state.op_point[0, 0] = 1.0
     state.op_dual[0, 0] = 1.0
-    coordination_step(state, prob, cfg)
+    coordination_step(state, prob)
     assert state.kappa == pytest.approx(-1.0)
     assert state.theta == 0.0
     assert_allclose(state.x, [[0.0]])
@@ -654,14 +660,14 @@ def test_stopping_test_matches_kkt_residual(schedule):
 
 # step forms of the bitwise guards, as config settings: the default 1.0,
 # numbers, gamma 1.0 alone, mu 1.0 alone, 1.0 as numpy numbers, and
-# non-unit steps with over-relaxation
+# other non-unit steps
 STEP_FORMS = [
     {},
     dict(gamma=0.7, mu=1.3),
     dict(gamma=1.0, mu=1.2),
     dict(gamma=0.8, mu=1.0),
     dict(gamma=np.float32(1.0), mu=np.int64(1)),
-    dict(gamma=1.5, mu=0.6, lambda_rule=1.5),
+    dict(gamma=1.5, mu=0.6),
 ]
 SCHEDULES = [
     FullActivation(),
@@ -731,7 +737,7 @@ def test_state_names_are_views_of_one_stack():
         state.gap = np.zeros_like(state.gap)
 
 
-def seven_inner_products_step(state, problem, config, gaps=None):
+def seven_inner_products_step(state, problem, gaps=None):
     """The coordination step with one single-pair ``einsum`` per inner product; forms its own gaps."""
     tree = problem.tree
     weights = tree.weights.reshape(state.x.shape)
@@ -746,7 +752,7 @@ def seven_inner_products_step(state, problem, config, gaps=None):
     tau = dd + uu + aa
     if tau > 0.0:
         kappa = inner(x - a, a_star) + inner(x - b, b_star) + inner(u, xs) + inner(anti, vs)
-        theta = config.lambda_rule * max(kappa, 0.0) / tau
+        theta = max(kappa, 0.0) / tau
     else:
         kappa = theta = 0.0
     x -= theta * dual_avg
@@ -764,14 +770,14 @@ SCHEDULES = [FullActivation(), RoundRobin(block_size=3), SeededRandom(block_size
 
 @pytest.mark.parametrize("stages", [2, 3, 4, 5])
 @pytest.mark.parametrize("schedule", SCHEDULES, ids=["full", "round-robin", "seeded"])
-@pytest.mark.parametrize("steps", [(1.0, 1.0, 1.0), (0.7, 1.3, 1.5)], ids=["unit", "non-unit"])
+@pytest.mark.parametrize("steps", [(1.0, 1.0), (0.7, 1.3)], ids=["unit", "non-unit"])
 @pytest.mark.parametrize("build", [quadratic_box_instance, mixed_instance], ids=["full-mask", "masked"])
 def test_batched_coordination_matches_seven_inner_products(stages, schedule, steps, build, monkeypatch):
-    rng = np.random.default_rng(10 * stages + len(steps))
+    rng = np.random.default_rng(10 * stages + 3)
     prob = build(rng, random_tree(rng, 7, stages))
     assert prob.full_mask == (build is quadratic_box_instance)
-    gamma, mu, lam = steps
-    cfg = SolverConfig(gamma=gamma, mu=mu, lambda_rule=lam, schedule=schedule)
+    gamma, mu = steps
+    cfg = SolverConfig(gamma=gamma, mu=mu, schedule=schedule)
     x0, xs0, v0 = rng.standard_normal((3, 7, prob.tree.total_dim))
     state = init_state(prob, cfg, x0, xs0, v0)
     twin = copy.deepcopy(state)
@@ -806,26 +812,26 @@ def lifted_risk_instance(rng, tree):
 
 
 @pytest.mark.parametrize("schedule", SCHEDULES, ids=["full", "round-robin", "seeded"])
-@pytest.mark.parametrize("steps", [(1.0, 1.0, 1.0), (0.7, 1.3, 1.5)], ids=["unit", "non-unit"])
+@pytest.mark.parametrize("steps", [(1.0, 1.0), (0.7, 1.3)], ids=["unit", "non-unit"])
 @pytest.mark.parametrize("build", [mixed_instance, lifted_risk_instance], ids=["no-cvar", "cvar"])
 def test_shared_gaps_keep_the_run_that_forms_them_afresh(schedule, steps, build, monkeypatch):
     # a run whose coordination steps all form x - a and x - b themselves
     # keeps every stack layer, root, kappa, tau, theta and decrement bit for
     # bit; every other step hands the stopping test's points to the refresh
-    rng = np.random.default_rng(len(steps) + 40)
+    rng = np.random.default_rng(43)
     prob = build(rng, random_tree(rng, 7, 3))
-    gamma, mu, lam = steps
-    cfg = SolverConfig(gamma=gamma, mu=mu, lambda_rule=lam, schedule=schedule)
+    gamma, mu = steps
+    cfg = SolverConfig(gamma=gamma, mu=mu, schedule=schedule)
     state = init_state(prob, cfg, *rng.standard_normal((3, 7, prob.tree.total_dim)))
     twin = copy.deepcopy(state)
     step, shared, full = solver_module.coordination_step, [], []
 
-    def spy(st, problem, config, gaps=None):
+    def spy(st, problem, gaps=None):
         shared.append(gaps is not None)
-        return step(st, problem, config, gaps)
+        return step(st, problem, gaps)
 
-    def afresh(st, problem, config, gaps=None):
-        return step(st, problem, config)
+    def afresh(st, problem, gaps=None):
+        return step(st, problem)
 
     for k in range(12):
         for st, swap in ((state, spy), (twin, afresh)):
