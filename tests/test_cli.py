@@ -870,9 +870,11 @@ def test_solve_ph_method(tmp_path, capsys):
         ["--tol", "nan"],
         ["--max-iter", "-3"],
         ["--tol", "-1"],
+        ["--mu", "nan"],
         ["--schedule", "round-robin", "--block-size", "0"],
         ["--gamma", "inf"],
         ["--mu", "0"],
+        ["--trace-every", "-1"],
         ["--cover-window", "-1"],
     ],
 )
